@@ -25,7 +25,7 @@ from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
 from .errors import QeflabError, SchemaViolation
 from .kernels import KernelContext, make_context
 from .mc import McConfig, estimate_qef_mc
-from .qef import compute_qef
+from .qef import SpectralCache, compute_qef
 from .qkl import build_qkl
 from .quadrature import make_grid
 
@@ -161,11 +161,12 @@ def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
     basis = _basis_from(cfg, ctx)
     thetas = _require(cfg, "qef")["theta_list"]
     P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    qkls = [build_qkl(basis, theta) for theta in thetas]
+    cache = SpectralCache(ctx, qkls[0], P0)
     qef_rows = []
     qkl_rows = []
-    for theta in thetas:
-        qkl = build_qkl(basis, theta)
-        rep = compute_qef(ctx, qkl, P0)
+    for theta, qkl in zip(thetas, qkls):
+        rep = compute_qef(ctx, qkl, P0, cache=cache)
         qef_rows.append([
             rep.theta, rep.C, rep.tail_C, rep.spectral_radius,
             rep.theta_critical,
@@ -183,6 +184,14 @@ def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
 
 
 def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
+    """Monte-Carlo check of the closed form at every subcritical theta.
+
+    Exits 4 unless both routes land within 3 standard errors of xi.
+    Each route's unreliable flag and batch-mean kurtosis are written to
+    mc.csv but do not set the exit code: with KURTOSIS_LIMIT = 10, an
+    ordinary last-bit change can move a borderline route (kurtosis near
+    10 on the README oscillator at theta = 0.87) across the limit.
+    """
     ctx = _context_from(cfg)
     basis = _basis_from(cfg, ctx)
     thetas = _require(cfg, "qef")["theta_list"]
@@ -193,21 +202,22 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
                       batch=mc_cfg.get("batch", 100),
                       increments_per_panel=mc_cfg.get("increments_per_panel", 8))
     P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    qkls = [build_qkl(basis, theta) for theta in thetas]
+    cache = SpectralCache(ctx, qkls[0], P0)
     rows = []
     passed = True
-    for theta in thetas:
-        qkl = build_qkl(basis, theta)
-        rep = compute_qef(ctx, qkl, P0)
+    for theta, qkl in zip(thetas, qkls):
+        rep = compute_qef(ctx, qkl, P0, cache=cache)
         if rep.xi is None:
             continue                      # only subcritical thetas are testable
-        result = estimate_qef_mc(ctx, qkl, P0, config)
+        result = estimate_qef_mc(ctx, qkl, P0, config, cache=cache)
         for name, est in (("Z", result.z), ("N", result.n)):
             rows.append([theta, name, est.mean, est.stderr, est.n_eff,
-                         est.diverged_fraction, seed])
+                         est.diverged_fraction, seed, est.unreliable, est.kurtosis])
             passed = passed and abs(est.mean - rep.xi) <= 3.0 * est.stderr
     _write_csv(out / "mc.csv",
                ["theta", "estimator", "mean", "stderr", "n_eff",
-                "diverged_fraction", "seed"], rows)
+                "diverged_fraction", "seed", "unreliable", "kurtosis"], rows)
     print("validate: " + ("PASS" if passed else "FAIL"))
     return 0 if passed else 4
 

@@ -54,6 +54,10 @@ class GridMismatch(InputError):
     code = "GridMismatch"
 
 
+class InvalidParameter(InputError):
+    code = "InvalidParameter"
+
+
 class NotHurwitz(QeflabError):
     code = "NotHurwitz"
 

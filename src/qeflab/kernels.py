@@ -112,7 +112,7 @@ class KernelContext:
     @cached_property
     def lambda_grid(self) -> np.ndarray:
         """Commutator kernel at all node pairs, shape (N, N, n, n)."""
-        return kernel_on_grid(self, self.Theta)
+        return kernel_on_grid(self.sys.A, self.grid, self.Theta)
 
     @cached_property
     def hs_total(self) -> float:
@@ -137,18 +137,43 @@ def make_context(spec: OscillatorSpec, grid: Grid) -> KernelContext:
     return KernelContext(sysm, spec.Theta, grid)
 
 
-def kernel_on_grid(ctx: KernelContext, base: np.ndarray) -> np.ndarray:
-    """Evaluate a one-sided-exponential kernel at all grid node pairs.
+def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
+    """Evaluate a one-sided-exponential kernel at all node pairs of a grid.
 
     For lag tau = s_a - s_b >= 0 the value is e^{tau A} base; for tau < 0
     it is base e^{-tau A^T} = base (e^{|tau| A})^T.  With base = Theta
     this is the commutator kernel (block-antisymmetric by construction);
     with a symmetric base = P0 it is the covariance kernel.
+
+    The grid has P equal panels of width h that repeat the same Q node
+    offsets, so two nodes differ by delta = x_i - x_j inside a panel and
+    by tau = (g-1) h + (h + delta) when they lie g >= 1 panels apart.
+    The exponential factors accordingly,
+
+        e^{tau A} = e^{(g-1) h A} e^{(h + delta) A},
+
+    with every exponent nonnegative, so for Hurwitz A no factor grows and
+    the product is as accurate as a direct evaluation.  The whole grid
+    costs P - 1 + 2 Q^2 matrix exponentials (Q^2 in-panel e^{|delta| A},
+    Q^2 cross-panel e^{(h + delta) A}, one per panel gap) instead of
+    (P Q)^2.
     """
-    A = ctx.sys.A
-    nodes = ctx.grid.nodes
-    d = nodes[:, None] - nodes[None, :]
-    Eabs = expm(np.abs(d)[..., None, None] * A)
+    A = np.asarray(A, dtype=float)
+    base = np.asarray(base, dtype=float)
+    P, Q, n = grid.panels, grid.order, A.shape[0]
+    h = grid.T / P
+    x = grid.nodes[:Q]
+    delta = x[:, None] - x[None, :]
+    near = expm(np.abs(delta)[..., None, None] * A)               # (Q, Q, n, n)
+    cross = expm((h + delta)[..., None, None] * A)
+    gaps = expm((h * np.arange(P - 1))[:, None, None] * A)        # e^{(g-1) h A}
+    far = gaps[:, None, None] @ cross                              # (P-1, Q, Q, n, n)
+    # blocks[P-1+g] is e^{|tau| A} between panels g apart; g < 0 mirrors delta
+    blocks = np.concatenate([far[::-1].swapaxes(1, 2), near[None], far])
+    p = np.arange(P)
+    Eabs = blocks[P - 1 + p[:, None] - p[None, :]]
+    Eabs = Eabs.transpose(0, 2, 1, 3, 4, 5).reshape(P * Q, P * Q, n, n)
+    d = grid.nodes[:, None] - grid.nodes[None, :]
     pos = Eabs @ base
     neg = base @ np.swapaxes(Eabs, -1, -2)
     mask = (d >= 0.0)[..., None, None]
@@ -175,7 +200,7 @@ def covariance_kernel(ctx: KernelContext, P0: np.ndarray, s: float, t: float) ->
 
 def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:
     """Covariance kernel at all node pairs, shape (N, N, n, n)."""
-    return kernel_on_grid(ctx, np.asarray(P0, dtype=float))
+    return kernel_on_grid(ctx.sys.A, ctx.grid, P0)
 
 
 def _check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ of PK, which is not small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
 results are aggregated in batch order, so estimates are seed-determined
-regardless of thread count (set QEFLAB_THREADS to parallelize).
+regardless of thread count (set QEFLAB_THREADS to a positive integer
+to parallelize).
 """
 
 from __future__ import annotations
@@ -27,21 +28,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CovarianceNotPSD,
     GridMismatch,
+    InvalidParameter,
     NonpositiveOmega,
     OverflowDominated,
     SupercriticalTheta,
 )
-from .kernels import KernelContext
-from .qef import SpectralCache, compute_C, find_critical_theta
+from .kernels import KernelContext, kernel_on_grid
+from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
 from .qkl import Hk_at, QklBasis, build_qkl
 from .quadrature import Grid
 
-OVERFLOW_LOG = 700.0
 KURTOSIS_LIMIT = 10.0          # excess kurtosis of batch means beyond this flags the run
 PSD_CLIP_RTOL = 1e-10
 
@@ -99,17 +99,6 @@ class QefMcResult:
     seed: int
 
 
-def _stationary_blocks(A: np.ndarray, P0: np.ndarray, s: np.ndarray,
-                       t: np.ndarray | None = None) -> np.ndarray:
-    """Covariance blocks P(s_a - t_b) of the stationary process."""
-    t = s if t is None else t
-    d = s[:, None] - t[None, :]
-    E = expm(np.abs(d)[:, :, None, None] * A)
-    pos = E @ P0
-    neg = P0 @ np.swapaxes(E, -1, -2)
-    return np.where((d >= 0.0)[:, :, None, None], pos, neg)
-
-
 def _psd_factor(mat: np.ndarray, label: str) -> np.ndarray:
     """Square root of a PSD matrix with tolerance-checked clipping."""
     sym = 0.5 * (mat + mat.T)
@@ -119,6 +108,13 @@ def _psd_factor(mat: np.ndarray, label: str) -> np.ndarray:
         raise CovarianceNotPSD(
             f"{label} eigenvalue {evals.min():.3e} below clip threshold")
     return vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+
+
+def _path_factor(blocks: np.ndarray) -> np.ndarray:
+    """PSD square root of the node-block covariance P(s_a - s_b), shape (N n, N n)."""
+    N, n = blocks.shape[0], blocks.shape[2]
+    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+    return _psd_factor(mat, "stationary block covariance")
 
 
 def sample_Z_paths(qkl: QklBasis, cfg: McConfig, ts: np.ndarray | None = None) -> np.ndarray:
@@ -143,14 +139,10 @@ def sample_N_paths(P0: np.ndarray, A: np.ndarray, grid: Grid, cfg: McConfig) -> 
     Draws through the PSD square root of the node-block covariance;
     returns (samples, N, n).
     """
-    n = P0.shape[0]
-    blocks = _stationary_blocks(np.asarray(A, dtype=float), np.asarray(P0, dtype=float),
-                                grid.nodes)
-    mat = blocks.transpose(0, 2, 1, 3).reshape(grid.size * n, grid.size * n)
-    factor = _psd_factor(mat, "stationary block covariance")
+    factor = _path_factor(kernel_on_grid(A, grid, P0))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    flat = rng.standard_normal((cfg.samples, grid.size * n)) @ factor.T
-    return flat.reshape(cfg.samples, grid.size, n)
+    flat = rng.standard_normal((cfg.samples, factor.shape[0])) @ factor.T
+    return flat.reshape(cfg.samples, grid.size, -1)
 
 
 def _batch_sizes(samples: int, batches: int) -> np.ndarray:
@@ -162,12 +154,14 @@ def _batch_sizes(samples: int, batches: int) -> np.ndarray:
 class _Estimator:
     """Precomputed geometry for one theta, shared by all batches."""
 
-    def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray, cfg: McConfig):
+    def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray, cfg: McConfig,
+                 cache: SpectralCache | None = None):
         grid = ctx.grid
         theta = qkl.theta
         self.theta = theta
         self.cfg = cfg
-        cache = SpectralCache(ctx, qkl, P0)
+        if cache is None:
+            cache = SpectralCache(ctx, qkl, P0)
         sr = float(cache.lambdas(theta)[0]) if cache.mu.size else 0.0
         if theta > 0.0 and theta * sr >= 1.0:
             crit = find_critical_theta(cache)
@@ -177,19 +171,19 @@ class _Estimator:
         self.variance_finite = 2.0 * theta * sr < 1.0
         self.C = compute_C(qkl.basis, theta)[0]
 
-        # Z-route geometry: uniform increment grid, midpoint kernel
+        # Z-route geometry: uniform increment grid, midpoint kernel; the
+        # midpoint rule is the one-node Gauss-Legendre rule on m panels
         m = grid.panels * cfg.increments_per_panel
         bounds = np.linspace(0.0, grid.T, m + 1)
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
         self.dt = grid.T / m
+        mids = Grid(T=grid.T, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
+                    weights=np.full(m, self.dt), edges=bounds)
         self.dH = np.diff(Hk_at(qkl, bounds), axis=0).transpose(1, 0, 2, 3)  # (r, m, n, 2)
-        self.Pm = _stationary_blocks(ctx.sys.A, P0, mids)                     # (m, m, n, n)
+        self.Pm = kernel_on_grid(ctx.sys.A, mids, P0)                         # (m, m, n, n)
         self.corr = 1.0 - np.sqrt(qkl.tanc_values)
 
         # N-route geometry: node-block covariance factor and K action
-        blocks = _stationary_blocks(ctx.sys.A, P0, grid.nodes)
-        mat = blocks.transpose(0, 2, 1, 3).reshape(grid.size * ctx.n, grid.size * ctx.n)
-        self.factor = _psd_factor(mat, "stationary block covariance")
+        self.factor = _path_factor(cache.cov_grid)
         self.hk = qkl.hk
         self.tanc = qkl.tanc_values
         self.w = grid.weights
@@ -226,7 +220,9 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                variance_finite: bool) -> McEstimate:
     total = int(sizes.sum())
     weights = sizes / total
-    mean = float(np.sum(weights * batch_means))
+    # dividing the sample-count-weighted sum once keeps a constant
+    # estimator exact (mean equal to the constant, stderr zero)
+    mean = float(np.sum(sizes * batch_means) / total)
     b = len(batch_means)
     stderr = float(np.sqrt(np.sum(weights ** 2 * (batch_means - mean) ** 2) * b / (b - 1)))
     centered = batch_means - batch_means.mean()
@@ -242,25 +238,39 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                       kurtosis=kurt)
 
 
+def _thread_count() -> int:
+    """Worker threads from QEFLAB_THREADS: a positive integer, 1 when unset."""
+    raw = os.environ.get("QEFLAB_THREADS", "") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameter(f"QEFLAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
-                    cfg: McConfig, theta: float | None = None) -> QefMcResult:
+                    cfg: McConfig, theta: float | None = None,
+                    cache: SpectralCache | None = None) -> QefMcResult:
     """Both Monte-Carlo routes to the functional at one theta.
 
     Refuses supercritical theta (the estimator mean would be infinite).
     Deterministic for a fixed seed: batches draw from spawned substreams
     and aggregate in index order, so the thread count never changes the
-    result.
+    result.  cache, a SpectralCache for the same context and state, saves
+    rebuilding one per call.
     """
     if theta is not None and theta != qkl.theta:
         qkl = build_qkl(qkl.basis, theta)
     if qkl.grid.size != ctx.grid.size or qkl.grid.T != ctx.grid.T:
         raise GridMismatch("qkl basis and kernel context use different grids")
-    est = _Estimator(ctx, qkl, P0, cfg)
+    workers = _thread_count()
+    est = _Estimator(ctx, qkl, P0, cfg, cache)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
 
     results: list = [None] * cfg.batch
-    workers = int(os.environ.get("QEFLAB_THREADS", "1") or "1")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=min(workers, cfg.batch)) as pool:
             futures = [pool.submit(est.run_batch, int(sizes[i]), seeds[i])

@@ -58,9 +58,14 @@ class QefReport:
 class SpectralCache:
     """Grid discretizations shared by every theta evaluation.
 
-    Holds the weight-symmetrized covariance matrix, its eigenvalues, and
-    the orthonormal mode block used to apply sqrt(K) spectrally.  Safe to
-    reuse across theta values and threads (read-only after construction).
+    Holds the covariance kernel on the grid, its weight-symmetrized
+    matrix and eigenvalues, and the orthonormal mode block used to apply
+    sqrt(K) spectrally.  Nothing here depends on theta: of the qkl basis
+    it reads only the grid, hk and omegas, which are the same for every
+    theta, so one instance built from any theta's basis serves them all.
+    The CLI builds one per run and passes it to every compute_qef and
+    estimate_qef_mc call.  Safe to share across threads (read-only after
+    construction).
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
@@ -71,8 +76,8 @@ class SpectralCache:
             raise StateUnavailable("qkl basis and kernel context use different grids")
         n, N = ctx.n, grid.size
         sw = np.sqrt(grid.weights)
-        cov = covariance_on_grid(ctx, P0)
-        cov = cov * sw[:, None, None, None] * sw[None, :, None, None]
+        self.cov_grid = covariance_on_grid(ctx, P0)
+        cov = self.cov_grid * sw[:, None, None, None] * sw[None, :, None, None]
         P = cov.transpose(0, 2, 1, 3).reshape(N * n, N * n)
         self.P = 0.5 * (P + P.T)
         # columns sqrt(w) sqrt(2) phi_k, sqrt(w) sqrt(2) psi_k: the

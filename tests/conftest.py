@@ -9,6 +9,7 @@ once per session; it is immutable and shared read-only.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qeflab import kernels, model, quadrature
 from qeflab.eigensolver import build_basis
@@ -77,3 +78,14 @@ def random_hurwitz_spec(rng, n, m=None, T=1.0):
             M=cand.M, T=T, theta=0.0)
         if model.is_hurwitz(model.build_system(cand).A):
             return cand
+
+
+def dense_kernel(A, base, s, t):
+    """One-sided-exponential kernel with one expm per time pair.
+
+    The reference for the panel-factored kernels.kernel_on_grid:
+    e^{tau A} base for tau = s_a - t_b >= 0, base e^{-tau A^T} otherwise.
+    """
+    d = s[:, None] - t[None, :]
+    E = expm(np.abs(d)[..., None, None] * A)
+    return np.where((d >= 0.0)[..., None, None], E @ base, base @ np.swapaxes(E, -1, -2))

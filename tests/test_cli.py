@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qeflab import cli
+from qeflab import cli, mc, qef
 from qeflab.errors import SchemaViolation
 
 
@@ -138,9 +138,12 @@ def test_validate_pass_and_seed_override(tmp_path):
     cfg["qef"]["theta_list"] = [0.348]
     path = write_config(tmp_path, cfg)
     assert cli.main(["validate", "--config", path]) == 0
-    _, rows = read_rows(tmp_path / "mc.csv")
+    header, rows = read_rows(tmp_path / "mc.csv")
+    assert header == ["theta", "estimator", "mean", "stderr", "n_eff",
+                      "diverged_fraction", "seed", "unreliable", "kurtosis"]
     assert [r[1] for r in rows] == ["Z", "N"]
     assert all(r[6] == "11" for r in rows)
+    assert all(r[7] == "false" for r in rows)
     assert cli.main(["validate", "--config", path, "--seed", "42"]) == 0
     _, rows = read_rows(tmp_path / "mc.csv")
     assert all(r[6] == "42" for r in rows)
@@ -158,6 +161,50 @@ def test_validate_deterministic_across_threads(tmp_path, monkeypatch):
     monkeypatch.setenv("QEFLAB_THREADS", "4")
     cli.main(["validate", "--config", path])
     assert (tmp_path / "mc.csv").read_bytes() == first
+
+
+def test_validate_readme_config(tmp_path, capsys):
+    # the README example, theta = 0 included: every theta = 0 sample is
+    # exactly 1, so both routes must report mean 1 with stderr 0; 3000
+    # samples instead of the README's 100000 keep the test short
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.0, 0.348, 0.87]
+    cfg["mc"] = {"samples": 3000, "seed": 0, "batch": 100}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().out.strip().endswith("validate: PASS")
+    _, rows = read_rows(tmp_path / "mc.csv")
+    assert [(float(r[0]), r[1]) for r in rows] == [
+        (0.0, "Z"), (0.0, "N"), (0.348, "Z"), (0.348, "N"), (0.87, "Z"), (0.87, "N")]
+    assert all(float(r[2]) == 1.0 and float(r[3]) == 0.0 for r in rows[:2])
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_validate_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, value):
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.348]
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setenv("QEFLAB_THREADS", value)
+    assert cli.main(["validate", "--config", path]) == 2
+    assert stderr_code(capsys) == "InvalidParameter"
+
+
+@pytest.mark.parametrize("command", ["qef", "validate"])
+def test_one_spectral_cache_per_run(tmp_path, monkeypatch, command):
+    built = []
+
+    class CountingCache(qef.SpectralCache):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    for module in (cli, qef, mc):
+        monkeypatch.setattr(module, "SpectralCache", CountingCache)
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.0, 0.348, 0.87, 15.0]
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 0
+    assert len(built) == 1
 
 
 def test_validate_requires_mc_section(tmp_path, capsys):

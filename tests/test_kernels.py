@@ -8,7 +8,7 @@ Hilbert-Schmidt norm integrates to (3 + e^{-4}) / 4.
 
 import numpy as np
 import pytest
-from conftest import J2
+from conftest import J2, dense_kernel, random_hurwitz_spec
 from scipy.linalg import expm
 
 from qeflab import kernels, model, quadrature
@@ -61,6 +61,37 @@ def test_lambda_grid_matches_pointwise(ctx):
         for b in idx:
             want = kernels.lambda_kernel(ctx, nodes[a], nodes[b])
             assert np.allclose(ctx.lambda_grid[a, b], want, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def nonnormal_system():
+    spec = random_hurwitz_spec(np.random.default_rng(2024), 4)
+    sysm = model.build_system(spec)
+    return sysm.A, spec.Theta, model.solve_state_ale(sysm.A, sysm.B).P0
+
+
+def _midpoint_grid(m):
+    # the Monte-Carlo Z-route increment grid: one Gauss-Legendre node per panel
+    bounds = np.linspace(0.0, 1.0, m + 1)
+    return quadrature.Grid(T=1.0, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
+                           weights=np.full(m, 1.0 / m), edges=bounds)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quadrature.make_grid(1.0, panels=1, order=2),    # no panel gaps
+    lambda: quadrature.make_grid(1.0, panels=3, order=5),
+    lambda: quadrature.make_grid(1.0, panels=8, order=16),
+    lambda: quadrature.make_grid(1.0, panels=16, order=16),
+    lambda: _midpoint_grid(64),
+], ids=["1x2", "3x5", "8x16", "16x16", "midpoint64"])
+def test_kernel_on_grid_matches_dense_expm(nonnormal_system, make):
+    A, Theta, P0 = nonnormal_system
+    grid = make()
+    for base in (Theta, P0):
+        ref = dense_kernel(A, base, grid.nodes, grid.nodes)
+        got = kernels.kernel_on_grid(A, grid, base)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_hs_total_frozen_and_analytic(ctx):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import dense_kernel
 
 from qeflab import mc, qef
 from qeflab.errors import (
@@ -120,6 +121,14 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     assert xi_disc == pytest.approx(rep.xi, rel=5e-4)
 
 
+def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
+    est = mc._Estimator(ctx, qkl348, state.P0, mc.McConfig(samples=200, seed=0, batch=100))
+    bounds = np.linspace(0.0, ctx.grid.T, est.n_inc + 1)
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    ref = dense_kernel(ctx.sys.A, state.P0, mids, mids)
+    assert np.max(np.abs(est.Pm - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_supercritical_theta_refused(ctx, qkl348, state):
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     with pytest.raises(SupercriticalTheta):
@@ -154,6 +163,11 @@ def test_aggregate_overflow_guard():
     est = mc._aggregate(means, sizes, clipped=5, variance_finite=True)
     assert est.n_eff == 995
     assert est.diverged_fraction == pytest.approx(0.005)
+    # a constant estimator (every theta = 0 sample is exactly 1) is exact
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+    const = mc._aggregate(np.ones(100), mc._batch_sizes(3000, 100), clipped=0,
+                          variance_finite=True)
+    assert (const.mean, const.stderr) == (1.0, 0.0)
 
 
 def test_aggregate_kurtosis_guard():
