@@ -34,7 +34,7 @@ from .model import (
     solve_state_ale,
     transform_system,
 )
-from .qef import QefReport, compute_C, compute_qef, find_critical_theta, pk_eigenvalues
+from .qef import QefReport, compute_C, compute_qef, find_critical_theta
 from .qkl import QklBasis, apply_K, build_qkl, surrogate_covariance
 from .quadrature import Grid, make_grid
 
@@ -71,7 +71,6 @@ __all__ = [
     "make_context",
     "make_grid",
     "nystrom_oracle",
-    "pk_eigenvalues",
     "recover_ccr",
     "rhs_average",
     "sample_N_paths",

@@ -9,14 +9,14 @@ f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 = 1/2 and <phi, psi> = 0, which is what downstream consumers rely on.
 
 Roots are located by sampling |det E| over a frequency band, refined by
-golden-section plus Newton polishing on |det E|^2, and accepted when
+golden-section search on |det E|^2, and accepted when
 |det E(omega)| / |det G(T)| <= 1e-8.  A dense Nystrom discretization of
 L provides an independent oracle for the same spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,22 +96,10 @@ class SpectralBasis:
         return np.array([p.omega for p in self.pairs])
 
 
-def _log_abs_det_E(ctx: KernelContext, omegas: np.ndarray) -> np.ndarray:
-    """log |det E(omega)| for a batch of positive frequencies."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas <= 0.0):
-        raise NonpositiveOmega("frequency samples must be positive")
-    n = ctx.n
-    D = np.broadcast_to(ctx.F.astype(complex), (omegas.size, 2 * n, 2 * n)).copy()
-    D[:, n:, :n] += (1j / omegas)[:, None, None] * ctx.sys.mho
-    E = ctx.U @ expm(ctx.grid.T * D) @ ctx.V
-    return np.linalg.slogdet(E)[1]
-
-
 def det_ratio(ctx: KernelContext, omega: float) -> float:
     """|det E(omega)| normalized by |det G(T)| (scale-free root criterion)."""
     log_g = np.linalg.slogdet(ctx.gram)[1]
-    return float(np.exp(_log_abs_det_E(ctx, np.array([omega]))[0] - log_g))
+    return float(np.exp(np.linalg.slogdet(bvp_matrices(ctx, omega).E)[1] - log_g))
 
 
 def _kernel_dimension(ctx: KernelContext, omega: float) -> tuple[int, np.ndarray]:
@@ -127,8 +115,8 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     """Locate and refine all roots of det E(omega) in [omega_min, omega_max].
 
     Samples |det E| on a uniform frequency grid, brackets local minima,
-    refines each by golden-section then finite-difference Newton steps on
-    |det E|^2, and keeps refined points with |det E|/|det G(T)| <= 1e-8.
+    refines each by golden-section search on |det E|^2, and keeps refined
+    points with |det E|/|det G(T)| <= 1e-8.
     Returns roots in descending omega order.
     """
     if not (0.0 < omega_min < omega_max):
@@ -137,10 +125,10 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
         raise NonpositiveOmega("need at least 3 scan samples")
     log_g = float(np.linalg.slogdet(ctx.gram)[1])
     ws = np.linspace(omega_min, omega_max, samples)
-    logs = _log_abs_det_E(ctx, ws) - log_g
+    logs = np.linalg.slogdet(bvp_matrices(ctx, ws).E)[1] - log_g
 
     def ratio_sq(w: float) -> float:
-        return float(np.exp(2.0 * (_log_abs_det_E(ctx, np.array([w]))[0] - log_g)))
+        return float(np.exp(2.0 * (np.linalg.slogdet(bvp_matrices(ctx, w).E)[1] - log_g)))
 
     roots: list[Root] = []
     interior_min = (logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])
@@ -148,27 +136,7 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
         bracket = (ws[i - 1], ws[i], ws[i + 1])
         res = minimize_scalar(ratio_sq, bracket=bracket, method='golden',
                               options={'xtol': 1e-12})
-        w, fw = float(res.x), float(res.fun)
-        # Newton polish on |det E|^2; locally quadratic at a simple root.
-        h0 = 1e-5 * max(w, 1.0)
-        for _ in range(8):
-            if fw <= (0.01 * DET_ACCEPT_RTOL) ** 2:
-                break
-            h = h0
-            fp = (ratio_sq(w + h) - ratio_sq(w - h)) / (2 * h)
-            fpp = (ratio_sq(w + h) - 2 * fw + ratio_sq(w - h)) / h ** 2
-            if fpp <= 0.0 or not np.isfinite(fp):
-                break
-            step = -fp / fpp
-            w_new = min(max(w + step, ws[i - 1]), ws[i + 1])
-            f_new = ratio_sq(w_new)
-            if f_new >= fw:
-                h0 *= 0.1
-                if h0 < 1e-12 * max(w, 1.0):
-                    break
-                continue
-            w, fw = w_new, f_new
-        d = np.sqrt(fw)
+        w, d = float(res.x), float(np.sqrt(res.fun))
         if d <= DET_ACCEPT_RTOL:
             roots.append((w, d))
         elif d <= DET_STALL_RTOL:
@@ -316,14 +284,13 @@ def basis_gram(basis: SpectralBasis) -> np.ndarray:
     return np.einsum('jaip,a,kaiq->jkpq', hk, w, hk)
 
 
-def _mercer_residual(ctx: KernelContext, pairs: list[EigenPair]) -> float:
+def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     """Mean-square misfit of the truncated kernel expansion over the grid."""
-    if not pairs:
+    if not basis.pairs:
         return ctx.hs_total
-    hk = np.stack([np.stack([p.phi, p.psi], axis=-1) for p in pairs])
-    omegas = np.array([p.omega for p in pairs])
+    hk = stack_hk(basis)
     bj = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', omegas, hk, bj, hk)
+    approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, bj, hk)
     diff = ctx.lambda_grid - approx
     w = ctx.grid.weights
     sq = np.einsum('abij,abij->ab', diff, diff)
@@ -378,13 +345,11 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     basis = SpectralBasis(
         pairs=tuple(retained), grid=ctx.grid, hs_total=hs_total,
         hs_captured=captured, capture_fraction=capture_fraction,
-        mercer_residual=_mercer_residual(ctx, retained),
-        gram_max_dev=0.0,
+        mercer_residual=0.0, gram_max_dev=0.0,
     )
-    gram = basis_gram(basis)
     target_gram = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(retained)), np.eye(2))
-    object.__setattr__(basis, 'gram_max_dev', float(np.max(np.abs(gram - target_gram))))
-    return basis
+    return replace(basis, mercer_residual=_mercer_residual(ctx, basis),
+                   gram_max_dev=float(np.max(np.abs(basis_gram(basis) - target_gram))))
 
 
 def ode_residual(ctx: KernelContext, pair: EigenPair) -> float:

@@ -27,8 +27,6 @@ by the Green-function formula
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,7 +37,6 @@ from . import quadrature
 from .errors import (
     DeterminantIdentityViolated,
     GridMismatch,
-    NonFinite,
     NonpositiveOmega,
     SingularG,
     SingularMho,
@@ -54,30 +51,6 @@ from .model import (
 from .quadrature import Grid
 
 DET_IDENTITY_RTOL = 1e-8
-# One-norm threshold above which a Pade-13 evaluation starts squaring.
-_PADE13_THETA = 5.371920351148152
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixFunctionResult:
-    """Matrix exponential value plus the scaling diagnostic."""
-
-    value: np.ndarray
-    scaling_squarings: int
-
-
-def matrix_exp(X: np.ndarray) -> MatrixFunctionResult:
-    """Matrix exponential by scaling-and-squaring Pade approximation.
-
-    The scaling_squarings field reports the number of squarings the
-    norm of X demands for an order-13 Pade evaluation.
-    """
-    X = np.asarray(X)
-    if not np.all(np.isfinite(X)):
-        raise NonFinite("matrix exponential of a non-finite matrix")
-    nrm = float(np.linalg.norm(X, 1)) if X.size else 0.0
-    squarings = max(0, math.ceil(math.log2(nrm / _PADE13_THETA))) if nrm > _PADE13_THETA else 0
-    return MatrixFunctionResult(value=expm(X), scaling_squarings=squarings)
 
 
 class KernelContext:
@@ -180,24 +153,6 @@ def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
     return np.where(mask, pos, neg)
 
 
-def lambda_kernel(ctx: KernelContext, s: float, t: float) -> np.ndarray:
-    """Commutator kernel Lambda(s - t)."""
-    tau = s - t
-    A = ctx.sys.A
-    if tau >= 0.0:
-        return expm(tau * A) @ ctx.Theta
-    return ctx.Theta @ expm(-tau * A.T)
-
-
-def covariance_kernel(ctx: KernelContext, P0: np.ndarray, s: float, t: float) -> np.ndarray:
-    """Stationary covariance kernel P(s - t) for state covariance P0."""
-    tau = s - t
-    A = ctx.sys.A
-    if tau >= 0.0:
-        return expm(tau * A) @ P0
-    return P0 @ expm(-tau * A.T)
-
-
 def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:
     """Covariance kernel at all node pairs, shape (N, N, n, n)."""
     return kernel_on_grid(ctx.sys.A, ctx.grid, P0)
@@ -274,13 +229,20 @@ class BvpMatrices(NamedTuple):
     E: np.ndarray
 
 
-def bvp_matrices(ctx: KernelContext, omega: float) -> BvpMatrices:
-    """Frequency-shifted companion matrix D(omega) and terminal matrix E(omega)."""
-    if not omega > 0.0:
-        raise NonpositiveOmega(f"eigenfrequency candidate must be positive, got {omega}")
+def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
+    """Frequency-shifted companion matrix D(omega) and terminal matrix E(omega).
+
+    omega is a positive scalar or an array of positive frequencies; the
+    array's shape leads both results, D of shape (*shape, 2n, 2n) and E
+    of shape (*shape, n, n), so a whole frequency scan is one call.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega > 0.0):
+        raise NonpositiveOmega(
+            f"eigenfrequency candidates must be positive, got minimum {np.min(omega)}")
     n = ctx.n
-    D = ctx.F.astype(complex).copy()
-    D[n:, :n] += (1j / omega) * ctx.sys.mho
+    D = np.broadcast_to(ctx.F.astype(complex), omega.shape + ctx.F.shape).copy()
+    D[..., n:, :n] += (1j / omega)[..., None, None] * ctx.sys.mho
     E = ctx.U @ expm(ctx.grid.T * D) @ ctx.V
     return BvpMatrices(D=D, E=E)
 
@@ -310,7 +272,8 @@ def green_gram(ctx: KernelContext, T: float | None = None) -> np.ndarray:
 def green_function(ctx: KernelContext, s: float, t: float) -> np.ndarray:
     """Commutator kernel reconstructed from the Green-function formula.
 
-    Must coincide with lambda_kernel(ctx, s, t); the indicator term
+    Must coincide with the kernel Lambda(s - t) = e^{(s-t)A} Theta
+    (s >= t) or Theta e^{(t-s)A^T} (s < t); the indicator term
     e^{(s-t)F} enters only for t <= s.
     """
     T = ctx.grid.T

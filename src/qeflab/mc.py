@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CovarianceNotPSD,
     GridMismatch,
     InvalidParameter,
     NonpositiveOmega,
@@ -38,12 +37,12 @@ from .errors import (
     SupercriticalTheta,
 )
 from .kernels import KernelContext, kernel_on_grid
+from .model import clip_psd
 from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
 from .qkl import Hk_at, QklBasis, build_qkl
 from .quadrature import Grid
 
 KURTOSIS_LIMIT = 10.0          # excess kurtosis of batch means beyond this flags the run
-PSD_CLIP_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +99,15 @@ class QefMcResult:
 
 
 def _psd_factor(mat: np.ndarray, label: str) -> np.ndarray:
-    """Square root of a PSD matrix with tolerance-checked clipping."""
+    """Symmetric PSD square root V sqrt(L) V^T with tolerance-checked clipping.
+
+    Unlike V sqrt(L), the symmetric root is unique and continuous in the
+    matrix, so it does not depend on the basis eigh picks inside a
+    degenerate eigenspace.
+    """
     sym = 0.5 * (mat + mat.T)
     evals, vecs = np.linalg.eigh(sym)
-    top = float(evals.max(initial=0.0))
-    if evals.min(initial=0.0) < -PSD_CLIP_RTOL * max(top, 1e-300):
-        raise CovarianceNotPSD(
-            f"{label} eigenvalue {evals.min():.3e} below clip threshold")
-    return vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    return (vecs * np.sqrt(clip_psd(evals, label))) @ vecs.T
 
 
 def _path_factor(blocks: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import (
+    CovarianceNotPSD,
     LyapunovSolveFailed,
     NonFinite,
     NotAntisymmetric,
@@ -43,6 +44,7 @@ ANTISYMMETRY_RTOL = 1e-10
 SINGULAR_RCOND = 1e-12     # reciprocal condition number below this counts as singular
 HURWITZ_MARGIN = 1e-10     # spectral abscissa must be below -margin
 RECOVERY_RTOL = 1e-8
+PSD_CLIP_RTOL = 1e-10      # negative eigenvalues beyond this fraction of lambda_max are an error
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +102,22 @@ def reciprocal_cond(X: np.ndarray) -> float:
     if s[0] == 0.0:
         return 0.0
     return float(s[-1] / s[0])
+
+
+def clip_psd(evals: np.ndarray, label: str) -> np.ndarray:
+    """Eigenvalues of a PSD matrix with rounding-level negatives clipped to zero.
+
+    Raises CovarianceNotPSD when an eigenvalue lies below
+    -PSD_CLIP_RTOL * lambda_max: the matrix is then indefinite beyond
+    rounding, for a grid covariance typically because the grid is too
+    coarse.
+    """
+    top = float(evals.max(initial=0.0))
+    floor = -PSD_CLIP_RTOL * max(top, 1e-300)
+    if evals.min(initial=0.0) < floor:
+        raise CovarianceNotPSD(
+            f"{label} has eigenvalue {evals.min():.3e} below the clip threshold {floor:.3e}")
+    return np.clip(evals, 0.0, None)
 
 
 def is_hurwitz(A: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
@@ -177,9 +195,7 @@ def solve_state_ale(A: np.ndarray, B: np.ndarray) -> GaussianStateData:
     except np.linalg.LinAlgError as exc:
         raise LyapunovSolveFailed(str(exc)) from exc
     P0 = 0.5 * (X + X.T)
-    lo = float(np.linalg.eigvalsh(P0).min())
-    if lo < -1e-10 * max(1.0, float(np.linalg.norm(P0))):
-        raise LyapunovSolveFailed(f"state covariance has eigenvalue {lo}, not PSD")
+    clip_psd(np.linalg.eigvalsh(P0), "state covariance")
     return GaussianStateData(P0=P0)
 
 

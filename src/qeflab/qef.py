@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CovarianceNotPSD, NonpositiveOmega, StateUnavailable
+from .errors import NonpositiveOmega, StateUnavailable
 from .kernels import KernelContext, covariance_on_grid
+from .model import clip_psd
 from .qkl import QklBasis, tanhc
 
-EIG_CLIP_RTOL = 1e-10          # negatives beyond this fraction of lambda_max are an error
 OVERFLOW_LOG = 700.0
 
 
@@ -86,17 +86,7 @@ class SpectralCache:
         self.modes = cols.transpose(1, 2, 0, 3).reshape(N * n, -1)
         self.omegas = qkl.omegas
         self.mu = np.linalg.eigvalsh(self.P)[::-1]
-        self._check_psd(self.mu, "covariance matrix")
-
-    @staticmethod
-    def _check_psd(evals: np.ndarray, label: str) -> np.ndarray:
-        top = float(evals.max(initial=0.0))
-        floor = -EIG_CLIP_RTOL * max(top, 1e-300)
-        if evals.min(initial=0.0) < floor:
-            raise CovarianceNotPSD(
-                f"{label} has eigenvalue {evals.min():.3e} below the clip "
-                f"threshold {floor:.3e}; discretization too coarse")
-        return np.clip(evals, 0.0, None)
+        clip_psd(self.mu, "covariance matrix")
 
     def lambdas(self, theta: float) -> np.ndarray:
         """Eigenvalues of sqrt(K) P sqrt(K) at one theta, descending."""
@@ -109,7 +99,7 @@ class SpectralCache:
             + self.modes @ ((scale[:, None] * (UP @ self.modes)) * scale[None, :]) @ self.modes.T
         X = 0.5 * (X + X.T)
         evals = np.linalg.eigvalsh(X)[::-1]
-        return self._check_psd(evals, "sqrt(K) P sqrt(K)")
+        return clip_psd(evals, "sqrt(K) P sqrt(K)")
 
 
 def compute_C(basis, theta: float) -> tuple[float, float]:
@@ -126,13 +116,6 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
     partial = float(np.sum(np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - np.log(2.0)))
     tail = 0.5 * theta ** 2 * max(basis.hs_total - basis.hs_captured, 0.0) / 2.0
     return partial + tail, tail
-
-
-def pk_eigenvalues(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
-                   theta: float | None = None) -> np.ndarray:
-    """Descending eigenvalues of PK on the grid (clipped at zero)."""
-    cache = SpectralCache(ctx, qkl, P0)
-    return cache.lambdas(qkl.theta if theta is None else theta)
 
 
 def find_critical_theta(cache: SpectralCache, theta_max: float = 1e9,

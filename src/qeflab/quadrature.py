@@ -122,12 +122,8 @@ def cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
     interpolating polynomial, so the result is spectrally accurate for
     smooth integrands.
     """
-    S, _, _ = _reference_ops(grid.order)
-    v = _panel_view(grid, values)
-    half = 0.5 * (grid.T / grid.panels)
-    local = half * np.einsum('ij,pj...->pi...', S, v)
-    # Whole-panel integrals from the plain Gauss-Legendre weights.
-    totals = half * np.einsum('j,pj...->p...', _panel_weights(grid.order), v)
+    local = _panel_view(grid, panel_cumulative(grid, values))
+    totals = panel_totals(grid, values)
     offsets = np.concatenate([np.zeros((1,) + totals.shape[1:], dtype=totals.dtype),
                               np.cumsum(totals, axis=0)[:-1]], axis=0)
     out = local + offsets[:, None]

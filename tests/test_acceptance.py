@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import J2, random_hurwitz_spec, random_spec
+from conftest import J2, dense_kernel, random_hurwitz_spec, random_spec
 
 from qeflab import cli, fock, mc, model, qef
 from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle, stack_hk
-from qeflab.kernels import green_function, green_gram, lambda_kernel, make_context
+from qeflab.kernels import green_function, green_gram, make_context
 from qeflab.qkl import apply_K, build_qkl, surrogate_covariance
 from qeflab.quadrature import inner, make_grid
 
@@ -58,8 +58,9 @@ def test_02_ccr_roundtrip():
 def test_03_green_function_equivalence(ctx):
     def max_gap(c):
         ss = np.linspace(0.0, c.grid.T, 10)
-        return max(np.abs(green_function(c, s, t) - lambda_kernel(c, s, t)).max()
-                   for s in ss for t in ss)
+        ref = dense_kernel(c.sys.A, c.Theta, ss, ss)
+        return max(np.abs(green_function(c, s, t) - ref[a, b]).max()
+                   for a, s in enumerate(ss) for b, t in enumerate(ss))
 
     worst = max_gap(ctx)
     rng = np.random.default_rng(1003)

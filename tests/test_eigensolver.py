@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from conftest import J2
+from scipy.linalg import block_diag
 
 from qeflab import eigensolver as es
-from qeflab import kernels, quadrature
+from qeflab import kernels, model, quadrature
 from qeflab.errors import (
     CaptureUnreachable,
     NonpositiveOmega,
@@ -52,6 +53,19 @@ def test_deep_tail_root_stalls(ctx):
     # bottoms out at ~1e-6 of det G, between the accept and stall gates
     with pytest.raises(RefinementStalled):
         es.scan_eigenfrequencies(ctx, 0.02, 0.03, samples=80)
+
+
+def test_degenerate_roots(grid):
+    # two identical decoupled copies of the reference mode: M routes
+    # columns to channels [0, 2, 1, 3] so that M^T J M = blockdiag(J2, J2)
+    spec = model.OscillatorSpec(n=4, m=4, Theta=block_diag(J2, J2), R=np.eye(4),
+                                M=np.eye(4)[:, [0, 2, 1, 3]], T=1.0, theta=0.0)
+    ctx4 = kernels.make_context(spec, grid)
+    assert np.allclose(ctx4.sys.A, block_diag(2.0 * (J2 - np.eye(2)), 2.0 * (J2 - np.eye(2))))
+    basis = es.build_basis(ctx4, 0.97)
+    assert [p.multiplicity for p in basis.pairs] == [2, 2, 2, 2]
+    assert basis.omegas == pytest.approx(np.repeat(ROOTS_FROZEN[:2], 2), rel=1e-9)
+    assert basis.gram_max_dev <= 1e-12
 
 
 def test_det_ratio_profile(ctx):

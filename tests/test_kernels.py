@@ -9,15 +9,9 @@ Hilbert-Schmidt norm integrates to (3 + e^{-4}) / 4.
 import numpy as np
 import pytest
 from conftest import J2, dense_kernel, random_hurwitz_spec
-from scipy.linalg import expm
 
 from qeflab import kernels, model, quadrature
-from qeflab.errors import (
-    GridMismatch,
-    NonFinite,
-    NonpositiveOmega,
-    SingularMho,
-)
+from qeflab.errors import GridMismatch, NonpositiveOmega, SingularMho
 
 HS_GRID_FROZEN = 7.5470480014459196e-01
 FIRST_ROOT = 5.7465521633649530e-01
@@ -28,29 +22,23 @@ def rotation_form(tau):
     return decay * (np.cos(2.0 * tau) * np.eye(2) + np.sin(2.0 * tau) * J2)
 
 
-def test_matrix_exp_matches_and_reports_squarings():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((4, 4))
-    res = kernels.matrix_exp(X)
-    assert np.allclose(res.value, expm(X), atol=1e-12)
-    assert kernels.matrix_exp(0.01 * X).scaling_squarings == 0
-    assert kernels.matrix_exp(100.0 * np.eye(3)).scaling_squarings > 0
-    with pytest.raises(NonFinite):
-        kernels.matrix_exp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+def lambda_at(ctx, s, t):
+    """Commutator kernel Lambda(s - t) from the dense one-expm reference."""
+    return dense_kernel(ctx.sys.A, ctx.Theta, np.array([s]), np.array([t]))[0, 0]
 
 
 def test_lambda_kernel_closed_form(ctx):
     for tau in (0.0, 0.2, 0.7):
         want = rotation_form(tau) @ J2
-        got = kernels.lambda_kernel(ctx, tau, 0.0)
+        got = lambda_at(ctx, tau, 0.0)
         assert np.allclose(got, want, atol=1e-13)
-    assert np.allclose(kernels.lambda_kernel(ctx, 0.3, 0.3), J2, atol=1e-14)
+    assert np.allclose(lambda_at(ctx, 0.3, 0.3), J2, atol=1e-14)
 
 
 def test_lambda_kernel_skew_symmetry(ctx):
     for s, t in ((0.1, 0.6), (0.9, 0.2), (0.4, 0.4)):
-        fwd = kernels.lambda_kernel(ctx, s, t)
-        rev = kernels.lambda_kernel(ctx, t, s)
+        fwd = lambda_at(ctx, s, t)
+        rev = lambda_at(ctx, t, s)
         assert np.allclose(fwd, -rev.T, atol=1e-13)
 
 
@@ -59,7 +47,7 @@ def test_lambda_grid_matches_pointwise(ctx):
     idx = [0, 17, 63, 127]
     for a in idx:
         for b in idx:
-            want = kernels.lambda_kernel(ctx, nodes[a], nodes[b])
+            want = lambda_at(ctx, nodes[a], nodes[b])
             assert np.allclose(ctx.lambda_grid[a, b], want, atol=1e-12)
 
 
@@ -108,7 +96,7 @@ def test_covariance_closed_form(ctx, state):
     tau = nodes[a] - nodes[b]
     assert np.allclose(blocks[a, b], rotation_form(tau), atol=1e-13)
     assert np.allclose(blocks[b, a], rotation_form(tau).T, atol=1e-13)
-    want = kernels.covariance_kernel(ctx, state.P0, nodes[b], nodes[a])
+    want = dense_kernel(ctx.sys.A, state.P0, nodes[[b]], nodes[[a]])[0, 0]
     assert np.allclose(blocks[b, a], want, atol=1e-14)
 
 
@@ -149,7 +137,7 @@ def test_green_gram_fixture_values(ctx):
 
 def test_green_function_matches_lambda(ctx):
     for s, t in ((0.0, 0.5), (0.5, 0.0), (0.3, 0.3), (0.9, 0.4), (0.2, 0.8)):
-        want = kernels.lambda_kernel(ctx, s, t)
+        want = lambda_at(ctx, s, t)
         got = kernels.green_function(ctx, s, t)
         assert np.max(np.abs(got - want)) <= 1e-8
     with pytest.raises(GridMismatch):
@@ -166,6 +154,18 @@ def test_bvp_matrices_structure(ctx):
     assert np.allclose(diff[2:, 2:], 0.0, atol=0.0)
     assert np.allclose(diff[2:, :2], (1j / omega) * ctx.sys.mho, atol=1e-15)
     assert E.shape == (2, 2)
+
+
+def test_bvp_matrices_batched(ctx):
+    ws = np.array([0.31, FIRST_ROOT, 1.7, 4.0])
+    D, E = kernels.bvp_matrices(ctx, ws)
+    assert D.shape == (4, 4, 4) and E.shape == (4, 2, 2)
+    assert np.array_equal(D, np.stack([kernels.bvp_matrices(ctx, w).D for w in ws]))
+    assert np.array_equal(E, np.stack([kernels.bvp_matrices(ctx, w).E for w in ws]))
+    assert kernels.bvp_matrices(ctx, ws.reshape(2, 2)).E.shape == (2, 2, 2, 2)
+    for bad in (np.array([0.31, 0.0]), np.array([-1.0, 0.5]), np.array([0.5, np.nan])):
+        with pytest.raises(NonpositiveOmega):
+            kernels.bvp_matrices(ctx, bad)
 
 
 def test_bvp_determinant_vanishes_at_root(ctx):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_kernel
 
-from qeflab import mc, qef
+from qeflab import kernels, mc, qef
 from qeflab.errors import (
     CovarianceNotPSD,
     GridMismatch,
@@ -69,6 +69,21 @@ def test_sample_N_rejects_indefinite_state(ctx, grid):
     cfg = mc.McConfig(samples=20, seed=3, batch=10)
     with pytest.raises(CovarianceNotPSD):
         mc.sample_N_paths(-np.eye(2), ctx.sys.A, grid, cfg)
+
+
+def test_path_factor_continuous_in_covariance(ctx, state):
+    # the README oscillator's node covariance has exactly degenerate
+    # eigenvalue pairs; a square root that depends on the basis eigh picks
+    # inside them jumps under a rounding-level perturbation
+    blocks = kernels.covariance_on_grid(ctx, state.P0)
+    N, n = blocks.shape[0], blocks.shape[2]
+    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+    noise = np.random.default_rng(0).standard_normal(mat.shape)
+    noise = 1e-15 * np.max(np.abs(mat)) * 0.5 * (noise + noise.T)
+    F0 = mc._psd_factor(mat, "node covariance")
+    F1 = mc._psd_factor(mat + noise, "node covariance")
+    assert np.max(np.abs(F1 - F0)) <= 1e-12 * np.max(np.abs(F0))
+    assert np.max(np.abs(F0 @ F0.T - mat)) <= 1e-13 * np.max(np.abs(mat))
 
 
 def test_estimate_deterministic_across_threads(ctx, qkl348, state, monkeypatch):

@@ -6,6 +6,7 @@ from conftest import J2, random_hurwitz_spec, random_spec
 
 from qeflab import model
 from qeflab.errors import (
+    CovarianceNotPSD,
     NonFinite,
     NotAntisymmetric,
     NotHurwitz,
@@ -67,6 +68,24 @@ def test_random_state_ale_residual():
         resid = np.linalg.norm(sysm.A @ P0 + P0 @ sysm.A.T + BBt)
         assert resid <= 1e-10 * max(np.linalg.norm(BBt), 1.0)
         assert np.linalg.eigvalsh(P0).min() >= -1e-12
+
+
+def test_clip_psd():
+    evals = np.array([4.0, 1.0, -1e-12, 0.0])
+    assert np.array_equal(model.clip_psd(evals, "m"), [4.0, 1.0, 0.0, 0.0])
+    with pytest.raises(CovarianceNotPSD):
+        model.clip_psd(np.array([4.0, -1e-9]), "m")
+    with pytest.raises(CovarianceNotPSD):
+        model.clip_psd(np.array([-1.0, -2.0]), "m")
+
+
+def test_state_ale_rejects_indefinite_solution(osc_spec, monkeypatch):
+    # an exact Lyapunov solution is PSD; a solver returning an indefinite
+    # one must be caught by the shared PSD check
+    sysm = model.build_system(osc_spec)
+    monkeypatch.setattr(model, "solve_continuous_lyapunov", lambda A, Q: -np.eye(2))
+    with pytest.raises(CovarianceNotPSD):
+        model.solve_state_ale(sysm.A, sysm.B)
 
 
 def test_transform_system_preserves_realizability(osc_spec):

@@ -91,11 +91,6 @@ def test_lambdas_rejects_negative_theta(cache):
         cache.lambdas(-0.5)
 
 
-def test_pk_eigenvalues_helper(ctx, qkl348, state, cache):
-    lam = qef.pk_eigenvalues(ctx, qkl348, state.P0, theta=0.87)
-    assert np.allclose(lam, cache.lambdas(0.87), rtol=0.0, atol=1e-14)
-
-
 def test_quantum_correction_tightens_classical(ctx, qkl348, state, cache):
     # e^{-C} and the damped PK spectrum both pull xi below the K = I value
     for theta in (0.348, 0.87):
