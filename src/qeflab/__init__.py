@@ -18,14 +18,7 @@ from .eigensolver import (
 from .errors import QeflabError
 from .fock import TruncatedPair, build_pair, lhs_exponential, rhs_average, verify_ode
 from .kernels import KernelContext, apply_L, bvp_matrices, green_function, make_context
-from .mc import (
-    McConfig,
-    McEstimate,
-    QefMcResult,
-    estimate_qef_mc,
-    sample_N_paths,
-    sample_Z_paths,
-)
+from .mc import McConfig, McEstimate, QefMcResult, estimate_qef_mc
 from .model import (
     OscillatorSpec,
     SystemMatrices,
@@ -73,8 +66,6 @@ __all__ = [
     "nystrom_oracle",
     "recover_ccr",
     "rhs_average",
-    "sample_N_paths",
-    "sample_Z_paths",
     "scan_eigenfrequencies",
     "solve_state_ale",
     "surrogate_covariance",

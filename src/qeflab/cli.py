@@ -5,7 +5,7 @@ of the pipeline and writes CSV files into the output directory.  Exit
 codes: 0 success, 2 configuration problems, 3 numeric pipeline
 failures, 4 statistical validation mismatch.  Errors are reported as a
 single JSON object on stderr.  Output is deterministic for a fixed
-config and seed regardless of QEFLAB_THREADS.
+config and seed.
 """
 
 from __future__ import annotations

@@ -16,15 +16,13 @@ estimate a different quantity, low by the trace of the neglected part
 of PK, which is not small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
-results are aggregated in batch order, so estimates are seed-determined
-regardless of thread count (set QEFLAB_THREADS to a positive integer
-to parallelize).
+batches run serially in index order, so estimates are seed-determined.
+Each batch is a handful of matrix products on geometry flattened once
+per theta.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ import numpy as np
 from .errors import (
     GridMismatch,
     InvalidParameter,
-    NonpositiveOmega,
     OverflowDominated,
     SupercriticalTheta,
 )
@@ -61,13 +58,16 @@ class McConfig:
     increments_per_panel: int = 8
 
     def __post_init__(self):
+        if self.batch < 1:
+            raise InvalidParameter(f"mc.batch must be positive, got {self.batch}")
+        if self.increments_per_panel < 1:
+            raise InvalidParameter(
+                f"mc.increments_per_panel must be positive, got {self.increments_per_panel}")
         if self.samples < 2 * self.batch:
-            raise NonpositiveOmega(
-                f"need samples >= 2*batch, got {self.samples} < {2 * self.batch}")
-        if self.batch < 1 or self.increments_per_panel < 1:
-            raise NonpositiveOmega("batch and increments_per_panel must be positive")
+            raise InvalidParameter(
+                f"mc.samples must be at least 2*batch = {2 * self.batch}, got {self.samples}")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise NonpositiveOmega("seed must fit in 64 unsigned bits")
+            raise InvalidParameter(f"mc.seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,34 +117,6 @@ def _path_factor(blocks: np.ndarray) -> np.ndarray:
     return _psd_factor(mat, "stationary block covariance")
 
 
-def sample_Z_paths(qkl: QklBasis, cfg: McConfig, ts: np.ndarray | None = None) -> np.ndarray:
-    """Paths of the truncated surrogate Z(t) = sum sqrt(tanc_k) H_k(t) zeta_k.
-
-    zeta_k are i.i.d. standard normal pairs per retained mode; Z(0) = 0
-    exactly because every H_k(0) = 0.  Evaluated at the grid nodes
-    unless explicit times are given; returns (samples, len(ts), n).
-    """
-    if ts is None:
-        H = np.moveaxis(qkl.Hk, 0, 1)
-    else:
-        H = Hk_at(qkl, np.asarray(ts, dtype=float))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    zeta = rng.standard_normal((cfg.samples, qkl.hk.shape[0], 2))
-    return np.einsum('k,tkip,skp->sti', np.sqrt(qkl.tanc_values), H, zeta)
-
-
-def sample_N_paths(P0: np.ndarray, A: np.ndarray, grid: Grid, cfg: McConfig) -> np.ndarray:
-    """Paths of the stationary Gaussian process with covariance P(s - t).
-
-    Draws through the PSD square root of the node-block covariance;
-    returns (samples, N, n).
-    """
-    factor = _path_factor(kernel_on_grid(A, grid, P0))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    flat = rng.standard_normal((cfg.samples, factor.shape[0])) @ factor.T
-    return flat.reshape(cfg.samples, grid.size, -1)
-
-
 def _batch_sizes(samples: int, batches: int) -> np.ndarray:
     sizes = np.full(batches, samples // batches, dtype=int)
     sizes[:samples % batches] += 1
@@ -159,7 +131,6 @@ class _Estimator:
         grid = ctx.grid
         theta = qkl.theta
         self.theta = theta
-        self.cfg = cfg
         if cache is None:
             cache = SpectralCache(ctx, qkl, P0)
         sr = float(cache.lambdas(theta)[0]) if cache.mu.size else 0.0
@@ -172,41 +143,42 @@ class _Estimator:
         self.C = compute_C(qkl.basis, theta)[0]
 
         # Z-route geometry: uniform increment grid, midpoint kernel; the
-        # midpoint rule is the one-node Gauss-Legendre rule on m panels
+        # midpoint rule is the one-node Gauss-Legendre rule on m panels.
+        # Both routes' matrices are flat: rows index (increment or node,
+        # component), columns (mode, pair member), so each batch is a few
+        # matrix products
         m = grid.panels * cfg.increments_per_panel
         bounds = np.linspace(0.0, grid.T, m + 1)
         self.dt = grid.T / m
         mids = Grid(T=grid.T, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
                     weights=np.full(m, self.dt), edges=bounds)
-        self.dH = np.diff(Hk_at(qkl, bounds), axis=0).transpose(1, 0, 2, 3)  # (r, m, n, 2)
-        self.Pm = kernel_on_grid(ctx.sys.A, mids, P0)                         # (m, m, n, n)
-        self.corr = 1.0 - np.sqrt(qkl.tanc_values)
+        dH = np.diff(Hk_at(qkl, bounds), axis=0)                              # (m, r, n, 2)
+        self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
+        Pm = kernel_on_grid(ctx.sys.A, mids, P0)                              # (m, m, n, n)
+        self.Pm = Pm.transpose(0, 2, 1, 3).reshape(m * ctx.n, m * ctx.n)      # (m n, m n)
+        self.corr = np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2)              # (2r,)
 
         # N-route geometry: node-block covariance factor and K action
-        self.factor = _path_factor(cache.cov_grid)
-        self.hk = qkl.hk
-        self.tanc = qkl.tanc_values
-        self.w = grid.weights
-        self.shape = (grid.size, ctx.n)
-        self.n_inc = m
+        self.factor = _path_factor(cache.cov_grid)                            # (N n, N n)
+        hkw = qkl.hk * grid.weights[None, :, None, None]                      # (r, N, n, 2)
+        self.hkw = hkw.transpose(1, 2, 0, 3).reshape(grid.size * ctx.n, -1)   # (N n, 2r)
+        self.w = np.repeat(grid.weights, ctx.n)                               # (N n,)
+        self.tanc_m1 = np.repeat(qkl.tanc_values - 1.0, 2)                    # (2r,)
 
     def run_batch(self, size: int, seed: np.random.SeedSequence):
         rng = np.random.default_rng(seed)
         theta = self.theta
-        n = self.shape[1]
 
-        dW = rng.standard_normal((size, self.n_inc, n)) * np.sqrt(self.dt)
+        dW = rng.standard_normal((size, self.dH.shape[0])) * np.sqrt(self.dt)
         # project with the same cell integrals dH that the correction term
         # applies; a pointwise-h projection completes to a different covariance
-        zeta = np.einsum('kaip,sai->skp', self.dH, dW) / self.dt
-        dZ = dW - np.einsum('k,kaip,skp->sai', self.corr, self.dH, zeta)
-        q_z = np.einsum('sai,abij,sbj->s', dZ, self.Pm, dZ)
+        zeta = dW @ self.dH / self.dt
+        dZ = dW - (zeta * self.corr) @ self.dH.T
+        q_z = np.einsum('si,si->s', dZ @ self.Pm, dZ)
 
-        flat = rng.standard_normal((size, self.shape[0] * n)) @ self.factor.T
-        paths = flat.reshape(size, *self.shape)
-        base = np.einsum('sai,a,sai->s', paths, self.w, paths)
-        proj = np.einsum('kaip,a,sai->skp', self.hk, self.w, paths)
-        q_n = base + 2.0 * np.einsum('k,skp->s', self.tanc - 1.0, proj ** 2)
+        paths = rng.standard_normal((size, self.factor.shape[0])) @ self.factor.T
+        proj = paths @ self.hkw
+        q_n = paths ** 2 @ self.w + 2.0 * (proj ** 2 @ self.tanc_m1)
 
         out = []
         for q in (q_z, q_n):
@@ -238,18 +210,6 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                       kurtosis=kurt)
 
 
-def _thread_count() -> int:
-    """Worker threads from QEFLAB_THREADS: a positive integer, 1 when unset."""
-    raw = os.environ.get("QEFLAB_THREADS", "") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InvalidParameter(f"QEFLAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
                     cfg: McConfig, theta: float | None = None,
                     cache: SpectralCache | None = None) -> QefMcResult:
@@ -257,27 +217,17 @@ def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
 
     Refuses supercritical theta (the estimator mean would be infinite).
     Deterministic for a fixed seed: batches draw from spawned substreams
-    and aggregate in index order, so the thread count never changes the
-    result.  cache, a SpectralCache for the same context and state, saves
-    rebuilding one per call.
+    and run in index order.  cache, a SpectralCache for the same context
+    and state, saves rebuilding one per call.
     """
     if theta is not None and theta != qkl.theta:
         qkl = build_qkl(qkl.basis, theta)
-    if qkl.grid.size != ctx.grid.size or qkl.grid.T != ctx.grid.T:
+    if not np.array_equal(qkl.grid.nodes, ctx.grid.nodes):
         raise GridMismatch("qkl basis and kernel context use different grids")
-    workers = _thread_count()
     est = _Estimator(ctx, qkl, P0, cfg, cache)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
-
-    results: list = [None] * cfg.batch
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, cfg.batch)) as pool:
-            futures = [pool.submit(est.run_batch, int(sizes[i]), seeds[i])
-                       for i in range(cfg.batch)]
-            results = [f.result() for f in futures]
-    else:
-        results = [est.run_batch(int(sizes[i]), seeds[i]) for i in range(cfg.batch)]
+    results = [est.run_batch(int(size), seed) for size, seed in zip(sizes, seeds)]
 
     z_means = np.array([r[0][0] for r in results])
     z_clip = sum(r[0][1] for r in results)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveOmega, StateUnavailable
+from .errors import GridMismatch, NonpositiveOmega, StateUnavailable
 from .kernels import KernelContext, covariance_on_grid
 from .model import clip_psd
 from .qkl import QklBasis, tanhc
@@ -64,16 +64,15 @@ class SpectralCache:
     it reads only the grid, hk and omegas, which are the same for every
     theta, so one instance built from any theta's basis serves them all.
     The CLI builds one per run and passes it to every compute_qef and
-    estimate_qef_mc call.  Safe to share across threads (read-only after
-    construction).
+    estimate_qef_mc call.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
         if P0 is None:
             raise StateUnavailable("Gaussian state covariance P0 is required")
         grid = ctx.grid
-        if qkl.grid is not grid and not np.array_equal(qkl.grid.nodes, grid.nodes):
-            raise StateUnavailable("qkl basis and kernel context use different grids")
+        if not np.array_equal(qkl.grid.nodes, grid.nodes):
+            raise GridMismatch("qkl basis and kernel context use different grids")
         n, N = ctx.n, grid.size
         sw = np.sqrt(grid.weights)
         self.cov_grid = covariance_on_grid(ctx, P0)

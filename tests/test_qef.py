@@ -5,7 +5,7 @@ import pytest
 
 from qeflab import eigensolver as es
 from qeflab import kernels, model, qef, quadrature
-from qeflab.errors import CovarianceNotPSD, NonpositiveOmega, StateUnavailable
+from qeflab.errors import CovarianceNotPSD, GridMismatch, NonpositiveOmega, StateUnavailable
 from qeflab.qkl import build_qkl, tanhc
 
 # frozen on the reference system with the default 0.99-capture basis
@@ -140,7 +140,7 @@ def test_state_unavailable(ctx, osc_spec, qkl348):
     other_grid = quadrature.make_grid(1.0, panels=4)
     other_ctx = kernels.make_context(osc_spec, other_grid)
     other_qkl = build_qkl(es.build_basis(other_ctx, 0.97), 0.348)
-    with pytest.raises(StateUnavailable):
+    with pytest.raises(GridMismatch):
         qef.SpectralCache(ctx, other_qkl, np.eye(2))
 
 
