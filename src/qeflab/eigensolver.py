@@ -26,6 +26,7 @@ from . import quadrature
 from .errors import (
     CaptureUnreachable,
     EmptyKernel,
+    InvalidParameter,
     NoRootsFound,
     NonpositiveOmega,
     RankCollapse,
@@ -134,8 +135,13 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     interior_min = (logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])
     for i in np.flatnonzero(interior_min) + 1:
         bracket = (ws[i - 1], ws[i], ws[i + 1])
-        res = minimize_scalar(ratio_sq, bracket=bracket, method='golden',
-                              options={'xtol': 1e-12})
+        try:
+            res = minimize_scalar(ratio_sq, bracket=bracket, method='golden',
+                                  options={'xtol': 1e-12})
+        except ValueError as exc:
+            # a tied bracket, e.g. det E underflowing to zero at both ends
+            raise RefinementStalled(
+                f"no valid bracket for the minimum near omega={ws[i]:.6g}: {exc}") from exc
         w, d = float(res.x), float(np.sqrt(res.fun))
         if d <= DET_ACCEPT_RTOL:
             roots.append((w, d))
@@ -312,7 +318,8 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     widen it explicitly in that case.
     """
     if not 0.0 < capture_fraction < 1.0:
-        raise NonpositiveOmega(f"capture fraction must be in (0, 1), got {capture_fraction}")
+        raise InvalidParameter(
+            f"eigen.capture_fraction must be in (0, 1), got {capture_fraction}")
     hs_total = ctx.hs_total
     if omega_max is None:
         omega_max = 1.05 * float(np.sqrt(hs_total / 2.0))

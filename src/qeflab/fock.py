@@ -6,6 +6,11 @@ sigma = sqrt(2 tanh(omega)) and f the average of e^{sigma (a xi + b eta)}
 over independent standard normal a, b.  Truncating the ladder operators
 breaks the algebra near the basis edge, so every comparison here lives
 on a leading corner block that the edge error has not reached.
+
+The average is a tensor Gauss-Hermite rule.  Writing a node as
+(a, b) = r (cos phi, sin phi), the exponent a xi + b eta equals
+r U(phi) xi U(phi)^dagger with the diagonal U(phi) = e^{i phi n}, exactly
+under truncation, so one eigendecomposition of xi serves every node.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveOmega, QuadratureUnderresolved
+from .errors import InvalidParameter, NonpositiveOmega, QuadratureUnderresolved
 
 SIGMA_SUP = np.sqrt(2.0)       # f(sigma) exists only for sigma < sqrt(2)
 
@@ -52,7 +57,7 @@ class OdeReport:
 def build_pair(N: int) -> TruncatedPair:
     """Standard ladder construction of (xi, eta) on N Fock levels."""
     if N < 4:
-        raise NonpositiveOmega(f"need at least 4 Fock levels, got {N}")
+        raise InvalidParameter(f"fock.N must be at least 4, got {N}")
     a = np.diag(np.sqrt(np.arange(1, N)), k=1).astype(complex)
     xi = (a + a.conj().T) / np.sqrt(2.0)
     eta = (a - a.conj().T) / (1j * np.sqrt(2.0))
@@ -85,19 +90,36 @@ def gaussian_average(pair: TruncatedPair, sigma: float, quad_order: int) -> np.n
     """f(sigma): mean of e^{sigma (a xi + b eta)} over standard normal a, b.
 
     Tensor Gauss-Hermite in the probabilists' convention, so the normal
-    density is folded into the weights analytically.
+    density is folded into the weights analytically.  The rule is
+    evaluated by the U(phi) rotation and one eigh xi = V diag(lam) V^dagger:
+    entry (j, k) of the node exponential is
+    V_jl conj(V_kl) e^{i (j - k) phi} e^{sigma r lam_l} summed over l, so
+    the whole rule is the node table
+    G[d, l] = sum over nodes of w e^{i d phi} e^{sigma r lam_l} and
+    f_jk = sum_l V_jl conj(V_kl) G[j - k, l].  The weights and
+    exponentials are real, so G[-d] = conj(G[d]) and the table for
+    d >= 0 is one real matmul of its cosine and sine parts.
     """
     if not 0.0 <= sigma < SIGMA_SUP:
-        raise NonpositiveOmega(f"need 0 <= sigma < sqrt(2), got {sigma}")
+        raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     if quad_order < 2:
-        raise NonpositiveOmega(f"need quad_order >= 2, got {quad_order}")
+        raise InvalidParameter(f"fock.quad_order must be at least 2, got {quad_order}")
+    N = pair.N
+    if sigma == 0.0:
+        return np.eye(N, dtype=complex)          # f(0) = I exactly
     nodes, weights = np.polynomial.hermite_e.hermegauss(quad_order)
     weights = weights / weights.sum()
-    out = np.zeros((pair.N, pair.N), dtype=complex)
-    for wa, a in zip(weights, nodes):
-        stack = sigma * (a * pair.xi + nodes[:, None, None] * pair.eta)
-        out += wa * np.einsum('b,bij->ij', weights, _herm_expm(stack))
-    return out
+    r = np.hypot(nodes[:, None], nodes[None, :]).ravel()
+    phi = np.arctan2(nodes[None, :], nodes[:, None]).ravel()
+    w = np.outer(weights, weights).ravel()
+    lam, V = np.linalg.eigh(pair.xi)
+    angle = np.arange(N)[:, None] * phi
+    table = (np.concatenate([w * np.cos(angle), w * np.sin(angle)])
+             @ np.exp(sigma * np.outer(r, lam)))
+    G = table[:N] + 1j * table[N:]                 # offsets d = 0 .. N-1
+    G = np.concatenate([G[:0:-1].conj(), G])       # G[-d] = conj(G[d])
+    j = np.arange(N)
+    return np.einsum('jl,kl,jkl->jk', V, V.conj(), G[j[:, None] - j + N - 1])
 
 
 def rhs_average(pair: TruncatedPair, omega: float, quad_order: int,
@@ -148,11 +170,11 @@ def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int = 40
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
     if step <= 0.0:
-        raise NonpositiveOmega(f"need a positive step, got {step}")
+        raise InvalidParameter(f"fock.ode_step must be positive, got {step}")
     if sigmas.size == 0 or sigmas.min(initial=0.0) < 0.0:
-        raise NonpositiveOmega("sigma grid must be nonempty and nonnegative")
+        raise InvalidParameter("sigma grid must be nonempty and nonnegative")
     if sigmas.max() + step >= SIGMA_SUP:
-        raise NonpositiveOmega(
+        raise InvalidParameter(
             f"sigma grid plus step must stay below sqrt(2), got "
             f"{sigmas.max()} + {step}")
     k = pair.N // 2
@@ -180,5 +202,5 @@ def sigma_from_omega(omega: float) -> float:
 def omega_from_sigma(sigma: float) -> float:
     """Inverse map omega = (1/2) ln((1 + sigma^2/2) / (1 - sigma^2/2))."""
     if not 0.0 <= sigma < SIGMA_SUP:
-        raise NonpositiveOmega(f"need 0 <= sigma < sqrt(2), got {sigma}")
+        raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     return float(np.arctanh(0.5 * sigma ** 2))

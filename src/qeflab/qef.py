@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveOmega, StateUnavailable
+from .errors import GridMismatch, InvalidParameter, StateUnavailable
 from .kernels import KernelContext, covariance_on_grid
 from .model import clip_psd
 from .qkl import QklBasis, tanhc
@@ -90,7 +90,7 @@ class SpectralCache:
     def lambdas(self, theta: float) -> np.ndarray:
         """Eigenvalues of sqrt(K) P sqrt(K) at one theta, descending."""
         if theta < 0.0:
-            raise NonpositiveOmega(f"theta must be nonnegative, got {theta}")
+            raise InvalidParameter(f"theta must be nonnegative, got {theta}")
         scale = np.sqrt(tanhc(theta * np.repeat(self.omegas, 2))) - 1.0
         UP = self.modes.T @ self.P
         X = self.P + self.modes @ (scale[:, None] * UP)
@@ -109,7 +109,7 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
     frequencies sum to half the Hilbert-Schmidt tail.
     """
     if theta < 0.0:
-        raise NonpositiveOmega(f"theta must be nonnegative, got {theta}")
+        raise InvalidParameter(f"theta must be nonnegative, got {theta}")
     x = theta * basis.omegas
     # ln cosh(x) = |x| + log1p(e^{-2|x|}) - ln 2, stable for large x
     partial = float(np.sum(np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - np.log(2.0)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .eigensolver import SpectralBasis, stack_hk
-from .errors import GridMismatch
+from .errors import GridMismatch, InvalidParameter
 
 
 def tanhc(z):
@@ -60,7 +60,7 @@ class QklBasis:
 def build_qkl(basis: SpectralBasis, theta: float) -> QklBasis:
     """Assemble h_k, H_k and the K eigenvalues for a risk parameter."""
     if theta < 0.0:
-        raise GridMismatch(f"theta must be nonnegative, got {theta}")
+        raise InvalidParameter(f"theta must be nonnegative, got {theta}")
     hk = stack_hk(basis)
     flat = np.moveaxis(hk, 0, 1)                       # (N, r, n, 2)
     Hk = np.sqrt(2.0) * np.moveaxis(quadrature.cumulative(basis.grid, flat), 1, 0)

@@ -230,6 +230,28 @@ def test_fock_pass_and_tolerance_breach(tmp_path):
     assert cli.main(["fock", "--config", path]) == 3
 
 
+def test_fock_quadrature_guard(tmp_path, capsys):
+    # 40 nodes do not resolve the average at N = 80, omega = 0.4
+    cfg = base_config(tmp_path)
+    cfg["fock"] = {"N": 80, "omega_list": [0.4], "quad_order": 40,
+                   "convergence_tol": 1e-7}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["fock", "--config", path]) == 3
+    assert stderr_code(capsys) == "QuadratureUnderresolved"
+
+
+def test_long_horizon_reports_json_error(tmp_path, capsys):
+    # at T = 16 det E underflows at neighbouring scan samples and leaves
+    # a tied bracket; the run must end in a JSON error, not a traceback
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = 16.0
+    cfg["grid"] = {"panels": 32, "nodes_per_panel": 16}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["qef", "--config", path]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RefinementStalled"
+
+
 def test_out_override(tmp_path):
     cfg = base_config(tmp_path / "configured")
     path = write_config(tmp_path, cfg)

@@ -9,6 +9,7 @@ from qeflab import eigensolver as es
 from qeflab import kernels, model, quadrature
 from qeflab.errors import (
     CaptureUnreachable,
+    InvalidParameter,
     NonpositiveOmega,
     NoRootsFound,
     RankCollapse,
@@ -158,9 +159,9 @@ def test_build_basis_diagnostics(basis, ctx):
 
 
 def test_build_basis_validation(ctx):
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         es.build_basis(ctx, 0.0)
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         es.build_basis(ctx, 1.2)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from qeflab import fock
-from qeflab.errors import NonpositiveOmega, QuadratureUnderresolved
+from qeflab.errors import InvalidParameter, NonpositiveOmega, QuadratureUnderresolved
 
 NOISE_FLOOR = 1e-13            # relative corner errors bottom out at machine level
 
@@ -27,7 +27,7 @@ def test_build_pair_ccr(pair40):
     assert np.abs(comm[:3, :3] - 1j * np.eye(3)).max() <= 1e-14
     assert abs(np.trace(p4.xi)) == 0.0
     assert abs(np.trace(p4.eta)) == 0.0
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.build_pair(3)
 
 
@@ -54,10 +54,37 @@ def test_lhs_exponential(pair20):
 
 def test_rhs_average_identity_limit(pair20):
     assert np.abs(fock.rhs_average(pair20, 0.0, 20) - np.eye(20)).max() == 0.0
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.gaussian_average(pair20, 1.5, 20)
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.gaussian_average(pair20, 0.3, 1)
+
+
+def per_node_average(pair, sigma, quad_order):
+    """The same tensor rule evaluated node by node, one expm per (a, b)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(quad_order)
+    weights = weights / weights.sum()
+    out = np.zeros((pair.N, pair.N), dtype=complex)
+    for wa, a in zip(weights, nodes):
+        for wb, b in zip(weights, nodes):
+            out += wa * wb * expm(sigma * (a * pair.xi + b * pair.eta))
+    return out
+
+
+def test_rotated_rule_matches_per_node_rule():
+    pair = fock.build_pair(12)
+    for sigma in (0.3, 0.9, 1.3):
+        ref = per_node_average(pair, sigma, 10)
+        got = fock.gaussian_average(pair, sigma, 10)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # U(phi) xi U(phi)^dagger = cos(phi) xi + sin(phi) eta holds on the
+    # whole truncated matrix, edge included
+    levels = np.arange(pair.N)
+    for phi in (0.4, 2.1, -1.3, np.pi):
+        u = np.exp(1j * phi * levels)
+        rotated = u[:, None] * pair.xi * u.conj()[None, :]
+        target = np.cos(phi) * pair.xi + np.sin(phi) * pair.eta
+        assert np.abs(rotated - target).max() <= 1e-14
 
 
 def test_corner_identity_pinned(pair40):
@@ -117,13 +144,13 @@ def test_ode_second_order_convergence(pair20):
 
 
 def test_ode_domain_checks(pair20):
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([-0.1]))
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([1.414]))
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([0.3]), step=0.0)
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([]))
 
 
@@ -138,5 +165,5 @@ def test_omega_sigma_bijection():
         assert fock.sigma_from_omega(om) == pytest.approx(s, abs=1e-12)
     with pytest.raises(NonpositiveOmega):
         fock.sigma_from_omega(-1.0)
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         fock.omega_from_sigma(np.sqrt(2.0))

@@ -5,7 +5,7 @@ import pytest
 
 from qeflab import eigensolver as es
 from qeflab import kernels, model, qef, quadrature
-from qeflab.errors import CovarianceNotPSD, GridMismatch, NonpositiveOmega, StateUnavailable
+from qeflab.errors import CovarianceNotPSD, GridMismatch, InvalidParameter, StateUnavailable
 from qeflab.qkl import build_qkl, tanhc
 
 # frozen on the reference system with the default 0.99-capture basis
@@ -52,7 +52,7 @@ def test_C_matches_mode_sum(basis):
     hs_tail = basis.hs_total - basis.hs_captured
     assert tail == pytest.approx(theta ** 2 * hs_tail / 4.0, rel=1e-12)
     assert C == pytest.approx(direct + tail, rel=1e-12)
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         qef.compute_C(basis, -1.0)
 
 
@@ -87,7 +87,7 @@ def test_pk_trace_identity(cache):
 
 
 def test_lambdas_rejects_negative_theta(cache):
-    with pytest.raises(NonpositiveOmega):
+    with pytest.raises(InvalidParameter):
         cache.lambdas(-0.5)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qeflab import qkl, quadrature
-from qeflab.errors import GridMismatch
+from qeflab.errors import GridMismatch, InvalidParameter
 
 
 def test_tanhc_values():
@@ -30,7 +30,7 @@ def test_build_qkl_shapes_and_weights(basis):
 
 
 def test_build_qkl_rejects_negative_theta(basis):
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidParameter):
         qkl.build_qkl(basis, -0.1)
 
 
