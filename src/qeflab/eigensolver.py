@@ -9,7 +9,7 @@ f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 = 1/2 and <phi, psi> = 0, which is what downstream consumers rely on.
 
 Roots are located by sampling |det E| over a frequency band, refined by
-golden-section search on |det E|^2, and accepted when
+an in-house golden-section search on |det E|^2, and accepted when
 |det E(omega)| / |det G(T)| <= 1e-8.  A dense Nystrom discretization of
 L provides an independent oracle for the same spectrum.
 """
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from . import quadrature
 from .errors import (
@@ -32,7 +30,7 @@ from .errors import (
     RankCollapse,
     RefinementStalled,
 )
-from .kernels import KernelContext, apply_L, bvp_matrices
+from .kernels import KernelContext, apply_L, bvp_matrices, expm
 from .quadrature import Grid
 
 DET_ACCEPT_RTOL = 1e-8      # |det E| / |det G(T)| at an accepted root
@@ -40,6 +38,8 @@ DET_STALL_RTOL = 1e-6       # between accept and this: refinement stalled
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
 ROOT_MERGE_RTOL = 1e-8
 DEFAULT_SAMPLES = 400
+GOLDEN_XTOL = 1e-12         # relative bracket width at which the golden section stops
+GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +134,8 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     roots: list[Root] = []
     interior_min = (logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])
     for i in np.flatnonzero(interior_min) + 1:
-        bracket = (ws[i - 1], ws[i], ws[i + 1])
-        try:
-            res = minimize_scalar(ratio_sq, bracket=bracket, method='golden',
-                                  options={'xtol': 1e-12})
-        except ValueError as exc:
-            # a tied bracket, e.g. det E underflowing to zero at both ends
-            raise RefinementStalled(
-                f"no valid bracket for the minimum near omega={ws[i]:.6g}: {exc}") from exc
-        w, d = float(res.x), float(np.sqrt(res.fun))
+        x, f = _golden(ratio_sq, ws[i - 1], ws[i], ws[i + 1])
+        w, d = float(x), float(np.sqrt(f))
         if d <= DET_ACCEPT_RTOL:
             roots.append((w, d))
         elif d <= DET_STALL_RTOL:
@@ -174,6 +167,41 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
         raise NoRootsFound("all refined minima were spurious (no kernel vectors)")
     out.sort(key=lambda r: -r.omega)
     return out
+
+
+def _golden(func, xa: float, xb: float, xc: float) -> tuple[float, float]:
+    """Golden-section minimum of func in the bracket xa < xb < xc.
+
+    The Numerical Recipes iteration with the ratio 0.61803399, stopped
+    when the bracket is narrower than GOLDEN_XTOL relative to the two
+    inner points; the tests hold it, bit for bit, to the library routine
+    it replaces.  A bracket whose middle value is not strictly below
+    both ends (for instance det E underflowing to zero at neighbouring
+    samples) raises RefinementStalled.
+    """
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        raise RefinementStalled(
+            f"no valid bracket for the minimum near omega={xb:.6g}: "
+            f"f = ({fa:.3e}, {fb:.3e}, {fc:.3e}) at ({xa:.6g}, {xb:.6g}, {xc:.6g})")
+    gr = 0.61803399
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def _canonical_phase(f0: np.ndarray) -> complex:
@@ -315,7 +343,9 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     det E cannot be certified to the acceptance ratio in double
     precision, and their 2 omega^2 weight is negligible.  Raises
     CaptureUnreachable when the band does not hold enough spectrum;
-    widen it explicitly in that case.
+    widen it explicitly in that case.  Raises RefinementStalled when the
+    retained eigenfunctions are not orthonormal: their Gram matrix must
+    equal I/2 to GRAM_ATOL.
     """
     if not 0.0 < capture_fraction < 1.0:
         raise InvalidParameter(
@@ -355,8 +385,13 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
         mercer_residual=0.0, gram_max_dev=0.0,
     )
     target_gram = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(retained)), np.eye(2))
+    gram_max_dev = float(np.max(np.abs(basis_gram(basis) - target_gram)))
+    if not gram_max_dev <= GRAM_ATOL:
+        raise RefinementStalled(
+            f"basis Gram deviates from I/2 by {gram_max_dev:.3e} (limit {GRAM_ATOL}); "
+            "the shooting eigenfunctions are not orthonormal on this grid")
     return replace(basis, mercer_residual=_mercer_residual(ctx, basis),
-                   gram_max_dev=float(np.max(np.abs(basis_gram(basis) - target_gram))))
+                   gram_max_dev=gram_max_dev)
 
 
 def ode_residual(ctx: KernelContext, pair: EigenPair) -> float:

@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import quadrature
 from .errors import (
@@ -51,6 +50,45 @@ from .model import (
 from .quadrature import Grid
 
 DET_IDENTITY_RTOL = 1e-8
+
+# Degree-13 Pade coefficients b_0..b_13 and the 1-norm below which the
+# unscaled approximant is accurate to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in a stack of shape (..., k, k).
+
+    Degree-13 Pade approximant with scaling and squaring (N. J. Higham,
+    "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).  Each
+    matrix gets its own scaling power s = max(0, ceil(log2(||a||_1 /
+    theta_13))); the approximant is one batched solve, and the squarings
+    run max(s) times with the already-squared matrices masked out.
+    """
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    with np.errstate(divide='ignore'):
+        s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
+    a = a / np.exp2(s)[..., None, None]
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(int(s.max(initial=0))):
+        r = np.where((s > i)[..., None, None], r @ r, r)
+    return r
 
 
 class KernelContext:

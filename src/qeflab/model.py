@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import (
     CovarianceNotPSD,
@@ -162,6 +161,22 @@ def build_system(spec: OscillatorSpec) -> SystemMatrices:
     )
 
 
+def solve_continuous_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """X solving A X + X A^T = Q for real A.
+
+    Row-major vectorization turns the equation into the Kronecker system
+    (A kron I + I kron A) vec(X) = vec(Q) of size n^2, solved directly;
+    it is nonsingular exactly when no two eigenvalues of A sum to zero,
+    which holds for Hurwitz A.  An exactly singular system raises
+    numpy.linalg.LinAlgError.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    ident = np.eye(n)
+    K = np.kron(A, ident) + np.kron(ident, A)
+    return np.linalg.solve(K, np.asarray(Q, dtype=float).reshape(n * n)).reshape(n, n)
+
+
 def recover_ccr(A: np.ndarray, mho: np.ndarray) -> np.ndarray:
     """Recover the CCR matrix from (A, mho) for Hurwitz A.
 
@@ -181,7 +196,7 @@ def recover_ccr(A: np.ndarray, mho: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(X)))
     if np.linalg.norm(X + X.T) > 1e-6 * scale:
         raise LyapunovSolveFailed("recovered matrix is far from antisymmetric; "
-                                  "the Schur form is likely ill-conditioned")
+                                  "the Lyapunov system is likely ill-conditioned")
     return 0.5 * (X - X.T)
 
 

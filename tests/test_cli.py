@@ -241,8 +241,9 @@ def test_fock_quadrature_guard(tmp_path, capsys):
 
 
 def test_long_horizon_reports_json_error(tmp_path, capsys):
-    # at T = 16 det E underflows at neighbouring scan samples and leaves
-    # a tied bracket; the run must end in a JSON error, not a traceback
+    # at T = 16 the shooting eigenfunctions are far from orthonormal and
+    # the basis Gram gate refuses them; the run must end in a JSON error,
+    # not a traceback or a wrong basis
     cfg = base_config(tmp_path)
     cfg["oscillator"]["T"] = 16.0
     cfg["grid"] = {"panels": 32, "nodes_per_panel": 16}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import J2
 from scipy.linalg import block_diag
+from scipy.optimize import minimize_scalar
 
 from qeflab import eigensolver as es
 from qeflab import kernels, model, quadrature
@@ -156,6 +157,33 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.mercer_residual == pytest.approx(MERCER_FROZEN, rel=1e-6)
     assert basis.mercer_residual <= basis.hs_total - basis.hs_captured + 1e-6
     assert np.all(np.diff(basis.omegas) < 0)
+
+
+def test_golden_rejects_tied_bracket():
+    with pytest.raises(RefinementStalled, match="bracket"):
+        es._golden(lambda x: 0.0, 0.1, 0.2, 0.3)
+
+
+def test_golden_matches_library_golden_section():
+    # the in-house golden section must take the library routine's steps exactly
+    def func(x):
+        return float(np.exp(2.0 * np.sin(3.0 * x)) + (x - 1.4) ** 2)
+
+    bracket = tuple(np.linspace(1.0, 2.0, 400)[[100, 200, 300]])
+    ref = minimize_scalar(func, bracket=bracket, method='golden', options={'xtol': 1e-12})
+    x, f = es._golden(func, *bracket)
+    assert x == ref.x and f == ref.fun
+
+
+def test_long_horizon_basis_fails_gram_gate():
+    # README oscillator at T = 16 on 32 x 16: the shooting eigenfunctions
+    # pass the root scan but are far from orthonormal; the Gram gate must
+    # refuse the basis rather than return it
+    spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2),
+                                T=16.0, theta=0.348)
+    ctx = kernels.make_context(spec, quadrature.make_grid(16.0, panels=32, order=16))
+    with pytest.raises(RefinementStalled, match="Gram deviates"):
+        es.build_basis(ctx, 0.99)
 
 
 def test_build_basis_validation(ctx):

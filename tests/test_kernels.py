@@ -8,6 +8,7 @@ Hilbert-Schmidt norm integrates to (3 + e^{-4}) / 4.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import J2, dense_kernel, random_hurwitz_spec
 
 from qeflab import kernels, model, quadrature
@@ -80,6 +81,34 @@ def test_kernel_on_grid_matches_dense_expm(nonnormal_system, make):
         got = kernels.kernel_on_grid(A, grid, base)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _max_rel(got, ref):
+    """Largest entry error of each matrix relative to its largest entry."""
+    err = np.abs(got - ref).max(axis=(-2, -1))
+    return float(np.max(err / np.abs(ref).max(axis=(-2, -1))))
+
+
+def test_expm_closed_form(ctx):
+    # e^{tA} of the README drift A = 2(J2 - I), far into its decay
+    t = np.linspace(0.0, 16.0, 321)
+    got = kernels.expm(t[:, None, None] * ctx.sys.A)
+    ref = np.stack([rotation_form(tau) for tau in t])
+    assert _max_rel(got, ref) <= 1e-13
+
+
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(505)
+    lags = np.linspace(-1.0, 1.0, 256).reshape(16, 16)
+    real = lags[..., None, None] * (rng.standard_normal((2, 2)) - 2.0 * np.eye(2))
+    cplx = (rng.standard_normal((400, 4, 4)) + 1j * rng.standard_normal((400, 4, 4))) \
+        * np.linspace(0.01, 20.0, 400)[:, None, None]
+    jordan = 0.5 * np.eye(4) + np.eye(4, k=1)
+    nilpotent = np.array([[0, 1], [0, 0]])          # integer input
+    for a in (real, cplx, jordan, np.zeros((3, 3)), nilpotent):
+        got = kernels.expm(a)
+        assert got.shape == a.shape and got.dtype == np.result_type(a, float)
+        assert _max_rel(got, scipy.linalg.expm(a)) <= 1e-12
 
 
 def test_hs_total_frozen_and_analytic(ctx):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import J2, random_hurwitz_spec, random_spec
 
 from qeflab import model
@@ -68,6 +69,16 @@ def test_random_state_ale_residual():
         resid = np.linalg.norm(sysm.A @ P0 + P0 @ sysm.A.T + BBt)
         assert resid <= 1e-10 * max(np.linalg.norm(BBt), 1.0)
         assert np.linalg.eigvalsh(P0).min() >= -1e-12
+
+
+def test_lyapunov_solve_matches_scipy():
+    rng = np.random.default_rng(606)
+    for _ in range(10):
+        A = model.build_system(random_hurwitz_spec(rng, n=4)).A
+        Q = rng.standard_normal((4, 4))
+        got = model.solve_continuous_lyapunov(A, Q)
+        ref = scipy.linalg.solve_continuous_lyapunov(A, Q)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_clip_psd():

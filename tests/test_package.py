@@ -1,5 +1,9 @@
 """The public package namespace."""
 
+import os
+import subprocess
+import sys
+
 import qeflab
 
 
@@ -7,3 +11,13 @@ def test_all_names_resolve():
     # a helper deleted from a module but still listed in __all__ fails here
     missing = [name for name in qeflab.__all__ if not hasattr(qeflab, name)]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the CLI must start without it
+    code = ("import sys, qeflab.cli; "
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
