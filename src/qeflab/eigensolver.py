@@ -323,12 +323,15 @@ def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     if not basis.pairs:
         return ctx.hs_total
     hk = stack_hk(basis)
-    bj = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, bj, hk)
+    N, n = ctx.grid.size, ctx.n
+    # sum_k 2 omega_k h_k(s) bj h_k(t)^T as one rank-2r product; bj maps (phi, psi) to (-psi, phi)
+    R = hk.transpose(1, 2, 0, 3).reshape(N * n, -1)                       # (N n, 2r)
+    left = 2.0 * basis.omegas[:, None, None, None] * np.stack([-hk[..., 1], hk[..., 0]], axis=-1)
+    L = left.transpose(1, 2, 0, 3).reshape(N * n, -1)
+    approx = (L @ R.T).reshape(N, n, N, n).transpose(0, 2, 1, 3)
     diff = ctx.lambda_grid - approx
     w = ctx.grid.weights
-    sq = np.einsum('abij,abij->ab', diff, diff)
-    return float(np.einsum('a,b,ab->', w, w, sq))
+    return float(w @ (diff * diff).sum(axis=(2, 3)) @ w)
 
 
 def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,

@@ -114,11 +114,6 @@ class KernelContext:
         self.F = np.block([[np.zeros((n, n)), np.eye(n)], [mAm @ A, A - mAm]])
         self.U = np.hstack([A, -np.eye(n)])
         self.V = np.vstack([np.eye(n), -self.Theta @ A.T @ self.Theta_inv])
-        # Exact-algebra self-checks: U F = -mho A^T mho^-1 U and U V = -mho Theta^-1.
-        scale = max(1.0, float(np.linalg.norm(self.U @ self.F)))
-        self.uf_residual = float(np.linalg.norm(self.U @ self.F + mAm @ self.U)) / scale
-        self.uv_residual = float(np.linalg.norm(self.U @ self.V + mho @ self.Theta_inv)) / max(
-            1.0, float(np.linalg.norm(mho @ self.Theta_inv)))
 
     @cached_property
     def lambda_grid(self) -> np.ndarray:

@@ -18,7 +18,7 @@ of PK, which is not small even when the Hilbert-Schmidt capture is.
 Estimation is batched; each batch owns a spawned RNG substream and
 batches run serially in index order, so estimates are seed-determined.
 Each batch is a handful of matrix products on geometry flattened once
-per theta.
+per theta; the N-route path factor is built once per run, by the cache.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     SupercriticalTheta,
 )
 from .kernels import KernelContext, kernel_on_grid
-from .model import clip_psd
 from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
 from .qkl import Hk_at, QklBasis, build_qkl
 from .quadrature import Grid
@@ -98,25 +97,6 @@ class QefMcResult:
     seed: int
 
 
-def _psd_factor(mat: np.ndarray, label: str) -> np.ndarray:
-    """Symmetric PSD square root V sqrt(L) V^T with tolerance-checked clipping.
-
-    Unlike V sqrt(L), the symmetric root is unique and continuous in the
-    matrix, so it does not depend on the basis eigh picks inside a
-    degenerate eigenspace.
-    """
-    sym = 0.5 * (mat + mat.T)
-    evals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.sqrt(clip_psd(evals, label))) @ vecs.T
-
-
-def _path_factor(blocks: np.ndarray) -> np.ndarray:
-    """PSD square root of the node-block covariance P(s_a - s_b), shape (N n, N n)."""
-    N, n = blocks.shape[0], blocks.shape[2]
-    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    return _psd_factor(mat, "stationary block covariance")
-
-
 def _batch_sizes(samples: int, batches: int) -> np.ndarray:
     sizes = np.full(batches, samples // batches, dtype=int)
     sizes[:samples % batches] += 1
@@ -159,7 +139,7 @@ class _Estimator:
         self.corr = np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2)              # (2r,)
 
         # N-route geometry: node-block covariance factor and K action
-        self.factor = _path_factor(cache.cov_grid)                            # (N n, N n)
+        self.factor = cache.path_factor                                       # (N n, N n)
         hkw = qkl.hk * grid.weights[None, :, None, None]                      # (r, N, n, 2)
         self.hkw = hkw.transpose(1, 2, 0, 3).reshape(grid.size * ctx.n, -1)   # (N n, 2r)
         self.w = np.repeat(grid.weights, ctx.n)                               # (N n,)

@@ -17,6 +17,7 @@ the spectrum of P exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,19 @@ class QefReport:
     tail_lambda_trace: float
 
 
+def _path_factor(blocks: np.ndarray) -> np.ndarray:
+    """Symmetric PSD root of the node-block covariance P(s_a - s_b), shape (N n, N n).
+
+    Unlike V sqrt(L), the root V sqrt(L) V^T is unique and continuous in
+    the matrix, so it does not depend on the basis eigh picks inside a
+    degenerate eigenspace.  Rounding-level negative eigenvalues are clipped.
+    """
+    N, n = blocks.shape[0], blocks.shape[2]
+    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    return (vecs * np.sqrt(clip_psd(evals, "stationary block covariance"))) @ vecs.T
+
+
 class SpectralCache:
     """Grid discretizations shared by every theta evaluation.
 
@@ -64,7 +78,8 @@ class SpectralCache:
     it reads only the grid, hk and omegas, which are the same for every
     theta, so one instance built from any theta's basis serves them all.
     The CLI builds one per run and passes it to every compute_qef and
-    estimate_qef_mc call.
+    estimate_qef_mc call.  path_factor, the node covariance root the
+    Monte-Carlo N-route samples with, is built on first use only.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
@@ -86,6 +101,11 @@ class SpectralCache:
         self.omegas = qkl.omegas
         self.mu = np.linalg.eigvalsh(self.P)[::-1]
         clip_psd(self.mu, "covariance matrix")
+
+    @cached_property
+    def path_factor(self) -> np.ndarray:
+        """Symmetric PSD root of the node covariance blocks, shape (N n, N n)."""
+        return _path_factor(self.cov_grid)
 
     def lambdas(self, theta: float) -> np.ndarray:
         """Eigenvalues of sqrt(K) P sqrt(K) at one theta, descending."""

@@ -148,25 +148,22 @@ def cumulative_at(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts_arr.min() < -1e-12 or ts_arr.max() > grid.T + 1e-12:
         raise GridMismatch(f"evaluation times must lie in [0, {grid.T}]")
-    v = _panel_view(grid, values)
     half = 0.5 * (grid.T / grid.panels)
-    w = _panel_weights(grid.order)
-    totals = half * np.einsum('j,pj...->p...', w, v)
+    totals = panel_totals(grid, values)
     offsets = np.concatenate([np.zeros((1,) + totals.shape[1:]), np.cumsum(totals, axis=0)], axis=0)
 
     x_ref, _ = legendre.leggauss(grid.order)
     vand_inv = np.linalg.inv(legendre.legvander(x_ref, grid.order - 1))
+    coeffs = np.tensordot(vand_inv, values.reshape(grid.panels, grid.order, -1), axes=(1, 1))
+    anti = legendre.legint(coeffs, lbnd=-1)
 
-    out = np.empty(ts_arr.shape + values.shape[1:], dtype=np.result_type(values, float))
-    for i, t in enumerate(ts_arr):
-        p = min(int(np.searchsorted(grid.edges, t, side='right')) - 1, grid.panels - 1)
-        p = max(p, 0)
-        center = 0.5 * (grid.edges[p] + grid.edges[p + 1])
-        x = (t - center) / half
-        flat = v[p].reshape(grid.order, -1)
-        coeffs = vand_inv @ flat
-        partial = half * legendre.legval(x, legendre.legint(coeffs, lbnd=-1))
-        out[i] = (offsets[p].reshape(-1) + partial).reshape(values.shape[1:])
+    p = np.clip(np.searchsorted(grid.edges, ts_arr, side='right') - 1, 0, grid.panels - 1)
+    center = 0.5 * (grid.edges[p] + grid.edges[p + 1])
+    x = (ts_arr - center) / half
+    # per-point Clenshaw against each time's own panel, so t = 0 gives exactly 0
+    partial = half * legendre.legval(x[:, None], anti[:, p], tensor=False)
+    out = offsets[p].reshape(partial.shape) + partial
+    out = out.reshape(ts_arr.shape + values.shape[1:])
     if np.isscalar(ts) or np.asarray(ts).ndim == 0:
         return out[0]
     return out

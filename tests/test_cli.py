@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: config validation, CSV output, exit codes."""
 
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from qeflab import cli, mc, qef
@@ -46,6 +48,29 @@ def test_load_config_missing_field(tmp_path):
     path = write_config(tmp_path, cfg)
     with pytest.raises(SchemaViolation, match="oscillator"):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "panels", "eight"),          # wrong type
+    ("oscillator", "R", None),            # missing required key
+    ("grid", "spacing", 0.1),             # extra property
+    ("oscillator", "T", 0),               # exclusiveMinimum
+])
+def test_load_config_messages_match_jsonschema(tmp_path, section, key, value):
+    # load_config skips jsonschema.validate's metaschema step; the exit-2
+    # payload must still carry the error jsonschema.validate would raise
+    cfg = base_config(tmp_path)
+    if value is None:
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    schema = json.loads(resources.files("qeflab").joinpath("config_schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, schema)
+    where = "/".join(str(p) for p in ref.value.absolute_path) or "(root)"
+    with pytest.raises(SchemaViolation) as got:
+        cli.load_config(write_config(tmp_path, cfg))
+    assert str(got.value) == f"{where}: {ref.value.message}"
 
 
 def test_load_config_unsorted_thetas(tmp_path):
@@ -192,13 +217,23 @@ def test_one_spectral_cache_per_run(tmp_path, monkeypatch, command):
             built.append(args)
             super().__init__(*args, **kwargs)
 
+    roots = []
+
+    def counting_root(blocks):
+        roots.append(blocks)
+        return path_factor(blocks)
+
+    path_factor = qef._path_factor
     for module in (cli, qef, mc):
         monkeypatch.setattr(module, "SpectralCache", CountingCache)
+    monkeypatch.setattr(qef, "_path_factor", counting_root)
     cfg = base_config(tmp_path)
     cfg["qef"]["theta_list"] = [0.0, 0.348, 0.87, 15.0]
     path = write_config(tmp_path, cfg)
     assert cli.main([command, "--config", path]) == 0
     assert len(built) == 1
+    # the N-route covariance root: once per sampling run, never for qef
+    assert len(roots) == (1 if command == "validate" else 0)
 
 
 def test_validate_requires_mc_section(tmp_path, capsys):

@@ -157,6 +157,13 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.mercer_residual == pytest.approx(MERCER_FROZEN, rel=1e-6)
     assert basis.mercer_residual <= basis.hs_total - basis.hs_captured + 1e-6
     assert np.all(np.diff(basis.omegas) < 0)
+    # reference: the kernel expansion as one four-operand einsum
+    hk = es.stack_hk(basis)
+    approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, J2, hk)
+    diff = ctx.lambda_grid - approx
+    w = ctx.grid.weights
+    ref = float(np.einsum('a,b,ab->', w, w, np.einsum('abij,abij->ab', diff, diff)))
+    assert basis.mercer_residual == pytest.approx(ref, rel=1e-13)
 
 
 def test_golden_rejects_tied_bracket():

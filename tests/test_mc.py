@@ -34,14 +34,14 @@ def test_config_validation():
 
 
 def test_sample_N_zero_state(ctx, grid):
-    factor = mc._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, np.zeros((2, 2))))
+    factor = qef._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, np.zeros((2, 2))))
     assert factor.shape == (2 * grid.size, 2 * grid.size)
     assert np.max(np.abs(factor)) == 0.0
 
 
 def test_sample_N_rejects_indefinite_state(ctx, grid):
     with pytest.raises(CovarianceNotPSD):
-        mc._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, -np.eye(2)))
+        qef._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, -np.eye(2)))
 
 
 def test_path_factor_continuous_in_covariance(ctx, state):
@@ -53,10 +53,22 @@ def test_path_factor_continuous_in_covariance(ctx, state):
     mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
     noise = np.random.default_rng(0).standard_normal(mat.shape)
     noise = 1e-15 * np.max(np.abs(mat)) * 0.5 * (noise + noise.T)
-    F0 = mc._psd_factor(mat, "node covariance")
-    F1 = mc._psd_factor(mat + noise, "node covariance")
+    F0 = qef._path_factor(blocks)
+    F1 = qef._path_factor(blocks + noise.reshape(N, n, N, n).transpose(0, 2, 1, 3))
     assert np.max(np.abs(F1 - F0)) <= 1e-12 * np.max(np.abs(F0))
     assert np.max(np.abs(F0 @ F0.T - mat)) <= 1e-13 * np.max(np.abs(mat))
+
+
+def test_cache_path_factor_is_symmetric_root(ctx, qkl348, state):
+    # reference: the symmetric root of the unweighted node covariance, written out
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    blocks = cache.cov_grid
+    N, n = blocks.shape[0], blocks.shape[2]
+    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    ref = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
+    assert np.array_equal(cache.path_factor, ref)
+    assert cache.path_factor is cache.path_factor
 
 
 def test_estimate_deterministic_across_threads(ctx, qkl348, state):

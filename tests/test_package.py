@@ -1,8 +1,12 @@
 """The public package namespace."""
 
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
+
+from jsonschema import Draft202012Validator
 
 import qeflab
 
@@ -21,3 +25,10 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_packaged_schema_is_valid():
+    # load_config validates configs only; the schema's own check is here
+    schema = json.loads(resources.files("qeflab").joinpath("config_schema.json").read_text())
+    assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+    Draft202012Validator.check_schema(schema)
