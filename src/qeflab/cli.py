@@ -16,7 +16,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import fock as fockmod
@@ -52,10 +51,56 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     print(f"wrote {path}")
 
 
-def load_config(path: str) -> dict:
-    """Parse and schema-validate a run configuration.
+_BOUNDS = {"minimum": (lambda v, b: v < b, "less than the minimum"),
+           "maximum": (lambda v, b: v > b, "greater than the maximum"),
+           "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum"),
+           "exclusiveMaximum": (lambda v, b: v >= b, "greater than or equal to the maximum")}
+_SIZED = {"minItems": list, "minLength": str}
+_TYPES = dict(object=dict, array=list, string=str, number=(int, float), integer=int)
+_KEYWORDS = {"$schema", "title", "$defs", "$ref", "type", *_BOUNDS, *_SIZED, "items",
+             "required", "properties", "additionalProperties"}
 
-    The packaged schema's own validity (its metaschema check) is left to the tests.
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a bool is not a number, 2.0 is an integer."""
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return not isinstance(value, bool) and isinstance(value, _TYPES[name])
+
+
+def _violations(value, schema: dict, defs: dict, path: tuple = ()):
+    """Yield (path, message) per violation, in jsonschema's order and wording."""
+    for key, arg in schema.items():
+        if key not in _KEYWORDS or key == "additionalProperties" and arg is not False:
+            raise ValueError(f"unimplemented schema keyword {key}: {arg!r}")
+        if key == "$ref":
+            yield from _violations(value, defs[arg.removeprefix("#/$defs/")], defs, path)
+        elif key == "type" and not _is_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, arg):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+        elif key in _SIZED and isinstance(value, _SIZED[key]) and len(value) < arg:
+            yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, defs, path + (i,))
+        elif key == "required" and isinstance(value, dict):
+            for name in [n for n in arg if n not in value]:
+                yield path, f"{name!r} is a required property"
+        elif key == "properties" and isinstance(value, dict):
+            for name in filter(value.__contains__, arg):
+                yield from _violations(value[name], arg[name], defs, path + (name,))
+        elif key == "additionalProperties" and isinstance(value, dict):
+            if extra := sorted(value.keys() - schema.get("properties", {}).keys()):
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} {verb} unexpected)")
+
+
+def load_config(path: str) -> dict:
+    """Parse a run configuration and check it against the packaged schema.
+
+    Reports jsonschema's ``best_match``: the shallowest error, then the last sibling.
     """
     def _reject(token):
         raise SchemaViolation(f"non-finite number {token!r} in config")
@@ -69,11 +114,10 @@ def load_config(path: str) -> dict:
         raise SchemaViolation(f"config is not valid JSON: {exc}") from exc
     schema = json.loads(
         resources.files("qeflab").joinpath("config_schema.json").read_text())
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise SchemaViolation(f"{where}: {exc.message}") from exc
+    error = max(_violations(cfg, schema, schema["$defs"]),
+                key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        raise SchemaViolation(f"{'/'.join(map(str, error[0])) or '(root)'}: {error[1]}")
     thetas = cfg.get("qef", {}).get("theta_list", [])
     if sorted(thetas) != list(thetas):
         raise SchemaViolation("qef.theta_list must be sorted ascending")
@@ -82,6 +126,9 @@ def load_config(path: str) -> dict:
 
 def _spec_from(cfg: dict) -> model.OscillatorSpec:
     osc = cfg["oscillator"]
+    for key in ("Theta", "R", "M"):
+        if len({len(row) for row in osc[key]}) > 1:
+            raise SchemaViolation(f"oscillator/{key}: rows must all have the same length")
     return model.OscillatorSpec(
         n=osc["n"], m=osc["m"],
         Theta=np.array(osc["Theta"], dtype=float),
@@ -275,7 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise SchemaViolation("--seed must fit in 64 unsigned bits")
         out = Path(args.out if args.out is not None else cfg["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaViolation(f"cannot create output directory: {exc}") from exc
         return COMMANDS[args.command](cfg, out, args.seed)
     except QeflabError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)

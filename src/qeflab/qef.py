@@ -133,7 +133,7 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
     x = theta * basis.omegas
     # ln cosh(x) = |x| + log1p(e^{-2|x|}) - ln 2, stable for large x
     partial = float(np.sum(np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - np.log(2.0)))
-    tail = 0.5 * theta ** 2 * max(basis.hs_total - basis.hs_captured, 0.0) / 2.0
+    tail = 0.5 * (theta * theta) * max(basis.hs_total - basis.hs_captured, 0.0) / 2.0
     return partial + tail, tail
 
 
@@ -195,7 +195,7 @@ def compute_qef(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     xi_classical = None if log_cl is None else float(np.exp(min(log_cl, OVERFLOW_LOG)))
 
     hs_tail = max(qkl.basis.hs_total - qkl.basis.hs_captured, 0.0)
-    tail_trace = float(cache.mu[0]) * th ** 2 * hs_tail / 6.0 if cache.mu.size else 0.0
+    tail_trace = float(cache.mu[0]) * (th * th) * hs_tail / 6.0 if cache.mu.size else 0.0
 
     return QefReport(theta=th, C=C, tail_C=tail_C, lambdas=lambdas,
                      spectral_radius=sr, theta_critical=th_crit,

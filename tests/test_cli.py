@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: config validation, CSV output, exit codes."""
 
+import copy
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from qeflab import cli, mc, qef
 from qeflab.errors import SchemaViolation
@@ -50,27 +54,179 @@ def test_load_config_missing_field(tmp_path):
         cli.load_config(path)
 
 
+SCHEMA = json.loads(resources.files("qeflab").joinpath("config_schema.json").read_text())
+
+
+def jsonschema_message(cfg):
+    """The SchemaViolation text for the error jsonschema.validate raises, or None."""
+    exc = jsonschema.exceptions.best_match(Draft202012Validator(SCHEMA).iter_errors(cfg))
+    if exc is None:
+        return None
+    return f"{'/'.join(map(str, exc.absolute_path)) or '(root)'}: {exc.message}"
+
+
+def load_config_message(tmp_path, cfg):
+    """load_config's SchemaViolation text for cfg, or None if accepted."""
+    try:
+        cli.load_config(write_config(tmp_path, cfg))
+    except SchemaViolation as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "panels", "eight"),          # wrong type
     ("oscillator", "R", None),            # missing required key
     ("grid", "spacing", 0.1),             # extra property
     ("oscillator", "T", 0),               # exclusiveMinimum
+    ("oscillator", "m", 1),               # minimum
+    ("mc", "seed", 2 ** 64),              # maximum
+    ("eigen", "capture_fraction", 1),     # exclusiveMaximum
+    ("qef", "theta_list", []),            # minItems
+    ("fock", "omega_list", [0.1, -0.2]),  # items, then minimum
+    ("oscillator", "n", True),            # a bool is not an integer
+    ("oscillator", "n", 2.5),             # a non-integral float is not an integer
+    ("oscillator", "T", "1"),             # a string is not a number
+    ("oscillator", "R", [[1.0, "0"], [0.0, 1.0]]),  # items through $ref
+    ("oscillator", "M", [[]]),            # minItems of a row through $ref
+    ("oscillator", "Theta", [0.0, 1.0]),  # a row that is not an array
+    (None, "output_dir", ""),             # minLength
+    (None, "grid", None),                 # missing required section
+    (None, "grid", []),                   # a section that is not an object
 ])
 def test_load_config_messages_match_jsonschema(tmp_path, section, key, value):
-    # load_config skips jsonschema.validate's metaschema step; the exit-2
-    # payload must still carry the error jsonschema.validate would raise
+    # load_config checks configs without jsonschema; the exit-2 payload must
+    # still carry the error jsonschema.validate would raise
     cfg = base_config(tmp_path)
+    target = cfg if section is None else cfg[section]
     if value is None:
-        del cfg[section][key]
+        del target[key]
     else:
-        cfg[section][key] = value
-    schema = json.loads(resources.files("qeflab").joinpath("config_schema.json").read_text())
+        target[key] = value
     with pytest.raises(jsonschema.ValidationError) as ref:
-        jsonschema.validate(cfg, schema)
+        jsonschema.validate(cfg, SCHEMA)
     where = "/".join(str(p) for p in ref.value.absolute_path) or "(root)"
     with pytest.raises(SchemaViolation) as got:
         cli.load_config(write_config(tmp_path, cfg))
     assert str(got.value) == f"{where}: {ref.value.message}"
+
+
+@pytest.mark.parametrize("cfg", [
+    [],                                                  # a non-object root
+    "config",
+    {"zeta": 1, "alpha": 2},                             # two extra keys, named sorted
+    {"alpha": 1, "oscillator": {}},                      # root faults beat deeper ones
+    {"grid": {"panels": "a", "nodes_per_panel": "b"}},   # the last sibling path wins
+    {"grid": {"panels": 0, "nodes_per_panel": "b", "x": 1, "y": 2}},
+])
+def test_load_config_document_messages_match_jsonschema(tmp_path, cfg):
+    # whole documents and several faults at once: both report the same fault
+    if isinstance(cfg, dict):
+        cfg = {**base_config(tmp_path), **cfg}
+    assert jsonschema_message(cfg) is not None
+    assert load_config_message(tmp_path, cfg) == jsonschema_message(cfg)
+
+
+def test_load_config_accepts_integer_valued_float(tmp_path):
+    # JSON Schema counts 2.0 as an integer
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["n"] = 2.0
+    assert jsonschema_message(cfg) is None
+    assert cli.load_config(write_config(tmp_path, cfg))["oscillator"]["n"] == 2.0
+
+
+README_CONFIG = {
+    "oscillator": {"n": 2, "m": 2,
+                   "Theta": [[0.0, 1.0], [-1.0, 0.0]],
+                   "R": [[1.0, 0.0], [0.0, 1.0]],
+                   "M": [[1.0, 0.0], [0.0, 1.0]],
+                   "T": 1.0, "theta": 0.348},
+    "grid": {"panels": 8, "nodes_per_panel": 16},
+    "eigen": {"capture_fraction": 0.99},
+    "qef": {"theta_list": [0.0, 0.348, 0.87]},
+    "mc": {"samples": 100000, "seed": 0, "batch": 100},
+    "fock": {"N": 40, "omega_list": [0.1, 0.2], "quad_order": 40},
+    "output_dir": "out",
+}
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON document: the root, each key and each index."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-5, 20)
+                | st.sampled_from([2 ** 64 - 1, 2 ** 64, -(2 ** 70), 0.0, -0.0, 1.0, 2.0,
+                                   0.5, 0.99, 1e300, -1e-300])
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=3))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _mutated_readme_config(draw):
+    """The README config with one location replaced, deleted, or given a new
+    key (an object) or wrapped in a list (any other value)."""
+    doc = {"": copy.deepcopy(README_CONFIG)}
+    path = draw(st.sampled_from(list(_paths(doc[""], ("",)))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    op, last = draw(st.sampled_from(["replace", "delete", "add"])), path[-1]
+    if op == "replace":
+        parent[last] = draw(_JSON)
+    elif op == "delete" and parent is not doc:
+        del parent[last]
+    elif isinstance(parent[last], dict):
+        parent[last][draw(st.text(max_size=8))] = draw(_JSON)
+    else:
+        parent[last] = [parent[last]]
+    return doc[""]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_mutated_readme_config())
+def test_load_config_agrees_with_jsonschema_on_mutations(tmp_path, cfg):
+    # rejects exactly what Draft202012Validator rejects, with best_match's
+    # text, for single- and multi-fault configs alike
+    faults = list(Draft202012Validator(SCHEMA).iter_errors(cfg))
+    got = load_config_message(tmp_path, cfg)
+    if faults:
+        assert got == jsonschema_message(cfg)
+    else:
+        thetas = cfg.get("qef", {}).get("theta_list", [])
+        assert got is None or (got == "qef.theta_list must be sorted ascending"
+                               and thetas != sorted(thetas))
+
+
+def _subschemas(schema):
+    yield schema
+    for key in ("properties", "$defs"):
+        for sub in schema.get(key, {}).values():
+            yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_checker_implements_every_schema_keyword():
+    # the checker raises on a keyword it does not implement, whatever the
+    # value; run it over every subschema so a schema edit cannot be ignored
+    subs = list(_subschemas(SCHEMA))
+    assert {"$ref", "exclusiveMaximum", "minLength"} <= {key for sub in subs for key in sub}
+    for sub in subs:
+        for value in (None, True, 0, 0.5, "", "x", [], [[0.0]], {}, {"x": 1}):
+            list(cli._violations(value, sub, SCHEMA["$defs"]))
+    for unknown in ({"pattern": "^a"}, {"additionalProperties": {"type": "string"}}):
+        with pytest.raises(ValueError, match="unimplemented schema keyword"):
+            list(cli._violations("a", unknown, {}))
+    with pytest.raises(KeyError):
+        list(cli._violations([], {"$ref": "#/properties/grid"}, SCHEMA["$defs"]))
 
 
 def test_load_config_unsorted_thetas(tmp_path):
@@ -296,3 +452,40 @@ def test_out_override(tmp_path):
                      "--out", str(override)]) == 0
     assert (override / "model.csv").exists()
     assert not (tmp_path / "configured" / "model.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])
+def test_ragged_matrix_is_a_schema_violation(tmp_path, capsys, command):
+    # the schema cannot say "rectangular"; the CLI must still exit 2, naming the field
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["R"] = [[1.0], [0.0, 1.0]]
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SchemaViolation",
+                   "message": "oscillator/R: rows must all have the same length"}
+
+
+def test_huge_theta_diverges_instead_of_overflowing(tmp_path):
+    # theta^2 overflows a Python float; the row must read diverged, not raise
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.348, 1e300]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["qef", "--config", path]) == 0
+    _, rows = read_rows(tmp_path / "qef.csv")
+    assert [r[5] == "diverged" for r in rows] == [False, True]
+    assert rows[1][6] == "diverged"
+    assert cli.main(["validate", "--config", path]) == 0
+    _, rows = read_rows(tmp_path / "mc.csv")
+    assert [float(r[0]) for r in rows] == [0.348, 0.348]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_output_dir_that_is_a_file(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    path = write_config(tmp_path, base_config(taken))
+    assert cli.main([command, "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaViolation"
+    assert err["message"].startswith("cannot create output directory: ")

@@ -18,9 +18,11 @@ def test_all_names_resolve():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the CLI must start without it
+    # scipy and jsonschema are test-only dependencies; the CLI must start without them
+    banned = ("scipy", "jsonschema", "jsonschema_specifications", "referencing", "rpds",
+              "attr", "attrs")
     code = ("import sys, qeflab.cli; "
-            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+            f"print(sorted(k for k in sys.modules if k.split('.')[0] in {banned!r}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
