@@ -23,7 +23,7 @@ from . import model
 from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
 from .errors import QeflabError, SchemaViolation
 from .kernels import KernelContext, make_context
-from .mc import McConfig, estimate_qef_mc
+from .mc import McConfig, estimate_qef_mc_many
 from .qef import SpectralCache, compute_qef
 from .qkl import build_qkl
 from .quadrature import make_grid
@@ -130,7 +130,7 @@ def _spec_from(cfg: dict) -> model.OscillatorSpec:
         if len({len(row) for row in osc[key]}) > 1:
             raise SchemaViolation(f"oscillator/{key}: rows must all have the same length")
     return model.OscillatorSpec(
-        n=osc["n"], m=osc["m"],
+        n=int(osc["n"]), m=int(osc["m"]),
         Theta=np.array(osc["Theta"], dtype=float),
         R=np.array(osc["R"], dtype=float),
         M=np.array(osc["M"], dtype=float),
@@ -140,8 +140,8 @@ def _spec_from(cfg: dict) -> model.OscillatorSpec:
 
 def _context_from(cfg: dict) -> KernelContext:
     spec = _spec_from(cfg)
-    grid = make_grid(spec.T, panels=cfg["grid"]["panels"],
-                     order=cfg["grid"]["nodes_per_panel"])
+    grid = make_grid(spec.T, panels=int(cfg["grid"]["panels"]),
+                     order=int(cfg["grid"]["nodes_per_panel"]))
     return make_context(spec, grid)
 
 
@@ -153,10 +153,9 @@ def _require(cfg: dict, section: str) -> dict:
 
 def _basis_from(cfg: dict, ctx: KernelContext) -> SpectralBasis:
     eig = _require(cfg, "eigen")
-    kwargs = {}
-    for key in ("omega_min", "omega_max", "samples"):
-        if key in eig:
-            kwargs[key] = eig[key]
+    kwargs = {key: eig[key] for key in ("omega_min", "omega_max") if key in eig}
+    if "samples" in eig:
+        kwargs["samples"] = int(eig["samples"])
     return build_basis(ctx, eig["capture_fraction"], **kwargs)
 
 
@@ -241,30 +240,33 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
     mc.csv but do not set the exit code: with KURTOSIS_LIMIT = 10, an
     ordinary last-bit change can move a borderline route (kurtosis near
     10 on the README oscillator at theta = 0.87) across the limit.
+    Every theta is estimated from the same draws, so the rows are
+    correlated across theta and the per-theta verdicts are not
+    independent.
     """
     ctx = _context_from(cfg)
     basis = _basis_from(cfg, ctx)
     thetas = _require(cfg, "qef")["theta_list"]
     mc_cfg = _require(cfg, "mc")
     if seed is None:
-        seed = mc_cfg["seed"]
-    config = McConfig(samples=mc_cfg["samples"], seed=seed,
-                      batch=mc_cfg.get("batch", 100),
-                      increments_per_panel=mc_cfg.get("increments_per_panel", 8))
+        seed = int(mc_cfg["seed"])
+    config = McConfig(samples=int(mc_cfg["samples"]), seed=seed,
+                      batch=int(mc_cfg.get("batch", 100)),
+                      increments_per_panel=int(mc_cfg.get("increments_per_panel", 8)))
     P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
     qkls = [build_qkl(basis, theta) for theta in thetas]
     cache = SpectralCache(ctx, qkls[0], P0)
+    reps = [compute_qef(ctx, qkl, P0, cache=cache) for qkl in qkls]
+    # only subcritical thetas are testable; one Monte-Carlo pass serves them all
+    tested = [i for i, rep in enumerate(reps) if rep.xi is not None]
+    results = estimate_qef_mc_many(ctx, [qkls[i] for i in tested], P0, config, cache=cache)
     rows = []
     passed = True
-    for theta, qkl in zip(thetas, qkls):
-        rep = compute_qef(ctx, qkl, P0, cache=cache)
-        if rep.xi is None:
-            continue                      # only subcritical thetas are testable
-        result = estimate_qef_mc(ctx, qkl, P0, config, cache=cache)
+    for i, result in zip(tested, results):
         for name, est in (("Z", result.z), ("N", result.n)):
-            rows.append([theta, name, est.mean, est.stderr, est.n_eff,
+            rows.append([thetas[i], name, est.mean, est.stderr, est.n_eff,
                          est.diverged_fraction, seed, est.unreliable, est.kurtosis])
-            passed = passed and abs(est.mean - rep.xi) <= 3.0 * est.stderr
+            passed = passed and abs(est.mean - reps[i].xi) <= 3.0 * est.stderr
     _write_csv(out / "mc.csv",
                ["theta", "estimator", "mean", "stderr", "n_eff",
                 "diverged_fraction", "seed", "unreliable", "kurtosis"], rows)
@@ -274,8 +276,9 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
 
 def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
     fcfg = _require(cfg, "fock")
-    pair = fockmod.build_pair(fcfg["N"])
-    quad_order = fcfg["quad_order"]
+    N = int(fcfg["N"])
+    pair = fockmod.build_pair(N)
+    quad_order = int(fcfg["quad_order"])
     step = fcfg.get("ode_step", 1e-3)
     corner_tol = fcfg.get("corner_tol")
     rows = []
@@ -286,7 +289,7 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
         sigma = fockmod.sigma_from_omega(omega)
         ode = fockmod.verify_ode(pair, [sigma], quad_order=quad_order,
                                  step=step).max_residual
-        rows.append([fcfg["N"], omega, quad_order, err, ode])
+        rows.append([N, omega, quad_order, err, ode])
         if corner_tol is not None:
             passed = passed and err <= corner_tol
     _write_csv(out / "fock.csv",

@@ -17,8 +17,13 @@ of PK, which is not small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
 batches run serially in index order, so estimates are seed-determined.
-Each batch is a handful of matrix products on geometry flattened once
-per theta; the N-route path factor is built once per run, by the cache.
+Theta enters only through a few scalars per retained mode, so the
+increment geometry, the N-route path factor and each batch's draws are
+theta-independent: estimate_qef_mc_many builds the geometry once per
+run, draws each batch once and weights it for every theta.  Every theta
+of one run is thus estimated from the same draws (common random
+numbers): its estimates are correlated across theta, and each equals
+what estimate_qef_mc returns for that theta alone.
 """
 
 from __future__ import annotations
@@ -103,25 +108,48 @@ def _batch_sizes(samples: int, batches: int) -> np.ndarray:
     return sizes
 
 
-class _Estimator:
-    """Precomputed geometry for one theta, shared by all batches."""
+@dataclass(frozen=True, eq=False)
+class _ThetaTerms:
+    """The per-theta scalars that weight a batch's draws."""
+
+    theta: float
+    C: float
+    corr: np.ndarray               # (2r,) Z-route corrections 1 - sqrt(tanhc(theta omega_k))
+    tanc_m1: np.ndarray            # (2r,) N-route K action tanhc(theta omega_k) - 1
+    variance_finite: bool
+
+
+def _theta_terms(qkl: QklBasis, cache: SpectralCache) -> _ThetaTerms:
+    """Per-theta scalars; refuses a theta at which the estimator mean diverges."""
+    theta = qkl.theta
+    sr = float(cache.lambdas(theta)[0]) if cache.mu.size else 0.0
+    if theta > 0.0 and theta * sr >= 1.0:
+        crit = find_critical_theta(cache)
+        raise SupercriticalTheta(
+            f"theta={theta:.6g} is at or beyond the critical value "
+            f"{crit:.6g}; the estimator mean diverges")
+    return _ThetaTerms(theta=theta, C=compute_C(qkl.basis, theta)[0],
+                       corr=np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2),
+                       tanc_m1=np.repeat(qkl.tanc_values - 1.0, 2),
+                       variance_finite=2.0 * theta * sr < 1.0)
+
+
+def _exp_mean(expo: np.ndarray) -> tuple[float, int]:
+    """Mean of exp(expo) under the overflow clip, and the number of clipped samples."""
+    clipped = int(np.sum(expo > OVERFLOW_LOG))
+    return float(np.mean(np.exp(np.minimum(expo, OVERFLOW_LOG)))), clipped
+
+
+class _Geometry:
+    """Theta-independent geometry, shared by every batch and theta of a run.
+
+    Of the qkl basis it reads only the grid and hk, which are the same
+    for every theta.
+    """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray, cfg: McConfig,
-                 cache: SpectralCache | None = None):
+                 cache: SpectralCache):
         grid = ctx.grid
-        theta = qkl.theta
-        self.theta = theta
-        if cache is None:
-            cache = SpectralCache(ctx, qkl, P0)
-        sr = float(cache.lambdas(theta)[0]) if cache.mu.size else 0.0
-        if theta > 0.0 and theta * sr >= 1.0:
-            crit = find_critical_theta(cache)
-            raise SupercriticalTheta(
-                f"theta={theta:.6g} is at or beyond the critical value "
-                f"{crit:.6g}; the estimator mean diverges")
-        self.variance_finite = 2.0 * theta * sr < 1.0
-        self.C = compute_C(qkl.basis, theta)[0]
-
         # Z-route geometry: uniform increment grid, midpoint kernel; the
         # midpoint rule is the one-node Gauss-Legendre rule on m panels.
         # Both routes' matrices are flat: rows index (increment or node,
@@ -136,36 +164,32 @@ class _Estimator:
         self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
         Pm = kernel_on_grid(ctx.sys.A, mids, P0)                              # (m, m, n, n)
         self.Pm = Pm.transpose(0, 2, 1, 3).reshape(m * ctx.n, m * ctx.n)      # (m n, m n)
-        self.corr = np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2)              # (2r,)
 
         # N-route geometry: node-block covariance factor and K action
         self.factor = cache.path_factor                                       # (N n, N n)
         hkw = qkl.hk * grid.weights[None, :, None, None]                      # (r, N, n, 2)
         self.hkw = hkw.transpose(1, 2, 0, 3).reshape(grid.size * ctx.n, -1)   # (N n, 2r)
         self.w = np.repeat(grid.weights, ctx.n)                               # (N n,)
-        self.tanc_m1 = np.repeat(qkl.tanc_values - 1.0, 2)                    # (2r,)
 
-    def run_batch(self, size: int, seed: np.random.SeedSequence):
+    def run_batch(self, size: int, seed: np.random.SeedSequence,
+                  terms: list[_ThetaTerms]) -> list[tuple]:
+        """One batch, drawn once: per theta ((z_mean, z_clipped), (n_mean, n_clipped))."""
         rng = np.random.default_rng(seed)
-        theta = self.theta
-
         dW = rng.standard_normal((size, self.dH.shape[0])) * np.sqrt(self.dt)
         # project with the same cell integrals dH that the correction term
         # applies; a pointwise-h projection completes to a different covariance
         zeta = dW @ self.dH / self.dt
-        dZ = dW - (zeta * self.corr) @ self.dH.T
-        q_z = np.einsum('si,si->s', dZ @ self.Pm, dZ)
-
         paths = rng.standard_normal((size, self.factor.shape[0])) @ self.factor.T
-        proj = paths @ self.hkw
-        q_n = paths ** 2 @ self.w + 2.0 * (proj ** 2 @ self.tanc_m1)
+        proj2 = (paths @ self.hkw) ** 2
+        base = paths ** 2 @ self.w
 
         out = []
-        for q in (q_z, q_n):
-            expo = -self.C + 0.5 * theta * q
-            clipped = int(np.sum(expo > OVERFLOW_LOG))
-            out.append((float(np.mean(np.exp(np.minimum(expo, OVERFLOW_LOG)))), clipped))
-        return out[0], out[1]
+        for t in terms:
+            dZ = dW - (zeta * t.corr) @ self.dH.T
+            q_z = np.einsum('si,si->s', dZ @ self.Pm, dZ)
+            q_n = base + 2.0 * (proj2 @ t.tanc_m1)
+            out.append(tuple(_exp_mean(-t.C + 0.5 * t.theta * q) for q in (q_z, q_n)))
+        return out
 
 
 def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
@@ -190,6 +214,41 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                       kurtosis=kurt)
 
 
+def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarray,
+                         cfg: McConfig, cache: SpectralCache | None = None
+                         ) -> list[QefMcResult]:
+    """Both Monte-Carlo routes to the functional at every theta of qkls.
+
+    The qkl bases must share one spectral basis.  The geometry is built
+    once and each batch is drawn once, then weighted for every theta, so
+    all thetas see the same draws and their estimates are correlated;
+    each result equals what estimate_qef_mc returns for its theta alone.
+    Refuses the run if any theta is supercritical.  One batch is held
+    in memory at a time.
+    """
+    if not qkls:
+        return []
+    if any(q.basis is not qkls[0].basis for q in qkls):
+        raise InvalidParameter("qkl bases of one Monte-Carlo run must share one spectral basis")
+    if not np.array_equal(qkls[0].grid.nodes, ctx.grid.nodes):
+        raise GridMismatch("qkl basis and kernel context use different grids")
+    if cache is None:
+        cache = SpectralCache(ctx, qkls[0], P0)
+    terms = [_theta_terms(q, cache) for q in qkls]
+    geom = _Geometry(ctx, qkls[0], P0, cfg, cache)
+    sizes = _batch_sizes(cfg.samples, cfg.batch)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
+    batches = [geom.run_batch(int(size), seed, terms) for size, seed in zip(sizes, seeds)]
+
+    results = []
+    for i, t in enumerate(terms):
+        z, n = (_aggregate(np.array([b[i][route][0] for b in batches]), sizes,
+                           sum(b[i][route][1] for b in batches), t.variance_finite)
+                for route in (0, 1))
+        results.append(QefMcResult(theta=t.theta, z=z, n=n, seed=cfg.seed))
+    return results
+
+
 def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
                     cfg: McConfig, theta: float | None = None,
                     cache: SpectralCache | None = None) -> QefMcResult:
@@ -202,20 +261,4 @@ def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     """
     if theta is not None and theta != qkl.theta:
         qkl = build_qkl(qkl.basis, theta)
-    if not np.array_equal(qkl.grid.nodes, ctx.grid.nodes):
-        raise GridMismatch("qkl basis and kernel context use different grids")
-    est = _Estimator(ctx, qkl, P0, cfg, cache)
-    sizes = _batch_sizes(cfg.samples, cfg.batch)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
-    results = [est.run_batch(int(size), seed) for size, seed in zip(sizes, seeds)]
-
-    z_means = np.array([r[0][0] for r in results])
-    z_clip = sum(r[0][1] for r in results)
-    n_means = np.array([r[1][0] for r in results])
-    n_clip = sum(r[1][1] for r in results)
-    return QefMcResult(
-        theta=qkl.theta,
-        z=_aggregate(z_means, sizes, z_clip, est.variance_finite),
-        n=_aggregate(n_means, sizes, n_clip, est.variance_finite),
-        seed=cfg.seed,
-    )
+    return estimate_qef_mc_many(ctx, [qkl], P0, cfg, cache)[0]

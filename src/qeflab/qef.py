@@ -77,9 +77,10 @@ class SpectralCache:
     sqrt(K) spectrally.  Nothing here depends on theta: of the qkl basis
     it reads only the grid, hk and omegas, which are the same for every
     theta, so one instance built from any theta's basis serves them all.
-    The CLI builds one per run and passes it to every compute_qef and
-    estimate_qef_mc call.  path_factor, the node covariance root the
-    Monte-Carlo N-route samples with, is built on first use only.
+    The CLI builds one per run and passes it to every compute_qef call
+    and to its one Monte-Carlo pass over all thetas.  path_factor, the
+    node covariance root the Monte-Carlo N-route samples with, is built
+    on first use only.  lambdas are computed once per theta and kept.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
@@ -101,6 +102,7 @@ class SpectralCache:
         self.omegas = qkl.omegas
         self.mu = np.linalg.eigvalsh(self.P)[::-1]
         clip_psd(self.mu, "covariance matrix")
+        self._lambdas = {}
 
     @cached_property
     def path_factor(self) -> np.ndarray:
@@ -108,17 +110,21 @@ class SpectralCache:
         return _path_factor(self.cov_grid)
 
     def lambdas(self, theta: float) -> np.ndarray:
-        """Eigenvalues of sqrt(K) P sqrt(K) at one theta, descending."""
+        """Eigenvalues of sqrt(K) P sqrt(K) at one theta, descending, read-only."""
         if theta < 0.0:
             raise InvalidParameter(f"theta must be nonnegative, got {theta}")
+        if theta in self._lambdas:
+            return self._lambdas[theta]
         scale = np.sqrt(tanhc(theta * np.repeat(self.omegas, 2))) - 1.0
         UP = self.modes.T @ self.P
         X = self.P + self.modes @ (scale[:, None] * UP)
         X = X + (UP.T * scale[None, :]) @ self.modes.T \
             + self.modes @ ((scale[:, None] * (UP @ self.modes)) * scale[None, :]) @ self.modes.T
         X = 0.5 * (X + X.T)
-        evals = np.linalg.eigvalsh(X)[::-1]
-        return clip_psd(evals, "sqrt(K) P sqrt(K)")
+        evals = clip_psd(np.linalg.eigvalsh(X)[::-1], "sqrt(K) P sqrt(K)")
+        evals.flags.writeable = False
+        self._lambdas[theta] = evals
+        return evals
 
 
 def compute_C(basis, theta: float) -> tuple[float, float]:

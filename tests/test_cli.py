@@ -356,6 +356,48 @@ def test_validate_readme_config(tmp_path, capsys):
     assert all(float(r[2]) == 1.0 and float(r[3]) == 0.0 for r in rows[:2])
 
 
+def test_validate_shares_draws_and_skips_supercritical(tmp_path):
+    # one Monte-Carlo pass serves every subcritical theta of the list; the
+    # supercritical one is skipped, and every row equals the row of a run
+    # over its theta alone
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.348, 0.87, 15.0]
+    assert cli.main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    _, rows = read_rows(tmp_path / "mc.csv")
+    assert [(float(r[0]), r[1]) for r in rows] == [
+        (0.348, "Z"), (0.348, "N"), (0.87, "Z"), (0.87, "N")]
+    for theta in (0.348, 0.87):
+        one = {**cfg, "qef": {"theta_list": [theta]}, "output_dir": str(tmp_path / str(theta))}
+        assert cli.main(["validate", "--config", write_config(tmp_path, one, f"{theta}.json")]) == 0
+        _, one_rows = read_rows(tmp_path / str(theta) / "mc.csv")
+        assert one_rows == [r for r in rows if float(r[0]) == theta]
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    ("oscillator", "n", 2, "eigen"),
+    ("oscillator", "m", 2, "model-check"),
+    ("grid", "panels", 8, "qef"),
+    ("grid", "nodes_per_panel", 16, "eigen"),
+    ("eigen", "samples", 400, "eigen"),
+    ("mc", "samples", 400, "validate"),
+    ("mc", "batch", 20, "validate"),
+    ("mc", "seed", 11, "validate"),
+    ("mc", "increments_per_panel", 8, "validate"),
+    ("fock", "N", 8, "fock"),
+    ("fock", "quad_order", 12, "fock"),
+])
+def test_integer_valued_float_runs_as_integer(tmp_path, section, key, value, command):
+    # JSON Schema accepts 8.0 as an integer, so the CLI must run it as 8
+    outputs = []
+    for kind in (int, float):
+        cfg = base_config(tmp_path / kind.__name__)
+        cfg[section][key] = kind(value)
+        path = write_config(tmp_path, cfg, f"{kind.__name__}.json")
+        assert cli.main([command, "--config", path]) == 0
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / kind.__name__).iterdir()})
+    assert outputs[0] == outputs[1]
+
+
 def test_validate_rejects_samples_below_two_batches(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["mc"] = {"samples": 150, "seed": 0, "batch": 100}

@@ -1,5 +1,8 @@
 """Monte-Carlo estimators: path factor, batch geometry, determinism, and route agreement."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import dense_kernel
@@ -80,12 +83,18 @@ def test_estimate_deterministic_across_threads(ctx, qkl348, state):
     assert a.seed == cfg.seed
 
 
+def _geometry(ctx, qkl, state):
+    cache = qef.SpectralCache(ctx, qkl, state.P0)
+    cfg = mc.McConfig(samples=200, seed=0, batch=100)
+    return mc._Geometry(ctx, qkl, state.P0, cfg, cache), mc._theta_terms(qkl, cache)
+
+
 @pytest.mark.parametrize("theta", [0.348, 0.87])
 def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     # the flat matrix products of run_batch against the per-index
     # einsum forms of the same quadratic forms, on the same draws
     qkl = build_qkl(basis, theta)
-    est = mc._Estimator(ctx, qkl, state.P0, mc.McConfig(samples=200, seed=0, batch=100))
+    est, terms = _geometry(ctx, qkl, state)
     n, r, N = ctx.n, qkl.hk.shape[0], ctx.grid.size
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
@@ -102,10 +111,36 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     base = np.einsum('sai,a,sai->s', paths, w, paths)
     proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
     q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
-    (z_mean, _), (n_mean, _) = est.run_batch(50, seed)
+    [((z_mean, _), (n_mean, _))] = est.run_batch(50, seed, [terms])
     for q, mean in ((q_z, z_mean), (q_n, n_mean)):
-        ref = float(np.mean(np.exp(-est.C + 0.5 * theta * q)))
+        ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
         assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _fields(result):
+    return (result.theta, result.seed,
+            *[getattr(est, f.name) for est in (result.z, result.n)
+              for f in dataclasses.fields(est)])
+
+
+def test_many_thetas_match_separate_calls(ctx, basis, state):
+    # every theta of one pass sees the same draws as a one-theta call, so
+    # the shared geometry and draws must not move a single bit
+    cfg = mc.McConfig(samples=400, seed=7, batch=20)
+    qkls = [build_qkl(basis, theta) for theta in (0.0, 0.348, 0.87)]
+    many = mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg)
+    assert len(many) == len(qkls)
+    for qkl, got in zip(qkls, many):
+        assert _fields(got) == _fields(mc.estimate_qef_mc(ctx, qkl, state.P0, cfg))
+    assert mc.estimate_qef_mc_many(ctx, [], state.P0, cfg) == []
+
+
+def test_many_thetas_need_one_basis(ctx, basis, state):
+    other = copy.copy(basis)
+    cfg = mc.McConfig(samples=200, seed=0, batch=100)
+    with pytest.raises(InvalidParameter, match="one spectral basis"):
+        mc.estimate_qef_mc_many(ctx, [build_qkl(basis, 0.348), build_qkl(other, 0.87)],
+                                state.P0, cfg)
 
 
 def test_estimate_agrees_with_closed_form(ctx, qkl348, state):
@@ -126,25 +161,24 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     theta = 0.87
     qkl = build_qkl(basis, theta)
     rep = qef.compute_qef(ctx, qkl, state.P0)
-    est = mc._Estimator(ctx, qkl, state.P0,
-                        mc.McConfig(samples=200, seed=0, batch=100))
+    est, terms = _geometry(ctx, qkl, state)
     n = ctx.n
     m = est.dH.shape[0] // n
     L = np.eye(m * n)
     for j in range(est.dH.shape[1]):
         u = est.dH[:, j]
-        L -= est.corr[j] * np.outer(u, u) / est.dt
+        L -= terms.corr[j] * np.outer(u, u) / est.dt
     Sig = est.dt * (L @ L.T)
     Pm = 0.5 * (est.Pm + est.Pm.T)
     w, V = np.linalg.eigh(Sig)
     half = V * np.sqrt(np.clip(w, 0.0, None)) @ V.T
     evs = np.linalg.eigvalsh(half @ Pm @ half)
-    xi_disc = float(np.exp(-est.C) * np.prod(1.0 - theta * evs) ** -0.5)
+    xi_disc = float(np.exp(-terms.C) * np.prod(1.0 - theta * evs) ** -0.5)
     assert xi_disc == pytest.approx(rep.xi, rel=5e-4)
 
 
 def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
-    est = mc._Estimator(ctx, qkl348, state.P0, mc.McConfig(samples=200, seed=0, batch=100))
+    est, _ = _geometry(ctx, qkl348, state)
     bounds = np.linspace(0.0, ctx.grid.T, est.dH.shape[0] // ctx.n + 1)
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     ref = dense_kernel(ctx.sys.A, state.P0, mids, mids)
@@ -154,8 +188,13 @@ def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
 
 def test_supercritical_theta_refused(ctx, qkl348, state):
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
-    with pytest.raises(SupercriticalTheta):
+    crit = qef.find_critical_theta(qef.SpectralCache(ctx, qkl348, state.P0))
+    msg = f"theta=15 is at or beyond the critical value {crit:.6g}; the estimator mean diverges"
+    with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
         mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg, theta=15.0)
+    # one supercritical theta refuses the whole pass
+    with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
+        mc.estimate_qef_mc_many(ctx, [qkl348, build_qkl(qkl348.basis, 15.0)], state.P0, cfg)
 
 
 def test_infinite_variance_flagged(ctx, qkl348, state):

@@ -86,6 +86,17 @@ def test_pk_trace_identity(cache):
         assert float(cache.lambdas(theta).sum()) == pytest.approx(tr_pk, abs=1e-10)
 
 
+def test_lambdas_computed_once_per_theta(ctx, qkl348, state):
+    # compute_qef and the Monte-Carlo supercritical check share one
+    # spectrum per theta; the kept array cannot be changed through a report
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    rep = qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
+    assert cache.lambdas(0.348) is rep.lambdas
+    assert not rep.lambdas.flags.writeable
+    with pytest.raises(ValueError):
+        rep.lambdas[0] = 0.0
+
+
 def test_lambdas_rejects_negative_theta(cache):
     with pytest.raises(InvalidParameter):
         cache.lambdas(-0.5)
