@@ -17,18 +17,11 @@ from .eigensolver import (
 )
 from .errors import QeflabError
 from .fock import TruncatedPair, build_pair, lhs_exponential, rhs_average, verify_ode
-from .kernels import KernelContext, apply_L, bvp_matrices, green_function, make_context
+from .kernels import KernelContext, apply_L, bvp_matrices, make_context
 from .mc import McConfig, McEstimate, QefMcResult, estimate_qef_mc
-from .model import (
-    OscillatorSpec,
-    SystemMatrices,
-    build_system,
-    recover_ccr,
-    solve_state_ale,
-    transform_system,
-)
+from .model import OscillatorSpec, SystemMatrices, build_system, recover_ccr, solve_state_ale
 from .qef import QefReport, compute_C, compute_qef, find_critical_theta
-from .qkl import QklBasis, apply_K, build_qkl, surrogate_covariance
+from .qkl import QklBasis, build_qkl
 from .quadrature import Grid, make_grid
 
 __version__ = "0.1.0"
@@ -48,7 +41,6 @@ __all__ = [
     "SpectralBasis",
     "SystemMatrices",
     "TruncatedPair",
-    "apply_K",
     "apply_L",
     "build_basis",
     "build_pair",
@@ -59,7 +51,6 @@ __all__ = [
     "compute_qef",
     "estimate_qef_mc",
     "find_critical_theta",
-    "green_function",
     "lhs_exponential",
     "make_context",
     "make_grid",
@@ -68,7 +59,5 @@ __all__ = [
     "rhs_average",
     "scan_eigenfrequencies",
     "solve_state_ale",
-    "surrogate_covariance",
-    "transform_system",
     "verify_ode",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from . import fock as fockmod
 from . import model
 from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
-from .errors import QeflabError, SchemaViolation
+from .errors import InvalidParameter, QeflabError, SchemaViolation
 from .kernels import KernelContext, make_context
 from .mc import McConfig, estimate_qef_mc_many
 from .qef import SpectralCache, compute_qef
@@ -284,11 +284,19 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
     rows = []
     passed = True
     for omega in fcfg["omega_list"]:
-        err = fockmod.corner_error(pair, omega, quad_order,
-                                   convergence_tol=fcfg.get("convergence_tol"))
-        sigma = fockmod.sigma_from_omega(omega)
-        ode = fockmod.verify_ode(pair, [sigma], quad_order=quad_order,
-                                 step=step).max_residual
+        # a cell that leaves the double range is one JSON error, not numpy
+        # warnings on stderr and a non-finite row
+        with np.errstate(all="ignore"):
+            err = fockmod.corner_error(pair, omega, quad_order,
+                                       convergence_tol=fcfg.get("convergence_tol"))
+            sigma = fockmod.sigma_from_omega(omega)
+            ode = fockmod.verify_ode(pair, [sigma], quad_order=quad_order,
+                                     step=step).max_residual
+        if not (np.isfinite(err) and np.isfinite(ode)):
+            raise InvalidParameter(
+                f"fock.omega_list value {omega} with fock.N = {N} and fock.quad_order = "
+                f"{quad_order} gives corner_error {err} and ode_residual {ode}: the "
+                "Gaussian average leaves the double range")
         rows.append([N, omega, quad_order, err, ode])
         if corner_tol is not None:
             passed = passed and err <= corner_tol

@@ -10,8 +10,10 @@ f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 
 Roots are located by sampling |det E| over a frequency band, refined by
 an in-house golden-section search on |det E|^2, and accepted when
-|det E(omega)| / |det G(T)| <= 1e-8.  A dense Nystrom discretization of
-L provides an independent oracle for the same spectrum.
+|det E(omega)| / |det G(T)| <= 1e-8.  The retained eigenpairs form the
+spectral basis, checked by its Gram matrix and its Mercer residual.  A
+dense Nystrom discretization of L provides an independent oracle for
+the same eigenfrequencies; it computes eigenvalues only.
 """
 
 from __future__ import annotations
@@ -76,8 +78,6 @@ class NystromResult:
 
     eigenvalues: np.ndarray   # all eigenvalues of the Hermitian -i K, ascending
     omegas: np.ndarray        # positive eigenvalues, descending
-    vectors: np.ndarray       # eigenvector columns matching `eigenvalues`
-    grid: Grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +95,6 @@ class SpectralBasis:
     @property
     def omegas(self) -> np.ndarray:
         return np.array([p.omega for p in self.pairs])
-
-
-def det_ratio(ctx: KernelContext, omega: float) -> float:
-    """|det E(omega)| normalized by |det G(T)| (scale-free root criterion)."""
-    log_g = np.linalg.slogdet(ctx.gram)[1]
-    return float(np.exp(np.linalg.slogdet(bvp_matrices(ctx, omega).E)[1] - log_g))
 
 
 def _kernel_dimension(ctx: KernelContext, omega: float) -> tuple[int, np.ndarray]:
@@ -123,7 +117,7 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     if not (0.0 < omega_min < omega_max):
         raise NonpositiveOmega(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
     if samples < 3:
-        raise NonpositiveOmega("need at least 3 scan samples")
+        raise InvalidParameter(f"eigen.samples must be at least 3, got {samples}")
     log_g = float(np.linalg.slogdet(ctx.gram)[1])
     ws = np.linspace(omega_min, omega_max, samples)
     logs = np.linalg.slogdet(bvp_matrices(ctx, ws).E)[1] - log_g
@@ -294,16 +288,9 @@ def nystrom_oracle(ctx: KernelContext) -> NystromResult:
     Kmat = K.transpose(0, 2, 1, 3).reshape(N * n, N * n)
     H = -1j * Kmat
     H = 0.5 * (H + H.conj().T)
-    evals, vecs = np.linalg.eigh(H)
+    evals = np.linalg.eigvalsh(H)
     omegas = evals[evals > 0.0][::-1]
-    return NystromResult(eigenvalues=evals, omegas=omegas, vectors=vecs, grid=grid)
-
-
-def nystrom_eigenfunction(ctx: KernelContext, result: NystromResult, index: int) -> np.ndarray:
-    """Grid eigenfunction recovered from a Nystrom eigenvector column."""
-    sw = np.sqrt(result.grid.weights)
-    v = result.vectors[:, index].reshape(result.grid.size, ctx.n)
-    return v / sw[:, None]
+    return NystromResult(eigenvalues=evals, omegas=omegas)
 
 
 def stack_hk(basis: SpectralBasis) -> np.ndarray:
@@ -395,22 +382,3 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
             "the shooting eigenfunctions are not orthonormal on this grid")
     return replace(basis, mercer_residual=_mercer_residual(ctx, basis),
                    gram_max_dev=gram_max_dev)
-
-
-def ode_residual(ctx: KernelContext, pair: EigenPair) -> float:
-    """Sup-norm residual of the second-order eigen-ODE on the grid.
-
-    Differentiates the sampled eigenfunction with the panel Legendre
-    machinery (independent of the shooting propagator) and substitutes
-    into f'' + (mho A^T mho^-1 - A) f' - mho A^T mho^-1 A f
-    - (i/omega) mho f = 0.
-    """
-    grid = ctx.grid
-    A, mho = ctx.sys.A, ctx.sys.mho
-    mAm = mho @ A.T @ ctx.mho_inv
-    f = pair.phi + 1j * pair.psi
-    fp = quadrature.differentiate(grid, f)
-    fpp = quadrature.differentiate(grid, fp)
-    resid = (fpp + fp @ (mAm - A).T - f @ (mAm @ A).T
-             - (1j / pair.omega) * f @ mho.T)
-    return float(np.max(np.abs(resid)))

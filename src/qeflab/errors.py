@@ -38,10 +38,6 @@ class SingularTheta(InputError):
     code = "SingularTheta"
 
 
-class SingularS(InputError):
-    code = "SingularS"
-
-
 class NonFinite(InputError):
     code = "NonFinite"
 
@@ -72,10 +68,6 @@ class SingularMho(QeflabError):
 
 class DeterminantIdentityViolated(QeflabError):
     code = "DeterminantIdentityViolated"
-
-
-class SingularG(QeflabError):
-    code = "SingularG"
 
 
 class NoRootsFound(QeflabError):

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidParameter, NonpositiveOmega, QuadratureUnderresolved
 
 SIGMA_SUP = np.sqrt(2.0)       # f(sigma) exists only for sigma < sqrt(2)
+LOG_MAX = float(np.log(np.finfo(float).max))   # largest x with a finite e^x
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +81,18 @@ def number_form(pair: TruncatedPair) -> np.ndarray:
 
 
 def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} through a Hermitian eigendecomposition."""
+    """e^{omega (xi^2 + eta^2)} through a Hermitian eigendecomposition.
+
+    The largest eigenvalue of xi^2 + eta^2 is 2N - 3, so an omega (2N - 3)
+    beyond the double exponent range is refused instead of overflowing.
+    """
     if omega < 0.0:
         raise NonpositiveOmega(f"need omega >= 0, got {omega}")
+    if omega * (2 * pair.N - 3) > LOG_MAX:
+        raise InvalidParameter(
+            f"fock.N = {pair.N} and fock.omega_list value {omega} give "
+            f"e^(omega (2N - 3)) = e^{omega * (2 * pair.N - 3):.6g}, beyond the "
+            f"double range e^{LOG_MAX:.6g}")
     return _herm_expm(omega * number_form(pair))
 
 
@@ -175,8 +185,8 @@ def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int = 40
         raise InvalidParameter("sigma grid must be nonempty and nonnegative")
     if sigmas.max() + step >= SIGMA_SUP:
         raise InvalidParameter(
-            f"sigma grid plus step must stay below sqrt(2), got "
-            f"{sigmas.max()} + {step}")
+            f"sigma = sqrt(2 tanh omega) of fock.omega_list plus fock.ode_step must "
+            f"stay below sqrt(2), got {sigmas.max()} + {step}")
     k = pair.N // 2
     Q = number_form(pair)
     residuals = np.empty(sigmas.size)
@@ -197,10 +207,3 @@ def sigma_from_omega(omega: float) -> float:
     if omega < 0.0:
         raise NonpositiveOmega(f"need omega >= 0, got {omega}")
     return float(np.sqrt(2.0 * np.tanh(omega)))
-
-
-def omega_from_sigma(sigma: float) -> float:
-    """Inverse map omega = (1/2) ln((1 + sigma^2/2) / (1 - sigma^2/2))."""
-    if not 0.0 <= sigma < SIGMA_SUP:
-        raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
-    return float(np.arctanh(0.5 * sigma ** 2))

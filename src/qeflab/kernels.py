@@ -18,11 +18,7 @@ value problem whose companion matrices are assembled here:
     G(T) = U e^{TF} V,  E(omega) = U e^{T D(omega)} V.
 
 G(T) obeys det G(T) = e^{-T tr A} det(-mho Theta^-1), which doubles as a
-built-in self-test of the assembly, and the kernel itself is reproduced
-by the Green-function formula
-
-    Lambda(s-t) = [I 0] (e^{sF} V G(T)^-1 U e^{(T-t)F}
-                          - chi_{[0,s]}(t) e^{(s-t)F}) [0; mho].
+built-in self-test of the assembly.
 """
 
 from __future__ import annotations
@@ -32,21 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quadrature
 from .errors import (
     DeterminantIdentityViolated,
     GridMismatch,
     NonpositiveOmega,
-    SingularG,
     SingularMho,
 )
-from .model import (
-    SINGULAR_RCOND,
-    OscillatorSpec,
-    SystemMatrices,
-    build_system,
-    reciprocal_cond,
-)
+from .model import SINGULAR_RCOND, OscillatorSpec, SystemMatrices, build_system
 from .quadrature import Grid
 
 DET_IDENTITY_RTOL = 1e-8
@@ -205,58 +193,6 @@ def apply_L(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     return np.einsum('abij,b,bj->ai', ctx.lambda_grid, ctx.grid.weights, f)
 
 
-def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided integrals (g_plus, g_minus) with g = g_plus + Theta g_minus.
-
-    g_plus(s) = int_0^s e^{(s-t)A} Theta f(t) dt   (g_plus(0) = 0),
-    g_minus(s) = int_s^T e^{(t-s)A^T} f(t) dt      (g_minus(T) = 0).
-
-    Both are propagated panel by panel with variation-of-constants
-    recursions, so this route is independent of the dense kernel
-    quadrature in apply_L and serves as its consistency check.
-    """
-    f = _check_grid_function(ctx, f)
-    grid = ctx.grid
-    A, Theta = ctx.sys.A, ctx.Theta
-    q, panels = grid.order, grid.panels
-    width = grid.T / panels
-    t_loc = grid.nodes[:q] - grid.edges[0]  # local node offsets, same in every panel
-    E_pos = expm(t_loc[:, None, None] * A)           # e^{tau A}
-    E_neg = expm(-t_loc[:, None, None] * A)          # e^{-tau A}
-    E_posT = expm(t_loc[:, None, None] * A.T)        # e^{tau A^T}
-    E_negT = expm(-t_loc[:, None, None] * A.T)       # e^{-tau A^T}
-    E_width = expm(width * A)
-    E_widthT = expm(width * A.T)
-
-    fp = f.reshape(panels, q, ctx.n)
-    dtype = np.result_type(f, float)
-    g_plus = np.empty_like(fp, dtype=dtype)
-    g_minus = np.empty_like(fp, dtype=dtype)
-
-    # Forward sweep: v = e^{-tau A} Theta f, local antiderivative, repropagate.
-    edge = np.zeros(ctx.n, dtype=dtype)
-    v = np.einsum('qij,pqj->pqi', E_neg, fp @ Theta.T)
-    v_flat = v.reshape(panels * q, ctx.n)
-    L_loc = quadrature.panel_cumulative(grid, v_flat).reshape(panels, q, ctx.n)
-    L_tot = quadrature.panel_totals(grid, v_flat)
-    for p in range(panels):
-        g_plus[p] = np.einsum('qij,qj->qi', E_pos, edge[None, :] + L_loc[p])
-        edge = E_width @ (edge + L_tot[p])
-
-    # Backward sweep: w = e^{tau A^T} f, complementary antiderivative.
-    edge = np.zeros(ctx.n, dtype=dtype)
-    wv = np.einsum('qij,pqj->pqi', E_posT, fp)
-    wv_flat = wv.reshape(panels * q, ctx.n)
-    C_loc = quadrature.panel_cumulative(grid, wv_flat).reshape(panels, q, ctx.n)
-    C_tot = quadrature.panel_totals(grid, wv_flat)
-    for p in range(panels - 1, -1, -1):
-        carried = E_widthT @ edge + C_tot[p]
-        g_minus[p] = np.einsum('qij,qj->qi', E_negT, carried[None, :] - C_loc[p])
-        edge = carried
-
-    return g_plus.reshape(f.shape), g_minus.reshape(f.shape)
-
-
 class BvpMatrices(NamedTuple):
     D: np.ndarray
     E: np.ndarray
@@ -300,25 +236,3 @@ def green_gram(ctx: KernelContext, T: float | None = None) -> np.ndarray:
         raise DeterminantIdentityViolated(
             f"det G({T}) deviates from e^(-T tr A) det(-mho Theta^-1) by {rel:.3e} relative")
     return G
-
-
-def green_function(ctx: KernelContext, s: float, t: float) -> np.ndarray:
-    """Commutator kernel reconstructed from the Green-function formula.
-
-    Must coincide with the kernel Lambda(s - t) = e^{(s-t)A} Theta
-    (s >= t) or Theta e^{(t-s)A^T} (s < t); the indicator term
-    e^{(s-t)F} enters only for t <= s.
-    """
-    T = ctx.grid.T
-    if not (0.0 <= s <= T and 0.0 <= t <= T):
-        raise GridMismatch(f"(s, t) must lie in [0, {T}]^2")
-    n = ctx.n
-    G = ctx.gram
-    if reciprocal_cond(G) < SINGULAR_RCOND:
-        raise SingularG("G(T) is numerically singular")
-    right = ctx.U @ expm((T - t) * ctx.F)
-    X = expm(s * ctx.F) @ ctx.V @ np.linalg.solve(G, right)
-    if t <= s:
-        X = X - expm((s - t) * ctx.F)
-    # [I 0] ... [0; mho] selects the upper-right n x n block times mho.
-    return X[:n, n:] @ ctx.sys.mho

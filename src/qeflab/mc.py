@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernels import KernelContext, kernel_on_grid
 from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
-from .qkl import Hk_at, QklBasis, build_qkl
+from .qkl import Hk_at, QklBasis
 from .quadrature import Grid
 
 KURTOSIS_LIMIT = 10.0          # excess kurtosis of batch means beyond this flags the run
@@ -250,15 +250,12 @@ def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarra
 
 
 def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
-                    cfg: McConfig, theta: float | None = None,
-                    cache: SpectralCache | None = None) -> QefMcResult:
-    """Both Monte-Carlo routes to the functional at one theta.
+                    cfg: McConfig, cache: SpectralCache | None = None) -> QefMcResult:
+    """Both Monte-Carlo routes to the functional at qkl.theta.
 
     Refuses supercritical theta (the estimator mean would be infinite).
     Deterministic for a fixed seed: batches draw from spawned substreams
     and run in index order.  cache, a SpectralCache for the same context
     and state, saves rebuilding one per call.
     """
-    if theta is not None and theta != qkl.theta:
-        qkl = build_qkl(qkl.basis, theta)
     return estimate_qef_mc_many(ctx, [qkl], P0, cfg, cache)[0]

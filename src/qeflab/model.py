@@ -22,7 +22,7 @@ invariant Gaussian state from A P0 + P0 A^T + B B^T = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     NonFinite,
     NotAntisymmetric,
     NotHurwitz,
-    SingularS,
     SingularTheta,
 )
 
@@ -212,23 +211,3 @@ def solve_state_ale(A: np.ndarray, B: np.ndarray) -> GaussianStateData:
     P0 = 0.5 * (X + X.T)
     clip_psd(np.linalg.eigvalsh(P0), "state covariance")
     return GaussianStateData(P0=P0)
-
-
-def transform_system(spec: OscillatorSpec, S: np.ndarray) -> OscillatorSpec:
-    """Coordinate change X -> S X: Theta -> S Theta S^T, R -> S^-T R S^-1, M -> M S^-1.
-
-    The derived matrices then transform by similarity, A -> S A S^-1,
-    and B -> S B, leaving the realizability identity intact.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.shape != (spec.n, spec.n):
-        raise SingularS(f"S must be {spec.n} x {spec.n}, got {S.shape}")
-    if reciprocal_cond(S) < SINGULAR_RCOND:
-        raise SingularS("S is singular or numerically rank deficient")
-    S_inv = np.linalg.inv(S)
-    return replace(
-        spec,
-        Theta=S @ spec.Theta @ S.T,
-        R=S_inv.T @ spec.R @ S_inv,
-        M=spec.M @ S_inv,
-    )

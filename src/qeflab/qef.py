@@ -37,8 +37,6 @@ class QefReport:
     modes.  xi is None when theta * spectral_radius >= 1 (the product
     diverges); xi_classical is the K = I formula from the eigenvalues of
     the discretized P alone, None when theta * max mu >= 1.
-    tail_lambda_trace bounds the trace of the neglected part of PK from
-    the truncation of K.
 
     theta_critical is 1 / spectral_radius at this report's theta; since
     K itself depends on theta it is a local estimate, exact only at the
@@ -53,7 +51,6 @@ class QefReport:
     theta_critical: float
     xi: float | None
     xi_classical: float | None
-    tail_lambda_trace: float
 
 
 def _path_factor(blocks: np.ndarray) -> np.ndarray:
@@ -180,16 +177,15 @@ def _log_product(theta: float, evals: np.ndarray) -> float | None:
 
 
 def compute_qef(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
-                theta: float | None = None,
                 cache: SpectralCache | None = None) -> QefReport:
-    """Evaluate the closed-form functional and its ingredients at theta.
+    """Evaluate the closed-form functional and its ingredients at qkl.theta.
 
     Never raises for a supercritical theta: the report carries xi = None
     and the critical value so callers can rescale.
     """
     if cache is None:
         cache = SpectralCache(ctx, qkl, P0)
-    th = qkl.theta if theta is None else float(theta)
+    th = qkl.theta
     lambdas = cache.lambdas(th)
     sr = float(lambdas[0]) if lambdas.size else 0.0
     th_crit = 1.0 / sr if sr > 0.0 else np.inf
@@ -200,10 +196,6 @@ def compute_qef(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     log_cl = _log_product(th, cache.mu)
     xi_classical = None if log_cl is None else float(np.exp(min(log_cl, OVERFLOW_LOG)))
 
-    hs_tail = max(qkl.basis.hs_total - qkl.basis.hs_captured, 0.0)
-    tail_trace = float(cache.mu[0]) * (th * th) * hs_tail / 6.0 if cache.mu.size else 0.0
-
     return QefReport(theta=th, C=C, tail_C=tail_C, lambdas=lambdas,
                      spectral_radius=sr, theta_critical=th_crit,
-                     xi=xi, xi_classical=xi_classical,
-                     tail_lambda_trace=tail_trace)
+                     xi=xi, xi_classical=xi_classical)

@@ -3,10 +3,10 @@
 The time interval is split into equal panels with a Gauss-Legendre rule
 of fixed order on each.  All integral operators in the package share one
 such grid, so grid functions are plain arrays whose leading axis runs
-over the nodes.  Besides plain integration the module provides panel-wise
-Legendre-series antiderivatives (for cumulative integrals, exact on the
-interpolating polynomial and evaluable anywhere in [0, T]) and spectral
-differentiation, both built from per-order reference matrices on [-1, 1].
+over the nodes.  Besides plain integration and inner products the module
+evaluates running integrals anywhere in [0, T] through panel-wise
+Legendre-series antiderivatives, exact on each panel's interpolating
+polynomial.
 """
 
 from __future__ import annotations
@@ -66,25 +66,6 @@ def make_grid(T: float, panels: int = 8, order: int = 16) -> Grid:
                 nodes=nodes, weights=weights, edges=edges)
 
 
-@lru_cache(maxsize=None)
-def _reference_ops(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference matrices on [-1, 1] for a Gauss-Legendre rule of given order.
-
-    Returns (S, D, x) where S[i, j] = integral of the j-th Lagrange basis
-    polynomial from -1 to x_i, D[i, j] = its derivative at x_i, and x the
-    nodes.  Exact for polynomials of degree < order.
-    """
-    x, _ = legendre.leggauss(order)
-    # Columns of inv(Vandermonde) are Legendre coefficients of the Lagrange basis.
-    vand = legendre.legvander(x, order - 1)
-    coeffs = np.linalg.inv(vand)  # (order, order): [degree, basis index]
-    anti = legendre.legint(coeffs, lbnd=-1)
-    # legval with multi-dim coefficients returns shape c.shape[1:] + x.shape.
-    S = legendre.legval(x, anti).T
-    D = legendre.legval(x, legendre.legder(coeffs)).T
-    return S, D, x
-
-
 def _panel_view(grid: Grid, values: np.ndarray) -> np.ndarray:
     if values.shape[0] != grid.size:
         raise GridMismatch(
@@ -113,21 +94,6 @@ def inner(grid: Grid, f: np.ndarray, g: np.ndarray):
 
 def norm(grid: Grid, f: np.ndarray) -> float:
     return float(np.sqrt(inner(grid, f, f).real))
-
-
-def cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Running integral t -> integral of f from 0 to t, sampled at the nodes.
-
-    Uses the panel Legendre antiderivative, exact for the per-panel
-    interpolating polynomial, so the result is spectrally accurate for
-    smooth integrands.
-    """
-    local = _panel_view(grid, panel_cumulative(grid, values))
-    totals = panel_totals(grid, values)
-    offsets = np.concatenate([np.zeros((1,) + totals.shape[1:], dtype=totals.dtype),
-                              np.cumsum(totals, axis=0)[:-1]], axis=0)
-    out = local + offsets[:, None]
-    return out.reshape(values.shape)
 
 
 @lru_cache(maxsize=None)
@@ -169,30 +135,8 @@ def cumulative_at(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
     return out
 
 
-def panel_cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Per-panel running integral, reset to zero at each panel's left edge.
-
-    Unlike :func:`cumulative` no cross-panel offsets are added, so the
-    input may be discontinuous across panels (panel-local integrands).
-    """
-    S, _, _ = _reference_ops(grid.order)
-    v = _panel_view(grid, values)
-    half = 0.5 * (grid.T / grid.panels)
-    out = half * np.einsum('ij,pj...->pi...', S, v)
-    return out.reshape(values.shape)
-
-
 def panel_totals(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Integral of a grid function over each panel, shape (panels, ...)."""
     v = _panel_view(grid, values)
     half = 0.5 * (grid.T / grid.panels)
     return half * np.einsum('j,pj...->p...', _panel_weights(grid.order), v)
-
-
-def differentiate(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Spectral derivative of a grid function, panel by panel."""
-    _, D, _ = _reference_ops(grid.order)
-    v = _panel_view(grid, values)
-    half = 0.5 * (grid.T / grid.panels)
-    out = np.einsum('ij,pj...->pi...', D, v) / half
-    return out.reshape(values.shape)

@@ -12,11 +12,12 @@ import time
 import numpy as np
 import pytest
 from conftest import J2, dense_kernel, random_hurwitz_spec, random_spec
+from oracles import apply_K, green_function, omega_from_sigma, surrogate_covariance
 
 from qeflab import cli, fock, mc, model, qef
 from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle, stack_hk
-from qeflab.kernels import green_function, green_gram, make_context
-from qeflab.qkl import apply_K, build_qkl, surrogate_covariance
+from qeflab.kernels import green_gram, make_context
+from qeflab.qkl import build_qkl
 from qeflab.quadrature import inner, make_grid
 
 
@@ -179,8 +180,8 @@ def test_11_criticality():
     cache = qef.SpectralCache(ctx, qkl, P0)
     thc = qef.find_critical_theta(cache)
     assert np.isfinite(thc)
-    below = qef.compute_qef(ctx, qkl, P0, theta=0.999 * thc, cache=cache)
-    above = qef.compute_qef(ctx, qkl, P0, theta=1.001 * thc, cache=cache)
+    below = qef.compute_qef(ctx, build_qkl(basis, 0.999 * thc), P0, cache=cache)
+    above = qef.compute_qef(ctx, build_qkl(basis, 1.001 * thc), P0, cache=cache)
     assert below.xi is not None and np.isfinite(below.xi)
     assert above.xi is None
     print(f"criterion 11 PASS: finite at 0.999 thc (xi {below.xi:.2f}), "
@@ -220,7 +221,7 @@ def test_14_ode_and_bijection():
     assert np.all(ratios >= 3.0)
     for om in (0.1, 0.4, 2.0):
         s = fock.sigma_from_omega(om)
-        assert abs(fock.omega_from_sigma(s) - om) <= 1e-12
+        assert abs(omega_from_sigma(s) - om) <= 1e-12
     print(f"criterion 14 PASS: halving steps cuts residuals by "
           f"{[f'{r:.2f}' for r in ratios]}; bijection to 1e-12")
 

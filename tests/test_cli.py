@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -471,6 +473,55 @@ def test_fock_quadrature_guard(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["fock", "--config", path]) == 3
     assert stderr_code(capsys) == "QuadratureUnderresolved"
+
+
+def run_fock(tmp_path, capsys, fock_cfg):
+    """Exit code, stderr lines and fock.csv cells of one fock run.
+
+    numpy reports through the warnings module, which pytest captures
+    instead of printing; each such warning counts as a stderr line here.
+    """
+    cfg = base_config(tmp_path)
+    cfg["fock"] = fock_cfg
+    path = write_config(tmp_path, cfg)
+    (tmp_path / "fock.csv").unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["fock", "--config", path])
+    err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+    cells = read_rows(tmp_path / "fock.csv")[1] if code == 0 else []
+    return code, err, cells
+
+
+@pytest.mark.parametrize("fock_cfg, fields", [
+    # e^{omega (2N - 3)} overflows: exited 0 with a nan corner_error
+    ({"N": 120, "omega_list": [3.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
+    # the same overflow used to print numpy warnings before the JSON line
+    ({"N": 40, "omega_list": [10.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
+    ({"N": 8, "omega_list": [10.0], "quad_order": 12}, ("fock.omega_list", "fock.ode_step")),
+    # the Gauss-Hermite node exponentials overflow: exited 0 with nan cells
+    ({"N": 120, "omega_list": [2.9], "quad_order": 160},
+     ("fock.omega_list", "fock.N", "fock.quad_order")),
+])
+def test_fock_out_of_range_is_one_json_error(tmp_path, capsys, fock_cfg, fields):
+    code, err, _ = run_fock(tmp_path, capsys, fock_cfg)
+    assert code == 2
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "InvalidParameter"
+    assert all(field in payload["message"] for field in fields)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(N=st.integers(4, 160), omegas=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2),
+       quad_order=st.integers(2, 60))
+def test_fock_reports_finite_cells_or_one_json_error(tmp_path, capsys, N, omegas, quad_order):
+    code, err, cells = run_fock(tmp_path, capsys,
+                                {"N": N, "omega_list": omegas, "quad_order": quad_order})
+    assert code in (0, 2, 3)
+    assert err == [] or (len(err) == 1 and isinstance(json.loads(err[0]), dict))
+    assert all(math.isfinite(float(cell)) for row in cells for cell in row)
 
 
 def test_long_horizon_reports_json_error(tmp_path, capsys):

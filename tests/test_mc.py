@@ -191,7 +191,7 @@ def test_supercritical_theta_refused(ctx, qkl348, state):
     crit = qef.find_critical_theta(qef.SpectralCache(ctx, qkl348, state.P0))
     msg = f"theta=15 is at or beyond the critical value {crit:.6g}; the estimator mean diverges"
     with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
-        mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg, theta=15.0)
+        mc.estimate_qef_mc(ctx, build_qkl(qkl348.basis, 15.0), state.P0, cfg)
     # one supercritical theta refuses the whole pass
     with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
         mc.estimate_qef_mc_many(ctx, [qkl348, build_qkl(qkl348.basis, 15.0)], state.P0, cfg)
@@ -201,7 +201,7 @@ def test_infinite_variance_flagged(ctx, qkl348, state):
     # at theta = 1.5 the mean is finite but 2 theta r(PK) >= 1, so the
     # second moment diverges and both routes must self-report
     cfg = mc.McConfig(samples=200, seed=5, batch=100)
-    r = mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg, theta=1.5)
+    r = mc.estimate_qef_mc(ctx, build_qkl(qkl348.basis, 1.5), state.P0, cfg)
     assert r.z.unreliable
     assert r.n.unreliable
 

@@ -1,14 +1,19 @@
-"""The public package namespace."""
+"""The public package namespace and what the package's code reaches."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 from jsonschema import Draft202012Validator
 
 import qeflab
+
+SRC = Path(qeflab.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_all_names_resolve():
@@ -34,3 +39,110 @@ def test_packaged_schema_is_valid():
     schema = json.loads(resources.files("qeflab").joinpath("config_schema.json").read_text())
     assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
     Draft202012Validator.check_schema(schema)
+
+
+def _walk(node):
+    """node and its descendants, skipping annotations: a type hint runs nothing."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _walk(child)
+
+
+def _unreached(sources, traced):
+    """Module-level functions and classes that no root reaches, as "module.name".
+
+    sources maps a module name to its text.  The roots are every top-level
+    statement that is neither a definition nor an import (the CLI's command
+    table and __main__ block among them) and the traced (module, name)
+    pairs.  A definition reaches what its body names: a definition of its
+    own module, a name imported from a sibling module, or an attribute of
+    a sibling module.  Reachability is transitive, so helpers that only
+    unreached code calls are unreached too.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs = {mod: {n.name: n for n in tree.body
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            for mod, tree in trees.items()}
+
+    def refs(mod, imports, node):
+        out = set()
+        for n in _walk(node):
+            if not isinstance(getattr(n, "ctx", None), ast.Load):
+                continue    # a stored name, such as a dataclass field, refers to nothing
+            if isinstance(n, ast.Name):
+                if n.id in imports:
+                    out.add(imports[n.id])
+                elif n.id in defs[mod]:
+                    out.add((mod, n.id))
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and imports.get(n.value.id, (None, ""))[1] is None):
+                out.add((imports[n.value.id][0], n.attr))
+        return out
+
+    edges, reached = {}, set(traced)
+    for mod, tree in trees.items():
+        imports = {}
+        for n in tree.body:
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for alias in n.names:
+                    # "from . import m" names a module, "from .m import x" a definition
+                    target = (alias.name, None) if n.module is None else (n.module, alias.name)
+                    imports[alias.asname or alias.name] = target
+        for n in tree.body:
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                edges[(mod, n.name)] = refs(mod, imports, n)
+            else:
+                reached |= refs(mod, imports, n)
+    todo = list(reached)
+    while todo:
+        for ref in edges.get(todo.pop(), ()):
+            if ref not in reached:
+                reached.add(ref)
+                todo.append(ref)
+    return sorted(f"{mod}.{name}" for mod in defs for name in defs[mod]
+                  if (mod, name) not in reached)
+
+
+def _package_sources():
+    # __init__ only re-exports; a name listed there is not thereby used
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def _traced_calls():
+    """(module, name) of every tracer.call(span, "module", "name", ...) in perfbench."""
+    calls = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "call" and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "tracer" and len(n.args) >= 3
+                    and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                            for a in n.args[1:3])):
+                calls.add((n.args[1].value, n.args[2].value))
+    return calls
+
+
+def test_every_definition_serves_the_pipeline():
+    # a helper only tests call belongs in tests/oracles.py, not in the package
+    traced = _traced_calls()
+    assert ("kernels", "covariance_on_grid") in traced
+    assert _unreached(_package_sources(), traced) == []
+
+
+def test_unreached_helpers_are_found_transitively():
+    sources = dict(_package_sources(), orphan=(
+        "from .quadrature import make_grid\n"
+        "from . import quadrature\n\n"
+        "def helper():\n    return make_grid(1.0)\n\n"
+        "def caller(grid):\n    return helper(), quadrature.norm(grid, grid.nodes)\n"))
+    traced = _traced_calls()
+    assert _unreached(sources, traced) == ["orphan.caller", "orphan.helper"]
+    # a traced call is a root, and what it calls is reached through it
+    assert _unreached(sources, traced | {("orphan", "caller")}) == []

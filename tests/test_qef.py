@@ -35,7 +35,7 @@ def cache(ctx, qkl348, state):
 @pytest.mark.parametrize("theta", sorted(FROZEN))
 def test_frozen_report(ctx, qkl348, state, cache, theta):
     ref = FROZEN[theta]
-    rep = qef.compute_qef(ctx, qkl348, state.P0, theta=theta, cache=cache)
+    rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
     assert rep.theta == theta
     assert rep.C == pytest.approx(ref["C"], abs=1e-15, rel=1e-12)
     assert rep.tail_C == pytest.approx(ref["tail_C"], abs=1e-15, rel=1e-12)
@@ -105,14 +105,11 @@ def test_lambdas_rejects_negative_theta(cache):
 def test_quantum_correction_tightens_classical(ctx, qkl348, state, cache):
     # e^{-C} and the damped PK spectrum both pull xi below the K = I value
     for theta in (0.348, 0.87):
-        rep = qef.compute_qef(ctx, qkl348, state.P0, theta=theta, cache=cache)
+        rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
         assert rep.xi < rep.xi_classical
-        assert rep.tail_lambda_trace > 0.0
-        assert rep.tail_lambda_trace < 1e-3
-    rep0 = qef.compute_qef(ctx, qkl348, state.P0, theta=0.0, cache=cache)
+    rep0 = qef.compute_qef(ctx, build_qkl(qkl348.basis, 0.0), state.P0, cache=cache)
     assert rep0.xi == 1.0
     assert rep0.xi_classical == 1.0
-    assert rep0.tail_lambda_trace == 0.0
 
 
 def test_classical_diverges_first(ctx, qkl348, state, cache):
@@ -120,14 +117,14 @@ def test_classical_diverges_first(ctx, qkl348, state, cache):
     # still finite; the report signals divergence with None, not a raise
     theta = 3.43
     assert theta > 1.0 / cache.mu[0]
-    rep = qef.compute_qef(ctx, qkl348, state.P0, theta=theta, cache=cache)
+    rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
     assert rep.xi is not None and np.isfinite(rep.xi)
     assert rep.xi_classical is None
     assert theta * rep.spectral_radius < 1.0
 
 
 def test_supercritical_reports_none(ctx, qkl348, state, cache):
-    rep = qef.compute_qef(ctx, qkl348, state.P0, theta=15.0, cache=cache)
+    rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, 15.0), state.P0, cache=cache)
     assert rep.xi is None
     assert rep.xi_classical is None
     assert 15.0 * rep.spectral_radius >= 1.0

