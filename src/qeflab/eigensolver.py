@@ -8,8 +8,9 @@ to an eigenfunction f(t) = [I 0] e^{t D(omega)} V f(0).  Writing
 f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 = 1/2 and <phi, psi> = 0, which is what downstream consumers rely on.
 
-Roots are located by sampling |det E| over a frequency band, refined by
-an in-house golden-section search on |det E|^2, and accepted when
+Roots are located by sampling ln |det E| over a frequency band; the
+brackets of all its local minima shrink together, one batched
+evaluation per step, and a minimum is accepted when
 |det E(omega)| / |det G(T)| <= 1e-8.  The retained eigenpairs form the
 spectral basis, checked by its Gram matrix and its Mercer residual.  A
 dense Nystrom discretization of L provides an independent oracle for
@@ -40,7 +41,8 @@ DET_STALL_RTOL = 1e-6       # between accept and this: refinement stalled
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
 ROOT_MERGE_RTOL = 1e-8
 DEFAULT_SAMPLES = 400
-GOLDEN_XTOL = 1e-12         # relative bracket width at which the golden section stops
+REFINE_POINTS = 9           # frequencies per bracket in each refinement step
+REFINE_XTOL = 1e-12         # relative bracket width at which refinement stops
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 
 
@@ -109,9 +111,12 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
                           samples: int = DEFAULT_SAMPLES) -> list[Root]:
     """Locate and refine all roots of det E(omega) in [omega_min, omega_max].
 
-    Samples |det E| on a uniform frequency grid, brackets local minima,
-    refines each by golden-section search on |det E|^2, and keeps refined
-    points with |det E|/|det G(T)| <= 1e-8.
+    Samples ln(|det E|/|det G(T)|) on a uniform frequency grid and
+    brackets its interior local minima.  Each step resamples every
+    bracket at REFINE_POINTS frequencies in one bvp_matrices call and
+    shrinks it to the two neighbours of its lowest sample, until all are
+    narrower than REFINE_XTOL relative.  Keeps refined points with
+    |det E|/|det G(T)| <= 1e-8.
     Returns roots in descending omega order.
     """
     if not (0.0 < omega_min < omega_max):
@@ -119,17 +124,28 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     if samples < 3:
         raise InvalidParameter(f"eigen.samples must be at least 3, got {samples}")
     log_g = float(np.linalg.slogdet(ctx.gram)[1])
+
+    def log_ratio(w: np.ndarray) -> np.ndarray:
+        return np.linalg.slogdet(bvp_matrices(ctx, w).E)[1] - log_g
+
     ws = np.linspace(omega_min, omega_max, samples)
-    logs = np.linalg.slogdet(bvp_matrices(ctx, ws).E)[1] - log_g
+    logs = log_ratio(ws)
+    i = np.flatnonzero((logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])) + 1
+    # refine every bracket [ws[i-1], ws[i+1]] at once: resample each one
+    # and keep the two neighbours of its lowest sample
+    lo, hi = ws[i - 1], ws[i + 1]
+    rows = np.arange(i.size)
+    omegas, log_ratios = ws[i], logs[i]
+    while np.any(hi - lo > REFINE_XTOL * (lo + hi)):
+        w = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
+        f = log_ratio(w)
+        j = np.argmin(f, axis=-1)
+        omegas, log_ratios = w[rows, j], f[rows, j]
+        lo = w[rows, np.maximum(j - 1, 0)]
+        hi = w[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
 
-    def ratio_sq(w: float) -> float:
-        return float(np.exp(2.0 * (np.linalg.slogdet(bvp_matrices(ctx, w).E)[1] - log_g)))
-
-    roots: list[Root] = []
-    interior_min = (logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])
-    for i in np.flatnonzero(interior_min) + 1:
-        x, f = _golden(ratio_sq, ws[i - 1], ws[i], ws[i + 1])
-        w, d = float(x), float(np.sqrt(f))
+    roots: list[tuple[float, float]] = []
+    for w, d in zip(omegas.tolist(), np.exp(log_ratios).tolist()):
         if d <= DET_ACCEPT_RTOL:
             roots.append((w, d))
         elif d <= DET_STALL_RTOL:
@@ -161,41 +177,6 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
         raise NoRootsFound("all refined minima were spurious (no kernel vectors)")
     out.sort(key=lambda r: -r.omega)
     return out
-
-
-def _golden(func, xa: float, xb: float, xc: float) -> tuple[float, float]:
-    """Golden-section minimum of func in the bracket xa < xb < xc.
-
-    The Numerical Recipes iteration with the ratio 0.61803399, stopped
-    when the bracket is narrower than GOLDEN_XTOL relative to the two
-    inner points; the tests hold it, bit for bit, to the library routine
-    it replaces.  A bracket whose middle value is not strictly below
-    both ends (for instance det E underflowing to zero at neighbouring
-    samples) raises RefinementStalled.
-    """
-    fa, fb, fc = func(xa), func(xb), func(xc)
-    if not (fb < fa and fb < fc):
-        raise RefinementStalled(
-            f"no valid bracket for the minimum near omega={xb:.6g}: "
-            f"f = ({fa:.3e}, {fb:.3e}, {fc:.3e}) at ({xa:.6g}, {xb:.6g}, {xc:.6g})")
-    gr = 0.61803399
-    gc = 1.0 - gr
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + gc * (xc - xb)
-    else:
-        x1, x2 = xb - gc * (xb - xa), xb
-    f1, f2 = func(x1), func(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
-            f1, f2 = f2, func(x2)
-        else:
-            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
-            f2, f1 = f1, func(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def _canonical_phase(f0: np.ndarray) -> complex:

@@ -203,7 +203,16 @@ def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int = 40
 
 
 def sigma_from_omega(omega: float) -> float:
-    """sigma = sqrt(2 tanh omega), mapping [0, inf) onto [0, sqrt(2))."""
+    """sigma = sqrt(2 tanh omega), mapping [0, inf) onto [0, sqrt(2)).
+
+    In double precision tanh omega rounds to 1 from omega of about 19 on,
+    so sigma reaches sqrt(2), where f(sigma) does not exist.
+    """
     if omega < 0.0:
         raise NonpositiveOmega(f"need omega >= 0, got {omega}")
-    return float(np.sqrt(2.0 * np.tanh(omega)))
+    sigma = float(np.sqrt(2.0 * np.tanh(omega)))
+    if not sigma < SIGMA_SUP:
+        raise InvalidParameter(
+            f"fock.omega_list value {omega} gives sigma = sqrt(2 tanh omega) = sqrt(2) "
+            "in double precision; omega must stay below about 19")
+    return sigma

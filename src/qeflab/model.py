@@ -41,7 +41,6 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 ANTISYMMETRY_RTOL = 1e-10
 SINGULAR_RCOND = 1e-12     # reciprocal condition number below this counts as singular
 HURWITZ_MARGIN = 1e-10     # spectral abscissa must be below -margin
-RECOVERY_RTOL = 1e-8
 PSD_CLIP_RTOL = 1e-10      # negative eigenvalues beyond this fraction of lambda_max are an error
 
 

@@ -499,6 +499,8 @@ def run_fock(tmp_path, capsys, fock_cfg):
     # the same overflow used to print numpy warnings before the JSON line
     ({"N": 40, "omega_list": [10.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
     ({"N": 8, "omega_list": [10.0], "quad_order": 12}, ("fock.omega_list", "fock.ode_step")),
+    # tanh omega rounds to 1: exited 2 with a message about sigma naming no field
+    ({"N": 8, "omega_list": [20.0], "quad_order": 12}, ("fock.omega_list", "20.0", "19")),
     # the Gauss-Hermite node exponentials overflow: exited 0 with nan cells
     ({"N": 120, "omega_list": [2.9], "quad_order": 160},
      ("fock.omega_list", "fock.N", "fock.quad_order")),

@@ -5,7 +5,6 @@ import pytest
 from conftest import J2
 from oracles import det_ratio, ode_residual
 from scipy.linalg import block_diag
-from scipy.optimize import minimize_scalar
 
 from qeflab import eigensolver as es
 from qeflab import kernels, model, quadrature
@@ -24,6 +23,8 @@ HS_CAPTURED_FROZEN = 7.4920698819301113e-01
 CAPTURE_FROZEN = 9.9271528159019595e-01
 MERCER_FROZEN = 5.3907773051912484e-03
 NYSTROM_TOP_FROZEN = 5.7468672587252234e-01
+SQUEEZED_ROOTS_FROZEN = (6.339011479288987e-01, 1.8865706645488806e-01,
+                         7.195140364983442e-02)
 
 
 def test_scan_finds_certified_roots(ctx):
@@ -51,11 +52,47 @@ def test_scan_empty_band_raises(ctx):
         es.scan_eigenfrequencies(ctx, 0.60, 0.65, samples=60)
 
 
-def test_deep_tail_root_stalls(ctx):
-    # near omega ~ 0.024 the e^{T D} entries are so large that det E
-    # bottoms out at ~1e-6 of det G, between the accept and stall gates
-    with pytest.raises(RefinementStalled):
-        es.scan_eigenfrequencies(ctx, 0.02, 0.03, samples=80)
+def default_band(ctx):
+    """build_basis's default band [omega_max / 10, omega_max]."""
+    omega_max = 1.05 * float(np.sqrt(ctx.hs_total / 2.0))
+    return omega_max / 10.0, omega_max
+
+
+def test_minimum_between_gates_stalls(ctx, monkeypatch):
+    # every README root refines to |det E|/|det G| between 1e-14 and 1e-10;
+    # with the accept gate below that, the first one lies between the gates
+    monkeypatch.setattr(es, "DET_ACCEPT_RTOL", 1e-20)
+    with pytest.raises(RefinementStalled, match="refined only to"):
+        es.scan_eigenfrequencies(ctx, *default_band(ctx))
+
+
+def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
+    # one call samples the band, each refinement step is one call for all
+    # brackets, and each root adds one kernel-dimension check
+    calls = []
+
+    def counting(ctx, omega):
+        calls.append(np.shape(omega))
+        return kernels.bvp_matrices(ctx, omega)
+
+    monkeypatch.setattr(es, "bvp_matrices", counting)
+    roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
+    assert len(calls) <= 30
+    assert calls.count(()) == len(roots)
+
+
+def test_squeezed_oscillator_roots():
+    # a non-passive oscillator (R couples the quadratures, M mixes the
+    # channels), so a defect that respects passivity can show here
+    spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.array([[1.0, 0.3], [0.3, 2.0]]),
+                                M=np.array([[1.0, 0.5], [0.2, 1.0]]), T=1.0, theta=0.0)
+    ctx = kernels.make_context(spec, quadrature.make_grid(1.0, panels=8, order=16))
+    roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
+    assert [r.multiplicity for r in roots] == [1, 1, 1]
+    omegas = np.array([r.omega for r in roots])
+    assert omegas == pytest.approx(SQUEEZED_ROOTS_FROZEN, rel=1e-12)
+    nystrom = es.nystrom_oracle(ctx).omegas[:3]
+    assert np.max(np.abs(omegas - nystrom)) <= 2e-4 * omegas[0]
 
 
 def test_degenerate_roots(grid):
@@ -157,22 +194,6 @@ def test_build_basis_diagnostics(basis, ctx):
     w = ctx.grid.weights
     ref = float(np.einsum('a,b,ab->', w, w, np.einsum('abij,abij->ab', diff, diff)))
     assert basis.mercer_residual == pytest.approx(ref, rel=1e-13)
-
-
-def test_golden_rejects_tied_bracket():
-    with pytest.raises(RefinementStalled, match="bracket"):
-        es._golden(lambda x: 0.0, 0.1, 0.2, 0.3)
-
-
-def test_golden_matches_library_golden_section():
-    # the in-house golden section must take the library routine's steps exactly
-    def func(x):
-        return float(np.exp(2.0 * np.sin(3.0 * x)) + (x - 1.4) ** 2)
-
-    bracket = tuple(np.linspace(1.0, 2.0, 400)[[100, 200, 300]])
-    ref = minimize_scalar(func, bracket=bracket, method='golden', options={'xtol': 1e-12})
-    x, f = es._golden(func, *bracket)
-    assert x == ref.x and f == ref.fun
 
 
 def test_long_horizon_basis_fails_gram_gate():

@@ -52,20 +52,32 @@ def _walk(node):
                 yield from _walk(child)
 
 
+def _defined_name(node):
+    """The name a top-level statement defines: a function, a class or an
+    UPPER_CASE constant assigned on its own; None for any other statement."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()):
+        return node.targets[0].id
+    return None
+
+
 def _unreached(sources, traced):
-    """Module-level functions and classes that no root reaches, as "module.name".
+    """Module-level functions, classes and constants that no root reaches,
+    as "module.name".
 
     sources maps a module name to its text.  The roots are every top-level
-    statement that is neither a definition nor an import (the CLI's command
-    table and __main__ block among them) and the traced (module, name)
-    pairs.  A definition reaches what its body names: a definition of its
+    statement that is neither a definition nor an import (the CLI's
+    __main__ block among them) and the traced (module, name) pairs.  A
+    definition reaches what its body or value names: a definition of its
     own module, a name imported from a sibling module, or an attribute of
     a sibling module.  Reachability is transitive, so helpers that only
-    unreached code calls are unreached too.
+    unreached code calls, and constants that only unreached code reads,
+    are unreached too.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    defs = {mod: {n.name: n for n in tree.body
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defs = {mod: {name for n in tree.body if (name := _defined_name(n))}
             for mod, tree in trees.items()}
 
     def refs(mod, imports, node):
@@ -95,8 +107,9 @@ def _unreached(sources, traced):
         for n in tree.body:
             if isinstance(n, (ast.Import, ast.ImportFrom)):
                 continue
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                edges[(mod, n.name)] = refs(mod, imports, n)
+            name = _defined_name(n)
+            if name:
+                edges[(mod, name)] = refs(mod, imports, n)
             else:
                 reached |= refs(mod, imports, n)
     todo = list(reached)
@@ -130,7 +143,8 @@ def _traced_calls():
 
 
 def test_every_definition_serves_the_pipeline():
-    # a helper only tests call belongs in tests/oracles.py, not in the package
+    # a helper only tests call belongs in tests/oracles.py, not in the package,
+    # and a constant nothing in the package reads is deleted
     traced = _traced_calls()
     assert ("kernels", "covariance_on_grid") in traced
     assert _unreached(_package_sources(), traced) == []
@@ -146,3 +160,18 @@ def test_unreached_helpers_are_found_transitively():
     assert _unreached(sources, traced) == ["orphan.caller", "orphan.helper"]
     # a traced call is a root, and what it calls is reached through it
     assert _unreached(sources, traced | {("orphan", "caller")}) == []
+
+
+def test_unread_constants_are_found():
+    sources = dict(_package_sources(), orphan=(
+        "from .fock import SIGMA_SUP\n\n"
+        "LIMIT = 2.0 * SIGMA_SUP\n"
+        "SCALE = LIMIT + 1.0\n"
+        "UNREAD = 3.0\n"
+        "lower_case = 4.0\n\n"
+        "def helper():\n    return SCALE\n"))
+    traced = _traced_calls()
+    assert _unreached(sources, traced) == [
+        "orphan.LIMIT", "orphan.SCALE", "orphan.UNREAD", "orphan.helper"]
+    # a constant is reached through what reads it, even through another constant
+    assert _unreached(sources, traced | {("orphan", "helper")}) == ["orphan.UNREAD"]

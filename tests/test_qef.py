@@ -12,10 +12,10 @@ from qeflab.qkl import build_qkl, tanhc
 FROZEN = {
     0.0: dict(C=0.0, tail_C=0.0, sr=5.7468672587252234e-01,
               thc=1.7400784722872147, xi=1.0, xicl=1.0),
-    0.348: dict(C=2.2715738279653935e-02, tail_C=1.6645175464606129e-04,
+    0.348: dict(C=2.2715738279653935e-02, tail_C=1.6645175464996713e-04,
                 sr=5.6714636616469050e-01, thc=1.7632132720208871,
                 xi=1.4162344193542500, xicl=1.4536989379668037),
-    0.87: dict(C=1.3785443689019167e-01, tail_C=1.0403234665378831e-03,
+    0.87: dict(C=1.3785443689019167e-01, tail_C=1.0403234665622948e-03,
                sr=5.3115310428515028e-01, thc=1.8826963298008865,
                xi=2.3869708755301811, xicl=2.9534034120035115),
 }
