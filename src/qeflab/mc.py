@@ -122,7 +122,7 @@ class _ThetaTerms:
 def _theta_terms(qkl: QklBasis, cache: SpectralCache) -> _ThetaTerms:
     """Per-theta scalars; refuses a theta at which the estimator mean diverges."""
     theta = qkl.theta
-    sr = float(cache.lambdas(theta)[0]) if cache.mu.size else 0.0
+    sr = float(cache.lambdas(theta)[0])
     if theta > 0.0 and theta * sr >= 1.0:
         crit = find_critical_theta(cache)
         raise SupercriticalTheta(

@@ -43,6 +43,16 @@ def basis(ctx):
     return build_basis(ctx, 0.99)
 
 
+def squeezed_spec():
+    """A non-passive oscillator: R couples the quadratures, M mixes the channels.
+
+    A defect that respects passivity, as the reference system does, can
+    show here.
+    """
+    return model.OscillatorSpec(n=2, m=2, Theta=J2.copy(), R=np.array([[1.0, 0.3], [0.3, 2.0]]),
+                                M=np.array([[1.0, 0.5], [0.2, 1.0]]), T=1.0, theta=0.0)
+
+
 def random_spec(rng, n, m=None, T=1.0):
     """Random valid oscillator spec with moderate matrix norms.
 

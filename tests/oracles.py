@@ -10,6 +10,8 @@ theory, so that agreement checks the package's own evaluation:
   against the shooting roots and eigenfunctions;
 - the spectral action of K and the surrogate covariance, against the
   retained modes;
+- the dense spectrum of sqrt(K) P sqrt(K), against the low-rank
+  log-determinant and Lanczos radius of the spectral cache;
 - a coordinate change of the oscillator, against the realizability
   identity;
 - the inverse of the Fock sigma(omega) map;
@@ -28,8 +30,8 @@ from numpy.polynomial import legendre
 from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP
 from qeflab.kernels import KernelContext, _check_grid_function, bvp_matrices, expm
-from qeflab.model import SINGULAR_RCOND, OscillatorSpec, reciprocal_cond
-from qeflab.qkl import Hk_at
+from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
+from qeflab.qkl import Hk_at, tanhc
 from qeflab.quadrature import Grid, _panel_view, panel_totals
 
 
@@ -249,3 +251,19 @@ def omega_from_sigma(sigma: float) -> float:
     if not 0.0 <= sigma < SIGMA_SUP:
         raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     return float(np.arctanh(0.5 * sigma ** 2))
+
+
+def dense_lambdas(cache, theta: float) -> np.ndarray:
+    """Every eigenvalue of sqrt(K) P sqrt(K), descending, from the dense matrix.
+
+    Assembles X = S P S with S = I + U diag(sqrt(t) - 1) U^T, the
+    symmetric root of K from the cache's orthonormal mode block U and
+    t = tanhc(theta omega_k) per mode, and diagonalizes it in full.
+    """
+    scale = np.sqrt(tanhc(theta * np.repeat(cache.omegas, 2))) - 1.0
+    U, P = cache.modes, cache.P
+    UP = U.T @ P
+    X = P + U @ (scale[:, None] * UP)
+    X = X + (UP.T * scale[None, :]) @ U.T \
+        + U @ ((scale[:, None] * (UP @ U)) * scale[None, :]) @ U.T
+    return clip_psd(np.linalg.eigvalsh(0.5 * (X + X.T))[::-1], "sqrt(K) P sqrt(K)")

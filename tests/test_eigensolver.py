@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import J2
+from conftest import J2, squeezed_spec
 from oracles import det_ratio, ode_residual
 from scipy.linalg import block_diag
 
@@ -82,11 +82,7 @@ def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
 
 
 def test_squeezed_oscillator_roots():
-    # a non-passive oscillator (R couples the quadratures, M mixes the
-    # channels), so a defect that respects passivity can show here
-    spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.array([[1.0, 0.3], [0.3, 2.0]]),
-                                M=np.array([[1.0, 0.5], [0.2, 1.0]]), T=1.0, theta=0.0)
-    ctx = kernels.make_context(spec, quadrature.make_grid(1.0, panels=8, order=16))
+    ctx = kernels.make_context(squeezed_spec(), quadrature.make_grid(1.0, panels=8, order=16))
     roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
     assert [r.multiplicity for r in roots] == [1, 1, 1]
     omegas = np.array([r.omega for r in roots])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import random_hurwitz_spec, squeezed_spec
+from oracles import dense_lambdas
 
 from qeflab import eigensolver as es
-from qeflab import kernels, model, qef, quadrature
+from qeflab import kernels, mc, model, qef, quadrature
 from qeflab.errors import CovarianceNotPSD, GridMismatch, InvalidParameter, StateUnavailable
 from qeflab.qkl import build_qkl, tanhc
 
@@ -69,7 +71,12 @@ def test_C_cross_checked_against_dense_spectrum(ctx, basis):
 
 
 def test_lambdas_at_zero_equal_state_spectrum(cache):
-    assert np.array_equal(cache.lambdas(0.0), cache.mu)
+    # at theta = 0, K = I: the radius is the top of the state spectrum, and
+    # every Ritz value lies inside that spectrum
+    lam = cache.lambdas(0.0)
+    assert lam[0] == pytest.approx(cache.mu[0], rel=1e-13)
+    assert np.all(np.diff(lam) <= 0.0)
+    assert lam[-1] >= cache.mu[-1]
     assert np.all(np.diff(cache.mu) <= 0.0)
     assert np.all(cache.mu >= 0.0)
     # discretized trace of the covariance operator is T * tr(P0)
@@ -77,29 +84,60 @@ def test_lambdas_at_zero_equal_state_spectrum(cache):
 
 
 def test_pk_trace_identity(cache):
-    # sum of eigenvalues of sqrt(K) P sqrt(K) equals tr(P K) computed
-    # from the rank-2r spectral form of K
+    # tr(P K) from the rank-2r spectral form of K equals the trace of the
+    # cache's low-rank operator diag(mu) + W diag(t - 1) W^T and the sum of
+    # the dense spectrum of sqrt(K) P sqrt(K)
     UPU = cache.modes.T @ cache.P @ cache.modes
     for theta in (0.0, 0.348, 0.87):
         scale = tanhc(theta * np.repeat(cache.omegas, 2)) - 1.0
         tr_pk = float(np.trace(cache.P)) + float(np.sum(scale * np.diag(UPU)))
-        assert float(cache.lambdas(theta).sum()) == pytest.approx(tr_pk, abs=1e-10)
+        low_rank = float(np.sum(cache.mu)) + float(np.sum(scale * np.sum(cache.W ** 2, axis=0)))
+        assert low_rank == pytest.approx(tr_pk, abs=1e-12)
+        assert float(dense_lambdas(cache, theta).sum()) == pytest.approx(tr_pk, abs=1e-10)
 
 
-def test_lambdas_computed_once_per_theta(ctx, qkl348, state):
-    # compute_qef and the Monte-Carlo supercritical check share one
-    # spectrum per theta; the kept array cannot be changed through a report
+def test_lambdas_computed_once_per_theta(ctx, qkl348, state, monkeypatch):
+    # compute_qef and the Monte-Carlo supercritical check share one Lanczos
+    # run per theta; the kept array cannot be changed by a caller
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return lanczos(*args, **kwargs)
+
+    lanczos = qef._lanczos
+    monkeypatch.setattr(qef, "_lanczos", counting)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    rep = qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
-    assert cache.lambdas(0.348) is rep.lambdas
-    assert not rep.lambdas.flags.writeable
+    qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
+    mc._theta_terms(qkl348, cache)
+    assert len(runs) == 1
+    lam = cache.lambdas(0.348)
+    assert cache.lambdas(0.348) is lam
+    assert not lam.flags.writeable
     with pytest.raises(ValueError):
-        rep.lambdas[0] = 0.0
+        lam[0] = 0.0
+
+
+def test_rounding_negative_covariance_eigenvalues_are_clipped(ctx, qkl348, state, monkeypatch):
+    # a rounding-level negative eigenvalue of P is stored as zero, so the
+    # sqrt(mu) scaling of the low-rank basis stays finite
+    def eigh_with_negative(a):
+        evals, vecs = eigh(a)
+        evals[0] = -1e-14 * evals[-1]
+        return evals, vecs
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_negative)
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    assert cache.mu[-1] == 0.0
+    assert np.all(np.isfinite(cache.W))
 
 
 def test_lambdas_rejects_negative_theta(cache):
     with pytest.raises(InvalidParameter):
         cache.lambdas(-0.5)
+    with pytest.raises(InvalidParameter):
+        cache.log_det(-0.5)
 
 
 def test_quantum_correction_tightens_classical(ctx, qkl348, state, cache):
@@ -155,3 +193,65 @@ def test_state_unavailable(ctx, osc_spec, qkl348):
 def test_covariance_not_psd(ctx, qkl348):
     with pytest.raises(CovarianceNotPSD):
         qef.SpectralCache(ctx, qkl348, -np.eye(2))
+
+
+def _cache_for(spec):
+    ctx = kernels.make_context(spec, quadrature.make_grid(spec.T))
+    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    return qef.SpectralCache(ctx, build_qkl(es.build_basis(ctx, 0.99), 0.0), P0)
+
+
+@pytest.mark.parametrize("which", ["readme", "squeezed", "random0", "random1", "random2"])
+def test_low_rank_route_matches_dense(cache, which):
+    # the Lanczos radius and the low-rank log-determinant against the dense
+    # spectrum of sqrt(K) P sqrt(K); the README's top eigenvalue is doubly
+    # degenerate, the others are simple
+    if which == "readme":
+        c = cache
+    elif which == "squeezed":
+        c = _cache_for(squeezed_spec())
+    else:
+        c = _cache_for(random_hurwitz_spec(np.random.default_rng(int(which[-1])), 4))
+    th_cl = 1.0 / c.mu[0]
+    th_c = qef.find_critical_theta(c)
+    assert th_cl < th_c < np.inf
+    for theta in (0.0, 0.3 * th_cl, 0.5 * (th_cl + th_c), 0.999 * th_c, 1.001 * th_c, 2.0 * th_c):
+        lam = dense_lambdas(c, theta)
+        r = lam[0]
+        assert c.lambdas(theta)[0] == pytest.approx(r, rel=1e-13)
+        log_det = c.log_det(theta)
+        if theta * r >= 1.0:
+            assert log_det is None
+            continue
+        bound = 1e-13 * (1.0 + theta * r / (1.0 - theta * r))
+        assert log_det == pytest.approx(float(np.sum(np.log1p(-theta * lam))), abs=bound)
+
+
+def test_no_dense_factorization_per_theta(ctx, qkl348, state, monkeypatch):
+    # once the cache is built, each theta costs O(N n r^2): no np.linalg
+    # call sees an N n x N n matrix, in the sweep or in the bisection
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    size = cache.P.shape[0]
+    qkls = [build_qkl(qkl348.basis, th) for th in np.linspace(0.0, 1.5, 24)]
+    dense = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            if any(isinstance(a, np.ndarray) and a.shape[-2:] == (size, size) for a in args):
+                dense.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(fn))
+    for q in qkls:
+        qef.compute_qef(ctx, q, state.P0, cache=cache)
+    thc = qef.find_critical_theta(cache)
+    assert dense == []
+    assert thc == pytest.approx(CRITICAL_FROZEN, rel=1e-9)
+    assert thc * cache.lambdas(thc)[0] == pytest.approx(1.0, abs=1e-6)
+    # the counter sees the one factorization a cache makes
+    qef.SpectralCache(ctx, qkl348, state.P0)
+    assert dense == ["eigh"]
