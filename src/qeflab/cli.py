@@ -21,10 +21,10 @@ import numpy as np
 from . import fock as fockmod
 from . import model
 from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
-from .errors import InvalidParameter, QeflabError, SchemaViolation
+from .errors import InvalidParameter, QeflabError, SchemaViolation, SupercriticalTheta
 from .kernels import KernelContext, make_context
 from .mc import McConfig, estimate_qef_mc_many
-from .qef import SpectralCache, compute_qef
+from .qef import SpectralCache, compute_qef, find_critical_theta
 from .qkl import build_qkl
 from .quadrature import make_grid
 
@@ -236,6 +236,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
     """Monte-Carlo check of the closed form at every subcritical theta.
 
     Exits 4 unless both routes land within 3 standard errors of xi.
+    Skips supercritical thetas and raises SupercriticalTheta if none is left.
     Each route's unreliable flag and batch-mean kurtosis are written to
     mc.csv but do not set the exit code: with KURTOSIS_LIMIT = 10, an
     ordinary last-bit change can move a borderline route (kurtosis near
@@ -259,6 +260,10 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
     reps = [compute_qef(ctx, qkl, P0, cache=cache) for qkl in qkls]
     # only subcritical thetas are testable; one Monte-Carlo pass serves them all
     tested = [i for i, rep in enumerate(reps) if rep.xi is not None]
+    if not tested:
+        raise SupercriticalTheta(
+            f"no theta in qef.theta_list is below the critical value "
+            f"{find_critical_theta(cache):.6g}; validate has nothing to test")
     results = estimate_qef_mc_many(ctx, [qkls[i] for i in tested], P0, config, cache=cache)
     rows = []
     passed = True

@@ -33,7 +33,7 @@ from .errors import (
     RankCollapse,
     RefinementStalled,
 )
-from .kernels import KernelContext, apply_L, bvp_matrices, expm
+from .kernels import KernelContext, apply_L, bvp_matrices, expm, weighted_matrix
 from .quadrature import Grid
 
 DET_ACCEPT_RTOL = 1e-8      # |det E| / |det G(T)| at an accepted root
@@ -262,12 +262,7 @@ def nystrom_oracle(ctx: KernelContext) -> NystromResult:
     block-antisymmetric; multiplying by -i gives a Hermitian matrix
     whose positive eigenvalues estimate the eigenfrequencies.
     """
-    grid = ctx.grid
-    n, N = ctx.n, grid.size
-    sw = np.sqrt(grid.weights)
-    K = ctx.lambda_grid * sw[:, None, None, None] * sw[None, :, None, None]
-    Kmat = K.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    H = -1j * Kmat
+    H = -1j * weighted_matrix(ctx.grid, ctx.lambda_grid)
     H = 0.5 * (H + H.conj().T)
     evals = np.linalg.eigvalsh(H)
     omegas = evals[evals > 0.0][::-1]

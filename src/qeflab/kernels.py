@@ -179,6 +179,17 @@ def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:
     return kernel_on_grid(ctx.sys.A, ctx.grid, P0)
 
 
+def weighted_matrix(grid: Grid, blocks: np.ndarray) -> np.ndarray:
+    """[sqrt(w_a) blocks[a, b] sqrt(w_b)] of grid-kernel blocks (N, N, n, n), node-major.
+
+    The (N n, N n) matrix of the kernel's integral operator on sqrt(w) f.
+    """
+    N, n = blocks.shape[0], blocks.shape[2]
+    sw = np.sqrt(grid.weights)
+    scaled = blocks * sw[:, None, None, None] * sw[None, :, None, None]
+    return scaled.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+
+
 def _check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != (ctx.grid.size, ctx.n):

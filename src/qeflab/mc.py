@@ -4,7 +4,9 @@ Two independent estimators of the same closed-form value are provided.
 The Z-route samples the Gaussian surrogate process and averages
 exp(-C) * exp((theta/2) * double increment sum of dZ^T P(s-t) dZ); the
 N-route samples the stationary Gaussian process with covariance kernel
-P(s-t) and averages exp(-C) * exp((theta/2) <N, K N>).
+P(s-t) and averages exp(-C) * exp((theta/2) <N, K N>); it draws
+y = sqrt(w) N = z P_h^{1/2} with the root from the SpectralCache's one
+eigh, so its exact mean is the closed form's own determinant.
 
 Both routes sample the tail-completed model that matches the spectral
 form of K used by the closed-form determinant: the surrogate is drawn as
@@ -18,7 +20,7 @@ of PK, which is not small even when the Hilbert-Schmidt capture is.
 Estimation is batched; each batch owns a spawned RNG substream and
 batches run serially in index order, so estimates are seed-determined.
 Theta enters only through a few scalars per retained mode, so the
-increment geometry, the N-route path factor and each batch's draws are
+increment geometry, the N-route covariance root and each batch's draws are
 theta-independent: estimate_qef_mc_many builds the geometry once per
 run, draws each batch once and weights it for every theta.  Every theta
 of one run is thus estimated from the same draws (common random
@@ -165,11 +167,10 @@ class _Geometry:
         Pm = kernel_on_grid(ctx.sys.A, mids, P0)                              # (m, m, n, n)
         self.Pm = Pm.transpose(0, 2, 1, 3).reshape(m * ctx.n, m * ctx.n)      # (m n, m n)
 
-        # N-route geometry: node-block covariance factor and K action
-        self.factor = cache.path_factor                                       # (N n, N n)
-        hkw = qkl.hk * grid.weights[None, :, None, None]                      # (r, N, n, 2)
-        self.hkw = hkw.transpose(1, 2, 0, 3).reshape(grid.size * ctx.n, -1)   # (N n, 2r)
-        self.w = np.repeat(grid.weights, ctx.n)                               # (N n,)
+        # N-route geometry, in the weighted node coordinates: the root of P_h
+        # and the orthonormal mode columns that carry K
+        self.root = cache.path_factor                                         # (N n, N n)
+        self.modes = cache.modes                                              # (N n, 2r)
 
     def run_batch(self, size: int, seed: np.random.SeedSequence,
                   terms: list[_ThetaTerms]) -> list[tuple]:
@@ -179,15 +180,15 @@ class _Geometry:
         # project with the same cell integrals dH that the correction term
         # applies; a pointwise-h projection completes to a different covariance
         zeta = dW @ self.dH / self.dt
-        paths = rng.standard_normal((size, self.factor.shape[0])) @ self.factor.T
-        proj2 = (paths @ self.hkw) ** 2
-        base = paths ** 2 @ self.w
+        y = rng.standard_normal((size, self.root.shape[0])) @ self.root
+        proj2 = (y @ self.modes) ** 2
+        base = np.einsum('si,si->s', y, y)
 
         out = []
         for t in terms:
             dZ = dW - (zeta * t.corr) @ self.dH.T
             q_z = np.einsum('si,si->s', dZ @ self.Pm, dZ)
-            q_n = base + 2.0 * (proj2 @ t.tanc_m1)
+            q_n = base + proj2 @ t.tanc_m1
             out.append(tuple(_exp_mean(-t.C + 0.5 * t.theta * q) for q in (q_z, q_n)))
         return out
 

@@ -11,8 +11,9 @@ operator sqrt(K) P sqrt(K).  Everything is discretized on the quadrature
 grid with weight symmetrization, and K enters in its spectral form: the
 identity plus rank-2r corrections along the retained modes U.  So
 SpectralCache factors P = V diag(mu) V^T once per run, one eigh of size
-N n, and keeps W = diag(sqrt(mu)) V^T U, of shape (N n, 2r).  Each theta
-then needs two numbers and no factorization of size N n:
+N n that also gives the Monte-Carlo N-route its root P^{1/2}, and keeps
+W = diag(sqrt(mu)) V^T U, of shape (N n, 2r).  Each theta then needs two
+numbers and no factorization of size N n:
 
 - ln det(I - theta sqrt(K) P sqrt(K)) = sum_k ln(1 - theta lambda_k),
   from the determinant lemma on the well-conditioned tail of
@@ -32,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, InvalidParameter, StateUnavailable
-from .kernels import KernelContext, covariance_on_grid
+from .kernels import KernelContext, covariance_on_grid, weighted_matrix
 from .model import clip_psd
 from .qkl import QklBasis, tanhc
 
@@ -64,37 +65,23 @@ class QefReport:
     xi_classical: float | None
 
 
-def _path_factor(blocks: np.ndarray) -> np.ndarray:
-    """Symmetric PSD root of the node-block covariance P(s_a - s_b), shape (N n, N n).
-
-    Unlike V sqrt(L), the root V sqrt(L) V^T is unique and continuous in
-    the matrix, so it does not depend on the basis eigh picks inside a
-    degenerate eigenspace.  Rounding-level negative eigenvalues are clipped.
-    """
-    N, n = blocks.shape[0], blocks.shape[2]
-    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    return (vecs * np.sqrt(clip_psd(evals, "stationary block covariance"))) @ vecs.T
-
-
 class SpectralCache:
     """Grid discretizations shared by every theta evaluation.
 
-    Holds the covariance kernel on the grid, its weight-symmetrized
-    matrix P and the orthonormal mode block U whose columns carry K.
-    Nothing here depends on theta: of the qkl basis it reads only the
-    grid, hk and omegas, which are the same for every theta, so one
-    instance built from any theta's basis serves them all.  The CLI
-    builds one per run and passes it to every compute_qef call and to
-    its one Monte-Carlo pass over all thetas.  path_factor, the node
-    covariance root the Monte-Carlo N-route samples with, is built on
-    first use only.
+    Holds the weight-symmetrized covariance matrix P, its one
+    eigendecomposition P = V diag(mu) V^T (mu descending) and the
+    orthonormal mode block U whose columns carry K.  Nothing here depends
+    on theta: of the qkl basis it reads only the grid, hk and omegas,
+    which are the same for every theta, so one instance built from any
+    theta's basis serves them all.  The CLI builds one per run and passes
+    it to every compute_qef call and to its one Monte-Carlo pass over all
+    thetas.
 
-    Its one factorization of size N n is the eigh of P = V diag(mu) V^T
-    made here.  In that basis sqrt(K) P sqrt(K) has the spectrum of
-    diag(mu) + W diag(t - 1) W^T, with W = diag(sqrt(mu)) V^T U of shape
-    (N n, 2r) and t = tanhc(theta omega) per mode, so log_det costs
-    O(N n r^2) per theta and lambdas a short Lanczos run, kept per theta.
+    That eigh is the run's one factorization of size N n.  In its basis
+    sqrt(K) P sqrt(K) has the spectrum of diag(mu) + W diag(t - 1) W^T,
+    with W = diag(sqrt(mu)) V^T U of shape (N n, 2r) and t = tanhc(theta
+    omega) per mode, so log_det costs O(N n r^2) per theta and lambdas a
+    short Lanczos run, kept per theta; path_factor reuses V on first use.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
@@ -104,19 +91,17 @@ class SpectralCache:
         if not np.array_equal(qkl.grid.nodes, grid.nodes):
             raise GridMismatch("qkl basis and kernel context use different grids")
         n, N = ctx.n, grid.size
-        sw = np.sqrt(grid.weights)
-        self.cov_grid = covariance_on_grid(ctx, P0)
-        cov = self.cov_grid * sw[:, None, None, None] * sw[None, :, None, None]
-        P = cov.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+        P = weighted_matrix(grid, covariance_on_grid(ctx, P0))
         self.P = 0.5 * (P + P.T)
         # columns sqrt(w) sqrt(2) phi_k, sqrt(w) sqrt(2) psi_k: the
         # orthonormal eigenvectors of the discretized K
-        cols = np.sqrt(2.0) * qkl.hk * sw[None, :, None, None]
+        cols = np.sqrt(2.0) * qkl.hk * np.sqrt(grid.weights)[None, :, None, None]
         self.modes = cols.transpose(1, 2, 0, 3).reshape(N * n, -1)
         self.omegas = qkl.omegas
         evals, V = np.linalg.eigh(self.P)
         self.mu = clip_psd(evals[::-1], "covariance matrix")
-        self.W = np.sqrt(self.mu)[:, None] * (V[:, ::-1].T @ self.modes)
+        self.V = V[:, ::-1]
+        self.W = np.sqrt(self.mu)[:, None] * (self.V.T @ self.modes)
         # one fixed Lanczos start for every theta, so each result depends on
         # theta alone: sin(1), sin(2), ... has no structure in V's
         # coordinates, and unlike a numpy.random draw it costs no import
@@ -126,8 +111,9 @@ class SpectralCache:
 
     @cached_property
     def path_factor(self) -> np.ndarray:
-        """Symmetric PSD root of the node covariance blocks, shape (N n, N n)."""
-        return _path_factor(self.cov_grid)
+        """Symmetric root V diag(sqrt(mu)) V^T of P: unlike V diag(sqrt(mu)), it is
+        unique and continuous in P, whatever basis eigh picks in a degenerate eigenspace."""
+        return (self.V * np.sqrt(self.mu)) @ self.V.T
 
     def lambdas(self, theta: float) -> np.ndarray:
         """Leading eigenvalues of sqrt(K) P sqrt(K) at one theta, descending, read-only.

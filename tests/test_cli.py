@@ -7,6 +7,7 @@ import warnings
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -417,23 +418,37 @@ def test_one_spectral_cache_per_run(tmp_path, monkeypatch, command):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    roots = []
+    # the covariance matrix P has size N n = 256 on this grid
+    dense = []
+    eigh = np.linalg.eigh
 
-    def counting_root(blocks):
-        roots.append(blocks)
-        return path_factor(blocks)
+    def counting_eigh(a, *args, **kwargs):
+        if a.shape == (256, 256):
+            dense.append(a)
+        return eigh(a, *args, **kwargs)
 
-    path_factor = qef._path_factor
     for module in (cli, qef, mc):
         monkeypatch.setattr(module, "SpectralCache", CountingCache)
-    monkeypatch.setattr(qef, "_path_factor", counting_root)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = base_config(tmp_path)
     cfg["qef"]["theta_list"] = [0.0, 0.348, 0.87, 15.0]
     path = write_config(tmp_path, cfg)
     assert cli.main([command, "--config", path]) == 0
     assert len(built) == 1
-    # the N-route covariance root: once per sampling run, never for qef
-    assert len(roots) == (1 if command == "validate" else 0)
+    # one factorization of P per run: the N-route samples its root
+    assert len(dense) == 1
+
+
+def test_validate_refuses_all_supercritical(tmp_path, capsys):
+    # with no subcritical theta there is nothing to validate: not a PASS
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [15.0]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", "--config", path]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SupercriticalTheta"
+    assert "qef.theta_list" in err["message"] and "9.1397" in err["message"]
+    assert not (tmp_path / "mc.csv").exists()
 
 
 def test_validate_requires_mc_section(tmp_path, capsys):

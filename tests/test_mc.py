@@ -5,9 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import dense_kernel
+import scipy.linalg
+from conftest import dense_kernel, squeezed_spec
 
-from qeflab import kernels, mc, qef
+from qeflab import kernels, mc, model, qef, quadrature
+from qeflab.eigensolver import build_basis
 from qeflab.errors import (
     CovarianceNotPSD,
     GridMismatch,
@@ -36,42 +38,46 @@ def test_config_validation():
             mc.McConfig(**kwargs)
 
 
-def test_sample_N_zero_state(ctx, grid):
-    factor = qef._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, np.zeros((2, 2))))
-    assert factor.shape == (2 * grid.size, 2 * grid.size)
+def test_sample_N_zero_state(ctx, qkl348):
+    # a zero state makes the root of P zero, so every N-route sample is
+    # y = 0 and its weight is exactly exp(-C)
+    zero = np.zeros((2, 2))
+    cache = qef.SpectralCache(ctx, qkl348, zero)
+    factor = cache.path_factor
+    assert factor.shape == (2 * ctx.grid.size, 2 * ctx.grid.size)
     assert np.max(np.abs(factor)) == 0.0
+    geom = mc._Geometry(ctx, qkl348, zero, mc.McConfig(samples=200, seed=0, batch=100), cache)
+    terms = mc._theta_terms(qkl348, cache)
+    [(_, (n_mean, clipped))] = geom.run_batch(20, np.random.SeedSequence(0), [terms])
+    assert n_mean == pytest.approx(np.exp(-terms.C), rel=1e-15) and clipped == 0
 
 
-def test_sample_N_rejects_indefinite_state(ctx, grid):
+def test_sample_N_rejects_indefinite_state(ctx, qkl348):
     with pytest.raises(CovarianceNotPSD):
-        qef._path_factor(kernels.kernel_on_grid(ctx.sys.A, grid, -np.eye(2)))
+        mc.estimate_qef_mc(ctx, qkl348, -np.eye(2), mc.McConfig(samples=200, seed=0, batch=100))
 
 
-def test_path_factor_continuous_in_covariance(ctx, state):
-    # the README oscillator's node covariance has exactly degenerate
+def test_path_factor_continuous_in_covariance(ctx, qkl348, state):
+    # the README oscillator's covariance matrix has exactly degenerate
     # eigenvalue pairs; a square root that depends on the basis eigh picks
-    # inside them jumps under a rounding-level perturbation
-    blocks = kernels.covariance_on_grid(ctx, state.P0)
-    N, n = blocks.shape[0], blocks.shape[2]
-    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    noise = np.random.default_rng(0).standard_normal(mat.shape)
-    noise = 1e-15 * np.max(np.abs(mat)) * 0.5 * (noise + noise.T)
-    F0 = qef._path_factor(blocks)
-    F1 = qef._path_factor(blocks + noise.reshape(N, n, N, n).transpose(0, 2, 1, 3))
+    # inside them jumps under a rounding-level perturbation of the state
+    noise = np.random.default_rng(0).standard_normal((2, 2))
+    P1 = state.P0 + 1e-15 * np.max(np.abs(state.P0)) * 0.5 * (noise + noise.T)
+    c0 = qef.SpectralCache(ctx, qkl348, state.P0)
+    F0 = c0.path_factor
+    F1 = qef.SpectralCache(ctx, qkl348, P1).path_factor
     assert np.max(np.abs(F1 - F0)) <= 1e-12 * np.max(np.abs(F0))
-    assert np.max(np.abs(F0 @ F0.T - mat)) <= 1e-13 * np.max(np.abs(mat))
+    assert np.max(np.abs(F0 @ F0.T - c0.P)) <= 1e-13 * np.max(np.abs(c0.P))
 
 
 def test_cache_path_factor_is_symmetric_root(ctx, qkl348, state):
-    # reference: the symmetric root of the unweighted node covariance, written out
+    # reference: scipy's Schur-method square root of the cache's own P
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    blocks = cache.cov_grid
-    N, n = blocks.shape[0], blocks.shape[2]
-    mat = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    ref = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
-    assert np.array_equal(cache.path_factor, ref)
-    assert cache.path_factor is cache.path_factor
+    R = cache.path_factor
+    ref = scipy.linalg.sqrtm(cache.P)
+    assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
+    assert R is cache.path_factor
 
 
 def test_estimate_deterministic_across_threads(ctx, qkl348, state):
@@ -106,8 +112,10 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     zeta = np.einsum('kaip,sai->skp', dH, dW) / est.dt
     dZ = dW - np.einsum('k,kaip,skp->sai', corr, dH, zeta)
     q_z = np.einsum('sai,abij,sbj->s', dZ, Pm, dZ)
-    paths = (rng.standard_normal((50, N * n)) @ est.factor.T).reshape(50, N, n)
+    # the N-route samples y = sqrt(w) N; its form <N, K N> is in N itself
     w = ctx.grid.weights
+    paths = (rng.standard_normal((50, N * n)) @ est.root).reshape(50, N, n) \
+        / np.sqrt(w)[None, :, None]
     base = np.einsum('sai,a,sai->s', paths, w, paths)
     proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
     q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
@@ -177,6 +185,31 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     assert xi_disc == pytest.approx(rep.xi, rel=5e-4)
 
 
+@pytest.fixture(scope="module")
+def squeezed():
+    spec = squeezed_spec()
+    ctx = kernels.make_context(spec, quadrature.make_grid(spec.T))
+    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    return ctx, build_basis(ctx, 0.99), P0
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.87])
+@pytest.mark.parametrize("which", ["readme", "squeezed"])
+def test_N_route_determinant_matches_closed_form(ctx, basis, state, squeezed, which, theta):
+    # y = z R with R = P_h^{1/2} and q = y^T K_h y is Gaussian, so the
+    # N-route's exact expectation is exp(-C) det(I - theta R K_h R)^{-1/2}:
+    # the closed form's own determinant, on the same discretization
+    c, b, P0 = (ctx, basis, state.P0) if which == "readme" else squeezed
+    qkl = build_qkl(b, theta)
+    cache = qef.SpectralCache(c, qkl, P0)
+    rep = qef.compute_qef(c, qkl, P0, cache=cache)
+    R, U = cache.path_factor, cache.modes
+    K = np.eye(U.shape[0]) + (U * (np.repeat(qkl.tanc_values, 2) - 1.0)) @ U.T
+    sign, logdet = np.linalg.slogdet(np.eye(U.shape[0]) - theta * R @ K @ R)
+    assert sign == 1.0
+    assert float(np.exp(-rep.C - 0.5 * logdet)) == pytest.approx(rep.xi, rel=1e-12, abs=0.0)
+
+
 def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
     est, _ = _geometry(ctx, qkl348, state)
     bounds = np.linspace(0.0, ctx.grid.T, est.dH.shape[0] // ctx.n + 1)
@@ -208,7 +241,6 @@ def test_infinite_variance_flagged(ctx, qkl348, state):
 
 def test_grid_mismatch(ctx, osc_spec, qkl348, state):
     from qeflab import eigensolver as es
-    from qeflab import quadrature
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
     # 4x16 has fewer nodes than the 8x16 context; 16x8 has as many, at
