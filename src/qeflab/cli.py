@@ -251,9 +251,8 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
     mc_cfg = _require(cfg, "mc")
     if seed is None:
         seed = int(mc_cfg["seed"])
-    config = McConfig(samples=int(mc_cfg["samples"]), seed=seed,
-                      batch=int(mc_cfg.get("batch", 100)),
-                      increments_per_panel=int(mc_cfg.get("increments_per_panel", 8)))
+    sizes = {key: int(mc_cfg[key]) for key in ("batch", "increments_per_panel") if key in mc_cfg}
+    config = McConfig(samples=int(mc_cfg["samples"]), seed=seed, **sizes)
     P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
     qkls = [build_qkl(basis, theta) for theta in thetas]
     cache = SpectralCache(ctx, qkls[0], P0)
@@ -284,7 +283,7 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
     N = int(fcfg["N"])
     pair = fockmod.build_pair(N)
     quad_order = int(fcfg["quad_order"])
-    step = fcfg.get("ode_step", 1e-3)
+    ode_step = {"step": fcfg["ode_step"]} if "ode_step" in fcfg else {}
     corner_tol = fcfg.get("corner_tol")
     rows = []
     passed = True
@@ -296,7 +295,7 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
                                        convergence_tol=fcfg.get("convergence_tol"))
             sigma = fockmod.sigma_from_omega(omega)
             ode = fockmod.verify_ode(pair, [sigma], quad_order=quad_order,
-                                     step=step).max_residual
+                                     **ode_step).max_residual
         if not (np.isfinite(err) and np.isfinite(ode)):
             raise InvalidParameter(
                 f"fock.omega_list value {omega} with fock.N = {N} and fock.quad_order = "

@@ -26,7 +26,6 @@ import numpy as np
 from . import quadrature
 from .errors import (
     CaptureUnreachable,
-    EmptyKernel,
     InvalidParameter,
     NoRootsFound,
     NonpositiveOmega,
@@ -44,15 +43,20 @@ DEFAULT_SAMPLES = 400
 REFINE_POINTS = 9           # frequencies per bracket in each refinement step
 REFINE_XTOL = 1e-12         # relative bracket width at which refinement stops
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
+RANK_ATOL = 1e-8            # smallest Cholesky pivot of a root's normalized Gram
 
 
 @dataclass(frozen=True, eq=False)
 class Root:
-    """Refined root of det E(omega) with its kernel dimension."""
+    """Refined root of det E(omega) with the kernel vectors of E(omega) as rows."""
 
     omega: float
     det_ratio: float
-    multiplicity: int
+    kernel: np.ndarray
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +103,10 @@ class SpectralBasis:
         return np.array([p.omega for p in self.pairs])
 
 
-def _kernel_dimension(ctx: KernelContext, omega: float) -> tuple[int, np.ndarray]:
-    """dim ker E(omega) by singular values, plus the kernel vectors."""
-    E = bvp_matrices(ctx, omega).E
-    _, s, Vh = np.linalg.svd(E)
-    kdim = int(np.sum(s < KERNEL_SV_RTOL * s[0]))
-    return kdim, Vh[len(s) - kdim:].conj()
+def _kernel_vectors(ctx: KernelContext, omega: float) -> np.ndarray:
+    """Orthonormal basis of ker E(omega) by singular values, one vector per row."""
+    _, s, Vh = np.linalg.svd(bvp_matrices(ctx, omega).E)
+    return Vh[np.flatnonzero(s < KERNEL_SV_RTOL * s[0])].conj()
 
 
 def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float,
@@ -169,10 +171,10 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
 
     out = []
     for w, d in merged:
-        kdim, _ = _kernel_dimension(ctx, w)
-        if kdim == 0:
+        kernel = _kernel_vectors(ctx, w)
+        if len(kernel) == 0:
             continue  # determinant dip without an actual kernel: spurious
-        out.append(Root(omega=w, det_ratio=d, multiplicity=kdim))
+        out.append(Root(omega=w, det_ratio=d, kernel=kernel))
     if not out:
         raise NoRootsFound("all refined minima were spurious (no kernel vectors)")
     out.sort(key=lambda r: -r.omega)
@@ -188,71 +190,46 @@ def _canonical_phase(f0: np.ndarray) -> complex:
     return np.conj(z) / abs(z)
 
 
-def eigenfunction_from_root(ctx: KernelContext, omega: float) -> list[EigenPair]:
-    """Propagate every kernel vector of E(omega) to a normalized eigenpair.
+def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
+    """Propagate the root's kernel vectors to orthonormal eigenpairs.
 
-    The initial condition [f(0); f'(0)] = V f(0) satisfies the left
+    Each initial condition [f(0); f'(0)] = V f(0) satisfies the left
     boundary condition exactly by construction; the terminal condition
-    quality is recorded as boundary_residual.  Degenerate kernels are
-    orthonormalized before returning.
+    quality is recorded as boundary_residual.  The k = multiplicity
+    propagated functions f are orthonormalized together as
+    f S^{-1} C^{-H}, where S holds their L2 norms and C C^H is the
+    Cholesky factorization of their Gram matrix normalized to a unit
+    diagonal; for k = 1 this is plain normalization.  The pivots of C
+    are the residual norms modified Gram-Schmidt would test, so a pivot
+    below RANK_ATOL raises RankCollapse.
     """
-    kdim, kernel_vecs = _kernel_dimension(ctx, omega)
-    if kdim == 0:
-        raise EmptyKernel(f"E({omega}) has no numerical kernel; the root is spurious")
+    omega, grid = root.omega, ctx.grid
     D, E = bvp_matrices(ctx, omega)
-    grid = ctx.grid
-    prop = expm(grid.nodes[:, None, None] * D) @ ctx.V  # (N, 2n, n)
+    prop = expm(grid.nodes[:, None, None] * D) @ ctx.V       # (N, 2n, n)
+    f = (prop @ root.kernel.T)[:, :ctx.n]                    # (N, n, k)
+    gram = np.einsum('aij,aik->jk', f.conj(), grid.weights[:, None, None] * f)
+    scale = np.sqrt(gram.diagonal().real)
+    try:
+        C = np.linalg.cholesky(gram / np.outer(scale, scale))
+        collapsed = not np.all(C.diagonal().real >= RANK_ATOL)
+    except np.linalg.LinAlgError:   # not positive definite: a pivot vanished
+        collapsed = True
+    if collapsed:
+        raise RankCollapse(
+            f"the {root.multiplicity} eigenfunctions at omega={omega:.6g} are linearly "
+            "dependent")
+    coef = np.linalg.inv(C).conj().T / scale[:, None]        # S^{-1} C^{-H}
+    f, f0s = f @ coef, root.kernel.T @ coef
     pairs = []
-    for f0 in kernel_vecs:
-        f0 = f0 / np.linalg.norm(f0)
-        traj = prop @ f0
-        f = traj[:, :ctx.n]
-        nrm = quadrature.norm(grid, f)
-        f = f / nrm
-        phase = _canonical_phase(f0)
-        f = f * phase
-        f0 = f0 * phase
-        bres = float(np.linalg.norm(E @ f0))
-        lres = quadrature.norm(grid, apply_L(ctx, f) - 1j * omega * f)
-        pairs.append(EigenPair(omega=float(omega), f0=f0, phi=f.real.copy(),
-                               psi=f.imag.copy(), multiplicity=kdim,
-                               bvp_residual=lres, boundary_residual=bres))
-    if kdim > 1:
-        pairs = orthonormalize(ctx, pairs)
+    for j in range(root.multiplicity):
+        phase = _canonical_phase(f0s[:, j])
+        fj = f[..., j] * phase
+        f0 = f0s[:, j] * (phase / np.linalg.norm(f0s[:, j]))
+        lres = quadrature.norm(grid, apply_L(ctx, fj) - 1j * omega * fj)
+        pairs.append(EigenPair(omega=omega, f0=f0, phi=fj.real.copy(), psi=fj.imag.copy(),
+                               multiplicity=root.multiplicity, bvp_residual=lres,
+                               boundary_residual=float(np.linalg.norm(E @ f0))))
     return pairs
-
-
-def orthonormalize(ctx: KernelContext, pairs: list[EigenPair]) -> list[EigenPair]:
-    """Modified Gram-Schmidt in the complex L2 inner product.
-
-    Intended for eigenpairs sharing one eigenfrequency; the span is
-    preserved and the conjugate-orthogonality <conj f_j, f_k> = 0 is
-    inherited from the eigenspace (asserted by tests, not enforced here).
-    """
-    grid = ctx.grid
-    fs = [p.phi + 1j * p.psi for p in pairs]
-    f0s = [p.f0.astype(complex) for p in pairs]
-    out = []
-    for k, p in enumerate(pairs):
-        v, v0 = fs[k], f0s[k]
-        for q in out:
-            c = quadrature.inner(grid, q.phi + 1j * q.psi, v)
-            v = v - c * (q.phi + 1j * q.psi)
-            v0 = v0 - c * q.f0
-        nrm = quadrature.norm(grid, v)
-        if nrm < 1e-8:
-            raise RankCollapse(
-                f"eigenfunction {k} at omega={p.omega:.6g} lies in the span of the others")
-        v, v0 = v / nrm, v0 / nrm
-        phase = _canonical_phase(v0)
-        v, v0 = v * phase, v0 * phase
-        lres = quadrature.norm(grid, apply_L(ctx, v) - 1j * p.omega * v)
-        E = bvp_matrices(ctx, p.omega).E
-        bres = float(np.linalg.norm(E @ v0) / np.linalg.norm(v0))
-        out.append(EigenPair(omega=p.omega, f0=v0, phi=v.real.copy(), psi=v.imag.copy(),
-                             multiplicity=p.multiplicity, bvp_residual=lres,
-                             boundary_residual=bres))
-    return out
 
 
 def nystrom_oracle(ctx: KernelContext) -> NystromResult:
@@ -328,7 +305,7 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
 
     pairs: list[EigenPair] = []
     for root in roots:
-        pairs.extend(eigenfunction_from_root(ctx, root.omega))
+        pairs.extend(eigenfunction_from_root(ctx, root))
     pairs.sort(key=lambda p: -p.omega)
 
     captured = 0.0

@@ -78,10 +78,6 @@ class RefinementStalled(QeflabError):
     code = "RefinementStalled"
 
 
-class EmptyKernel(QeflabError):
-    code = "EmptyKernel"
-
-
 class RankCollapse(QeflabError):
     code = "RankCollapse"
 

@@ -201,7 +201,8 @@ def _check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
 def apply_L(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     """g(s) = int_0^T Lambda(s - t) f(t) dt on the quadrature grid."""
     f = _check_grid_function(ctx, f)
-    return np.einsum('abij,b,bj->ai', ctx.lambda_grid, ctx.grid.weights, f)
+    wf = ctx.grid.weights[:, None] * f
+    return np.tensordot(ctx.lambda_grid, wf, axes=([1, 3], [0, 1]))
 
 
 class BvpMatrices(NamedTuple):

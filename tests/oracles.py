@@ -5,7 +5,8 @@ also reaches, by an independent route or as a direct consequence of the
 theory, so that agreement checks the package's own evaluation:
 
 - the Green-function formula and the one-sided propagation of L,
-  against the dense commutator-kernel quadrature;
+  against the dense commutator-kernel quadrature, and that quadrature
+  as one three-operand einsum, against its contraction in apply_L;
 - the eigen-ODE residual and the normalized boundary determinant,
   against the shooting roots and eigenfunctions;
 - the spectral action of K and the surrogate covariance, against the
@@ -109,6 +110,12 @@ def transform_system(spec: OscillatorSpec, S: np.ndarray) -> OscillatorSpec:
         R=S_inv.T @ spec.R @ S_inv,
         M=spec.M @ S_inv,
     )
+
+
+def apply_L_einsum(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
+    """The kernel quadrature sum_b w_b Lambda(s_a - t_b) f(t_b) as one einsum."""
+    f = _check_grid_function(ctx, f)
+    return np.einsum('abij,b,bj->ai', ctx.lambda_grid, ctx.grid.weights, f)
 
 
 def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

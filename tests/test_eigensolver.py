@@ -1,5 +1,7 @@
 """Eigenfrequency scan, shooting eigenfunctions, and the Nystrom oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import J2, squeezed_spec
@@ -52,6 +54,15 @@ def test_scan_empty_band_raises(ctx):
         es.scan_eigenfrequencies(ctx, 0.60, 0.65, samples=60)
 
 
+def two_copy_spec():
+    """Two identical decoupled copies of the README mode.
+
+    M routes columns to channels [0, 2, 1, 3] so that M^T J M = blockdiag(J2, J2).
+    """
+    return model.OscillatorSpec(n=4, m=4, Theta=block_diag(J2, J2), R=np.eye(4),
+                                M=np.eye(4)[:, [0, 2, 1, 3]], T=1.0, theta=0.0)
+
+
 def default_band(ctx):
     """build_basis's default band [omega_max / 10, omega_max]."""
     omega_max = 1.05 * float(np.sqrt(ctx.hs_total / 2.0))
@@ -92,11 +103,7 @@ def test_squeezed_oscillator_roots():
 
 
 def test_degenerate_roots(grid):
-    # two identical decoupled copies of the reference mode: M routes
-    # columns to channels [0, 2, 1, 3] so that M^T J M = blockdiag(J2, J2)
-    spec = model.OscillatorSpec(n=4, m=4, Theta=block_diag(J2, J2), R=np.eye(4),
-                                M=np.eye(4)[:, [0, 2, 1, 3]], T=1.0, theta=0.0)
-    ctx4 = kernels.make_context(spec, grid)
+    ctx4 = kernels.make_context(two_copy_spec(), grid)
     assert np.allclose(ctx4.sys.A, block_diag(2.0 * (J2 - np.eye(2)), 2.0 * (J2 - np.eye(2))))
     basis = es.build_basis(ctx4, 0.97)
     assert [p.multiplicity for p in basis.pairs] == [2, 2, 2, 2]
@@ -110,7 +117,9 @@ def test_det_ratio_profile(ctx):
 
 
 def test_eigenfunction_properties(ctx, grid):
-    pairs = es.eigenfunction_from_root(ctx, ROOTS_FROZEN[0])
+    root = es.scan_eigenfrequencies(ctx, *default_band(ctx))[0]
+    assert root.omega == pytest.approx(ROOTS_FROZEN[0], rel=1e-9)
+    pairs = es.eigenfunction_from_root(ctx, root)
     assert len(pairs) == 1
     p = pairs[0]
     f = p.phi + 1j * p.psi
@@ -142,23 +151,68 @@ def test_conjugate_orthogonality(ctx, grid, basis):
             assert abs(quadrature.inner(grid, np.conj(fj), fk)) <= 1e-6
 
 
-def test_orthonormalize_mixed_pairs(ctx, basis):
-    a, b = basis.pairs[0], basis.pairs[1]
-    mixed = es.EigenPair(
-        omega=a.omega,
-        f0=(a.f0 + 0.5 * b.f0) / np.sqrt(1.25),
-        phi=(a.phi + 0.5 * b.phi) / np.sqrt(1.25),
-        psi=(a.psi + 0.5 * b.psi) / np.sqrt(1.25),
-        multiplicity=2, bvp_residual=0.0, boundary_residual=0.0)
-    out = es.orthonormalize(ctx, [a, mixed])
-    g = quadrature.inner(ctx.grid, out[0].phi + 1j * out[0].psi,
-                         out[1].phi + 1j * out[1].psi)
-    assert abs(g) <= 1e-10
-    for p in out:
-        f = p.phi + 1j * p.psi
-        assert quadrature.norm(ctx.grid, f) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(RankCollapse):
-        es.orthonormalize(ctx, [a, a])
+def test_rank_collapse_on_repeated_kernel_rows(ctx):
+    root = es.scan_eigenfrequencies(ctx, *default_band(ctx))[0]
+    repeated = replace(root, kernel=np.vstack([root.kernel, root.kernel]))
+    assert repeated.multiplicity == 2
+    with pytest.raises(RankCollapse, match="linearly dependent"):
+        es.eigenfunction_from_root(ctx, repeated)
+
+
+def test_mixed_kernel_rows_orthonormalize(grid):
+    # a non-orthogonal basis of a double root's kernel gives the same
+    # orthonormal eigenspace as the scan's own kernel vectors
+    ctx4 = kernels.make_context(two_copy_spec(), grid)
+    root = es.scan_eigenfrequencies(ctx4, *default_band(ctx4))[0]
+    a, b = root.kernel
+    pairs = es.eigenfunction_from_root(ctx4, replace(root, kernel=np.array([a, a + 0.5j * b])))
+    f = np.stack([p.phi + 1j * p.psi for p in pairs], axis=-1)
+    gram = np.einsum('a,aij,aik->jk', grid.weights, f.conj(), f)
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+    for p in pairs:
+        assert p.multiplicity == 2
+        assert p.bvp_residual <= 1e-4
+        assert p.boundary_residual <= 1e-8
+    scan = es.eigenfunction_from_root(ctx4, root)
+    g = np.stack([p.phi + 1j * p.psi for p in scan], axis=-1)
+    overlap = np.einsum('a,aij,aik->jk', grid.weights, g.conj(), f)
+    assert np.allclose(overlap.conj().T @ overlap, np.eye(2), atol=1e-12)
+
+
+def test_build_basis_one_pass_per_root(ctx, grid, monkeypatch):
+    # each root costs one scalar bvp_matrices call and one SVD in the scan
+    # and one scalar call to build its eigenpairs, whatever its multiplicity
+    calls, svds = [], []
+
+    def counting(ctx, omega):
+        calls.append(np.shape(omega))
+        return kernels.bvp_matrices(ctx, omega)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    svd = np.linalg.svd
+    two_copy = kernels.make_context(two_copy_spec(), grid)
+    monkeypatch.setattr(es, "bvp_matrices", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for c, capture, n_roots in ((ctx, 0.99, 3), (two_copy, 0.97, 2)):
+        calls.clear()
+        svds.clear()
+        es.build_basis(c, capture)
+        assert calls.count(()) <= 2 * n_roots
+        assert len(svds) == n_roots
+
+
+def test_squeezed_basis_orthonormal(grid):
+    ctx = kernels.make_context(squeezed_spec(), grid)
+    basis = es.build_basis(ctx, 0.99)
+    target = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(basis.pairs)), np.eye(2))
+    assert np.max(np.abs(es.basis_gram(basis) - target)) <= 1e-12
+    for p in basis.pairs:
+        assert p.bvp_residual <= 1e-4
+        assert p.boundary_residual <= 1e-8
+    assert basis.mercer_residual <= basis.hs_total - basis.hs_captured
 
 
 def test_nystrom_oracle_spectrum(ctx):

@@ -9,8 +9,8 @@ Hilbert-Schmidt norm integrates to (3 + e^{-4}) / 4.
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import J2, dense_kernel, random_hurwitz_spec
-from oracles import apply_L_split, green_function
+from conftest import J2, dense_kernel, random_hurwitz_spec, squeezed_spec
+from oracles import apply_L_einsum, apply_L_split, green_function
 
 from qeflab import kernels, model, quadrature
 from qeflab.errors import GridMismatch, NonpositiveOmega, SingularMho
@@ -139,6 +139,17 @@ def test_apply_L_routes_agree(ctx):
     assert np.max(np.abs(dense - split)) <= 2e-4
     with pytest.raises(GridMismatch):
         kernels.apply_L(ctx, f[:-1])
+
+
+@pytest.mark.parametrize("system", ["readme", "squeezed", "random4"])
+def test_apply_L_matches_einsum_reference(ctx, grid, system):
+    spec = {"readme": None, "squeezed": squeezed_spec(),
+            "random4": random_hurwitz_spec(np.random.default_rng(7), 4)}[system]
+    c = ctx if spec is None else kernels.make_context(spec, grid)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((grid.size, c.n)) + 1j * rng.standard_normal((grid.size, c.n))
+    ref = apply_L_einsum(c, f)
+    assert np.max(np.abs(kernels.apply_L(c, f) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_apply_L_discrete_skew_adjointness(ctx, grid):
