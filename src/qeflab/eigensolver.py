@@ -43,7 +43,7 @@ DEFAULT_SAMPLES = 400
 REFINE_POINTS = 9           # frequencies per bracket in each refinement step
 REFINE_XTOL = 1e-12         # relative bracket width at which refinement stops
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
-RANK_ATOL = 1e-8            # smallest Cholesky pivot of a root's normalized Gram
+RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +199,14 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     propagated functions f are orthonormalized together as
     f S^{-1} C^{-H}, where S holds their L2 norms and C C^H is the
     Cholesky factorization of their Gram matrix normalized to a unit
-    diagonal; for k = 1 this is plain normalization.  The pivots of C
-    are the residual norms modified Gram-Schmidt would test, so a pivot
-    below RANK_ATOL raises RankCollapse.
+    diagonal; for k = 1 this is plain normalization.  RankCollapse is
+    raised when k > 1 and a pivot of the QR factorization of
+    sqrt(w) f S^{-1} (the residual norm Gram-Schmidt would test) is below
+    RANK_ATOL times the gain of the map from a unit initial vector to
+    sqrt(w) f S^{-1}: the k functions are then within a RANK_ATOL change
+    of the kernel rows from dependence.  Those pivots are accurate to
+    rounding, where the pivots of C, from the squared Gram, are accurate
+    only to sqrt(eps).
     """
     omega, grid = root.omega, ctx.grid
     D, E = bvp_matrices(ctx, omega)
@@ -209,9 +214,16 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     f = (prop @ root.kernel.T)[:, :ctx.n]                    # (N, n, k)
     gram = np.einsum('aij,aik->jk', f.conj(), grid.weights[:, None, None] * f)
     scale = np.sqrt(gram.diagonal().real)
+    # sqrt(w) f for every initial vector: a change of RANK_ATOL in a unit
+    # kernel row moves the normalized functions by up to RANK_ATOL times
+    # this map's gain (bounded by its Frobenius norm), so functions no
+    # farther than that from dependence have collapsed (one never has)
+    wprop = (np.sqrt(grid.weights)[:, None, None] * prop[:, :ctx.n]).reshape(-1, ctx.n)
+    gain = np.linalg.norm(wprop) / scale.min()
+    pivots = np.abs(np.linalg.qr(wprop @ root.kernel.T / scale, mode='r').diagonal())
     try:
+        collapsed = root.multiplicity > 1 and not pivots.min() >= RANK_ATOL * gain
         C = np.linalg.cholesky(gram / np.outer(scale, scale))
-        collapsed = not np.all(C.diagonal().real >= RANK_ATOL)
     except np.linalg.LinAlgError:   # not positive definite: a pivot vanished
         collapsed = True
     if collapsed:

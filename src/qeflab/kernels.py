@@ -104,9 +104,19 @@ class KernelContext:
         self.V = np.vstack([np.eye(n), -self.Theta @ A.T @ self.Theta_inv])
 
     @cached_property
+    def lag_exponentials(self) -> np.ndarray:
+        """e^{|tau| A} for every panel lag of the grid, shape (2P - 1, Q, Q, n, n)."""
+        return lag_exponentials(self.sys.A, self.grid)
+
+    @cached_property
+    def lambda_matrix(self) -> np.ndarray:
+        """Commutator kernel at all node pairs, node-major, shape (N n, N n)."""
+        return kernel_matrix(self.grid, self.lag_exponentials, self.Theta)
+
+    @cached_property
     def lambda_grid(self) -> np.ndarray:
-        """Commutator kernel at all node pairs, shape (N, N, n, n)."""
-        return kernel_on_grid(self.sys.A, self.grid, self.Theta)
+        """Commutator kernel at all node pairs, shape (N, N, n, n): a view of lambda_matrix."""
+        return _block_view(self.lambda_matrix, self.n)
 
     @cached_property
     def hs_total(self) -> float:
@@ -131,13 +141,8 @@ def make_context(spec: OscillatorSpec, grid: Grid) -> KernelContext:
     return KernelContext(sysm, spec.Theta, grid)
 
 
-def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
-    """Evaluate a one-sided-exponential kernel at all node pairs of a grid.
-
-    For lag tau = s_a - s_b >= 0 the value is e^{tau A} base; for tau < 0
-    it is base e^{-tau A^T} = base (e^{|tau| A})^T.  With base = Theta
-    this is the commutator kernel (block-antisymmetric by construction);
-    with a symmetric base = P0 it is the covariance kernel.
+def lag_exponentials(A: np.ndarray, grid: Grid) -> np.ndarray:
+    """e^{|tau| A} for every panel lag of a grid, shape (2P - 1, Q, Q, n, n).
 
     The grid has P equal panels of width h that repeat the same Q node
     offsets, so two nodes differ by delta = x_i - x_j inside a panel and
@@ -150,11 +155,11 @@ def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
     the product is as accurate as a direct evaluation.  The whole grid
     costs P - 1 + 2 Q^2 matrix exponentials (Q^2 in-panel e^{|delta| A},
     Q^2 cross-panel e^{(h + delta) A}, one per panel gap) instead of
-    (P Q)^2.
+    (P Q)^2.  Entry [P - 1 + g, i, j] is the block between node i of a
+    panel and node j of the panel g before it; g < 0 mirrors delta.
     """
     A = np.asarray(A, dtype=float)
-    base = np.asarray(base, dtype=float)
-    P, Q, n = grid.panels, grid.order, A.shape[0]
+    P, Q = grid.panels, grid.order
     h = grid.T / P
     x = grid.nodes[:Q]
     delta = x[:, None] - x[None, :]
@@ -162,21 +167,55 @@ def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
     cross = expm((h + delta)[..., None, None] * A)
     gaps = expm((h * np.arange(P - 1))[:, None, None] * A)        # e^{(g-1) h A}
     far = gaps[:, None, None] @ cross                              # (P-1, Q, Q, n, n)
-    # blocks[P-1+g] is e^{|tau| A} between panels g apart; g < 0 mirrors delta
-    blocks = np.concatenate([far[::-1].swapaxes(1, 2), near[None], far])
+    return np.concatenate([far[::-1].swapaxes(1, 2), near[None], far])
+
+
+def kernel_matrix(grid: Grid, lags: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """A one-sided-exponential kernel at all node pairs, node-major, shape (N n, N n).
+
+    lags are the grid's lag_exponentials.  For lag tau >= 0 the kernel is
+    e^{tau A} base, for tau < 0 base e^{-tau A^T} = base (e^{|tau| A})^T,
+    so the base is applied once per lag block, on the side the lag's sign
+    gives (inside a panel, the sign of delta), before one gather to every
+    node pair.
+    """
+    base = np.asarray(base, dtype=float)
+    P, Q, n = grid.panels, grid.order, base.shape[0]
+    x = grid.nodes[:Q]
+    near = lags[P - 1]
+    same = np.where((x[:, None] >= x[None, :])[..., None, None],
+                    near @ base, base @ np.swapaxes(near, -1, -2))
+    based = np.concatenate([base @ np.swapaxes(lags[:P - 1], -1, -2), same[None],
+                            lags[P:] @ base])
     p = np.arange(P)
-    Eabs = blocks[P - 1 + p[:, None] - p[None, :]]
-    Eabs = Eabs.transpose(0, 2, 1, 3, 4, 5).reshape(P * Q, P * Q, n, n)
-    d = grid.nodes[:, None] - grid.nodes[None, :]
-    pos = Eabs @ base
-    neg = base @ np.swapaxes(Eabs, -1, -2)
-    mask = (d >= 0.0)[..., None, None]
-    return np.where(mask, pos, neg)
+    blocks = based[P - 1 + p[:, None] - p[None, :]]               # (P, P, Q, Q, n, n)
+    return blocks.transpose(0, 2, 4, 1, 3, 5).reshape(P * Q * n, P * Q * n)
+
+
+def _block_view(matrix: np.ndarray, n: int) -> np.ndarray:
+    """The (N, N, n, n) node-pair blocks of a node-major (N n, N n) matrix, as a view."""
+    N = matrix.shape[0] // n
+    return matrix.reshape(N, n, N, n).swapaxes(1, 2)
+
+
+def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
+    """Evaluate a one-sided-exponential kernel at all node pairs of a grid.
+
+    For lag tau = s_a - s_b >= 0 the value is e^{tau A} base; for tau < 0
+    it is base e^{-tau A^T} = base (e^{|tau| A})^T.  With base = Theta
+    this is the commutator kernel (block-antisymmetric by construction);
+    with a symmetric base = P0 it is the covariance kernel.  The result,
+    of shape (N, N, n, n), is kernel_matrix applied to the grid's
+    lag_exponentials, viewed as node-pair blocks: the same two steps
+    KernelContext takes once per grid and shares between lambda_grid and
+    covariance_on_grid.
+    """
+    return _block_view(kernel_matrix(grid, lag_exponentials(A, grid), base), np.shape(base)[0])
 
 
 def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:
-    """Covariance kernel at all node pairs, shape (N, N, n, n)."""
-    return kernel_on_grid(ctx.sys.A, ctx.grid, P0)
+    """Covariance kernel at all node pairs, shape (N, N, n, n), from ctx's lag exponentials."""
+    return _block_view(kernel_matrix(ctx.grid, ctx.lag_exponentials, P0), ctx.n)
 
 
 def weighted_matrix(grid: Grid, blocks: np.ndarray) -> np.ndarray:
@@ -201,8 +240,13 @@ def _check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
 def apply_L(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     """g(s) = int_0^T Lambda(s - t) f(t) dt on the quadrature grid."""
     f = _check_grid_function(ctx, f)
-    wf = ctx.grid.weights[:, None] * f
-    return np.tensordot(ctx.lambda_grid, wf, axes=([1, 3], [0, 1]))
+    wf = (ctx.grid.weights[:, None] * f).reshape(-1)
+    # the real kernel acts on the real and imaginary parts apart, so no
+    # complex copy of it is made
+    g = ctx.lambda_matrix @ wf.real
+    if np.iscomplexobj(wf):
+        g = g + 1j * (ctx.lambda_matrix @ wf.imag)
+    return g.reshape(f.shape)
 
 
 class BvpMatrices(NamedTuple):

@@ -18,14 +18,20 @@ estimate a different quantity, low by the trace of the neglected part
 of PK, which is not small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
-batches run serially in index order, so estimates are seed-determined.
-Theta enters only through a few scalars per retained mode, so the
-increment geometry, the N-route covariance root and each batch's draws are
-theta-independent: estimate_qef_mc_many builds the geometry once per
-run, draws each batch once and weights it for every theta.  Every theta
-of one run is thus estimated from the same draws (common random
-numbers): its estimates are correlated across theta, and each equals
-what estimate_qef_mc returns for that theta alone.
+batches are drawn in index order, so estimates are seed-determined.
+Consecutive batches are stacked into groups of at most GROUP_ROWS rows
+(a larger batch is a group of its own), and only one group's draws are
+held in memory at a time.  Theta enters only through a few scalars per
+retained mode, so the increment geometry, the N-route covariance root
+and each group's draws and products are theta-independent:
+estimate_qef_mc_many builds the geometry once per run, draws each group
+once and weights it for every theta.  In the Z-route form, with
+u = zeta * corr and Pm symmetric,
+dZ Pm dZ = dW Pm dW - 2 u.(dW Pm dH) + u (dH^T Pm dH) u^T,
+so a theta costs O(rows r^2) rank-2r terms, not a product with Pm.
+Every theta of one run is thus estimated from the same draws (common
+random numbers): its estimates are correlated across theta, and each
+equals what estimate_qef_mc returns for that theta alone.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .qkl import Hk_at, QklBasis
 from .quadrature import Grid
 
 KURTOSIS_LIMIT = 10.0          # excess kurtosis of batch means beyond this flags the run
+GROUP_ROWS = 512               # draws of consecutive batches weighted together, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +143,6 @@ def _theta_terms(qkl: QklBasis, cache: SpectralCache) -> _ThetaTerms:
                        variance_finite=2.0 * theta * sr < 1.0)
 
 
-def _exp_mean(expo: np.ndarray) -> tuple[float, int]:
-    """Mean of exp(expo) under the overflow clip, and the number of clipped samples."""
-    clipped = int(np.sum(expo > OVERFLOW_LOG))
-    return float(np.mean(np.exp(np.minimum(expo, OVERFLOW_LOG)))), clipped
-
-
 class _Geometry:
     """Theta-independent geometry, shared by every batch and theta of a run.
 
@@ -155,8 +156,8 @@ class _Geometry:
         # Z-route geometry: uniform increment grid, midpoint kernel; the
         # midpoint rule is the one-node Gauss-Legendre rule on m panels.
         # Both routes' matrices are flat: rows index (increment or node,
-        # component), columns (mode, pair member), so each batch is a few
-        # matrix products
+        # component), columns (mode, pair member), so each group of
+        # batches is a few matrix products
         m = grid.panels * cfg.increments_per_panel
         bounds = np.linspace(0.0, grid.T, m + 1)
         self.dt = grid.T / m
@@ -166,31 +167,65 @@ class _Geometry:
         self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
         Pm = kernel_on_grid(ctx.sys.A, mids, P0)                              # (m, m, n, n)
         self.Pm = Pm.transpose(0, 2, 1, 3).reshape(m * ctx.n, m * ctx.n)      # (m n, m n)
+        self.PmdH = self.Pm @ self.dH                                         # (m n, 2r)
+        self.G = self.dH.T @ self.PmdH                                        # (2r, 2r)
 
         # N-route geometry, in the weighted node coordinates: the root of P_h
         # and the orthonormal mode columns that carry K
         self.root = cache.path_factor                                         # (N n, N n)
         self.modes = cache.modes                                              # (N n, 2r)
 
-    def run_batch(self, size: int, seed: np.random.SeedSequence,
-                  terms: list[_ThetaTerms]) -> list[tuple]:
-        """One batch, drawn once: per theta ((z_mean, z_clipped), (n_mean, n_clipped))."""
-        rng = np.random.default_rng(seed)
-        dW = rng.standard_normal((size, self.dH.shape[0])) * np.sqrt(self.dt)
+    def run_group(self, sizes: np.ndarray, seeds: list[np.random.SeedSequence],
+                  terms: list[_ThetaTerms]) -> tuple[np.ndarray, np.ndarray]:
+        """Consecutive batches, drawn once and weighted for every theta.
+
+        Each batch draws dW, then z, from its own stream into the group's
+        rows.  Returns the batch means and clipped counts, each of shape
+        (theta, route Z/N, batch).
+        """
+        starts = np.cumsum(sizes) - sizes
+        dW = np.empty((int(sizes.sum()), self.dH.shape[0]))
+        z = np.empty((dW.shape[0], self.root.shape[0]))
+        for start, size, seed in zip(starts, sizes, seeds):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=dW[start:start + size])
+            rng.standard_normal(out=z[start:start + size])
+        dW *= np.sqrt(self.dt)
         # project with the same cell integrals dH that the correction term
-        # applies; a pointwise-h projection completes to a different covariance
+        # applies; a pointwise-h projection completes to a different
+        # covariance.  With u = zeta * corr, dZ = dW - u dH^T and, Pm being
+        # symmetric, dZ Pm dZ = a - 2 u.b + u G u^T
         zeta = dW @ self.dH / self.dt
-        y = rng.standard_normal((size, self.root.shape[0])) @ self.root
+        a = np.einsum('si,si->s', dW @ self.Pm, dW)
+        b = dW @ self.PmdH
+        y = z @ self.root
         proj2 = (y @ self.modes) ** 2
         base = np.einsum('si,si->s', y, y)
 
-        out = []
-        for t in terms:
-            dZ = dW - (zeta * t.corr) @ self.dH.T
-            q_z = np.einsum('si,si->s', dZ @ self.Pm, dZ)
+        means = np.empty((len(terms), 2, len(sizes)))
+        clipped = np.empty((len(terms), 2, len(sizes)), dtype=int)
+        for i, t in enumerate(terms):
+            u = zeta * t.corr
+            q_z = a - 2.0 * np.einsum('sk,sk->s', u, b) + np.einsum('sk,sk->s', u @ self.G, u)
             q_n = base + proj2 @ t.tanc_m1
-            out.append(tuple(_exp_mean(-t.C + 0.5 * t.theta * q) for q in (q_z, q_n)))
-        return out
+            for route, q in enumerate((q_z, q_n)):
+                expo = -t.C + 0.5 * t.theta * q
+                means[i, route] = np.add.reduceat(np.exp(np.minimum(expo, OVERFLOW_LOG)),
+                                                  starts) / sizes
+                clipped[i, route] = np.add.reduceat(expo > OVERFLOW_LOG, starts, dtype=int)
+        return means, clipped
+
+
+def _groups(sizes: np.ndarray) -> list[slice]:
+    """Runs of consecutive batches of at most GROUP_ROWS rows; a larger batch is its own run."""
+    groups, first, rows = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > first and rows + size > GROUP_ROWS:
+            groups.append(slice(first, i))
+            first, rows = i, 0
+        rows += size
+    groups.append(slice(first, len(sizes)))
+    return groups
 
 
 def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
@@ -224,8 +259,10 @@ def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarra
     once and each batch is drawn once, then weighted for every theta, so
     all thetas see the same draws and their estimates are correlated;
     each result equals what estimate_qef_mc returns for its theta alone.
-    Refuses the run if any theta is supercritical.  One batch is held
-    in memory at a time.
+    Refuses the run if any theta is supercritical.  One group of
+    consecutive batches, at most GROUP_ROWS rows or one larger batch, is
+    held in memory at a time, and a theta weights it through rank-2r
+    terms only.
     """
     if not qkls:
         return []
@@ -239,12 +276,16 @@ def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarra
     geom = _Geometry(ctx, qkls[0], P0, cfg, cache)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
-    batches = [geom.run_batch(int(size), seed, terms) for size, seed in zip(sizes, seeds)]
+    means = np.empty((len(terms), 2, cfg.batch))
+    clipped = np.empty((len(terms), 2, cfg.batch), dtype=int)
+    for group in _groups(sizes):
+        means[..., group], clipped[..., group] = geom.run_group(sizes[group], seeds[group],
+                                                                terms)
 
     results = []
     for i, t in enumerate(terms):
-        z, n = (_aggregate(np.array([b[i][route][0] for b in batches]), sizes,
-                           sum(b[i][route][1] for b in batches), t.variance_finite)
+        z, n = (_aggregate(means[i, route], sizes, int(clipped[i, route].sum()),
+                           t.variance_finite)
                 for route in (0, 1))
         results.append(QefMcResult(theta=t.theta, z=z, n=n, seed=cfg.seed))
     return results

@@ -15,6 +15,10 @@ theory, so that agreement checks the package's own evaluation:
   log-determinant and Lanczos radius of the spectral cache;
 - a coordinate change of the oscillator, against the realizability
   identity;
+- the kernel grid assembled by gathering e^{|tau| A} to every node pair
+  first, against the base applied once per panel lag;
+- one Monte-Carlo batch drawn and weighted on its own, against the
+  stacked groups of batches;
 - the inverse of the Fock sigma(omega) map;
 - the panel Legendre running integrals and spectral derivative these
   routes are built from.
@@ -28,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
+from qeflab import mc
 from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP
 from qeflab.kernels import KernelContext, _check_grid_function, bvp_matrices, expm
@@ -110,6 +115,60 @@ def transform_system(spec: OscillatorSpec, S: np.ndarray) -> OscillatorSpec:
         R=S_inv.T @ spec.R @ S_inv,
         M=spec.M @ S_inv,
     )
+
+
+def kernel_on_grid_gathered(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
+    """One-sided-exponential kernel, shape (N, N, n, n), with the base applied per node pair.
+
+    Gathers the panel-factored e^{|tau| A} to all N^2 node pairs, then
+    forms e^{tau A} base and base e^{|tau| A^T} at every pair and picks
+    one by the sign of the lag.
+    """
+    A = np.asarray(A, dtype=float)
+    base = np.asarray(base, dtype=float)
+    P, Q, n = grid.panels, grid.order, A.shape[0]
+    h = grid.T / P
+    x = grid.nodes[:Q]
+    delta = x[:, None] - x[None, :]
+    near = expm(np.abs(delta)[..., None, None] * A)
+    cross = expm((h + delta)[..., None, None] * A)
+    gaps = expm((h * np.arange(P - 1))[:, None, None] * A)
+    far = gaps[:, None, None] @ cross
+    blocks = np.concatenate([far[::-1].swapaxes(1, 2), near[None], far])
+    p = np.arange(P)
+    Eabs = blocks[P - 1 + p[:, None] - p[None, :]]
+    Eabs = Eabs.transpose(0, 2, 1, 3, 4, 5).reshape(P * Q, P * Q, n, n)
+    d = grid.nodes[:, None] - grid.nodes[None, :]
+    pos = Eabs @ base
+    neg = base @ np.swapaxes(Eabs, -1, -2)
+    return np.where((d >= 0.0)[..., None, None], pos, neg)
+
+
+def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> list[tuple]:
+    """One Monte-Carlo batch of a geometry, drawn and weighted on its own.
+
+    Draws dW, then z, from the batch's stream and forms dZ and both
+    routes' quadratic forms in full for every theta.  Returns per theta
+    ((z_mean, z_clipped), (n_mean, n_clipped)).
+    """
+    rng = np.random.default_rng(seed)
+    dW = rng.standard_normal((size, geom.dH.shape[0])) * np.sqrt(geom.dt)
+    zeta = dW @ geom.dH / geom.dt
+    y = rng.standard_normal((size, geom.root.shape[0])) @ geom.root
+    proj2 = (y @ geom.modes) ** 2
+    base = np.einsum('si,si->s', y, y)
+    out = []
+    for t in terms:
+        dZ = dW - (zeta * t.corr) @ geom.dH.T
+        q_z = np.einsum('si,si->s', dZ @ geom.Pm, dZ)
+        q_n = base + proj2 @ t.tanc_m1
+        routes = []
+        for q in (q_z, q_n):
+            expo = -t.C + 0.5 * t.theta * q
+            routes.append((float(np.mean(np.exp(np.minimum(expo, mc.OVERFLOW_LOG)))),
+                           int(np.sum(expo > mc.OVERFLOW_LOG))))
+        out.append(tuple(routes))
+    return out
 
 
 def apply_L_einsum(ctx: KernelContext, f: np.ndarray) -> np.ndarray:

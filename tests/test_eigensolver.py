@@ -159,6 +159,20 @@ def test_rank_collapse_on_repeated_kernel_rows(ctx):
         es.eigenfunction_from_root(ctx, repeated)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_rank_collapse_on_nearly_equal_kernel_rows(ctx, index):
+    # rows 1e-9 apart are one kernel direction; propagation magnifies their
+    # difference to 4e-8 (omega = 0.19547) and 4e-7 (omega = 0.078525) of
+    # the functions, which a Gram-pivot test at 1e-8 passed as a second
+    # eigenpair with bvp_residual 0.49 and 0.35
+    root = es.scan_eigenfrequencies(ctx, *default_band(ctx))[index]
+    assert root.omega == pytest.approx(ROOTS_FROZEN[index], rel=1e-10)
+    k = root.kernel[0]
+    near = replace(root, kernel=np.array([k, k + 1e-9 * np.array([1.0, -1.0j])]))
+    with pytest.raises(RankCollapse, match="linearly dependent"):
+        es.eigenfunction_from_root(ctx, near)
+
+
 def test_mixed_kernel_rows_orthonormalize(grid):
     # a non-orthogonal basis of a double root's kernel gives the same
     # orthonormal eigenspace as the scan's own kernel vectors

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import J2, dense_kernel, random_hurwitz_spec, squeezed_spec
-from oracles import apply_L_einsum, apply_L_split, green_function
+from oracles import apply_L_einsum, apply_L_split, green_function, kernel_on_grid_gathered
 
 from qeflab import kernels, model, quadrature
 from qeflab.errors import GridMismatch, NonpositiveOmega, SingularMho
@@ -82,6 +82,38 @@ def test_kernel_on_grid_matches_dense_expm(nonnormal_system, make):
         got = kernels.kernel_on_grid(A, grid, base)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("system", ["readme", "squeezed", "random4"])
+def test_grids_equal_per_pair_assembly(osc_spec, grid, system):
+    # applying the base once per panel lag, before the gather, must not
+    # move a bit against applying it at every node pair after the gather
+    spec = {"readme": osc_spec, "squeezed": squeezed_spec(),
+            "random4": random_hurwitz_spec(np.random.default_rng(2024), 4)}[system]
+    c = kernels.make_context(spec, grid)
+    P0 = model.solve_state_ale(c.sys.A, c.sys.B).P0
+    assert np.array_equal(c.lambda_grid, kernel_on_grid_gathered(c.sys.A, grid, c.Theta))
+    assert np.array_equal(kernels.covariance_on_grid(c, P0),
+                          kernel_on_grid_gathered(c.sys.A, grid, P0))
+
+
+def test_grids_share_one_set_of_lag_exponentials(osc_spec, grid, monkeypatch):
+    # the in-panel, cross-panel and gap exponentials are made once per
+    # context; both kernel grids only apply their base to them
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    expm = kernels.expm
+    monkeypatch.setattr(kernels, "expm", counting)
+    c = kernels.make_context(osc_spec, grid)
+    c.lambda_grid
+    kernels.covariance_on_grid(c, np.eye(2))
+    assert len(calls) == 3
+    # lambda_grid is a view of the node-major matrix apply_L multiplies by
+    assert np.shares_memory(c.lambda_grid, c.lambda_matrix)
 
 
 def _max_rel(got, ref):

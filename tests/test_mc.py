@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import dense_kernel, squeezed_spec
+from oracles import run_batch
 
 from qeflab import kernels, mc, model, qef, quadrature
 from qeflab.eigensolver import build_basis
@@ -48,8 +49,11 @@ def test_sample_N_zero_state(ctx, qkl348):
     assert np.max(np.abs(factor)) == 0.0
     geom = mc._Geometry(ctx, qkl348, zero, mc.McConfig(samples=200, seed=0, batch=100), cache)
     terms = mc._theta_terms(qkl348, cache)
-    [(_, (n_mean, clipped))] = geom.run_batch(20, np.random.SeedSequence(0), [terms])
-    assert n_mean == pytest.approx(np.exp(-terms.C), rel=1e-15) and clipped == 0
+    means, clipped = geom.run_group(np.array([20, 13]), np.random.SeedSequence(0).spawn(2),
+                                    [terms])
+    for n_mean in means[0, 1]:
+        assert n_mean == pytest.approx(np.exp(-terms.C), rel=1e-15)
+    assert not clipped.any()
 
 
 def test_sample_N_rejects_indefinite_state(ctx, qkl348):
@@ -97,8 +101,9 @@ def _geometry(ctx, qkl, state):
 
 @pytest.mark.parametrize("theta", [0.348, 0.87])
 def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
-    # the flat matrix products of run_batch against the per-index
-    # einsum forms of the same quadratic forms, on the same draws
+    # the flat matrix products and rank-2r theta terms of one group of
+    # batches against the per-index einsum forms of the same quadratic
+    # forms, on the same draws: each batch draws dW, then z, from its stream
     qkl = build_qkl(basis, theta)
     est, terms = _geometry(ctx, qkl, state)
     n, r, N = ctx.n, qkl.hk.shape[0], ctx.grid.size
@@ -106,23 +111,97 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
     Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)
     corr = 1.0 - np.sqrt(qkl.tanc_values)
-    seed = np.random.SeedSequence(123).spawn(1)[0]
-    rng = np.random.default_rng(seed)
-    dW = rng.standard_normal((50, m, n)) * np.sqrt(est.dt)
-    zeta = np.einsum('kaip,sai->skp', dH, dW) / est.dt
-    dZ = dW - np.einsum('k,kaip,skp->sai', corr, dH, zeta)
-    q_z = np.einsum('sai,abij,sbj->s', dZ, Pm, dZ)
-    # the N-route samples y = sqrt(w) N; its form <N, K N> is in N itself
     w = ctx.grid.weights
-    paths = (rng.standard_normal((50, N * n)) @ est.root).reshape(50, N, n) \
-        / np.sqrt(w)[None, :, None]
-    base = np.einsum('sai,a,sai->s', paths, w, paths)
-    proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
-    q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
-    [((z_mean, _), (n_mean, _))] = est.run_batch(50, seed, [terms])
-    for q, mean in ((q_z, z_mean), (q_n, n_mean)):
-        ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
-        assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
+    sizes = np.array([50, 30])
+    seeds = np.random.SeedSequence(123).spawn(2)
+    means, _ = est.run_group(sizes, seeds, [terms])
+    for j, (size, seed) in enumerate(zip(sizes, seeds)):
+        rng = np.random.default_rng(seed)
+        dW = rng.standard_normal((size, m, n)) * np.sqrt(est.dt)
+        zeta = np.einsum('kaip,sai->skp', dH, dW) / est.dt
+        dZ = dW - np.einsum('k,kaip,skp->sai', corr, dH, zeta)
+        q_z = np.einsum('sai,abij,sbj->s', dZ, Pm, dZ)
+        # the N-route samples y = sqrt(w) N; its form <N, K N> is in N itself
+        paths = (rng.standard_normal((size, N * n)) @ est.root).reshape(size, N, n) \
+            / np.sqrt(w)[None, :, None]
+        base = np.einsum('sai,a,sai->s', paths, w, paths)
+        proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
+        q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
+        for q, mean in zip((q_z, q_n), means[0, :, j]):
+            ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
+            assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_group_clips_like_per_batch_reference(ctx, qkl348, state, monkeypatch):
+    # a clip lowered into the bulk of the exponents gives every batch of
+    # the group clipped samples, whose means and counts the reference fixes
+    monkeypatch.setattr(mc, "OVERFLOW_LOG", 0.3)
+    est, terms = _geometry(ctx, qkl348, state)
+    sizes = np.array([40, 25, 33])
+    seeds = np.random.SeedSequence(5).spawn(3)
+    means, clipped = est.run_group(sizes, seeds, [terms])
+    assert np.all(clipped > 0) and np.all(clipped < sizes)
+    for j, (size, seed) in enumerate(zip(sizes, seeds)):
+        [routes] = run_batch(est, int(size), seed, [terms])
+        for route, (mean, count) in enumerate(routes):
+            assert means[0, route, j] == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert clipped[0, route, j] == count
+
+
+def test_groups_cover_batches_in_order():
+    bound = mc.GROUP_ROWS
+    for sizes in (mc._batch_sizes(3000, 100), mc._batch_sizes(1000, 7),
+                  np.array([bound + 1, 3, bound - 3, 4, 2 * bound])):
+        groups = mc._groups(sizes)
+        assert [i for g in groups for i in range(len(sizes))[g]] == list(range(len(sizes)))
+        for g in groups:
+            assert sizes[g].sum() <= bound or len(sizes[g]) == 1
+
+
+@pytest.fixture(scope="module")
+def squeezed():
+    spec = squeezed_spec()
+    ctx = kernels.make_context(spec, quadrature.make_grid(spec.T))
+    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    return ctx, build_basis(ctx, 0.99), P0
+
+
+@pytest.fixture(scope="module")
+def squeezed_thetas(squeezed):
+    ctx, basis, P0 = squeezed
+    crit = qef.find_critical_theta(qef.SpectralCache(ctx, build_qkl(basis, 0.0), P0))
+    return [0.2 * crit, 0.5 * crit]
+
+
+@pytest.mark.parametrize("samples, batch", [(3000, 100), (1000, 7), (1400, 2)],
+                         ids=["even", "uneven", "batch-over-bound"])
+@pytest.mark.parametrize("which", ["readme", "squeezed"])
+def test_grouped_pass_matches_per_batch_reference(ctx, basis, state, squeezed, squeezed_thetas,
+                                                  which, samples, batch):
+    # the stacked groups and their rank-2r theta terms against each batch
+    # drawn and weighted on its own; 1400 / 2 puts more rows in one batch
+    # than a group holds
+    c, b, P0 = (ctx, basis, state.P0) if which == "readme" else squeezed
+    thetas = [0.0, 0.348, 0.87] if which == "readme" else squeezed_thetas
+    cfg = mc.McConfig(samples=samples, seed=17, batch=batch)
+    assert (batch == 2) == (samples // batch > mc.GROUP_ROWS)
+    qkls = [build_qkl(b, theta) for theta in thetas]
+    cache = qef.SpectralCache(c, qkls[0], P0)
+    terms = [mc._theta_terms(q, cache) for q in qkls]
+    geom = mc._Geometry(c, qkls[0], P0, cfg, cache)
+    sizes = mc._batch_sizes(cfg.samples, cfg.batch)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
+    batches = [run_batch(geom, int(size), seed, terms) for size, seed in zip(sizes, seeds)]
+    got = mc.estimate_qef_mc_many(c, qkls, P0, cfg, cache=cache)
+    for i, (t, res) in enumerate(zip(terms, got)):
+        for route, est in enumerate((res.z, res.n)):
+            ref = mc._aggregate(np.array([bt[i][route][0] for bt in batches]), sizes,
+                                sum(bt[i][route][1] for bt in batches), t.variance_finite)
+            assert est.mean == pytest.approx(ref.mean, rel=1e-12, abs=0.0)
+            assert est.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
+            assert est.kurtosis == pytest.approx(ref.kurtosis, rel=0.0, abs=1e-12)
+            assert (est.n_eff, est.diverged_fraction, est.unreliable) == \
+                (ref.n_eff, ref.diverged_fraction, ref.unreliable)
 
 
 def _fields(result):
@@ -183,14 +262,6 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     evs = np.linalg.eigvalsh(half @ Pm @ half)
     xi_disc = float(np.exp(-terms.C) * np.prod(1.0 - theta * evs) ** -0.5)
     assert xi_disc == pytest.approx(rep.xi, rel=5e-4)
-
-
-@pytest.fixture(scope="module")
-def squeezed():
-    spec = squeezed_spec()
-    ctx = kernels.make_context(spec, quadrature.make_grid(spec.T))
-    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
-    return ctx, build_basis(ctx, 0.99), P0
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 0.87])
