@@ -282,7 +282,6 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
     fcfg = _require(cfg, "fock")
     N = int(fcfg["N"])
     pair = fockmod.build_pair(N)
-    quad_order = int(fcfg["quad_order"])
     ode_step = {"step": fcfg["ode_step"]} if "ode_step" in fcfg else {}
     corner_tol = fcfg.get("corner_tol")
     rows = []
@@ -291,21 +290,17 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
         # a cell that leaves the double range is one JSON error, not numpy
         # warnings on stderr and a non-finite row
         with np.errstate(all="ignore"):
-            err = fockmod.corner_error(pair, omega, quad_order,
-                                       convergence_tol=fcfg.get("convergence_tol"))
+            err = fockmod.corner_error(pair, omega)
             sigma = fockmod.sigma_from_omega(omega)
-            ode = fockmod.verify_ode(pair, [sigma], quad_order=quad_order,
-                                     **ode_step).max_residual
+            ode = fockmod.verify_ode(pair, [sigma], **ode_step).max_residual
         if not (np.isfinite(err) and np.isfinite(ode)):
             raise InvalidParameter(
-                f"fock.omega_list value {omega} with fock.N = {N} and fock.quad_order = "
-                f"{quad_order} gives corner_error {err} and ode_residual {ode}: the "
-                "Gaussian average leaves the double range")
-        rows.append([N, omega, quad_order, err, ode])
+                f"fock.omega_list value {omega} with fock.N = {N} gives corner_error "
+                f"{err} and ode_residual {ode}: the Gaussian average leaves the double range")
+        rows.append([N, omega, err, ode])
         if corner_tol is not None:
             passed = passed and err <= corner_tol
-    _write_csv(out / "fock.csv",
-               ["N", "omega", "quad_order", "corner_error", "ode_residual"], rows)
+    _write_csv(out / "fock.csv", ["N", "omega", "corner_error", "ode_residual"], rows)
     print("fock: " + ("PASS" if passed else "FAIL"))
     return 0 if passed else 3
 

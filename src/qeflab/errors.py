@@ -100,7 +100,3 @@ class OverflowDominated(QeflabError):
 
 class CovarianceNotPSD(QeflabError):
     code = "CovarianceNotPSD"
-
-
-class QuadratureUnderresolved(QeflabError):
-    code = "QuadratureUnderresolved"

@@ -7,19 +7,24 @@ over independent standard normal a, b.  Truncating the ladder operators
 breaks the algebra near the basis edge, so every comparison here lives
 on a leading corner block that the edge error has not reached.
 
-The average is a tensor Gauss-Hermite rule.  Writing a node as
-(a, b) = r (cos phi, sin phi), the exponent a xi + b eta equals
+The average has a closed form.  Writing (a, b) = r (cos phi, sin phi)
+with r Rayleigh and phi uniform, the exponent a xi + b eta equals
 r U(phi) xi U(phi)^dagger with the diagonal U(phi) = e^{i phi n}, exactly
-under truncation, so one eigendecomposition of xi serves every node.
+under truncation.  Averaging over phi keeps only the number-basis
+diagonal of e^{sigma r xi}, and phi and phi + pi pair e^{sigma r xi} with
+e^{-sigma r xi}.  So with xi = V diag(lam) V^T,
+f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] and f is diagonal: one
+eigendecomposition of xi per basis serves every sigma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NonpositiveOmega, QuadratureUnderresolved
+from .errors import InvalidParameter, NonpositiveOmega
 
 SIGMA_SUP = np.sqrt(2.0)       # f(sigma) exists only for sigma < sqrt(2)
 LOG_MAX = float(np.log(np.finfo(float).max))   # largest x with a finite e^x
@@ -31,13 +36,17 @@ class TruncatedPair:
 
     The commutator [xi, eta] equals iI exactly on the leading (N-1)
     corner; only the last diagonal entry is corrupted by truncation.
-    ccr_residual is the max-abs deviation on that corner.
+    ccr_residual is the max-abs deviation on that corner.  xi is real
+    symmetric, and xi_eigvals with xi_weights[j, l] = V_jl^2 hold its
+    eigendecomposition xi = V diag(xi_eigvals) V^T.
     """
 
     N: int
     xi: np.ndarray
     eta: np.ndarray
     ccr_residual: float
+    xi_eigvals: np.ndarray
+    xi_weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +73,9 @@ def build_pair(N: int) -> TruncatedPair:
     eta = (a - a.conj().T) / (1j * np.sqrt(2.0))
     comm = xi @ eta - eta @ xi
     dev = comm[:N - 1, :N - 1] - 1j * np.eye(N - 1)
-    return TruncatedPair(N=N, xi=xi, eta=eta,
-                         ccr_residual=float(np.abs(dev).max()))
+    lam, V = np.linalg.eigh(xi.real)
+    return TruncatedPair(N=N, xi=xi, eta=eta, ccr_residual=float(np.abs(dev).max()),
+                         xi_eigvals=lam, xi_weights=V * V)
 
 
 def _herm_expm(mats: np.ndarray) -> np.ndarray:
@@ -96,66 +106,38 @@ def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
     return _herm_expm(omega * number_form(pair))
 
 
-def gaussian_average(pair: TruncatedPair, sigma: float, quad_order: int) -> np.ndarray:
+def gaussian_average(pair: TruncatedPair, sigma: float) -> np.ndarray:
     """f(sigma): mean of e^{sigma (a xi + b eta)} over standard normal a, b.
 
-    Tensor Gauss-Hermite in the probabilists' convention, so the normal
-    density is folded into the weights analytically.  The rule is
-    evaluated by the U(phi) rotation and one eigh xi = V diag(lam) V^dagger:
-    entry (j, k) of the node exponential is
-    V_jl conj(V_kl) e^{i (j - k) phi} e^{sigma r lam_l} summed over l, so
-    the whole rule is the node table
-    G[d, l] = sum over nodes of w e^{i d phi} e^{sigma r lam_l} and
-    f_jk = sum_l V_jl conj(V_kl) G[j - k, l].  The weights and
-    exponentials are real, so G[-d] = conj(G[d]) and the table for
-    d >= 0 is one real matmul of its cosine and sine parts.
+    The diagonal matrix f_jj = sum_l V_jl^2 E[cosh(c_l r)], c_l = sigma lam_l,
+    over the Rayleigh radius r (see the module docstring).  That even part
+    of the Rayleigh moment-generating function is
+    1 + c sqrt(pi/2) e^{c^2/2} erf(c/sqrt(2)): every term is nonnegative and
+    even in c, so negative eigenvalues cost neither cancellation nor an
+    inf * 0 product.
     """
     if not 0.0 <= sigma < SIGMA_SUP:
         raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
-    if quad_order < 2:
-        raise InvalidParameter(f"fock.quad_order must be at least 2, got {quad_order}")
-    N = pair.N
     if sigma == 0.0:
-        return np.eye(N, dtype=complex)          # f(0) = I exactly
-    nodes, weights = np.polynomial.hermite_e.hermegauss(quad_order)
-    weights = weights / weights.sum()
-    r = np.hypot(nodes[:, None], nodes[None, :]).ravel()
-    phi = np.arctan2(nodes[None, :], nodes[:, None]).ravel()
-    w = np.outer(weights, weights).ravel()
-    lam, V = np.linalg.eigh(pair.xi)
-    angle = np.arange(N)[:, None] * phi
-    table = (np.concatenate([w * np.cos(angle), w * np.sin(angle)])
-             @ np.exp(sigma * np.outer(r, lam)))
-    G = table[:N] + 1j * table[N:]                 # offsets d = 0 .. N-1
-    G = np.concatenate([G[:0:-1].conj(), G])       # G[-d] = conj(G[d])
-    j = np.arange(N)
-    return np.einsum('jl,kl,jkl->jk', V, V.conj(), G[j[:, None] - j + N - 1])
+        return np.eye(pair.N)                    # f(0) = I exactly
+    c = sigma * pair.xi_eigvals
+    erf = np.array([math.erf(x) for x in c / math.sqrt(2.0)])
+    mgf = 1.0 + c * math.sqrt(0.5 * math.pi) * np.exp(0.5 * c * c) * erf
+    return np.diag(pair.xi_weights @ mgf)
 
 
-def rhs_average(pair: TruncatedPair, omega: float, quad_order: int,
-                convergence_tol: float | None = None) -> np.ndarray:
+def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None) -> np.ndarray:
     """f(sqrt(2 tanh omega)) / cosh(omega), the identity's right side.
 
-    With convergence_tol set, the average is recomputed at order
-    quad_order + 8 and a max-abs change beyond the tolerance raises
-    QuadratureUnderresolved (doubles the cost, so opt-in).
+    quad_order is unused: the average is in closed form.  It stays only
+    because perfbench/layers.py still passes it.
     """
     if omega < 0.0:
         raise NonpositiveOmega(f"need omega >= 0, got {omega}")
-    sigma = sigma_from_omega(omega)
-    out = gaussian_average(pair, sigma, quad_order) / np.cosh(omega)
-    if convergence_tol is not None:
-        refined = gaussian_average(pair, sigma, quad_order + 8) / np.cosh(omega)
-        change = float(np.abs(refined - out).max())
-        if change > convergence_tol:
-            raise QuadratureUnderresolved(
-                f"order {quad_order} vs {quad_order + 8} changes the average "
-                f"by {change:.3e} > {convergence_tol:.3e}")
-    return out
+    return gaussian_average(pair, sigma_from_omega(omega)) / np.cosh(omega)
 
 
-def corner_error(pair: TruncatedPair, omega: float, quad_order: int,
-                 convergence_tol: float | None = None, relative: bool = False) -> float:
+def corner_error(pair: TruncatedPair, omega: float, relative: bool = False) -> float:
     """Max-abs gap between the identity's sides on the leading N/2 corner.
 
     relative divides by the corner's own largest magnitude; the corner
@@ -164,19 +146,20 @@ def corner_error(pair: TruncatedPair, omega: float, quad_order: int,
     """
     k = pair.N // 2
     lhs = lhs_exponential(pair, omega)
-    rhs = rhs_average(pair, omega, quad_order, convergence_tol)
+    rhs = rhs_average(pair, omega)
     gap = float(np.abs(lhs[:k, :k] - rhs[:k, :k]).max())
     if relative:
         gap /= float(np.abs(lhs[:k, :k]).max())
     return gap
 
 
-def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int = 40,
+def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | None = None,
                step: float = 1e-3) -> OdeReport:
     """Check f' = (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
 
     The derivative is a central difference of gaussian_average with the
-    given step, compared on the leading N/2 corner.
+    given step, compared on the leading N/2 corner.  quad_order is
+    unused, as in rhs_average.
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
     if step <= 0.0:
@@ -192,9 +175,9 @@ def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int = 40
     residuals = np.empty(sigmas.size)
     for i, sigma in enumerate(sigmas):
         # f is even in sigma, so reflecting keeps the difference central
-        fd = (gaussian_average(pair, sigma + step, quad_order)
-              - gaussian_average(pair, abs(sigma - step), quad_order)) / (2.0 * step)
-        f = gaussian_average(pair, sigma, quad_order)
+        fd = (gaussian_average(pair, sigma + step)
+              - gaussian_average(pair, abs(sigma - step))) / (2.0 * step)
+        f = gaussian_average(pair, sigma)
         gain = sigma / (1.0 - 0.25 * sigma ** 4)
         rhs = gain * ((Q + 0.5 * sigma ** 2 * np.eye(pair.N)) @ f)
         residuals[i] = float(np.abs(fd[:k, :k] - rhs[:k, :k]).max())

@@ -59,8 +59,8 @@ GROUP_ROWS = 512               # draws of consecutive batches weighted together,
 class McConfig:
     """Sampling budget and reproducibility knobs.
 
-    batch is the number of batches for the batch-means confidence
-    interval; samples must be at least twice that.  increments_per_panel
+    batch is the number of batches, at least two, for the batch-means
+    confidence interval; samples must be at least twice that.  increments_per_panel
     refines the increment grid of the Z-route quadratic form inside each
     quadrature panel.
     """
@@ -71,8 +71,9 @@ class McConfig:
     increments_per_panel: int = 8
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise InvalidParameter(f"mc.batch must be positive, got {self.batch}")
+        if self.batch < 2:
+            raise InvalidParameter(
+                f"mc.batch must be at least 2 for a batch-means standard error, got {self.batch}")
         if self.increments_per_panel < 1:
             raise InvalidParameter(
                 f"mc.increments_per_panel must be positive, got {self.increments_per_panel}")

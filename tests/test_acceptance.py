@@ -202,9 +202,9 @@ def test_12_classical_limit(ctx, basis, state):
 
 
 def test_13_corner_identity():
-    pinned = fock.corner_error(fock.build_pair(40), 0.2, 40)
+    pinned = fock.corner_error(fock.build_pair(40), 0.2)
     assert pinned <= 1e-6
-    rels = [fock.corner_error(fock.build_pair(N), 0.2, 80, relative=True)
+    rels = [fock.corner_error(fock.build_pair(N), 0.2, relative=True)
             for N in (20, 40, 80)]
     assert rels[1] <= rels[0]
     assert rels[2] <= rels[1]
@@ -215,8 +215,8 @@ def test_13_corner_identity():
 def test_14_ode_and_bijection():
     pair = fock.build_pair(20)
     grid = np.array([0.3, 0.6])
-    coarse = fock.verify_ode(pair, grid, quad_order=40, step=1e-3)
-    fine = fock.verify_ode(pair, grid, quad_order=40, step=5e-4)
+    coarse = fock.verify_ode(pair, grid, step=1e-3)
+    fine = fock.verify_ode(pair, grid, step=5e-4)
     ratios = coarse.residuals / fine.residuals
     assert np.all(ratios >= 3.0)
     for om in (0.1, 0.4, 2.0):

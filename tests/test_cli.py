@@ -148,6 +148,8 @@ README_CONFIG = {
     "eigen": {"capture_fraction": 0.99},
     "qef": {"theta_list": [0.0, 0.348, 0.87]},
     "mc": {"samples": 100000, "seed": 0, "batch": 100},
+    # quad_order is no longer in the README; it stays here because it is
+    # still accepted and changes nothing
     "fock": {"N": 40, "omega_list": [0.1, 0.2], "quad_order": 40},
     "output_dir": "out",
 }
@@ -467,12 +469,27 @@ def test_validate_rejects_tiny_sample_count(tmp_path, capsys):
     assert stderr_code(capsys) == "SchemaViolation"
 
 
+def test_validate_rejects_single_batch(tmp_path, capsys):
+    # the batch-means standard error divides by batch - 1
+    cfg = copy.deepcopy(README_CONFIG)
+    cfg["mc"] = {"samples": 40, "seed": 0, "batch": 1}
+    cfg["output_dir"] = str(tmp_path)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+    assert len(err) == 1
+    assert "mc/batch" in json.loads(err[0])["message"]
+    assert not (tmp_path / "mc.csv").exists()
+
+
 def test_fock_pass_and_tolerance_breach(tmp_path):
     cfg = base_config(tmp_path)
     path = write_config(tmp_path, cfg)
     assert cli.main(["fock", "--config", path]) == 0
     header, rows = read_rows(tmp_path / "fock.csv")
-    assert header == ["N", "omega", "quad_order", "corner_error", "ode_residual"]
+    assert header == ["N", "omega", "corner_error", "ode_residual"]
     assert len(rows) == 1
     assert rows[0][0] == "8"
     cfg["fock"]["corner_tol"] = 1e-16
@@ -480,14 +497,16 @@ def test_fock_pass_and_tolerance_breach(tmp_path):
     assert cli.main(["fock", "--config", path]) == 3
 
 
-def test_fock_quadrature_guard(tmp_path, capsys):
-    # 40 nodes do not resolve the average at N = 80, omega = 0.4
-    cfg = base_config(tmp_path)
-    cfg["fock"] = {"N": 80, "omega_list": [0.4], "quad_order": 40,
-                   "convergence_tol": 1e-7}
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["fock", "--config", path]) == 3
-    assert stderr_code(capsys) == "QuadratureUnderresolved"
+def test_fock_ignores_quad_order(tmp_path):
+    # the Gaussian average is in closed form; quad_order is accepted but unused
+    outputs = []
+    for order in (12, 40):
+        cfg = copy.deepcopy(README_CONFIG)
+        cfg["fock"]["quad_order"] = order
+        cfg["output_dir"] = str(tmp_path / str(order))
+        assert cli.main(["fock", "--config", write_config(tmp_path, cfg)]) == 0
+        outputs.append((tmp_path / str(order) / "fock.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def run_fock(tmp_path, capsys, fock_cfg):
@@ -516,9 +535,6 @@ def run_fock(tmp_path, capsys, fock_cfg):
     ({"N": 8, "omega_list": [10.0], "quad_order": 12}, ("fock.omega_list", "fock.ode_step")),
     # tanh omega rounds to 1: exited 2 with a message about sigma naming no field
     ({"N": 8, "omega_list": [20.0], "quad_order": 12}, ("fock.omega_list", "20.0", "19")),
-    # the Gauss-Hermite node exponentials overflow: exited 0 with nan cells
-    ({"N": 120, "omega_list": [2.9], "quad_order": 160},
-     ("fock.omega_list", "fock.N", "fock.quad_order")),
 ])
 def test_fock_out_of_range_is_one_json_error(tmp_path, capsys, fock_cfg, fields):
     code, err, _ = run_fock(tmp_path, capsys, fock_cfg)
@@ -529,13 +545,20 @@ def test_fock_out_of_range_is_one_json_error(tmp_path, capsys, fock_cfg, fields)
     assert all(field in payload["message"] for field in fields)
 
 
+def test_fock_large_basis_stays_finite(tmp_path, capsys):
+    # a 160-node Gauss-Hermite rule overflowed here; the closed form does not
+    code, err, cells = run_fock(tmp_path, capsys,
+                                {"N": 120, "omega_list": [2.9], "quad_order": 160})
+    assert code == 0
+    assert err == []
+    assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(N=st.integers(4, 160), omegas=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2),
-       quad_order=st.integers(2, 60))
-def test_fock_reports_finite_cells_or_one_json_error(tmp_path, capsys, N, omegas, quad_order):
-    code, err, cells = run_fock(tmp_path, capsys,
-                                {"N": N, "omega_list": omegas, "quad_order": quad_order})
+@given(N=st.integers(4, 160), omegas=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2))
+def test_fock_reports_finite_cells_or_one_json_error(tmp_path, capsys, N, omegas):
+    code, err, cells = run_fock(tmp_path, capsys, {"N": N, "omega_list": omegas})
     assert code in (0, 2, 3)
     assert err == [] or (len(err) == 1 and isinstance(json.loads(err[0]), dict))
     assert all(math.isfinite(float(cell)) for row in cells for cell in row)

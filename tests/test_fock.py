@@ -6,7 +6,7 @@ from oracles import omega_from_sigma
 from scipy.linalg import expm
 
 from qeflab import fock
-from qeflab.errors import InvalidParameter, NonpositiveOmega, QuadratureUnderresolved
+from qeflab.errors import InvalidParameter, NonpositiveOmega
 
 NOISE_FLOOR = 1e-13            # relative corner errors bottom out at machine level
 
@@ -54,15 +54,13 @@ def test_lhs_exponential(pair20):
 
 
 def test_rhs_average_identity_limit(pair20):
-    assert np.abs(fock.rhs_average(pair20, 0.0, 20) - np.eye(20)).max() == 0.0
+    assert np.abs(fock.rhs_average(pair20, 0.0) - np.eye(20)).max() == 0.0
     with pytest.raises(InvalidParameter):
-        fock.gaussian_average(pair20, 1.5, 20)
-    with pytest.raises(InvalidParameter):
-        fock.gaussian_average(pair20, 0.3, 1)
+        fock.gaussian_average(pair20, 1.5)
 
 
 def per_node_average(pair, sigma, quad_order):
-    """The same tensor rule evaluated node by node, one expm per (a, b)."""
+    """Tensor Gauss-Hermite rule for f, one expm per node (a, b)."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(quad_order)
     weights = weights / weights.sum()
     out = np.zeros((pair.N, pair.N), dtype=complex)
@@ -73,10 +71,11 @@ def per_node_average(pair, sigma, quad_order):
 
 
 def test_rotated_rule_matches_per_node_rule():
+    # 40 nodes per axis resolve the average at N = 12 to rounding
     pair = fock.build_pair(12)
     for sigma in (0.3, 0.9, 1.3):
-        ref = per_node_average(pair, sigma, 10)
-        got = fock.gaussian_average(pair, sigma, 10)
+        ref = per_node_average(pair, sigma, 40)
+        got = fock.gaussian_average(pair, sigma)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     # U(phi) xi U(phi)^dagger = cos(phi) xi + sin(phi) eta holds on the
     # whole truncated matrix, edge included
@@ -88,15 +87,16 @@ def test_rotated_rule_matches_per_node_rule():
         assert np.abs(rotated - target).max() <= 1e-14
 
 
+def test_gaussian_average_is_diagonal_and_positive(pair40):
+    # the phase average removes every off-diagonal entry exactly
+    for sigma in (0.3, 0.9, 1.3):
+        f = fock.gaussian_average(pair40, sigma)
+        assert np.array_equal(f, np.diag(np.diag(f)))
+        assert np.all(np.diag(f) > 0.0)
+
+
 def test_corner_identity_pinned(pair40):
-    assert fock.corner_error(pair40, 0.2, 40) <= 1e-6
-
-
-def test_quadrature_convergence_guard(pair40):
-    # enough nodes at (N=40, omega=0.2); N=80 at omega=0.4 needs more
-    fock.rhs_average(pair40, 0.2, 40, convergence_tol=1e-7)
-    with pytest.raises(QuadratureUnderresolved):
-        fock.rhs_average(fock.build_pair(80), 0.4, 40, convergence_tol=1e-7)
+    assert fock.corner_error(pair40, 0.2) <= 1e-6
 
 
 def test_bch_factorization(pair40):
@@ -116,7 +116,7 @@ def test_bch_factorization(pair40):
 def test_truncation_convergence_sweep():
     # relative corner errors shrink as N grows at fixed omega and grow
     # with omega at fixed N, down to the floating-point floor
-    errs = {(N, om): fock.corner_error(fock.build_pair(N), om, 80, relative=True)
+    errs = {(N, om): fock.corner_error(fock.build_pair(N), om, relative=True)
             for N in (20, 40, 80) for om in (0.1, 0.2, 0.4)}
     for om in (0.1, 0.2, 0.4):
         seq = [errs[(N, om)] for N in (20, 40, 80)]
@@ -129,14 +129,14 @@ def test_truncation_convergence_sweep():
 
 
 def test_ode_residual_at_zero(pair20):
-    rep = fock.verify_ode(pair20, np.array([0.0]), quad_order=40, step=1e-3)
+    rep = fock.verify_ode(pair20, np.array([0.0]), step=1e-3)
     assert rep.max_residual == 0.0
 
 
 def test_ode_second_order_convergence(pair20):
     grid = np.array([0.3, 0.6])
-    coarse = fock.verify_ode(pair20, grid, quad_order=40, step=1e-3)
-    fine = fock.verify_ode(pair20, grid, quad_order=40, step=5e-4)
+    coarse = fock.verify_ode(pair20, grid, step=1e-3)
+    fine = fock.verify_ode(pair20, grid, step=5e-4)
     ratios = coarse.residuals / fine.residuals
     # halving the step cuts each residual roughly fourfold
     assert np.all(ratios >= 3.0)

@@ -30,6 +30,7 @@ def test_config_validation():
     mc.McConfig(samples=200, seed=0, batch=100)
     cases = [(dict(samples=199, seed=0, batch=100), "mc.samples"),
              (dict(samples=10, seed=0, batch=0), "mc.batch"),
+             (dict(samples=10, seed=0, batch=1), "mc.batch"),
              (dict(samples=10, seed=0, batch=5, increments_per_panel=0),
               "mc.increments_per_panel"),
              (dict(samples=10, seed=-1, batch=5), "mc.seed"),
