@@ -13,8 +13,8 @@ brackets of all its local minima shrink together, one batched
 evaluation per step, and a minimum is accepted when
 |det E(omega)| / |det G(T)| <= 1e-8.  The retained eigenpairs form the
 spectral basis, checked by its Gram matrix and its Mercer residual.  A
-dense Nystrom discretization of L provides an independent oracle for
-the same eigenfrequencies; it computes eigenvalues only.
+dense Nystrom discretization K of L provides an independent oracle for
+the same eigenfrequencies, the square roots of the eigenvalues of K^T K.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     RankCollapse,
     RefinementStalled,
 )
-from .kernels import KernelContext, apply_L, bvp_matrices, expm, weighted_matrix
+from .kernels import BvpMatrices, KernelContext, apply_L, bvp_matrices, expm, weighted_matrix
 from .quadrature import Grid
 
 DET_ACCEPT_RTOL = 1e-8      # |det E| / |det G(T)| at an accepted root
@@ -48,11 +48,12 @@ RANK_ATOL = 1e-8            # kernel-row change within which a root's functions 
 
 @dataclass(frozen=True, eq=False)
 class Root:
-    """Refined root of det E(omega) with the kernel vectors of E(omega) as rows."""
+    """Refined root of det E(omega): D(omega), E(omega) and ker E(omega) as rows."""
 
     omega: float
     det_ratio: float
     kernel: np.ndarray
+    bvp: BvpMatrices
 
     @property
     def multiplicity(self) -> int:
@@ -82,8 +83,8 @@ class EigenPair:
 class NystromResult:
     """Dense-discretization spectrum of L (the verification oracle)."""
 
-    eigenvalues: np.ndarray   # all eigenvalues of the Hermitian -i K, ascending
-    omegas: np.ndarray        # positive eigenvalues, descending
+    eigenvalues: np.ndarray   # -omegas and +omegas, ascending
+    omegas: np.ndarray        # positive eigenfrequencies, descending
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +102,6 @@ class SpectralBasis:
     @property
     def omegas(self) -> np.ndarray:
         return np.array([p.omega for p in self.pairs])
-
-
-def _kernel_vectors(ctx: KernelContext, omega: float) -> np.ndarray:
-    """Orthonormal basis of ker E(omega) by singular values, one vector per row."""
-    _, s, Vh = np.linalg.svd(bvp_matrices(ctx, omega).E)
-    return Vh[np.flatnonzero(s < KERNEL_SV_RTOL * s[0])].conj()
 
 
 def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float,
@@ -171,10 +166,12 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
 
     out = []
     for w, d in merged:
-        kernel = _kernel_vectors(ctx, w)
+        bvp = bvp_matrices(ctx, w)
+        _, sv, Vh = np.linalg.svd(bvp.E)          # ker E(w) by singular values, one row each
+        kernel = Vh[np.flatnonzero(sv < KERNEL_SV_RTOL * sv[0])].conj()
         if len(kernel) == 0:
             continue  # determinant dip without an actual kernel: spurious
-        out.append(Root(omega=w, det_ratio=d, kernel=kernel))
+        out.append(Root(omega=w, det_ratio=d, kernel=kernel, bvp=bvp))
     if not out:
         raise NoRootsFound("all refined minima were spurious (no kernel vectors)")
     out.sort(key=lambda r: -r.omega)
@@ -188,6 +185,17 @@ def _canonical_phase(f0: np.ndarray) -> complex:
     if z == 0:
         return 1.0 + 0.0j
     return np.conj(z) / abs(z)
+
+
+def _propagator(ctx: KernelContext, D: np.ndarray) -> np.ndarray:
+    """[I 0] e^{t D} V at every grid node t, shape (N, n, n).
+
+    A node is t = t_p + x_q, its panel's left edge plus one of the Q offsets
+    every panel repeats, so e^{t_p D} e^{x_q D} takes P + Q exponentials, not N.
+    """
+    Q, n = ctx.grid.order, ctx.n
+    ex = expm(np.concatenate([ctx.grid.nodes[:Q], ctx.grid.edges[:-1]])[:, None, None] * D)
+    return (ex[Q:, None, :n] @ (ex[:Q] @ ctx.V)).reshape(-1, n, n)
 
 
 def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
@@ -209,16 +217,15 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     only to sqrt(eps).
     """
     omega, grid = root.omega, ctx.grid
-    D, E = bvp_matrices(ctx, omega)
-    prop = expm(grid.nodes[:, None, None] * D) @ ctx.V       # (N, 2n, n)
-    f = (prop @ root.kernel.T)[:, :ctx.n]                    # (N, n, k)
+    prop = _propagator(ctx, root.bvp.D)                      # (N, n, n)
+    f = prop @ root.kernel.T                                 # (N, n, k)
     gram = np.einsum('aij,aik->jk', f.conj(), grid.weights[:, None, None] * f)
     scale = np.sqrt(gram.diagonal().real)
     # sqrt(w) f for every initial vector: a change of RANK_ATOL in a unit
     # kernel row moves the normalized functions by up to RANK_ATOL times
     # this map's gain (bounded by its Frobenius norm), so functions no
     # farther than that from dependence have collapsed (one never has)
-    wprop = (np.sqrt(grid.weights)[:, None, None] * prop[:, :ctx.n]).reshape(-1, ctx.n)
+    wprop = (np.sqrt(grid.weights)[:, None, None] * prop).reshape(-1, ctx.n)
     gain = np.linalg.norm(wprop) / scale.min()
     pivots = np.abs(np.linalg.qr(wprop @ root.kernel.T / scale, mode='r').diagonal())
     try:
@@ -240,22 +247,22 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
         lres = quadrature.norm(grid, apply_L(ctx, fj) - 1j * omega * fj)
         pairs.append(EigenPair(omega=omega, f0=f0, phi=fj.real.copy(), psi=fj.imag.copy(),
                                multiplicity=root.multiplicity, bvp_residual=lres,
-                               boundary_residual=float(np.linalg.norm(E @ f0))))
+                               boundary_residual=float(np.linalg.norm(root.bvp.E @ f0))))
     return pairs
 
 
 def nystrom_oracle(ctx: KernelContext) -> NystromResult:
     """Spectrum of the weight-symmetrized dense discretization of L.
 
-    The matrix [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)] is real
-    block-antisymmetric; multiplying by -i gives a Hermitian matrix
-    whose positive eigenvalues estimate the eigenfrequencies.
+    K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)] is real antisymmetric, so one
+    real eigvalsh of K^T K = -K^2 gives each omega^2 twice; only rounding
+    leaves nonpositive ones.  An omega is off by about eps omega_1^2 / omega.
     """
-    H = -1j * weighted_matrix(ctx.grid, ctx.lambda_grid)
-    H = 0.5 * (H + H.conj().T)
-    evals = np.linalg.eigvalsh(H)
-    omegas = evals[evals > 0.0][::-1]
-    return NystromResult(eigenvalues=evals, omegas=omegas)
+    K = weighted_matrix(ctx.grid, ctx.lambda_grid)
+    K = 0.5 * (K - K.T)
+    squares = np.linalg.eigvalsh(K.T @ K)[::-2]
+    omegas = np.sqrt(squares[squares > 0.0])
+    return NystromResult(eigenvalues=np.concatenate([-omegas, omegas[::-1]]), omegas=omegas)
 
 
 def stack_hk(basis: SpectralBasis) -> np.ndarray:

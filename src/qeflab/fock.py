@@ -78,23 +78,16 @@ def build_pair(N: int) -> TruncatedPair:
                          xi_eigvals=lam, xi_weights=V * V)
 
 
-def _herm_expm(mats: np.ndarray) -> np.ndarray:
-    """exp of a stack of Hermitian matrices by eigendecomposition."""
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
-    evals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.exp(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
-
-
 def number_form(pair: TruncatedPair) -> np.ndarray:
     """The quadratic xi^2 + eta^2; equals 2*diag(0..N-1) + I off the edge."""
     return pair.xi @ pair.xi + pair.eta @ pair.eta
 
 
 def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} through a Hermitian eigendecomposition.
+    """e^{omega (xi^2 + eta^2)} = diag(e^{omega q_j}) from number_form's diagonal q.
 
-    The largest eigenvalue of xi^2 + eta^2 is 2N - 3, so an omega (2N - 3)
-    beyond the double exponent range is refused instead of overflowing.
+    The largest q_j is 2N - 3, so an omega (2N - 3) beyond the double
+    exponent range is refused instead of overflowing.
     """
     if omega < 0.0:
         raise NonpositiveOmega(f"need omega >= 0, got {omega}")
@@ -103,7 +96,7 @@ def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
             f"fock.N = {pair.N} and fock.omega_list value {omega} give "
             f"e^(omega (2N - 3)) = e^{omega * (2 * pair.N - 3):.6g}, beyond the "
             f"double range e^{LOG_MAX:.6g}")
-    return _herm_expm(omega * number_form(pair))
+    return np.diag(np.exp(omega * number_form(pair).diagonal().real))
 
 
 def gaussian_average(pair: TruncatedPair, sigma: float) -> np.ndarray:

@@ -9,6 +9,9 @@ theory, so that agreement checks the package's own evaluation:
   as one three-operand einsum, against its contraction in apply_L;
 - the eigen-ODE residual and the normalized boundary determinant,
   against the shooting roots and eigenfunctions;
+- the shooting propagation with one matrix exponential per node, against
+  the panel-factored propagator, and the Nystrom spectrum from a complex
+  Hermitian eigvalsh, against the real one of K^T K;
 - the spectral action of K and the surrogate covariance, against the
   retained modes;
 - the dense spectrum of sqrt(K) P sqrt(K), against the low-rank
@@ -19,7 +22,8 @@ theory, so that agreement checks the package's own evaluation:
   first, against the base applied once per panel lag;
 - one Monte-Carlo batch drawn and weighted on its own, against the
   stacked groups of batches;
-- the inverse of the Fock sigma(omega) map;
+- the inverse of the Fock sigma(omega) map, and the Fock left side as a
+  dense matrix exponential;
 - the panel Legendre running integrals and spectral derivative these
   routes are built from.
 """
@@ -33,9 +37,16 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from qeflab import mc
+from qeflab.eigensolver import NystromResult
 from qeflab.errors import GridMismatch, InvalidParameter
-from qeflab.fock import SIGMA_SUP
-from qeflab.kernels import KernelContext, _check_grid_function, bvp_matrices, expm
+from qeflab.fock import SIGMA_SUP, TruncatedPair, number_form
+from qeflab.kernels import (
+    KernelContext,
+    _check_grid_function,
+    bvp_matrices,
+    expm,
+    weighted_matrix,
+)
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
 from qeflab.qkl import Hk_at, tanhc
 from qeflab.quadrature import Grid, _panel_view, panel_totals
@@ -260,6 +271,22 @@ def det_ratio(ctx: KernelContext, omega: float) -> float:
     return float(np.exp(np.linalg.slogdet(bvp_matrices(ctx, omega).E)[1] - log_g))
 
 
+def propagate_per_node(ctx: KernelContext, D: np.ndarray) -> np.ndarray:
+    """e^{t D} V at every grid node t, shape (N, 2n, n), one expm per node."""
+    return expm(ctx.grid.nodes[:, None, None] * D) @ ctx.V
+
+
+def nystrom_hermitian(ctx: KernelContext) -> NystromResult:
+    """The Nystrom spectrum as every eigenvalue of the Hermitian -i K.
+
+    -i K has the eigenvalues +-omega of the weight-symmetrized kernel
+    matrix K directly, each to eps omega_1 absolute.
+    """
+    H = -1j * weighted_matrix(ctx.grid, ctx.lambda_grid)
+    evals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    return NystromResult(eigenvalues=evals, omegas=evals[evals > 0.0][::-1])
+
+
 def ode_residual(ctx: KernelContext, pair) -> float:
     """Sup-norm residual of the second-order eigen-ODE on the grid.
 
@@ -317,6 +344,11 @@ def omega_from_sigma(sigma: float) -> float:
     if not 0.0 <= sigma < SIGMA_SUP:
         raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     return float(np.arctanh(0.5 * sigma ** 2))
+
+
+def lhs_exponential_dense(pair: TruncatedPair, omega: float) -> np.ndarray:
+    """e^{omega (xi^2 + eta^2)} as a dense matrix exponential, off-diagonal included."""
+    return expm(omega * number_form(pair))
 
 
 def dense_lambdas(cache, theta: float) -> np.ndarray:

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import J2, squeezed_spec
-from oracles import det_ratio, ode_residual
+from conftest import J2, random_hurwitz_spec, squeezed_spec
+from oracles import det_ratio, nystrom_hermitian, ode_residual, propagate_per_node
 from scipy.linalg import block_diag
 
 from qeflab import eigensolver as es
@@ -194,8 +194,8 @@ def test_mixed_kernel_rows_orthonormalize(grid):
 
 
 def test_build_basis_one_pass_per_root(ctx, grid, monkeypatch):
-    # each root costs one scalar bvp_matrices call and one SVD in the scan
-    # and one scalar call to build its eigenpairs, whatever its multiplicity
+    # each root costs one scalar bvp_matrices call and one SVD in the scan,
+    # which its eigenpairs reuse, whatever its multiplicity
     calls, svds = [], []
 
     def counting(ctx, omega):
@@ -214,7 +214,7 @@ def test_build_basis_one_pass_per_root(ctx, grid, monkeypatch):
         calls.clear()
         svds.clear()
         es.build_basis(c, capture)
-        assert calls.count(()) <= 2 * n_roots
+        assert calls.count(()) == n_roots
         assert len(svds) == n_roots
 
 
@@ -233,11 +233,55 @@ def test_nystrom_oracle_spectrum(ctx):
     res = es.nystrom_oracle(ctx)
     assert res.omegas[0] == pytest.approx(NYSTROM_TOP_FROZEN, rel=1e-12)
     # the spectrum of the skew operator comes in +/- pairs
-    ev = np.sort(res.eigenvalues)
-    assert np.allclose(ev, -ev[::-1], atol=1e-10)
+    ev = res.eigenvalues
+    assert np.array_equal(ev, np.sort(ev))
+    assert np.array_equal(ev, -ev[::-1])
     # discretized eigenvalues agree with shooting at grid accuracy
     for k, frozen in enumerate(ROOTS_FROZEN):
         assert res.omegas[k] == pytest.approx(frozen, rel=5e-3)
+
+
+@pytest.fixture(scope="module", params=["readme", "squeezed", "random4"])
+def route_ctx(request, ctx):
+    """(system, context) on the 8 x 16 grid for the README, squeezed and a random n = 4 system."""
+    if request.param == "readme":
+        return request.param, ctx
+    spec = (squeezed_spec() if request.param == "squeezed"
+            else random_hurwitz_spec(np.random.default_rng(7), 4))
+    return request.param, kernels.make_context(spec, quadrature.make_grid(1.0))
+
+
+def test_panel_propagation_matches_per_node(route_ctx):
+    # e^{t_p D} e^{x_q D} V against one exponential per node at every
+    # certified root.  Both round at a level that grows with ||T D||: for
+    # the random n = 4 draw of seed 12 (||D|| = 1e3) they differ by 7e-11,
+    # per node 5e-11 and by panel 2e-11 off a 40-digit exponential, so the
+    # random system here is a fixed draw with ||D|| of 16-17 (README: 16-59)
+    _, c = route_ctx
+    roots = es.scan_eigenfrequencies(c, *default_band(c))
+    assert roots
+    for root in roots:
+        got = es._propagator(c, root.bvp.D)
+        want = propagate_per_node(c, root.bvp.D)[:, :c.n]
+        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert err.max() <= 1e-13
+
+
+def test_nystrom_matches_hermitian_route(route_ctx):
+    system, c = route_ctx
+    res, ref = es.nystrom_oracle(c), nystrom_hermitian(c)
+    w1 = ref.omegas[0]
+    top = 2 * len(es.scan_eigenfrequencies(c, *default_band(c)))
+    assert np.abs(res.omegas[:top] - ref.omegas[:top]).max() <= 1e-12 * w1
+    assert res.eigenvalues.shape == ref.eigenvalues.shape
+    # squaring keeps every omega^2 to a few eps omega_1^2, so omega only to
+    # about eps omega_1^2 / omega: 1e-10 omega_1 holds down to the bottom of
+    # these two spectra (smallest omega 5e-6 omega_1), not for every random
+    # draw (up to 2e-9 omega_1 over seeds 0-29, whose smallest omega reach
+    # 1e-9 omega_1)
+    assert np.abs(res.eigenvalues ** 2 - ref.eigenvalues ** 2).max() <= 1e-12 * w1 ** 2
+    if system != "random4":
+        assert np.abs(res.eigenvalues - ref.eigenvalues).max() <= 1e-10 * w1
 
 
 def test_build_basis_diagnostics(basis, ctx):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import omega_from_sigma
+from oracles import lhs_exponential_dense, omega_from_sigma
 from scipy.linalg import expm
 
 from qeflab import fock
@@ -49,6 +49,9 @@ def test_lhs_exponential(pair20):
     assert np.linalg.eigvalsh(L).min() > 0.0
     diag = np.diag(L).real[:10]
     assert np.abs(diag - np.exp(0.15 * (2.0 * np.arange(10) + 1.0))).max() <= 1e-12
+    for pair, omega in ((pair20, 0.15), (fock.build_pair(44), 0.2)):
+        ref = lhs_exponential_dense(pair, omega)
+        assert np.abs(fock.lhs_exponential(pair, omega) - ref).max() <= 1e-13 * np.abs(ref).max()
     with pytest.raises(NonpositiveOmega):
         fock.lhs_exponential(pair20, -0.1)
 
