@@ -282,7 +282,6 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
     fcfg = _require(cfg, "fock")
     N = int(fcfg["N"])
     pair = fockmod.build_pair(N)
-    ode_step = {"step": fcfg["ode_step"]} if "ode_step" in fcfg else {}
     corner_tol = fcfg.get("corner_tol")
     rows = []
     passed = True
@@ -292,7 +291,7 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
         with np.errstate(all="ignore"):
             err = fockmod.corner_error(pair, omega)
             sigma = fockmod.sigma_from_omega(omega)
-            ode = fockmod.verify_ode(pair, [sigma], **ode_step).max_residual
+            ode = fockmod.verify_ode(pair, [sigma]).max_residual
         if not (np.isfinite(err) and np.isfinite(ode)):
             raise InvalidParameter(
                 f"fock.omega_list value {omega} with fock.N = {N} gives corner_error "

@@ -287,10 +287,9 @@ def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     R = hk.transpose(1, 2, 0, 3).reshape(N * n, -1)                       # (N n, 2r)
     left = 2.0 * basis.omegas[:, None, None, None] * np.stack([-hk[..., 1], hk[..., 0]], axis=-1)
     L = left.transpose(1, 2, 0, 3).reshape(N * n, -1)
-    approx = (L @ R.T).reshape(N, n, N, n).transpose(0, 2, 1, 3)
-    diff = ctx.lambda_grid - approx
-    w = ctx.grid.weights
-    return float(w @ (diff * diff).sum(axis=(2, 3)) @ w)
+    diff = ctx.lambda_matrix - L @ R.T                                    # node-major
+    w = np.repeat(ctx.grid.weights, n)
+    return float(w @ (diff * diff) @ w)
 
 
 def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,

@@ -14,7 +14,11 @@ under truncation.  Averaging over phi keeps only the number-basis
 diagonal of e^{sigma r xi}, and phi and phi + pi pair e^{sigma r xi} with
 e^{-sigma r xi}.  So with xi = V diag(lam) V^T,
 f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] and f is diagonal: one
-eigendecomposition of xi per basis serves every sigma.
+eigendecomposition of xi per basis serves every sigma.  Its derivative
+f'(sigma) follows from the same erf values, so the ODE check compares
+exact sides.  The left side's xi^2 + eta^2 = a a^dagger + a^dagger a is
+diagonal under truncation too, so every comparison here runs on the
+number-basis diagonal and needs no N x N matrix product.
 """
 
 from __future__ import annotations
@@ -51,17 +55,17 @@ class TruncatedPair:
 
 @dataclass(frozen=True, eq=False)
 class OdeReport:
-    """Central-difference residuals of the generating-function ODE.
+    """Residuals of the generating-function ODE at exact derivatives.
 
     residuals[i] is the max-abs corner-block mismatch between the
-    finite-difference derivative of f at sigmas[i] and
-    (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
+    closed-form derivative f'(sigmas[i]) and
+    (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f: rounding
+    only, as long as the truncation has not reached the corner.
     """
 
     sigmas: np.ndarray
     residuals: np.ndarray
     max_residual: float
-    step: float
 
 
 def build_pair(N: int) -> TruncatedPair:
@@ -79,12 +83,17 @@ def build_pair(N: int) -> TruncatedPair:
 
 
 def number_form(pair: TruncatedPair) -> np.ndarray:
-    """The quadratic xi^2 + eta^2; equals 2*diag(0..N-1) + I off the edge."""
-    return pair.xi @ pair.xi + pair.eta @ pair.eta
+    """The diagonal q = (1, 3, ..., 2N - 3, N - 1) of the quadratic xi^2 + eta^2.
+
+    xi^2 + eta^2 = a a^dagger + a^dagger a is diagonal under truncation.
+    xi and eta are Hermitian, so (xi^2)_jj = sum_l |xi_jl|^2: q is the row
+    sums of |xi|^2 + |eta|^2, with no matrix product.
+    """
+    return (np.abs(pair.xi) ** 2).sum(axis=1) + (np.abs(pair.eta) ** 2).sum(axis=1)
 
 
 def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} = diag(e^{omega q_j}) from number_form's diagonal q.
+    """e^{omega (xi^2 + eta^2)} = diag(e^{omega q_j}) from number_form's q.
 
     The largest q_j is 2N - 3, so an omega (2N - 3) beyond the double
     exponent range is refused instead of overflowing.
@@ -96,27 +105,40 @@ def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
             f"fock.N = {pair.N} and fock.omega_list value {omega} give "
             f"e^(omega (2N - 3)) = e^{omega * (2 * pair.N - 3):.6g}, beyond the "
             f"double range e^{LOG_MAX:.6g}")
-    return np.diag(np.exp(omega * number_form(pair).diagonal().real))
+    return np.diag(np.exp(omega * number_form(pair)))
+
+
+def _average_diagonals(pair: TruncatedPair, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of f(sigma) and of its derivative f'(sigma).
+
+    f_jj = sum_l V_jl^2 m(sigma lam_l) with the even part of the Rayleigh
+    moment-generating function m(c) = E[cosh(c r)] =
+    1 + c sqrt(pi/2) e^{c^2/2} erf(c/sqrt(2)), whose derivative is
+    m'(c) = c + sqrt(pi/2) (1 + c^2) e^{c^2/2} erf(c/sqrt(2)); so
+    f'_jj = sum_l V_jl^2 lam_l m'(sigma lam_l).  m is nonnegative and
+    even, m' odd, so negative eigenvalues cost neither cancellation nor
+    an inf * 0 product.
+    """
+    if not 0.0 <= sigma < SIGMA_SUP:
+        raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
+    c = sigma * pair.xi_eigvals
+    erf = np.array([math.erf(x) for x in c / math.sqrt(2.0)])
+    gauss = np.exp(0.5 * c * c)
+    mgf = 1.0 + c * math.sqrt(0.5 * math.pi) * gauss * erf
+    slope = c + (1.0 + c * c) * math.sqrt(0.5 * math.pi) * gauss * erf
+    return pair.xi_weights @ mgf, pair.xi_weights @ (pair.xi_eigvals * slope)
 
 
 def gaussian_average(pair: TruncatedPair, sigma: float) -> np.ndarray:
     """f(sigma): mean of e^{sigma (a xi + b eta)} over standard normal a, b.
 
-    The diagonal matrix f_jj = sum_l V_jl^2 E[cosh(c_l r)], c_l = sigma lam_l,
-    over the Rayleigh radius r (see the module docstring).  That even part
-    of the Rayleigh moment-generating function is
-    1 + c sqrt(pi/2) e^{c^2/2} erf(c/sqrt(2)): every term is nonnegative and
-    even in c, so negative eigenvalues cost neither cancellation nor an
-    inf * 0 product.
+    The diagonal matrix f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] over
+    the Rayleigh radius r (see the module docstring and
+    _average_diagonals).
     """
-    if not 0.0 <= sigma < SIGMA_SUP:
-        raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     if sigma == 0.0:
         return np.eye(pair.N)                    # f(0) = I exactly
-    c = sigma * pair.xi_eigvals
-    erf = np.array([math.erf(x) for x in c / math.sqrt(2.0)])
-    mgf = 1.0 + c * math.sqrt(0.5 * math.pi) * np.exp(0.5 * c * c) * erf
-    return np.diag(pair.xi_weights @ mgf)
+    return np.diag(_average_diagonals(pair, sigma)[0])
 
 
 def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None) -> np.ndarray:
@@ -147,35 +169,27 @@ def corner_error(pair: TruncatedPair, omega: float, relative: bool = False) -> f
 
 
 def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | None = None,
-               step: float = 1e-3) -> OdeReport:
+               step: float | None = None) -> OdeReport:
     """Check f' = (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
 
-    The derivative is a central difference of gaussian_average with the
-    given step, compared on the leading N/2 corner.  quad_order is
-    unused, as in rhs_average.
+    Both f and f' are the closed forms of _average_diagonals, and
+    xi^2 + eta^2 is diag(number_form).  All three are diagonal, so the
+    leading N/2 corner block is compared on its diagonal, and the
+    residual tests the ODE itself.  quad_order and step are
+    unused: the average and its derivative are exact.  They stay only
+    because perfbench/layers.py still passes them.
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
-    if step <= 0.0:
-        raise InvalidParameter(f"fock.ode_step must be positive, got {step}")
     if sigmas.size == 0 or sigmas.min(initial=0.0) < 0.0:
         raise InvalidParameter("sigma grid must be nonempty and nonnegative")
-    if sigmas.max() + step >= SIGMA_SUP:
-        raise InvalidParameter(
-            f"sigma = sqrt(2 tanh omega) of fock.omega_list plus fock.ode_step must "
-            f"stay below sqrt(2), got {sigmas.max()} + {step}")
     k = pair.N // 2
-    Q = number_form(pair)
+    q = number_form(pair)[:k]
     residuals = np.empty(sigmas.size)
     for i, sigma in enumerate(sigmas):
-        # f is even in sigma, so reflecting keeps the difference central
-        fd = (gaussian_average(pair, sigma + step)
-              - gaussian_average(pair, abs(sigma - step))) / (2.0 * step)
-        f = gaussian_average(pair, sigma)
+        f, slope = _average_diagonals(pair, sigma)
         gain = sigma / (1.0 - 0.25 * sigma ** 4)
-        rhs = gain * ((Q + 0.5 * sigma ** 2 * np.eye(pair.N)) @ f)
-        residuals[i] = float(np.abs(fd[:k, :k] - rhs[:k, :k]).max())
-    return OdeReport(sigmas=sigmas, residuals=residuals,
-                     max_residual=float(residuals.max()), step=step)
+        residuals[i] = float(np.abs(slope[:k] - gain * (q + 0.5 * sigma ** 2) * f[:k]).max())
+    return OdeReport(sigmas=sigmas, residuals=residuals, max_residual=float(residuals.max()))
 
 
 def sigma_from_omega(omega: float) -> float:

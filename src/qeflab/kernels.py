@@ -177,7 +177,9 @@ def kernel_matrix(grid: Grid, lags: np.ndarray, base: np.ndarray) -> np.ndarray:
     e^{tau A} base, for tau < 0 base e^{-tau A^T} = base (e^{|tau| A})^T,
     so the base is applied once per lag block, on the side the lag's sign
     gives (inside a panel, the sign of delta), before one gather to every
-    node pair.
+    node pair.  With base = Theta this is the commutator kernel
+    (block-antisymmetric by construction); with a symmetric base = P0 it
+    is the covariance kernel.
     """
     base = np.asarray(base, dtype=float)
     P, Q, n = grid.panels, grid.order, base.shape[0]
@@ -196,21 +198,6 @@ def _block_view(matrix: np.ndarray, n: int) -> np.ndarray:
     """The (N, N, n, n) node-pair blocks of a node-major (N n, N n) matrix, as a view."""
     N = matrix.shape[0] // n
     return matrix.reshape(N, n, N, n).swapaxes(1, 2)
-
-
-def kernel_on_grid(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.ndarray:
-    """Evaluate a one-sided-exponential kernel at all node pairs of a grid.
-
-    For lag tau = s_a - s_b >= 0 the value is e^{tau A} base; for tau < 0
-    it is base e^{-tau A^T} = base (e^{|tau| A})^T.  With base = Theta
-    this is the commutator kernel (block-antisymmetric by construction);
-    with a symmetric base = P0 it is the covariance kernel.  The result,
-    of shape (N, N, n, n), is kernel_matrix applied to the grid's
-    lag_exponentials, viewed as node-pair blocks: the same two steps
-    KernelContext takes once per grid and shares between lambda_grid and
-    covariance_on_grid.
-    """
-    return _block_view(kernel_matrix(grid, lag_exponentials(A, grid), base), np.shape(base)[0])
 
 
 def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:

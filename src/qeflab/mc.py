@@ -46,7 +46,7 @@ from .errors import (
     OverflowDominated,
     SupercriticalTheta,
 )
-from .kernels import KernelContext, kernel_on_grid
+from .kernels import KernelContext, kernel_matrix, lag_exponentials
 from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
 from .qkl import Hk_at, QklBasis
 from .quadrature import Grid
@@ -166,8 +166,7 @@ class _Geometry:
                     weights=np.full(m, self.dt), edges=bounds)
         dH = np.diff(Hk_at(qkl, bounds), axis=0)                              # (m, r, n, 2)
         self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
-        Pm = kernel_on_grid(ctx.sys.A, mids, P0)                              # (m, m, n, n)
-        self.Pm = Pm.transpose(0, 2, 1, 3).reshape(m * ctx.n, m * ctx.n)      # (m n, m n)
+        self.Pm = kernel_matrix(mids, lag_exponentials(ctx.sys.A, mids), P0)  # (m n, m n)
         self.PmdH = self.Pm @ self.dH                                         # (m n, 2r)
         self.G = self.dH.T @ self.PmdH                                        # (2r, 2r)
 

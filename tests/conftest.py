@@ -93,7 +93,7 @@ def random_hurwitz_spec(rng, n, m=None, T=1.0):
 def dense_kernel(A, base, s, t):
     """One-sided-exponential kernel with one expm per time pair.
 
-    The reference for the panel-factored kernels.kernel_on_grid:
+    The reference for the panel-factored kernels.kernel_matrix:
     e^{tau A} base for tau = s_a - t_b >= 0, base e^{-tau A^T} otherwise.
     """
     d = s[:, None] - t[None, :]

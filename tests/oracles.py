@@ -39,7 +39,7 @@ from numpy.polynomial import legendre
 from qeflab import mc
 from qeflab.eigensolver import NystromResult
 from qeflab.errors import GridMismatch, InvalidParameter
-from qeflab.fock import SIGMA_SUP, TruncatedPair, number_form
+from qeflab.fock import SIGMA_SUP, TruncatedPair
 from qeflab.kernels import (
     KernelContext,
     _check_grid_function,
@@ -347,8 +347,8 @@ def omega_from_sigma(sigma: float) -> float:
 
 
 def lhs_exponential_dense(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} as a dense matrix exponential, off-diagonal included."""
-    return expm(omega * number_form(pair))
+    """e^{omega (xi^2 + eta^2)} as a dense matrix exponential of the dense products."""
+    return expm(omega * (pair.xi @ pair.xi + pair.eta @ pair.eta))
 
 
 def dense_lambdas(cache, theta: float) -> np.ndarray:

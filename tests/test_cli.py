@@ -509,6 +509,16 @@ def test_fock_ignores_quad_order(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_fock_ode_step_is_refused(tmp_path, capsys):
+    # the ODE check's derivative is exact, so its difference step left the schema
+    code, err, _ = run_fock(tmp_path, capsys, {"N": 8, "omega_list": [0.1], "ode_step": 1e-3})
+    assert code == 2
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "SchemaViolation"
+    assert "ode_step" in payload["message"]
+
+
 def run_fock(tmp_path, capsys, fock_cfg):
     """Exit code, stderr lines and fock.csv cells of one fock run.
 
@@ -532,7 +542,6 @@ def run_fock(tmp_path, capsys, fock_cfg):
     ({"N": 120, "omega_list": [3.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
     # the same overflow used to print numpy warnings before the JSON line
     ({"N": 40, "omega_list": [10.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
-    ({"N": 8, "omega_list": [10.0], "quad_order": 12}, ("fock.omega_list", "fock.ode_step")),
     # tanh omega rounds to 1: exited 2 with a message about sigma naming no field
     ({"N": 8, "omega_list": [20.0], "quad_order": 12}, ("fock.omega_list", "20.0", "19")),
 ])
@@ -549,6 +558,16 @@ def test_fock_large_basis_stays_finite(tmp_path, capsys):
     # a 160-node Gauss-Hermite rule overflowed here; the closed form does not
     code, err, cells = run_fock(tmp_path, capsys,
                                 {"N": 120, "omega_list": [2.9], "quad_order": 160})
+    assert code == 0
+    assert err == []
+    assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+
+def test_fock_near_sigma_sup_stays_finite(tmp_path, capsys):
+    # sigma = sqrt(2 tanh 10) lies within 5e-9 of sqrt(2), where f ends;
+    # the ODE check evaluates f and f' at sigma only, so the cells exist
+    code, err, cells = run_fock(tmp_path, capsys,
+                                {"N": 8, "omega_list": [10.0], "quad_order": 12})
     assert code == 0
     assert err == []
     assert all(math.isfinite(float(cell)) for row in cells for cell in row)

@@ -33,13 +33,15 @@ def test_build_pair_ccr(pair40):
 
 
 def test_number_form_spectrum(pair40):
-    Q = fock.number_form(pair40)
-    off = Q - np.diag(np.diag(Q))
-    assert np.abs(off).max() <= 1e-13
-    lead = np.diag(Q).real[:39]
-    assert np.abs(lead - (2.0 * np.arange(39) + 1.0)).max() <= 1e-12
+    q = fock.number_form(pair40)
+    dense = pair40.xi @ pair40.xi + pair40.eta @ pair40.eta
+    # the row-sum diagonal is the dense product's, whose off-diagonal
+    # cancels to rounding
+    assert q.shape == (40,)
+    assert np.abs(np.diag(q) - dense).max() <= 1e-13
+    assert np.abs(q[:39] - (2.0 * np.arange(39) + 1.0)).max() <= 1e-12
     # the truncated edge level loses the aa^dagger contribution
-    assert Q[39, 39].real == pytest.approx(39.0, abs=1e-12)
+    assert q[39] == pytest.approx(39.0, abs=1e-12)
 
 
 def test_lhs_exponential(pair20):
@@ -136,26 +138,47 @@ def test_ode_residual_at_zero(pair20):
     assert rep.max_residual == 0.0
 
 
-def test_ode_second_order_convergence(pair20):
-    grid = np.array([0.3, 0.6])
-    coarse = fock.verify_ode(pair20, grid, step=1e-3)
-    fine = fock.verify_ode(pair20, grid, step=5e-4)
-    ratios = coarse.residuals / fine.residuals
-    # halving the step cuts each residual roughly fourfold
-    assert np.all(ratios >= 3.0)
-    assert np.all(ratios <= 8.0)
-    assert ratios[0] == pytest.approx(4.0, abs=0.05)
+def ode_gap(pair, sigma, coef):
+    """Max corner-block gap between f' and (sigma/(1 - sigma^4/4)) (Q + coef sigma^2) f.
+
+    coef = 1/2 is the ODE; any other value plants a defect in it.
+    """
+    k = pair.N // 2
+    f, slope = fock._average_diagonals(pair, sigma)
+    q = fock.number_form(pair)[:k]
+    gain = sigma / (1.0 - 0.25 * sigma ** 4)
+    return float(np.abs(slope[:k] - gain * (q + coef * sigma ** 2) * f[:k]).max())
+
+
+@pytest.mark.parametrize("N", [32, 44])
+def test_ode_residual_separates_planted_defect(N):
+    # the exact derivative leaves rounding and truncation only; sigma^2/3
+    # in place of sigma^2/2 on the right side is off by orders more
+    pair = fock.build_pair(N)
+    for omega in (0.1, 0.15, 0.2):
+        sigma = fock.sigma_from_omega(omega)
+        scale = np.exp(omega * (N - 1))
+        rep = fock.verify_ode(pair, [sigma])
+        assert rep.max_residual == ode_gap(pair, sigma, 0.5)
+        assert rep.max_residual <= 1e-6 * scale
+        assert ode_gap(pair, sigma, 1.0 / 3.0) >= 1e-2 * scale
+        # the closed-form derivative is the limit of difference quotients
+        h = 1e-5
+        diff = (np.diag(fock.gaussian_average(pair, sigma + h))
+                - np.diag(fock.gaussian_average(pair, sigma - h))) / (2.0 * h)
+        slope = fock._average_diagonals(pair, sigma)[1]
+        assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
 
 
 def test_ode_domain_checks(pair20):
     with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([-0.1]))
     with pytest.raises(InvalidParameter):
-        fock.verify_ode(pair20, np.array([1.414]))
-    with pytest.raises(InvalidParameter):
-        fock.verify_ode(pair20, np.array([0.3]), step=0.0)
+        fock.verify_ode(pair20, np.array([fock.SIGMA_SUP]))
     with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([]))
+    # just below sqrt(2) the residual exists: f and f' are evaluated at sigma only
+    assert np.isfinite(fock.verify_ode(pair20, np.array([1.414])).max_residual)
 
 
 def test_omega_sigma_bijection():

@@ -79,7 +79,8 @@ def test_kernel_on_grid_matches_dense_expm(nonnormal_system, make):
     grid = make()
     for base in (Theta, P0):
         ref = dense_kernel(A, base, grid.nodes, grid.nodes)
-        got = kernels.kernel_on_grid(A, grid, base)
+        got = kernels._block_view(
+            kernels.kernel_matrix(grid, kernels.lag_exponentials(A, grid), base), A.shape[0])
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -1,9 +1,11 @@
 """Closed-form functional: determinant product, C-term, criticality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_hurwitz_spec, squeezed_spec
-from oracles import dense_lambdas
+from oracles import dense_lambdas, transform_system
 
 from qeflab import eigensolver as es
 from qeflab import kernels, mc, model, qef, quadrature
@@ -225,6 +227,51 @@ def test_low_rank_route_matches_dense(cache, which):
             continue
         bound = 1e-13 * (1.0 + theta * r / (1.0 - theta * r))
         assert log_det == pytest.approx(float(np.sum(np.log1p(-theta * lam))), abs=bound)
+
+
+def _invariants(spec):
+    """Shooting omegas, critical theta and theta -> (xi, C), as the CLI computes them."""
+    ctx = kernels.make_context(spec, quadrature.make_grid(spec.T))
+    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    basis = es.build_basis(ctx, 0.99)
+    cache = qef.SpectralCache(ctx, build_qkl(basis, 0.0), P0)
+
+    def at(theta):
+        rep = qef.compute_qef(ctx, build_qkl(basis, theta), P0, cache=cache)
+        return rep.xi, rep.C
+
+    return basis.omegas, qef.find_critical_theta(cache), at
+
+
+def _rotated(spec):
+    S, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((spec.n, spec.n)))
+    return transform_system(spec, S), 1.0
+
+
+def _time_scaled(spec, k=2.5):
+    # (R, M, T, theta) -> (k R, sqrt(k) M, T / k, k theta) scales A and B
+    # B B^T by k, so the kernel on [0, T/k] is the old one at k times the lag
+    return replace(spec, R=k * spec.R, M=np.sqrt(k) * spec.M, T=spec.T / k), k
+
+
+@pytest.mark.parametrize("system", ["squeezed", "random4"])
+@pytest.mark.parametrize("transform", [_rotated, _time_scaled], ids=["rotation", "time_scaling"])
+def test_invariance_under_coordinate_and_time_maps(system, transform):
+    # an orthogonal X -> S X keeps X^T X, and time scaling maps the problem
+    # onto itself with omega -> omega / k and theta -> k theta; the
+    # discretized pipeline inherits both maps to rounding
+    spec = squeezed_spec() if system == "squeezed" else \
+        random_hurwitz_spec(np.random.default_rng(7), 4)
+    omegas, thc, at = _invariants(spec)
+    moved, k = transform(spec)
+    omegas_m, thc_m, at_m = _invariants(moved)
+    assert omegas_m.shape == omegas.shape
+    np.testing.assert_allclose(k * omegas_m, omegas, rtol=1e-12, atol=0.0)
+    assert thc_m / k == pytest.approx(thc, rel=1e-12)
+    for theta in (0.2 * thc, 0.5 * thc, 0.8 * thc):
+        (xi, C), (xi_m, C_m) = at(theta), at_m(k * theta)
+        assert xi_m == pytest.approx(xi, rel=1e-12)
+        assert C_m == pytest.approx(C, rel=1e-12)
 
 
 def test_no_dense_factorization_per_theta(ctx, qkl348, state, monkeypatch):
