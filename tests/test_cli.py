@@ -542,6 +542,8 @@ def run_fock(tmp_path, capsys, fock_cfg):
     ({"N": 120, "omega_list": [3.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
     # the same overflow used to print numpy warnings before the JSON line
     ({"N": 40, "omega_list": [10.0], "quad_order": 40}, ("fock.N", "fock.omega_list")),
+    # a bad value after a good one still ends the run in one JSON error
+    ({"N": 8, "omega_list": [0.5, 25.0], "quad_order": 12}, ("fock.omega_list", "25.0")),
     # tanh omega rounds to 1: exited 2 with a message about sigma naming no field
     ({"N": 8, "omega_list": [20.0], "quad_order": 12}, ("fock.omega_list", "20.0", "19")),
 ])
