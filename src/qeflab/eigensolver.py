@@ -10,8 +10,10 @@ f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 
 Roots are located by sampling ln |det E| over a frequency band; the
 brackets of all its local minima shrink together, one batched
-evaluation per step, and a minimum is accepted when
-|det E(omega)| / |det G(T)| <= 1e-8.  The retained eigenpairs form the
+evaluation per step, and a refined minimum is a root when E(omega) has
+singular values below 1e-8 sigma_max, whose right singular vectors are
+its kernel.  The depth of the minimum is not a criterion: deep in the
+tail |det E| is rounding noise.  The retained eigenpairs form the
 spectral basis, checked by its Gram matrix and its Mercer residual.  A
 dense Nystrom discretization K of L provides an independent oracle for
 the same eigenfrequencies, the square roots of the eigenvalues of K^T K.
@@ -35,8 +37,6 @@ from .errors import (
 from .kernels import BvpMatrices, KernelContext, apply_L, bvp_matrices, expm, weighted_matrix
 from .quadrature import Grid
 
-DET_ACCEPT_RTOL = 1e-8      # |det E| / |det G(T)| at an accepted root
-DET_STALL_RTOL = 1e-6       # between accept and this: refinement stalled
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
 ROOT_MERGE_RTOL = 1e-8
 DEFAULT_SAMPLES = 400
@@ -51,7 +51,6 @@ class Root:
     """Refined root of det E(omega): D(omega), E(omega) and ker E(omega) as rows."""
 
     omega: float
-    det_ratio: float
     kernel: np.ndarray
     bvp: BvpMatrices
 
@@ -112,8 +111,9 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     brackets its interior local minima.  Each step resamples every
     bracket at REFINE_POINTS frequencies in one bvp_matrices call and
     shrinks it to the two neighbours of its lowest sample, until all are
-    narrower than REFINE_XTOL relative.  Keeps refined points with
-    |det E|/|det G(T)| <= 1e-8.
+    narrower than REFINE_XTOL relative.  A refined minimum is a root when
+    E(omega) has singular values below KERNEL_SV_RTOL sigma_max; their
+    right singular vectors are its kernel rows.
     Returns roots in descending omega order.
     """
     if not (0.0 < omega_min < omega_max):
@@ -132,50 +132,27 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     # and keep the two neighbours of its lowest sample
     lo, hi = ws[i - 1], ws[i + 1]
     rows = np.arange(i.size)
-    omegas, log_ratios = ws[i], logs[i]
+    omegas = ws[i]
     while np.any(hi - lo > REFINE_XTOL * (lo + hi)):
         w = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
-        f = log_ratio(w)
-        j = np.argmin(f, axis=-1)
-        omegas, log_ratios = w[rows, j], f[rows, j]
+        j = np.argmin(log_ratio(w), axis=-1)
+        omegas = w[rows, j]
         lo = w[rows, np.maximum(j - 1, 0)]
         hi = w[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
 
-    roots: list[tuple[float, float]] = []
-    for w, d in zip(omegas.tolist(), np.exp(log_ratios).tolist()):
-        if d <= DET_ACCEPT_RTOL:
-            roots.append((w, d))
-        elif d <= DET_STALL_RTOL:
-            raise RefinementStalled(
-                f"local minimum near omega={w:.6g} refined only to |det E|/|det G|={d:.3e}")
-        # larger minima are not roots; ignore
-
-    if not roots:
-        raise NoRootsFound(
-            f"no eigenfrequencies with |det E|/|det G(T)| <= {DET_ACCEPT_RTOL} "
-            f"in [{omega_min}, {omega_max}]")
-
-    roots.sort()
-    merged: list[tuple[float, float]] = []
-    for w, d in roots:
-        if merged and abs(w - merged[-1][0]) <= ROOT_MERGE_RTOL * max(1.0, w):
-            if d < merged[-1][1]:
-                merged[-1] = (w, d)
+    out: list[Root] = []
+    for w in sorted(omegas.tolist()):
+        if out and abs(w - out[-1].omega) <= ROOT_MERGE_RTOL * max(1.0, w):
             continue
-        merged.append((w, d))
-
-    out = []
-    for w, d in merged:
         bvp = bvp_matrices(ctx, w)
         _, sv, Vh = np.linalg.svd(bvp.E)          # ker E(w) by singular values, one row each
         kernel = Vh[np.flatnonzero(sv < KERNEL_SV_RTOL * sv[0])].conj()
-        if len(kernel) == 0:
-            continue  # determinant dip without an actual kernel: spurious
-        out.append(Root(omega=w, det_ratio=d, kernel=kernel, bvp=bvp))
+        if len(kernel):                           # a minimum without a kernel is no root
+            out.append(Root(omega=w, kernel=kernel, bvp=bvp))
     if not out:
-        raise NoRootsFound("all refined minima were spurious (no kernel vectors)")
-    out.sort(key=lambda r: -r.omega)
-    return out
+        raise NoRootsFound(
+            f"no refined minimum of |det E| in [{omega_min}, {omega_max}] has a kernel")
+    return out[::-1]
 
 
 def _canonical_phase(f0: np.ndarray) -> complex:
@@ -300,9 +277,9 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     Each retained eigenpair contributes 2 omega_k^2 toward hs_captured;
     the default band upper edge uses the Hilbert-Schmidt bound
     omega_1 <= sqrt(hs_total / 2).  The default lower edge stays a factor
-    10 below that: deeper tail roots make e^{T D(omega)} so large that
-    det E cannot be certified to the acceptance ratio in double
-    precision, and their 2 omega^2 weight is negligible.  Raises
+    10 below that: deeper tail roots certify by their kernels too, but
+    moving the edge moves every sample point and so the last bits of
+    every omega, and their 2 omega^2 weight is negligible.  Raises
     CaptureUnreachable when the band does not hold enough spectrum;
     widen it explicitly in that case.  Raises RefinementStalled when the
     retained eigenfunctions are not orthonormal: their Gram matrix must

@@ -598,6 +598,35 @@ def test_long_horizon_reports_json_error(tmp_path, capsys):
     assert err["error"] == "RefinementStalled"
 
 
+def test_long_horizon_squeezed_eigen_is_capture_unreachable(tmp_path, capsys):
+    # squeezed oscillator at T = 4: the scan certifies the band's roots by
+    # their kernels, and the band's shortfall (0.978 captured) ends the run
+    cfg = base_config(tmp_path)
+    cfg["oscillator"].update(R=[[1.0, 0.3], [0.3, 2.0]], M=[[1.0, 0.5], [0.2, 1.0]], T=4.0)
+    cfg["grid"] = {"panels": 32, "nodes_per_panel": 16}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["eigen", "--config", path]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CaptureUnreachable"
+
+
+def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):
+    # README oscillator at T = 8: E(omega) has lost its digits and the scan
+    # certifies minima with no Nystrom partner; the Gram gate must refuse
+    # the basis they would form
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = 8.0
+    cfg["grid"] = {"panels": 64, "nodes_per_panel": 16}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["eigen", "--config", path]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "RefinementStalled"
+    assert "Gram deviates" in err["message"]
+
+
 def test_out_override(tmp_path):
     cfg = base_config(tmp_path / "configured")
     path = write_config(tmp_path, cfg)

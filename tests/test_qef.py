@@ -49,6 +49,14 @@ def test_frozen_report(ctx, qkl348, state, cache, theta):
     assert rep.xi_classical == pytest.approx(ref["xicl"], rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", sorted(FROZEN))
+def test_xi_matches_exact_passive_value(ctx, qkl348, state, cache, theta):
+    # the reference system is passive and driven by vacuum fields, so its
+    # exact QEF is e^{theta T}; the 8 x 16 grid is within 2.6e-5 of it
+    rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
+    assert abs(rep.xi / np.exp(theta * ctx.grid.T) - 1.0) <= 1e-4
+
+
 def test_C_matches_mode_sum(basis):
     theta = 0.87
     C, tail = qef.compute_C(basis, theta)
