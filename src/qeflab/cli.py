@@ -151,8 +151,7 @@ def _require(cfg: dict, section: str) -> dict:
     return cfg[section]
 
 
-def _basis_from(cfg: dict, ctx: KernelContext) -> SpectralBasis:
-    eig = _require(cfg, "eigen")
+def _basis_from(eig: dict, ctx: KernelContext) -> SpectralBasis:
     kwargs = {key: eig[key] for key in ("omega_min", "omega_max") if key in eig}
     if "samples" in eig:
         kwargs["samples"] = int(eig["samples"])
@@ -185,9 +184,24 @@ def cmd_model_check(cfg: dict, out: Path, seed: int | None) -> int:
     return 0 if passed else 3
 
 
-def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
+def _closed_form(cfg: dict, eig: dict, thetas: list) -> tuple:
+    """The run's one closed-form pass: ctx, basis, P0, qkls, its one SpectralCache, reports.
+
+    Callers read every config section they need first, so a config error
+    exits 2 before any numeric work.
+    """
     ctx = _context_from(cfg)
-    basis = _basis_from(cfg, ctx)
+    basis = _basis_from(eig, ctx)
+    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+    qkls = [build_qkl(basis, theta) for theta in thetas]
+    cache = SpectralCache(ctx, qkls[0], P0)
+    return ctx, basis, P0, qkls, cache, [compute_qef(ctx, q, P0, cache=cache) for q in qkls]
+
+
+def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
+    eig = _require(cfg, "eigen")
+    ctx = _context_from(cfg)
+    basis = _basis_from(eig, ctx)
     rows = [[k, pair.omega, pair.multiplicity, pair.bvp_residual]
             for k, pair in enumerate(basis.pairs)]
     _write_csv(out / "eigen_shooting.csv",
@@ -206,16 +220,11 @@ def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
 
 
 def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
-    ctx = _context_from(cfg)
-    basis = _basis_from(cfg, ctx)
-    thetas = _require(cfg, "qef")["theta_list"]
-    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
-    qkls = [build_qkl(basis, theta) for theta in thetas]
-    cache = SpectralCache(ctx, qkls[0], P0)
+    eig, qcfg = _require(cfg, "eigen"), _require(cfg, "qef")
+    _, basis, _, qkls, _, reps = _closed_form(cfg, eig, qcfg["theta_list"])
     qef_rows = []
     qkl_rows = []
-    for theta, qkl in zip(thetas, qkls):
-        rep = compute_qef(ctx, qkl, P0, cache=cache)
+    for qkl, rep in zip(qkls, reps):
         qef_rows.append([
             rep.theta, rep.C, rep.tail_C, rep.spectral_radius,
             rep.theta_critical,
@@ -223,7 +232,7 @@ def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
             "diverged" if rep.xi_classical is None else rep.xi_classical,
         ])
         for k, pair in enumerate(basis.pairs):
-            qkl_rows.append([theta, k, pair.omega, qkl.tanc_values[k]])
+            qkl_rows.append([qkl.theta, k, pair.omega, qkl.tanc_values[k]])
     _write_csv(out / "qef.csv",
                ["theta", "C", "tail_C", "spectral_radius", "theta_critical",
                 "xi", "xi_classical"], qef_rows)
@@ -245,30 +254,25 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
     correlated across theta and the per-theta verdicts are not
     independent.
     """
-    ctx = _context_from(cfg)
-    basis = _basis_from(cfg, ctx)
-    thetas = _require(cfg, "qef")["theta_list"]
-    mc_cfg = _require(cfg, "mc")
+    eig, qcfg, mc_cfg = _require(cfg, "eigen"), _require(cfg, "qef"), _require(cfg, "mc")
     if seed is None:
         seed = int(mc_cfg["seed"])
     sizes = {key: int(mc_cfg[key]) for key in ("batch", "increments_per_panel") if key in mc_cfg}
     config = McConfig(samples=int(mc_cfg["samples"]), seed=seed, **sizes)
-    P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
-    qkls = [build_qkl(basis, theta) for theta in thetas]
-    cache = SpectralCache(ctx, qkls[0], P0)
-    reps = [compute_qef(ctx, qkl, P0, cache=cache) for qkl in qkls]
+    ctx, _, P0, qkls, cache, reps = _closed_form(cfg, eig, qcfg["theta_list"])
     # only subcritical thetas are testable; one Monte-Carlo pass serves them all
     tested = [i for i, rep in enumerate(reps) if rep.xi is not None]
     if not tested:
         raise SupercriticalTheta(
             f"no theta in qef.theta_list is below the critical value "
             f"{find_critical_theta(cache):.6g}; validate has nothing to test")
-    results = estimate_qef_mc_many(ctx, [qkls[i] for i in tested], P0, config, cache=cache)
+    results = estimate_qef_mc_many(ctx, [qkls[i] for i in tested], P0, config,
+                                   [reps[i] for i in tested], cache)
     rows = []
     passed = True
     for i, result in zip(tested, results):
         for name, est in (("Z", result.z), ("N", result.n)):
-            rows.append([thetas[i], name, est.mean, est.stderr, est.n_eff,
+            rows.append([result.theta, name, est.mean, est.stderr, est.n_eff,
                          est.diverged_fraction, seed, est.unreliable, est.kurtosis])
             passed = passed and abs(est.mean - reps[i].xi) <= 3.0 * est.stderr
     _write_csv(out / "mc.csv",

@@ -91,6 +91,7 @@ class SpectralBasis:
     """Retained eigenpairs ordered by descending omega, plus diagnostics."""
 
     pairs: tuple[EigenPair, ...]
+    hk: np.ndarray            # h_k = [phi_k psi_k] per pair on the grid, (modes, N, n, 2)
     grid: Grid
     hs_total: float
     hs_captured: float
@@ -115,6 +116,11 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     E(omega) has singular values below KERNEL_SV_RTOL sigma_max; their
     right singular vectors are its kernel rows.
     Returns roots in descending omega order.
+
+    On long horizons E(omega) loses its digits and minima with no Nystrom
+    partner pass this test too: 4 of the 13 roots certified on the README
+    oscillator at T = 8 (64x16 grid) lie over 2.7e-3 omega_1 from every
+    Nystrom omega.  Only build_basis's Gram gate stops them.
     """
     if not (0.0 < omega_min < omega_max):
         raise NonpositiveOmega(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
@@ -242,23 +248,14 @@ def nystrom_oracle(ctx: KernelContext) -> NystromResult:
     return NystromResult(eigenvalues=np.concatenate([-omegas, omegas[::-1]]), omegas=omegas)
 
 
-def stack_hk(basis: SpectralBasis) -> np.ndarray:
-    """Coefficient functions h_k = [phi_k psi_k], shape (modes, N, n, 2)."""
-    return np.stack([np.stack([p.phi, p.psi], axis=-1) for p in basis.pairs])
-
-
 def basis_gram(basis: SpectralBasis) -> np.ndarray:
     """All pairwise Gram blocks int h_j^T h_k dt, shape (r, r, 2, 2)."""
-    hk = stack_hk(basis)
-    w = basis.grid.weights
-    return np.einsum('jaip,a,kaiq->jkpq', hk, w, hk)
+    return np.einsum('jaip,a,kaiq->jkpq', basis.hk, basis.grid.weights, basis.hk)
 
 
 def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     """Mean-square misfit of the truncated kernel expansion over the grid."""
-    if not basis.pairs:
-        return ctx.hs_total
-    hk = stack_hk(basis)
+    hk = basis.hk
     N, n = ctx.grid.size, ctx.n
     # sum_k 2 omega_k h_k(s) bj h_k(t)^T as one rank-2r product; bj maps (phi, psi) to (-psi, phi)
     R = hk.transpose(1, 2, 0, 3).reshape(N * n, -1)                       # (N n, 2r)
@@ -318,8 +315,8 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
             "lower omega_min or raise samples")
 
     basis = SpectralBasis(
-        pairs=tuple(retained), grid=ctx.grid, hs_total=hs_total,
-        hs_captured=captured, capture_fraction=capture_fraction,
+        pairs=tuple(retained), hk=np.stack([np.stack([p.phi, p.psi], -1) for p in retained]),
+        grid=ctx.grid, hs_total=hs_total, hs_captured=captured, capture_fraction=capture_fraction,
         mercer_residual=0.0, gram_max_dev=0.0,
     )
     target_gram = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(retained)), np.eye(2))

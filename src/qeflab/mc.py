@@ -22,8 +22,9 @@ batches are drawn in index order, so estimates are seed-determined.
 Consecutive batches are stacked into groups of at most GROUP_ROWS rows
 (a larger batch is a group of its own), and only one group's draws are
 held in memory at a time.  Theta enters only through a few scalars per
-retained mode, so the increment geometry, the N-route covariance root
-and each group's draws and products are theta-independent:
+retained mode and through C and r(PK) from compute_qef's report, so the
+increment geometry, the N-route covariance root and each group's draws
+and products are theta-independent:
 estimate_qef_mc_many builds the geometry once per run, draws each group
 once and weights it for every theta.  In the Z-route form, with
 u = zeta * corr and Pm symmetric,
@@ -47,7 +48,7 @@ from .errors import (
     SupercriticalTheta,
 )
 from .kernels import KernelContext, kernel_matrix, lag_exponentials
-from .qef import OVERFLOW_LOG, SpectralCache, compute_C, find_critical_theta
+from .qef import OVERFLOW_LOG, QefReport, SpectralCache, compute_qef, find_critical_theta
 from .qkl import Hk_at, QklBasis
 from .quadrature import Grid
 
@@ -129,19 +130,12 @@ class _ThetaTerms:
     variance_finite: bool
 
 
-def _theta_terms(qkl: QklBasis, cache: SpectralCache) -> _ThetaTerms:
-    """Per-theta scalars; refuses a theta at which the estimator mean diverges."""
-    theta = qkl.theta
-    sr = float(cache.lambdas(theta)[0])
-    if theta > 0.0 and theta * sr >= 1.0:
-        crit = find_critical_theta(cache)
-        raise SupercriticalTheta(
-            f"theta={theta:.6g} is at or beyond the critical value "
-            f"{crit:.6g}; the estimator mean diverges")
-    return _ThetaTerms(theta=theta, C=compute_C(qkl.basis, theta)[0],
+def _theta_terms(qkl: QklBasis, rep: QefReport) -> _ThetaTerms:
+    """Per-theta scalars: theta, C and the spectral radius from the closed form's report."""
+    return _ThetaTerms(theta=rep.theta, C=rep.C,
                        corr=np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2),
                        tanc_m1=np.repeat(qkl.tanc_values - 1.0, 2),
-                       variance_finite=2.0 * theta * sr < 1.0)
+                       variance_finite=2.0 * rep.theta * rep.spectral_radius < 1.0)
 
 
 class _Geometry:
@@ -251,15 +245,16 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
 
 
 def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarray,
-                         cfg: McConfig, cache: SpectralCache | None = None
+                         cfg: McConfig, reps: list[QefReport], cache: SpectralCache
                          ) -> list[QefMcResult]:
     """Both Monte-Carlo routes to the functional at every theta of qkls.
 
-    The qkl bases must share one spectral basis.  The geometry is built
-    once and each batch is drawn once, then weighted for every theta, so
-    all thetas see the same draws and their estimates are correlated;
-    each result equals what estimate_qef_mc returns for its theta alone.
-    Refuses the run if any theta is supercritical.  One group of
+    The qkl bases must share one spectral basis; reps holds compute_qef's
+    report for each, made with cache.  The geometry is built once and
+    each batch is drawn once, then weighted for every theta, so all
+    thetas see the same draws and their estimates are correlated; each
+    result equals what estimate_qef_mc returns for its theta alone.
+    Refuses the run if any report diverges (xi is None).  One group of
     consecutive batches, at most GROUP_ROWS rows or one larger batch, is
     held in memory at a time, and a theta weights it through rank-2r
     terms only.
@@ -268,11 +263,16 @@ def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarra
         return []
     if any(q.basis is not qkls[0].basis for q in qkls):
         raise InvalidParameter("qkl bases of one Monte-Carlo run must share one spectral basis")
+    if [r.theta for r in reps] != [q.theta for q in qkls]:
+        raise InvalidParameter("a Monte-Carlo run needs one report per qkl basis, in order")
     if not np.array_equal(qkls[0].grid.nodes, ctx.grid.nodes):
         raise GridMismatch("qkl basis and kernel context use different grids")
-    if cache is None:
-        cache = SpectralCache(ctx, qkls[0], P0)
-    terms = [_theta_terms(q, cache) for q in qkls]
+    for rep in reps:
+        if rep.xi is None:
+            raise SupercriticalTheta(
+                f"theta={rep.theta:.6g} is at or beyond the critical value "
+                f"{find_critical_theta(cache):.6g}; the estimator mean diverges")
+    terms = [_theta_terms(q, rep) for q, rep in zip(qkls, reps)]
     geom = _Geometry(ctx, qkls[0], P0, cfg, cache)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
@@ -292,12 +292,13 @@ def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarra
 
 
 def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
-                    cfg: McConfig, cache: SpectralCache | None = None) -> QefMcResult:
+                    cfg: McConfig) -> QefMcResult:
     """Both Monte-Carlo routes to the functional at qkl.theta.
 
-    Refuses supercritical theta (the estimator mean would be infinite).
+    Builds its own SpectralCache and closed-form report.  Refuses
+    supercritical theta (the estimator mean would be infinite).
     Deterministic for a fixed seed: batches draw from spawned substreams
-    and run in index order.  cache, a SpectralCache for the same context
-    and state, saves rebuilding one per call.
+    and run in index order.
     """
-    return estimate_qef_mc_many(ctx, [qkl], P0, cfg, cache)[0]
+    cache = SpectralCache(ctx, qkl, P0)
+    return estimate_qef_mc_many(ctx, [qkl], P0, cfg, [compute_qef(ctx, qkl, P0, cache)], cache)[0]

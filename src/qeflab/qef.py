@@ -73,15 +73,15 @@ class SpectralCache:
     orthonormal mode block U whose columns carry K.  Nothing here depends
     on theta: of the qkl basis it reads only the grid, hk and omegas,
     which are the same for every theta, so one instance built from any
-    theta's basis serves them all.  The CLI builds one per run and passes
-    it to every compute_qef call and to its one Monte-Carlo pass over all
-    thetas.
+    theta's basis serves them all.  The CLI builds one per run, passes it
+    to every compute_qef call, and hands it with those reports to its one
+    Monte-Carlo pass over all thetas.
 
     That eigh is the run's one factorization of size N n.  In its basis
     sqrt(K) P sqrt(K) has the spectrum of diag(mu) + W diag(t - 1) W^T,
     with W = diag(sqrt(mu)) V^T U of shape (N n, 2r) and t = tanhc(theta
     omega) per mode, so log_det costs O(N n r^2) per theta and lambdas a
-    short Lanczos run, kept per theta; path_factor reuses V on first use.
+    short Lanczos run per call; path_factor reuses V on first use.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
@@ -107,7 +107,6 @@ class SpectralCache:
         # coordinates, and unlike a numpy.random draw it costs no import
         # (about 20 ms) on the qef path
         self._start = np.sin(np.arange(1.0, N * n + 1.0))
-        self._lambdas = {}
 
     @cached_property
     def path_factor(self) -> np.ndarray:
@@ -116,23 +115,18 @@ class SpectralCache:
         return (self.V * np.sqrt(self.mu)) @ self.V.T
 
     def lambdas(self, theta: float) -> np.ndarray:
-        """Leading eigenvalues of sqrt(K) P sqrt(K) at one theta, descending, read-only.
+        """Leading eigenvalues of sqrt(K) P sqrt(K) at one theta, descending.
 
         These are the Ritz values of a Lanczos run stopped once the
         largest has converged: [0] is the spectral radius to rounding,
         and each later entry [j] is a lower bound on the (j+1)-th
-        largest eigenvalue.  Kept per theta.
+        largest eigenvalue.  Each call is a new Lanczos run.
         """
         if theta < 0.0:
             raise InvalidParameter(f"theta must be nonnegative, got {theta}")
-        if theta in self._lambdas:
-            return self._lambdas[theta]
         tm1 = tanhc(theta * np.repeat(self.omegas, 2)) - 1.0
         W, mu = self.W, self.mu
-        ritz = _lanczos(lambda x: mu * x + W @ (tm1 * (x @ W)), self._start)
-        ritz.flags.writeable = False
-        self._lambdas[theta] = ritz
-        return ritz
+        return _lanczos(lambda x: mu * x + W @ (tm1 * (x @ W)), self._start)
 
     def log_det(self, theta: float) -> float | None:
         """ln det(I - theta sqrt(K) P sqrt(K)), or None when theta r(P K) >= 1.

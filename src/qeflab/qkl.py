@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .eigensolver import SpectralBasis, stack_hk
+from .eigensolver import SpectralBasis
 from .errors import InvalidParameter
 
 
@@ -39,19 +39,22 @@ def tanhc(z):
 class QklBasis:
     """Coefficient functions of the truncated expansion at one theta.
 
-    hk has shape (modes, N, n, 2) on the quadrature grid; tanc_values
-    holds tanhc(theta omega_k) per retained mode (each value is a K
-    eigenvalue of multiplicity 2).
+    hk is the basis's theta-independent array, shape (modes, N, n, 2) on
+    the quadrature grid; tanc_values holds tanhc(theta omega_k) per
+    retained mode (each value is a K eigenvalue of multiplicity 2).
     """
 
     basis: SpectralBasis
     theta: float
-    hk: np.ndarray
     tanc_values: np.ndarray
 
     @property
     def grid(self):
         return self.basis.grid
+
+    @property
+    def hk(self) -> np.ndarray:
+        return self.basis.hk
 
     @property
     def omegas(self) -> np.ndarray:
@@ -63,8 +66,7 @@ def build_qkl(basis: SpectralBasis, theta: float) -> QklBasis:
     if theta < 0.0:
         raise InvalidParameter(f"theta must be nonnegative, got {theta}")
     tanc = tanhc(theta * basis.omegas)
-    return QklBasis(basis=basis, theta=float(theta), hk=stack_hk(basis),
-                    tanc_values=np.atleast_1d(tanc))
+    return QklBasis(basis=basis, theta=float(theta), tanc_values=np.atleast_1d(tanc))
 
 
 def Hk_at(qkl: QklBasis, ts: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from conftest import J2, dense_kernel, random_hurwitz_spec, random_spec
 from oracles import apply_K, green_function, omega_from_sigma, surrogate_covariance
 
 from qeflab import cli, fock, mc, model, qef
-from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle, stack_hk
+from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle
 from qeflab.kernels import green_gram, make_context
 from qeflab.qkl import build_qkl
 from qeflab.quadrature import inner, make_grid
@@ -119,7 +119,7 @@ def test_07_hs_identity(ctx, basis):
 
 
 def test_08_mercer_truncation(ctx, basis):
-    hk = stack_hk(basis)
+    hk = basis.hk
     recon = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, J2, hk)
     misfit = recon - ctx.lambda_grid
     w = ctx.grid.weights

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 import warnings
 from importlib import resources
 
@@ -439,6 +440,68 @@ def test_one_spectral_cache_per_run(tmp_path, monkeypatch, command):
     assert len(built) == 1
     # one factorization of P per run: the N-route samples its root
     assert len(dense) == 1
+
+
+@pytest.mark.parametrize("command", ["qef", "validate"])
+def test_one_closed_form_pass_per_run(tmp_path, monkeypatch, command):
+    # every theta's C, spectral radius and divergence test come from
+    # compute_qef alone: one Lanczos run per theta of the list, and the
+    # Monte-Carlo pass calls neither compute_C nor SpectralCache.lambdas
+    callers = {"_lanczos": [], "compute_C": [], "lambdas": []}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_globals["__name__"])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_lanczos", "compute_C"):
+        monkeypatch.setattr(qef, name, recording(name, getattr(qef, name)))
+    # were mc to import compute_C by name again, its calls would reach the recorder too
+    monkeypatch.setattr(mc, "compute_C", qef.compute_C, raising=False)
+    monkeypatch.setattr(qef.SpectralCache, "lambdas",
+                        recording("lambdas", qef.SpectralCache.lambdas))
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.0, 0.348, 0.87, 15.0]
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert callers == {"_lanczos": ["qeflab.qef"] * 4, "compute_C": ["qeflab.qef"] * 4,
+                       "lambdas": ["qeflab.qef"] * 4}
+
+
+@pytest.mark.parametrize("command, section, change, error", [
+    ("qef", "qef", None, "SchemaViolation"),
+    ("validate", "qef", None, "SchemaViolation"),
+    ("validate", "mc", None, "SchemaViolation"),
+    ("validate", "mc", {"samples": 150, "seed": 0, "batch": 100}, "InvalidParameter"),
+], ids=["qef-no-qef", "validate-no-qef", "validate-no-mc", "validate-bad-mc"])
+def test_config_errors_come_before_numeric_work(tmp_path, capsys, command, section, change,
+                                               error):
+    # omega_max = 0.3 leaves the band short of the capture (exit 3), but a
+    # missing or invalid section the command reads is a config error first
+    cfg = copy.deepcopy(README_CONFIG)
+    cfg["eigen"]["omega_max"] = 0.3
+    cfg["output_dir"] = str(tmp_path)
+    assert cli.main([command, "--config", write_config(tmp_path, cfg, "band.json")]) == 3
+    assert stderr_code(capsys) == "CaptureUnreachable"
+    if change is None:
+        del cfg[section]
+    else:
+        cfg[section] = change
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert stderr_code(capsys) == error
+
+
+def test_theta_cells_agree_across_files(tmp_path):
+    # an integer theta in the config is written as the float every file
+    # computes with, in qkl.csv and mc.csv as in qef.csv
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0, 0.348]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["qef", "--config", path]) == 0
+    assert cli.main(["validate", "--config", path]) == 0
+    cells = {name: sorted({row[0] for row in read_rows(tmp_path / name)[1]})
+             for name in ("qef.csv", "qkl.csv", "mc.csv")}
+    assert cells == dict.fromkeys(cells, ["0.0000000000000000e+00", f"{0.348:.16e}"])
 
 
 def test_validate_refuses_all_supercritical(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.mercer_residual <= basis.hs_total - basis.hs_captured + 1e-6
     assert np.all(np.diff(basis.omegas) < 0)
     # reference: the kernel expansion as one four-operand einsum
-    hk = es.stack_hk(basis)
+    hk = basis.hk
     approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, J2, hk)
     diff = ctx.lambda_grid - approx
     w = ctx.grid.weights
@@ -357,8 +357,10 @@ def test_build_basis_empty_band_reports_capture_unreachable(ctx):
 
 
 def test_stack_and_gram_shapes(basis):
-    hk = es.stack_hk(basis)
+    hk = basis.hk
     assert hk.shape == (3, basis.grid.size, 2, 2)
+    for k, pair in enumerate(basis.pairs):
+        assert np.array_equal(hk[k], np.stack([pair.phi, pair.psi], axis=-1))
     gram = es.basis_gram(basis)
     target = 0.5 * np.einsum('jk,pq->jkpq', np.eye(3), np.eye(2))
     assert np.max(np.abs(gram - target)) <= 1e-12
@@ -366,7 +368,7 @@ def test_stack_and_gram_shapes(basis):
 
 def test_mercer_reconstruction_pointwise(ctx, basis):
     # 2 sum omega h J2 h^T reproduces Lambda up to the spectral tail
-    hk = es.stack_hk(basis)
+    hk = basis.hk
     om = basis.omegas
     recon = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', om, hk, J2, hk)
     misfit = recon - ctx.lambda_grid

@@ -49,7 +49,7 @@ def test_sample_N_zero_state(ctx, qkl348):
     assert factor.shape == (2 * ctx.grid.size, 2 * ctx.grid.size)
     assert np.max(np.abs(factor)) == 0.0
     geom = mc._Geometry(ctx, qkl348, zero, mc.McConfig(samples=200, seed=0, batch=100), cache)
-    terms = mc._theta_terms(qkl348, cache)
+    terms = mc._theta_terms(qkl348, qef.compute_qef(ctx, qkl348, zero, cache=cache))
     means, clipped = geom.run_group(np.array([20, 13]), np.random.SeedSequence(0).spawn(2),
                                     [terms])
     for n_mean in means[0, 1]:
@@ -97,7 +97,8 @@ def test_estimate_deterministic_across_threads(ctx, qkl348, state):
 def _geometry(ctx, qkl, state):
     cache = qef.SpectralCache(ctx, qkl, state.P0)
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
-    return mc._Geometry(ctx, qkl, state.P0, cfg, cache), mc._theta_terms(qkl, cache)
+    rep = qef.compute_qef(ctx, qkl, state.P0, cache=cache)
+    return mc._Geometry(ctx, qkl, state.P0, cfg, cache), mc._theta_terms(qkl, rep)
 
 
 @pytest.mark.parametrize("theta", [0.348, 0.87])
@@ -188,12 +189,13 @@ def test_grouped_pass_matches_per_batch_reference(ctx, basis, state, squeezed, s
     assert (batch == 2) == (samples // batch > mc.GROUP_ROWS)
     qkls = [build_qkl(b, theta) for theta in thetas]
     cache = qef.SpectralCache(c, qkls[0], P0)
-    terms = [mc._theta_terms(q, cache) for q in qkls]
+    reps = [qef.compute_qef(c, q, P0, cache=cache) for q in qkls]
+    terms = [mc._theta_terms(q, rep) for q, rep in zip(qkls, reps)]
     geom = mc._Geometry(c, qkls[0], P0, cfg, cache)
     sizes = mc._batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
     batches = [run_batch(geom, int(size), seed, terms) for size, seed in zip(sizes, seeds)]
-    got = mc.estimate_qef_mc_many(c, qkls, P0, cfg, cache=cache)
+    got = mc.estimate_qef_mc_many(c, qkls, P0, cfg, reps, cache)
     for i, (t, res) in enumerate(zip(terms, got)):
         for route, est in enumerate((res.z, res.n)):
             ref = mc._aggregate(np.array([bt[i][route][0] for bt in batches]), sizes,
@@ -216,19 +218,28 @@ def test_many_thetas_match_separate_calls(ctx, basis, state):
     # the shared geometry and draws must not move a single bit
     cfg = mc.McConfig(samples=400, seed=7, batch=20)
     qkls = [build_qkl(basis, theta) for theta in (0.0, 0.348, 0.87)]
-    many = mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg)
+    cache = qef.SpectralCache(ctx, qkls[0], state.P0)
+    reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
+    many = mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, reps, cache)
     assert len(many) == len(qkls)
     for qkl, got in zip(qkls, many):
         assert _fields(got) == _fields(mc.estimate_qef_mc(ctx, qkl, state.P0, cfg))
-    assert mc.estimate_qef_mc_many(ctx, [], state.P0, cfg) == []
+    assert mc.estimate_qef_mc_many(ctx, [], state.P0, cfg, [], cache) == []
 
 
 def test_many_thetas_need_one_basis(ctx, basis, state):
     other = copy.copy(basis)
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
+    qkls = [build_qkl(basis, 0.348), build_qkl(basis, 0.87)]
+    cache = qef.SpectralCache(ctx, qkls[0], state.P0)
+    reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
     with pytest.raises(InvalidParameter, match="one spectral basis"):
-        mc.estimate_qef_mc_many(ctx, [build_qkl(basis, 0.348), build_qkl(other, 0.87)],
-                                state.P0, cfg)
+        mc.estimate_qef_mc_many(ctx, [qkls[0], build_qkl(other, 0.87)], state.P0, cfg, reps,
+                                cache)
+    # the reports must follow the qkl bases one to one
+    for wrong in (reps[::-1], reps[:1]):
+        with pytest.raises(InvalidParameter, match="one report per qkl basis"):
+            mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, wrong, cache)
 
 
 def test_estimate_agrees_with_closed_form(ctx, qkl348, state):
@@ -293,13 +304,33 @@ def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):
 
 def test_supercritical_theta_refused(ctx, qkl348, state):
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
-    crit = qef.find_critical_theta(qef.SpectralCache(ctx, qkl348, state.P0))
+    cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    crit = qef.find_critical_theta(cache)
     msg = f"theta=15 is at or beyond the critical value {crit:.6g}; the estimator mean diverges"
     with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
         mc.estimate_qef_mc(ctx, build_qkl(qkl348.basis, 15.0), state.P0, cfg)
     # one supercritical theta refuses the whole pass
+    qkls = [qkl348, build_qkl(qkl348.basis, 15.0)]
+    reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
     with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
-        mc.estimate_qef_mc_many(ctx, [qkl348, build_qkl(qkl348.basis, 15.0)], state.P0, cfg)
+        mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, reps, cache)
+
+
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+@pytest.mark.parametrize("which", ["readme", "squeezed"])
+def test_refuses_exactly_when_closed_form_diverges(ctx, basis, state, squeezed, which, factor):
+    # the estimator's divergence test is compute_qef's: xi is None
+    c, b, P0 = (ctx, basis, state.P0) if which == "readme" else squeezed
+    crit = qef.find_critical_theta(qef.SpectralCache(c, build_qkl(b, 0.0), P0))
+    qkl = build_qkl(b, factor * crit)
+    diverged = qef.compute_qef(c, qkl, P0).xi is None
+    assert diverged == (factor > 1.0)
+    cfg = mc.McConfig(samples=200, seed=0, batch=100)
+    if diverged:
+        with pytest.raises(SupercriticalTheta):
+            mc.estimate_qef_mc(c, qkl, P0, cfg)
+    else:
+        assert mc.estimate_qef_mc(c, qkl, P0, cfg).theta == qkl.theta
 
 
 def test_infinite_variance_flagged(ctx, qkl348, state):
@@ -315,14 +346,16 @@ def test_grid_mismatch(ctx, osc_spec, qkl348, state):
     from qeflab import eigensolver as es
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
+    reps = [qef.compute_qef(ctx, qkl348, state.P0, cache=cache)]
     # 4x16 has fewer nodes than the 8x16 context; 16x8 has as many, at
-    # other times, and must be refused with a cache as well as without
+    # other times, and must be refused with the run's cache as well as without
     for panels, order in ((4, 16), (16, 8)):
         other_ctx = kernels.make_context(osc_spec, quadrature.make_grid(1.0, panels, order))
         other_qkl = build_qkl(es.build_basis(other_ctx, 0.97), 0.348)
-        for kwargs in ({}, {"cache": cache}):
-            with pytest.raises(GridMismatch):
-                mc.estimate_qef_mc(ctx, other_qkl, state.P0, cfg, **kwargs)
+        with pytest.raises(GridMismatch):
+            mc.estimate_qef_mc(ctx, other_qkl, state.P0, cfg)
+        with pytest.raises(GridMismatch):
+            mc.estimate_qef_mc_many(ctx, [other_qkl], state.P0, cfg, reps, cache)
 
 
 def test_aggregate_overflow_guard():

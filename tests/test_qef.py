@@ -106,9 +106,10 @@ def test_pk_trace_identity(cache):
         assert float(dense_lambdas(cache, theta).sum()) == pytest.approx(tr_pk, abs=1e-10)
 
 
-def test_lambdas_computed_once_per_theta(ctx, qkl348, state, monkeypatch):
-    # compute_qef and the Monte-Carlo supercritical check share one Lanczos
-    # run per theta; the kept array cannot be changed by a caller
+def test_monte_carlo_terms_read_the_report(ctx, qkl348, state, monkeypatch):
+    # the Monte-Carlo weights take theta, C and the spectral radius from
+    # compute_qef's report: one Lanczos run per theta in all, and a rerun
+    # of lambdas gives the report's radius to the bit
     runs = []
 
     def counting(*args, **kwargs):
@@ -118,14 +119,13 @@ def test_lambdas_computed_once_per_theta(ctx, qkl348, state, monkeypatch):
     lanczos = qef._lanczos
     monkeypatch.setattr(qef, "_lanczos", counting)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
-    mc._theta_terms(qkl348, cache)
+    rep = qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
+    terms = mc._theta_terms(qkl348, rep)
     assert len(runs) == 1
-    lam = cache.lambdas(0.348)
-    assert cache.lambdas(0.348) is lam
-    assert not lam.flags.writeable
-    with pytest.raises(ValueError):
-        lam[0] = 0.0
+    assert (terms.theta, terms.C) == (rep.theta, rep.C)
+    assert terms.variance_finite == (2.0 * rep.theta * rep.spectral_radius < 1.0)
+    assert cache.lambdas(0.348)[0] == rep.spectral_radius
+    assert len(runs) == 2
 
 
 def test_rounding_negative_covariance_eigenvalues_are_clipped(ctx, qkl348, state, monkeypatch):
