@@ -24,7 +24,7 @@ from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
 from .errors import InvalidParameter, QeflabError, SchemaViolation, SupercriticalTheta
 from .kernels import KernelContext, make_context
 from .mc import McConfig, estimate_qef_mc_many
-from .qef import SpectralCache, compute_qef, find_critical_theta
+from .qef import QefReport, SpectralCache, compute_qef, find_critical_theta
 from .qkl import build_qkl
 from .quadrature import make_grid
 
@@ -184,8 +184,8 @@ def cmd_model_check(cfg: dict, out: Path, seed: int | None) -> int:
     return 0 if passed else 3
 
 
-def _closed_form(cfg: dict, eig: dict, thetas: list) -> tuple:
-    """The run's one closed-form pass: ctx, basis, P0, qkls, its one SpectralCache, reports.
+def _closed_form(cfg: dict, eig: dict, thetas: list) -> tuple[SpectralCache, list[QefReport]]:
+    """The run's one closed-form pass: its one SpectralCache and a report per theta.
 
     Callers read every config section they need first, so a config error
     exits 2 before any numeric work.
@@ -195,7 +195,7 @@ def _closed_form(cfg: dict, eig: dict, thetas: list) -> tuple:
     P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
     qkls = [build_qkl(basis, theta) for theta in thetas]
     cache = SpectralCache(ctx, qkls[0], P0)
-    return ctx, basis, P0, qkls, cache, [compute_qef(ctx, q, P0, cache=cache) for q in qkls]
+    return cache, [compute_qef(ctx, q, P0, cache=cache) for q in qkls]
 
 
 def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
@@ -221,18 +221,19 @@ def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
 
 def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
     eig, qcfg = _require(cfg, "eigen"), _require(cfg, "qef")
-    _, basis, _, qkls, _, reps = _closed_form(cfg, eig, qcfg["theta_list"])
+    cache, reps = _closed_form(cfg, eig, qcfg["theta_list"])
     qef_rows = []
     qkl_rows = []
-    for qkl, rep in zip(qkls, reps):
+    for rep in reps:
         qef_rows.append([
             rep.theta, rep.C, rep.tail_C, rep.spectral_radius,
             rep.theta_critical,
             "diverged" if rep.xi is None else rep.xi,
             "diverged" if rep.xi_classical is None else rep.xi_classical,
         ])
-        for k, pair in enumerate(basis.pairs):
-            qkl_rows.append([qkl.theta, k, pair.omega, qkl.tanc_values[k]])
+        tanc = build_qkl(cache.basis, rep.theta).tanc_values
+        for k, pair in enumerate(cache.basis.pairs):
+            qkl_rows.append([rep.theta, k, pair.omega, tanc[k]])
     _write_csv(out / "qef.csv",
                ["theta", "C", "tail_C", "spectral_radius", "theta_critical",
                 "xi", "xi_classical"], qef_rows)
@@ -259,22 +260,21 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
         seed = int(mc_cfg["seed"])
     sizes = {key: int(mc_cfg[key]) for key in ("batch", "increments_per_panel") if key in mc_cfg}
     config = McConfig(samples=int(mc_cfg["samples"]), seed=seed, **sizes)
-    ctx, _, P0, qkls, cache, reps = _closed_form(cfg, eig, qcfg["theta_list"])
+    cache, reps = _closed_form(cfg, eig, qcfg["theta_list"])
     # only subcritical thetas are testable; one Monte-Carlo pass serves them all
-    tested = [i for i, rep in enumerate(reps) if rep.xi is not None]
+    tested = [rep for rep in reps if rep.xi is not None]
     if not tested:
         raise SupercriticalTheta(
             f"no theta in qef.theta_list is below the critical value "
             f"{find_critical_theta(cache):.6g}; validate has nothing to test")
-    results = estimate_qef_mc_many(ctx, [qkls[i] for i in tested], P0, config,
-                                   [reps[i] for i in tested], cache)
+    results = estimate_qef_mc_many(cache, tested, config)
     rows = []
     passed = True
-    for i, result in zip(tested, results):
+    for rep, result in zip(tested, results):
         for name, est in (("Z", result.z), ("N", result.n)):
             rows.append([result.theta, name, est.mean, est.stderr, est.n_eff,
                          est.diverged_fraction, seed, est.unreliable, est.kurtosis])
-            passed = passed and abs(est.mean - reps[i].xi) <= 3.0 * est.stderr
+            passed = passed and abs(est.mean - rep.xi) <= 3.0 * est.stderr
     _write_csv(out / "mc.csv",
                ["theta", "estimator", "mean", "stderr", "n_eff",
                 "diverged_fraction", "seed", "unreliable", "kurtosis"], rows)

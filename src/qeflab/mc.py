@@ -4,9 +4,11 @@ Two independent estimators of the same closed-form value are provided.
 The Z-route samples the Gaussian surrogate process and averages
 exp(-C) * exp((theta/2) * double increment sum of dZ^T P(s-t) dZ); the
 N-route samples the stationary Gaussian process with covariance kernel
-P(s-t) and averages exp(-C) * exp((theta/2) <N, K N>); it draws
-y = sqrt(w) N = z P_h^{1/2} with the root from the SpectralCache's one
-eigh, so its exact mean is the closed form's own determinant.
+P(s-t) and averages exp(-C) * exp((theta/2) <N, K N>).  With
+y = sqrt(w) N = z P_h^{1/2} for a standard normal z, it forms
+|y|^2 = z P_h z^T and y U = z (P_h^{1/2} U) from the SpectralCache's P_h
+and root_modes, with no N n x N n root, so its exact mean is the closed
+form's own determinant.
 
 Both routes sample the tail-completed model that matches the spectral
 form of K used by the closed-form determinant: the surrogate is drawn as
@@ -21,13 +23,12 @@ Estimation is batched; each batch owns a spawned RNG substream and
 batches are drawn in index order, so estimates are seed-determined.
 Consecutive batches are stacked into groups of at most GROUP_ROWS rows
 (a larger batch is a group of its own), and only one group's draws are
-held in memory at a time.  Theta enters only through a few scalars per
-retained mode and through C and r(PK) from compute_qef's report, so the
-increment geometry, the N-route covariance root and each group's draws
-and products are theta-independent:
-estimate_qef_mc_many builds the geometry once per run, draws each group
-once and weights it for every theta.  In the Z-route form, with
-u = zeta * corr and Pm symmetric,
+held in memory at a time.  Theta enters only through K's eigenvalues
+from the SpectralCache and through C and r(PK) from compute_qef's
+report, so the increment geometry and each group's draws and products
+are theta-independent: estimate_qef_mc_many builds the geometry once
+per run from the cache, draws each group once and weights it for every
+theta.  In the Z-route form, with u = zeta * corr and Pm symmetric,
 dZ Pm dZ = dW Pm dW - 2 u.(dW Pm dH) + u (dH^T Pm dH) u^T,
 so a theta costs O(rows r^2) rank-2r terms, not a product with Pm.
 Every theta of one run is thus estimated from the same draws (common
@@ -41,12 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    InvalidParameter,
-    OverflowDominated,
-    SupercriticalTheta,
-)
+from .errors import InvalidParameter, OverflowDominated, SupercriticalTheta
 from .kernels import KernelContext, kernel_matrix, lag_exponentials
 from .qef import OVERFLOW_LOG, QefReport, SpectralCache, compute_qef, find_critical_theta
 from .qkl import Hk_at, QklBasis
@@ -130,24 +126,22 @@ class _ThetaTerms:
     variance_finite: bool
 
 
-def _theta_terms(qkl: QklBasis, rep: QefReport) -> _ThetaTerms:
-    """Per-theta scalars: theta, C and the spectral radius from the closed form's report."""
-    return _ThetaTerms(theta=rep.theta, C=rep.C,
-                       corr=np.repeat(1.0 - np.sqrt(qkl.tanc_values), 2),
-                       tanc_m1=np.repeat(qkl.tanc_values - 1.0, 2),
+def _theta_terms(cache: SpectralCache, rep: QefReport) -> _ThetaTerms:
+    """Per-theta scalars: K's eigenvalues from the cache; theta, C and the
+    spectral radius from the closed form's report."""
+    t = cache.k_eigenvalues(rep.theta)
+    return _ThetaTerms(theta=rep.theta, C=rep.C, corr=1.0 - np.sqrt(t), tanc_m1=t - 1.0,
                        variance_finite=2.0 * rep.theta * rep.spectral_radius < 1.0)
 
 
 class _Geometry:
     """Theta-independent geometry, shared by every batch and theta of a run.
 
-    Of the qkl basis it reads only the grid and hk, which are the same
-    for every theta.
+    The grid, A, P0 and the basis all come from the run's SpectralCache.
     """
 
-    def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray, cfg: McConfig,
-                 cache: SpectralCache):
-        grid = ctx.grid
+    def __init__(self, cache: SpectralCache, cfg: McConfig):
+        ctx, grid = cache.ctx, cache.ctx.grid
         # Z-route geometry: uniform increment grid, midpoint kernel; the
         # midpoint rule is the one-node Gauss-Legendre rule on m panels.
         # Both routes' matrices are flat: rows index (increment or node,
@@ -158,16 +152,13 @@ class _Geometry:
         self.dt = grid.T / m
         mids = Grid(T=grid.T, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
                     weights=np.full(m, self.dt), edges=bounds)
-        dH = np.diff(Hk_at(qkl, bounds), axis=0)                              # (m, r, n, 2)
+        dH = np.diff(Hk_at(cache.basis, bounds), axis=0)                      # (m, r, n, 2)
         self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
-        self.Pm = kernel_matrix(mids, lag_exponentials(ctx.sys.A, mids), P0)  # (m n, m n)
+        self.Pm = kernel_matrix(mids, lag_exponentials(ctx.sys.A, mids), cache.P0)
         self.PmdH = self.Pm @ self.dH                                         # (m n, 2r)
         self.G = self.dH.T @ self.PmdH                                        # (2r, 2r)
-
-        # N-route geometry, in the weighted node coordinates: the root of P_h
-        # and the orthonormal mode columns that carry K
-        self.root = cache.path_factor                                         # (N n, N n)
-        self.modes = cache.modes                                              # (N n, 2r)
+        # N-route geometry, in the weighted node coordinates: P_h and P_h^{1/2} U
+        self.cache = cache
 
     def run_group(self, sizes: np.ndarray, seeds: list[np.random.SeedSequence],
                   terms: list[_ThetaTerms]) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +170,8 @@ class _Geometry:
         """
         starts = np.cumsum(sizes) - sizes
         dW = np.empty((int(sizes.sum()), self.dH.shape[0]))
-        z = np.empty((dW.shape[0], self.root.shape[0]))
+        P, root_modes = self.cache.P, self.cache.root_modes
+        z = np.empty((dW.shape[0], P.shape[0]))
         for start, size, seed in zip(starts, sizes, seeds):
             rng = np.random.default_rng(seed)
             rng.standard_normal(out=dW[start:start + size])
@@ -192,9 +184,9 @@ class _Geometry:
         zeta = dW @ self.dH / self.dt
         a = np.einsum('si,si->s', dW @ self.Pm, dW)
         b = dW @ self.PmdH
-        y = z @ self.root
-        proj2 = (y @ self.modes) ** 2
-        base = np.einsum('si,si->s', y, y)
+        # y = z P_h^{1/2}: |y|^2 = z P_h z^T and y U = z P_h^{1/2} U
+        base = np.einsum('si,si->s', z @ P, z)
+        proj2 = (z @ root_modes) ** 2
 
         means = np.empty((len(terms), 2, len(sizes)))
         clipped = np.empty((len(terms), 2, len(sizes)), dtype=int)
@@ -244,36 +236,26 @@ def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                       kurtosis=kurt)
 
 
-def estimate_qef_mc_many(ctx: KernelContext, qkls: list[QklBasis], P0: np.ndarray,
-                         cfg: McConfig, reps: list[QefReport], cache: SpectralCache
-                         ) -> list[QefMcResult]:
-    """Both Monte-Carlo routes to the functional at every theta of qkls.
+def estimate_qef_mc_many(cache: SpectralCache, reps: list[QefReport],
+                         cfg: McConfig) -> list[QefMcResult]:
+    """Both Monte-Carlo routes to the functional at the theta of each report.
 
-    The qkl bases must share one spectral basis; reps holds compute_qef's
-    report for each, made with cache.  The geometry is built once and
-    each batch is drawn once, then weighted for every theta, so all
-    thetas see the same draws and their estimates are correlated; each
-    result equals what estimate_qef_mc returns for its theta alone.
-    Refuses the run if any report diverges (xi is None).  One group of
-    consecutive batches, at most GROUP_ROWS rows or one larger batch, is
-    held in memory at a time, and a theta weights it through rank-2r
-    terms only.
+    reps holds compute_qef's reports made with cache.  The geometry is
+    built once and each batch is drawn once, then weighted for every
+    theta, so all thetas see the same draws and their estimates are
+    correlated; each result equals what estimate_qef_mc returns for its
+    theta alone.  Refuses the run if any report diverges (xi is None).
+    One group of consecutive batches, at most GROUP_ROWS rows or one
+    larger batch, is held in memory at a time, and a theta weights it
+    through rank-2r terms only.
     """
-    if not qkls:
-        return []
-    if any(q.basis is not qkls[0].basis for q in qkls):
-        raise InvalidParameter("qkl bases of one Monte-Carlo run must share one spectral basis")
-    if [r.theta for r in reps] != [q.theta for q in qkls]:
-        raise InvalidParameter("a Monte-Carlo run needs one report per qkl basis, in order")
-    if not np.array_equal(qkls[0].grid.nodes, ctx.grid.nodes):
-        raise GridMismatch("qkl basis and kernel context use different grids")
     for rep in reps:
         if rep.xi is None:
             raise SupercriticalTheta(
                 f"theta={rep.theta:.6g} is at or beyond the critical value "
                 f"{find_critical_theta(cache):.6g}; the estimator mean diverges")
-    terms = [_theta_terms(q, rep) for q, rep in zip(qkls, reps)]
-    geom = _Geometry(ctx, qkls[0], P0, cfg, cache)
+    terms = [_theta_terms(cache, rep) for rep in reps]
+    geom = _Geometry(cache, cfg)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
     means = np.empty((len(terms), 2, cfg.batch))
@@ -301,4 +283,4 @@ def estimate_qef_mc(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     and run in index order.
     """
     cache = SpectralCache(ctx, qkl, P0)
-    return estimate_qef_mc_many(ctx, [qkl], P0, cfg, [compute_qef(ctx, qkl, P0, cache)], cache)[0]
+    return estimate_qef_mc_many(cache, [compute_qef(ctx, qkl, P0, cache)], cfg)[0]

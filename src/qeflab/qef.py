@@ -11,8 +11,8 @@ operator sqrt(K) P sqrt(K).  Everything is discretized on the quadrature
 grid with weight symmetrization, and K enters in its spectral form: the
 identity plus rank-2r corrections along the retained modes U.  So
 SpectralCache factors P = V diag(mu) V^T once per run, one eigh of size
-N n that also gives the Monte-Carlo N-route its root P^{1/2}, and keeps
-W = diag(sqrt(mu)) V^T U, of shape (N n, 2r).  Each theta then needs two
+N n, and keeps W = diag(sqrt(mu)) V^T U, of shape (N n, 2r), and the
+Monte-Carlo N-route's P^{1/2} U = V W.  Each theta then needs two
 numbers and no factorization of size N n:
 
 - ln det(I - theta sqrt(K) P sqrt(K)) = sum_k ln(1 - theta lambda_k),
@@ -28,14 +28,13 @@ numbers and no factorization of size N n:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatch, InvalidParameter, StateUnavailable
 from .kernels import KernelContext, covariance_on_grid, weighted_matrix
 from .model import clip_psd
-from .qkl import QklBasis, tanhc
+from .qkl import QklBasis, build_qkl
 
 OVERFLOW_LOG = 700.0
 LANCZOS_RTOL = 1e-14           # residual of the top Ritz pair, relative to its value
@@ -68,51 +67,55 @@ class QefReport:
 class SpectralCache:
     """Grid discretizations shared by every theta evaluation.
 
-    Holds the weight-symmetrized covariance matrix P, its one
+    Keeps the context, the state covariance P0 and the spectral basis it
+    was built from, the weight-symmetrized covariance matrix P, its one
     eigendecomposition P = V diag(mu) V^T (mu descending) and the
-    orthonormal mode block U whose columns carry K.  Nothing here depends
-    on theta: of the qkl basis it reads only the grid, hk and omegas,
-    which are the same for every theta, so one instance built from any
-    theta's basis serves them all.  The CLI builds one per run, passes it
-    to every compute_qef call, and hands it with those reports to its one
-    Monte-Carlo pass over all thetas.
+    orthonormal mode block U whose columns carry K.  Only K's eigenvalue
+    per column of U, k_eigenvalues(theta), depends on theta, so one
+    instance built from any theta's qkl basis serves every theta of that
+    basis.  The CLI builds one per run, passes it to every compute_qef
+    call, and hands it with those reports to its one Monte-Carlo pass
+    over all thetas.
 
     That eigh is the run's one factorization of size N n.  In its basis
     sqrt(K) P sqrt(K) has the spectrum of diag(mu) + W diag(t - 1) W^T,
-    with W = diag(sqrt(mu)) V^T U of shape (N n, 2r) and t = tanhc(theta
-    omega) per mode, so log_det costs O(N n r^2) per theta and lambdas a
-    short Lanczos run per call; path_factor reuses V on first use.
+    with W = diag(sqrt(mu)) V^T U of shape (N n, 2r) and t =
+    k_eigenvalues(theta), so log_det costs O(N n r^2) per theta and
+    lambdas a short Lanczos run per call.  The same eigh gives
+    root_modes = V W = P^{1/2} U with the symmetric root, which the
+    Monte-Carlo N-route weights its draws with; V itself is not kept.
     """
 
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
         if P0 is None:
             raise StateUnavailable("Gaussian state covariance P0 is required")
         grid = ctx.grid
-        if not np.array_equal(qkl.grid.nodes, grid.nodes):
+        if not np.array_equal(qkl.basis.grid.nodes, grid.nodes):
             raise GridMismatch("qkl basis and kernel context use different grids")
+        self.ctx, self.P0, self.basis = ctx, P0, qkl.basis
         n, N = ctx.n, grid.size
         P = weighted_matrix(grid, covariance_on_grid(ctx, P0))
         self.P = 0.5 * (P + P.T)
         # columns sqrt(w) sqrt(2) phi_k, sqrt(w) sqrt(2) psi_k: the
         # orthonormal eigenvectors of the discretized K
-        cols = np.sqrt(2.0) * qkl.hk * np.sqrt(grid.weights)[None, :, None, None]
+        cols = np.sqrt(2.0) * self.basis.hk * np.sqrt(grid.weights)[None, :, None, None]
         self.modes = cols.transpose(1, 2, 0, 3).reshape(N * n, -1)
-        self.omegas = qkl.omegas
         evals, V = np.linalg.eigh(self.P)
         self.mu = clip_psd(evals[::-1], "covariance matrix")
-        self.V = V[:, ::-1]
-        self.W = np.sqrt(self.mu)[:, None] * (self.V.T @ self.modes)
+        V = V[:, ::-1]
+        self.W = np.sqrt(self.mu)[:, None] * (V.T @ self.modes)
+        # V diag(sqrt(mu)) V^T is unique and continuous in P, whatever basis
+        # eigh picks in a degenerate eigenspace, and so is its product with U
+        self.root_modes = V @ self.W
         # one fixed Lanczos start for every theta, so each result depends on
         # theta alone: sin(1), sin(2), ... has no structure in V's
         # coordinates, and unlike a numpy.random draw it costs no import
         # (about 20 ms) on the qef path
         self._start = np.sin(np.arange(1.0, N * n + 1.0))
 
-    @cached_property
-    def path_factor(self) -> np.ndarray:
-        """Symmetric root V diag(sqrt(mu)) V^T of P: unlike V diag(sqrt(mu)), it is
-        unique and continuous in P, whatever basis eigh picks in a degenerate eigenspace."""
-        return (self.V * np.sqrt(self.mu)) @ self.V.T
+    def k_eigenvalues(self, theta: float) -> np.ndarray:
+        """K's eigenvalue tanhc(theta omega_k) per column of modes; refuses theta < 0."""
+        return np.repeat(build_qkl(self.basis, theta).tanc_values, 2)
 
     def lambdas(self, theta: float) -> np.ndarray:
         """Leading eigenvalues of sqrt(K) P sqrt(K) at one theta, descending.
@@ -122,9 +125,7 @@ class SpectralCache:
         and each later entry [j] is a lower bound on the (j+1)-th
         largest eigenvalue.  Each call is a new Lanczos run.
         """
-        if theta < 0.0:
-            raise InvalidParameter(f"theta must be nonnegative, got {theta}")
-        tm1 = tanhc(theta * np.repeat(self.omegas, 2)) - 1.0
+        tm1 = self.k_eigenvalues(theta) - 1.0
         W, mu = self.W, self.mu
         return _lanczos(lambda x: mu * x + W @ (tm1 * (x @ W)), self._start)
 
@@ -139,12 +140,10 @@ class SpectralCache:
         the lemma to the whole matrix would cancel catastrophically once
         theta passes 1 / mu[0].
         """
-        if theta < 0.0:
-            raise InvalidParameter(f"theta must be nonnegative, got {theta}")
+        se = np.sqrt(theta * (1.0 - self.k_eigenvalues(theta)))
         a = 1.0 - theta * self.mu
         h = int(np.count_nonzero(a < 0.5))     # mu descends, so the head is a prefix
         Wh, Wt = self.W[:h], self.W[h:]
-        se = np.sqrt(theta * (1.0 - tanhc(theta * np.repeat(self.omegas, 2))))
         # I + E^1/2 G E^1/2 with G = W_t^T diag(1/a_t) W_t: at least I
         L = np.linalg.cholesky(np.eye(se.size) + se[:, None] * (Wt.T @ (Wt / a[h:, None])) * se)
         out = float(np.sum(np.log1p(-theta * self.mu[h:]))) + 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -194,7 +193,8 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
 
     Returns (C, tail_C) where C already includes tail_C.  The tail uses
     ln cosh(x) <= x^2 / 2 on the unretained modes, whose squared
-    frequencies sum to half the Hilbert-Schmidt tail.
+    frequencies sum to half the Hilbert-Schmidt tail.  Raises
+    InvalidParameter when C overflows (theta^2 does past about 1e154).
     """
     if theta < 0.0:
         raise InvalidParameter(f"theta must be nonnegative, got {theta}")
@@ -202,6 +202,10 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
     # ln cosh(x) = |x| + log1p(e^{-2|x|}) - ln 2, stable for large x
     partial = float(np.sum(np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - np.log(2.0)))
     tail = 0.5 * (theta * theta) * max(basis.hs_total - basis.hs_captured, 0.0) / 2.0
+    if not np.isfinite(partial + tail):
+        raise InvalidParameter(
+            f"qef.theta_list value {theta} gives a non-finite C: ln cosh(theta omega_k) "
+            "and its tail estimate leave the double range")
     return partial + tail, tail
 
 
@@ -246,10 +250,14 @@ def compute_qef(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     """Evaluate the closed-form functional and its ingredients at qkl.theta.
 
     Never raises for a supercritical theta: the report carries xi = None
-    and the critical value so callers can rescale.
+    and the critical value so callers can rescale.  A cache built from
+    another spectral basis is refused: C would come from one basis and
+    the determinant from the other.
     """
     if cache is None:
         cache = SpectralCache(ctx, qkl, P0)
+    elif qkl.basis is not cache.basis:
+        raise GridMismatch("qkl basis is not the one the spectral cache was built from")
     th = qkl.theta
     sr = float(cache.lambdas(th)[0])
     th_crit = 1.0 / sr if sr > 0.0 else np.inf

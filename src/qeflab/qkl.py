@@ -37,39 +37,27 @@ def tanhc(z):
 
 @dataclass(frozen=True, eq=False)
 class QklBasis:
-    """Coefficient functions of the truncated expansion at one theta.
+    """The K eigenvalues of the truncated expansion at one theta.
 
-    hk is the basis's theta-independent array, shape (modes, N, n, 2) on
-    the quadrature grid; tanc_values holds tanhc(theta omega_k) per
-    retained mode (each value is a K eigenvalue of multiplicity 2).
+    tanc_values holds tanhc(theta omega_k) per retained mode of basis
+    (each value is a K eigenvalue of multiplicity 2); the coefficient
+    functions are the basis's theta-independent hk.
     """
 
     basis: SpectralBasis
     theta: float
     tanc_values: np.ndarray
 
-    @property
-    def grid(self):
-        return self.basis.grid
-
-    @property
-    def hk(self) -> np.ndarray:
-        return self.basis.hk
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return self.basis.omegas
-
 
 def build_qkl(basis: SpectralBasis, theta: float) -> QklBasis:
-    """Assemble h_k and the K eigenvalues for a risk parameter."""
+    """Assemble the K eigenvalues for a risk parameter."""
     if theta < 0.0:
         raise InvalidParameter(f"theta must be nonnegative, got {theta}")
     tanc = tanhc(theta * basis.omegas)
     return QklBasis(basis=basis, theta=float(theta), tanc_values=np.atleast_1d(tanc))
 
 
-def Hk_at(qkl: QklBasis, ts: np.ndarray) -> np.ndarray:
+def Hk_at(basis: SpectralBasis, ts: np.ndarray) -> np.ndarray:
     """H_k evaluated at arbitrary times in [0, T], shape (len(ts), r, n, 2)."""
-    flat = np.moveaxis(qkl.hk, 0, 1)
-    return np.sqrt(2.0) * quadrature.cumulative_at(qkl.grid, flat, np.asarray(ts, dtype=float))
+    flat = np.moveaxis(basis.hk, 0, 1)
+    return np.sqrt(2.0) * quadrature.cumulative_at(basis.grid, flat, np.asarray(ts, dtype=float))

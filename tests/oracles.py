@@ -20,8 +20,9 @@ theory, so that agreement checks the package's own evaluation:
   identity;
 - the kernel grid assembled by gathering e^{|tau| A} to every node pair
   first, against the base applied once per panel lag;
-- one Monte-Carlo batch drawn and weighted on its own, against the
-  stacked groups of batches;
+- one Monte-Carlo batch drawn and weighted on its own, with y = z P_h^{1/2}
+  from a dense symmetric root of P_h, against the stacked groups of
+  batches and their root-free z P_h z^T and z P_h^{1/2} U;
 - the inverse of the Fock sigma(omega) map, and the Fock left side as a
   dense matrix exponential;
 - the panel Legendre running integrals and spectral derivative these
@@ -155,18 +156,32 @@ def kernel_on_grid_gathered(A: np.ndarray, grid: Grid, base: np.ndarray) -> np.n
     return np.where((d >= 0.0)[..., None, None], pos, neg)
 
 
+def symmetric_root(P: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(mu)) V^T from a dense eigh of the symmetric PSD matrix P."""
+    mu, V = np.linalg.eigh(P)
+    return (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.T
+
+
+@lru_cache(maxsize=4)
+def _path_root(geom) -> np.ndarray:
+    """The symmetric root of a geometry's P_h, built once per geometry."""
+    return symmetric_root(geom.cache.P)
+
+
 def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> list[tuple]:
     """One Monte-Carlo batch of a geometry, drawn and weighted on its own.
 
-    Draws dW, then z, from the batch's stream and forms dZ and both
-    routes' quadratic forms in full for every theta.  Returns per theta
+    Draws dW, then z, from the batch's stream and forms dZ, y = z P_h^{1/2}
+    from its own symmetric root of P_h, and both routes' quadratic forms
+    in full for every theta.  Returns per theta
     ((z_mean, z_clipped), (n_mean, n_clipped)).
     """
     rng = np.random.default_rng(seed)
     dW = rng.standard_normal((size, geom.dH.shape[0])) * np.sqrt(geom.dt)
     zeta = dW @ geom.dH / geom.dt
-    y = rng.standard_normal((size, geom.root.shape[0])) @ geom.root
-    proj2 = (y @ geom.modes) ** 2
+    R = _path_root(geom)
+    y = rng.standard_normal((size, R.shape[0])) @ R
+    proj2 = (y @ geom.cache.modes) ** 2
     base = np.einsum('si,si->s', y, y)
     out = []
     for t in terms:
@@ -308,7 +323,7 @@ def ode_residual(ctx: KernelContext, pair) -> float:
 
 def running_integrals(qkl) -> np.ndarray:
     """H_k(t) = sqrt(2) int_0^t h_k at the grid nodes, shape (N, r, n, 2)."""
-    return np.sqrt(2.0) * cumulative(qkl.grid, np.moveaxis(qkl.hk, 0, 1))
+    return np.sqrt(2.0) * cumulative(qkl.basis.grid, np.moveaxis(qkl.basis.hk, 0, 1))
 
 
 def surrogate_covariance(qkl, ts: np.ndarray | None = None) -> np.ndarray:
@@ -319,7 +334,7 @@ def surrogate_covariance(qkl, ts: np.ndarray | None = None) -> np.ndarray:
     the grid nodes unless explicit times are given; returns shape
     (M, M, n, n).
     """
-    H = running_integrals(qkl) if ts is None else Hk_at(qkl, ts)
+    H = running_integrals(qkl) if ts is None else Hk_at(qkl.basis, ts)
     return np.einsum('k,akip,bkjp->abij', qkl.tanc_values, H, H)
 
 
@@ -331,12 +346,12 @@ def apply_K(qkl, f: np.ndarray) -> np.ndarray:
     the result is accurate up to the reported truncation tail.
     """
     f = np.asarray(f)
-    grid = qkl.grid
-    if f.shape != (grid.size, qkl.hk.shape[2]):
-        raise GridMismatch(f"expected grid function of shape ({grid.size}, {qkl.hk.shape[2]}), "
+    grid, hk = qkl.basis.grid, qkl.basis.hk
+    if f.shape != (grid.size, hk.shape[2]):
+        raise GridMismatch(f"expected grid function of shape ({grid.size}, {hk.shape[2]}), "
                            f"got {f.shape}")
-    proj = np.einsum('kaip,a,ai->kp', qkl.hk, grid.weights, f)
-    return 2.0 * np.einsum('k,kaip,kp->ai', qkl.tanc_values, qkl.hk, proj)
+    proj = np.einsum('kaip,a,ai->kp', hk, grid.weights, f)
+    return 2.0 * np.einsum('k,kaip,kp->ai', qkl.tanc_values, hk, proj)
 
 
 def omega_from_sigma(sigma: float) -> float:
@@ -358,7 +373,7 @@ def dense_lambdas(cache, theta: float) -> np.ndarray:
     symmetric root of K from the cache's orthonormal mode block U and
     t = tanhc(theta omega_k) per mode, and diagonalizes it in full.
     """
-    scale = np.sqrt(tanhc(theta * np.repeat(cache.omegas, 2))) - 1.0
+    scale = np.sqrt(tanhc(theta * np.repeat(cache.basis.omegas, 2))) - 1.0
     U, P = cache.modes, cache.P
     UP = U.T @ P
     X = P + U @ (scale[:, None] * UP)

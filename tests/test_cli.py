@@ -713,17 +713,33 @@ def test_ragged_matrix_is_a_schema_violation(tmp_path, capsys, command):
 
 
 def test_huge_theta_diverges_instead_of_overflowing(tmp_path):
-    # theta^2 overflows a Python float; the row must read diverged, not raise
+    # far past the critical value, with C still finite, the row must read
+    # diverged, not raise, and validate tests the other thetas
     cfg = base_config(tmp_path)
-    cfg["qef"]["theta_list"] = [0.348, 1e300]
+    cfg["qef"]["theta_list"] = [0.348, 1e10]
     path = write_config(tmp_path, cfg)
     assert cli.main(["qef", "--config", path]) == 0
     _, rows = read_rows(tmp_path / "qef.csv")
     assert [r[5] == "diverged" for r in rows] == [False, True]
     assert rows[1][6] == "diverged"
+    assert all(np.isfinite(float(cell)) for cell in rows[1][1:5])
     assert cli.main(["validate", "--config", path]) == 0
     _, rows = read_rows(tmp_path / "mc.csv")
     assert [float(r[0]) for r in rows] == [0.348, 0.348]
+
+
+@pytest.mark.parametrize("command", ["qef", "validate"])
+def test_theta_whose_C_overflows_is_one_json_error(tmp_path, capsys, command):
+    # theta^2 overflows a double in C's tail term, so no finite row exists:
+    # one JSON error naming the field and the value, and no CSV
+    cfg = base_config(tmp_path)
+    cfg["qef"]["theta_list"] = [0.0, 1e300]
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidParameter"
+    assert "qef.theta_list" in err["message"] and "1e+300" in err["message"]
+    assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

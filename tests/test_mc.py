@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import dense_kernel, squeezed_spec
-from oracles import run_batch
+from oracles import run_batch, symmetric_root
 
 from qeflab import kernels, mc, model, qef, quadrature
 from qeflab.eigensolver import build_basis
@@ -41,15 +41,14 @@ def test_config_validation():
 
 
 def test_sample_N_zero_state(ctx, qkl348):
-    # a zero state makes the root of P zero, so every N-route sample is
-    # y = 0 and its weight is exactly exp(-C)
+    # a zero state makes P and P^{1/2} U zero, so every N-route sample has
+    # |y|^2 = 0 and y U = 0, and its weight is exactly exp(-C)
     zero = np.zeros((2, 2))
     cache = qef.SpectralCache(ctx, qkl348, zero)
-    factor = cache.path_factor
-    assert factor.shape == (2 * ctx.grid.size, 2 * ctx.grid.size)
-    assert np.max(np.abs(factor)) == 0.0
-    geom = mc._Geometry(ctx, qkl348, zero, mc.McConfig(samples=200, seed=0, batch=100), cache)
-    terms = mc._theta_terms(qkl348, qef.compute_qef(ctx, qkl348, zero, cache=cache))
+    assert cache.root_modes.shape == cache.modes.shape
+    assert np.max(np.abs(cache.root_modes)) == 0.0
+    geom = mc._Geometry(cache, mc.McConfig(samples=200, seed=0, batch=100))
+    terms = mc._theta_terms(cache, qef.compute_qef(ctx, qkl348, zero, cache=cache))
     means, clipped = geom.run_group(np.array([20, 13]), np.random.SeedSequence(0).spawn(2),
                                     [terms])
     for n_mean in means[0, 1]:
@@ -63,26 +62,23 @@ def test_sample_N_rejects_indefinite_state(ctx, qkl348):
 
 
 def test_path_factor_continuous_in_covariance(ctx, qkl348, state):
-    # the README oscillator's covariance matrix has exactly degenerate
-    # eigenvalue pairs; a square root that depends on the basis eigh picks
-    # inside them jumps under a rounding-level perturbation of the state
+    # the N-route's path factor is P^{1/2} U.  The README oscillator's
+    # covariance matrix has exactly degenerate eigenvalue pairs; a square
+    # root that depends on the basis eigh picks inside them jumps under a
+    # rounding-level perturbation of the state
     noise = np.random.default_rng(0).standard_normal((2, 2))
     P1 = state.P0 + 1e-15 * np.max(np.abs(state.P0)) * 0.5 * (noise + noise.T)
-    c0 = qef.SpectralCache(ctx, qkl348, state.P0)
-    F0 = c0.path_factor
-    F1 = qef.SpectralCache(ctx, qkl348, P1).path_factor
+    F0 = qef.SpectralCache(ctx, qkl348, state.P0).root_modes
+    F1 = qef.SpectralCache(ctx, qkl348, P1).root_modes
     assert np.max(np.abs(F1 - F0)) <= 1e-12 * np.max(np.abs(F0))
-    assert np.max(np.abs(F0 @ F0.T - c0.P)) <= 1e-13 * np.max(np.abs(c0.P))
 
 
 def test_cache_path_factor_is_symmetric_root(ctx, qkl348, state):
-    # reference: scipy's Schur-method square root of the cache's own P
+    # reference: scipy's Schur-method square root of the cache's own P,
+    # applied to the cache's own modes
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    R = cache.path_factor
-    ref = scipy.linalg.sqrtm(cache.P)
-    assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
-    assert R is cache.path_factor
+    ref = scipy.linalg.sqrtm(cache.P) @ cache.modes
+    assert np.max(np.abs(cache.root_modes - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_estimate_deterministic_across_threads(ctx, qkl348, state):
@@ -98,7 +94,7 @@ def _geometry(ctx, qkl, state):
     cache = qef.SpectralCache(ctx, qkl, state.P0)
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     rep = qef.compute_qef(ctx, qkl, state.P0, cache=cache)
-    return mc._Geometry(ctx, qkl, state.P0, cfg, cache), mc._theta_terms(qkl, rep)
+    return mc._Geometry(cache, cfg), mc._theta_terms(cache, rep)
 
 
 @pytest.mark.parametrize("theta", [0.348, 0.87])
@@ -108,12 +104,13 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     # forms, on the same draws: each batch draws dW, then z, from its stream
     qkl = build_qkl(basis, theta)
     est, terms = _geometry(ctx, qkl, state)
-    n, r, N = ctx.n, qkl.hk.shape[0], ctx.grid.size
+    n, r, N = ctx.n, basis.hk.shape[0], ctx.grid.size
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
     Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)
     corr = 1.0 - np.sqrt(qkl.tanc_values)
     w = ctx.grid.weights
+    root = symmetric_root(est.cache.P)
     sizes = np.array([50, 30])
     seeds = np.random.SeedSequence(123).spawn(2)
     means, _ = est.run_group(sizes, seeds, [terms])
@@ -123,11 +120,12 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
         zeta = np.einsum('kaip,sai->skp', dH, dW) / est.dt
         dZ = dW - np.einsum('k,kaip,skp->sai', corr, dH, zeta)
         q_z = np.einsum('sai,abij,sbj->s', dZ, Pm, dZ)
-        # the N-route samples y = sqrt(w) N; its form <N, K N> is in N itself
-        paths = (rng.standard_normal((size, N * n)) @ est.root).reshape(size, N, n) \
+        # the N-route samples y = sqrt(w) N = z P_h^{1/2}, here from a root of
+        # its own; its form <N, K N> is in N itself
+        paths = (rng.standard_normal((size, N * n)) @ root).reshape(size, N, n) \
             / np.sqrt(w)[None, :, None]
         base = np.einsum('sai,a,sai->s', paths, w, paths)
-        proj = np.einsum('kaip,a,sai->skp', qkl.hk, w, paths)
+        proj = np.einsum('kaip,a,sai->skp', basis.hk, w, paths)
         q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
         for q, mean in zip((q_z, q_n), means[0, :, j]):
             ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
@@ -190,12 +188,12 @@ def test_grouped_pass_matches_per_batch_reference(ctx, basis, state, squeezed, s
     qkls = [build_qkl(b, theta) for theta in thetas]
     cache = qef.SpectralCache(c, qkls[0], P0)
     reps = [qef.compute_qef(c, q, P0, cache=cache) for q in qkls]
-    terms = [mc._theta_terms(q, rep) for q, rep in zip(qkls, reps)]
-    geom = mc._Geometry(c, qkls[0], P0, cfg, cache)
+    terms = [mc._theta_terms(cache, rep) for rep in reps]
+    geom = mc._Geometry(cache, cfg)
     sizes = mc._batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
     batches = [run_batch(geom, int(size), seed, terms) for size, seed in zip(sizes, seeds)]
-    got = mc.estimate_qef_mc_many(c, qkls, P0, cfg, reps, cache)
+    got = mc.estimate_qef_mc_many(cache, reps, cfg)
     for i, (t, res) in enumerate(zip(terms, got)):
         for route, est in enumerate((res.z, res.n)):
             ref = mc._aggregate(np.array([bt[i][route][0] for bt in batches]), sizes,
@@ -220,26 +218,11 @@ def test_many_thetas_match_separate_calls(ctx, basis, state):
     qkls = [build_qkl(basis, theta) for theta in (0.0, 0.348, 0.87)]
     cache = qef.SpectralCache(ctx, qkls[0], state.P0)
     reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
-    many = mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, reps, cache)
+    many = mc.estimate_qef_mc_many(cache, reps, cfg)
     assert len(many) == len(qkls)
     for qkl, got in zip(qkls, many):
         assert _fields(got) == _fields(mc.estimate_qef_mc(ctx, qkl, state.P0, cfg))
-    assert mc.estimate_qef_mc_many(ctx, [], state.P0, cfg, [], cache) == []
-
-
-def test_many_thetas_need_one_basis(ctx, basis, state):
-    other = copy.copy(basis)
-    cfg = mc.McConfig(samples=200, seed=0, batch=100)
-    qkls = [build_qkl(basis, 0.348), build_qkl(basis, 0.87)]
-    cache = qef.SpectralCache(ctx, qkls[0], state.P0)
-    reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
-    with pytest.raises(InvalidParameter, match="one spectral basis"):
-        mc.estimate_qef_mc_many(ctx, [qkls[0], build_qkl(other, 0.87)], state.P0, cfg, reps,
-                                cache)
-    # the reports must follow the qkl bases one to one
-    for wrong in (reps[::-1], reps[:1]):
-        with pytest.raises(InvalidParameter, match="one report per qkl basis"):
-            mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, wrong, cache)
+    assert mc.estimate_qef_mc_many(cache, [], cfg) == []
 
 
 def test_estimate_agrees_with_closed_form(ctx, qkl348, state):
@@ -281,12 +264,13 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
 def test_N_route_determinant_matches_closed_form(ctx, basis, state, squeezed, which, theta):
     # y = z R with R = P_h^{1/2} and q = y^T K_h y is Gaussian, so the
     # N-route's exact expectation is exp(-C) det(I - theta R K_h R)^{-1/2}:
-    # the closed form's own determinant, on the same discretization
+    # the closed form's own determinant, on the same discretization.  R is
+    # built here, not read from the cache
     c, b, P0 = (ctx, basis, state.P0) if which == "readme" else squeezed
     qkl = build_qkl(b, theta)
     cache = qef.SpectralCache(c, qkl, P0)
     rep = qef.compute_qef(c, qkl, P0, cache=cache)
-    R, U = cache.path_factor, cache.modes
+    R, U = symmetric_root(cache.P), cache.modes
     K = np.eye(U.shape[0]) + (U * (np.repeat(qkl.tanc_values, 2) - 1.0)) @ U.T
     sign, logdet = np.linalg.slogdet(np.eye(U.shape[0]) - theta * R @ K @ R)
     assert sign == 1.0
@@ -313,7 +297,7 @@ def test_supercritical_theta_refused(ctx, qkl348, state):
     qkls = [qkl348, build_qkl(qkl348.basis, 15.0)]
     reps = [qef.compute_qef(ctx, q, state.P0, cache=cache) for q in qkls]
     with pytest.raises(SupercriticalTheta, match=f"^{msg}$"):
-        mc.estimate_qef_mc_many(ctx, qkls, state.P0, cfg, reps, cache)
+        mc.estimate_qef_mc_many(cache, reps, cfg)
 
 
 @pytest.mark.parametrize("factor", [0.999, 1.001])
@@ -346,16 +330,22 @@ def test_grid_mismatch(ctx, osc_spec, qkl348, state):
     from qeflab import eigensolver as es
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    reps = [qef.compute_qef(ctx, qkl348, state.P0, cache=cache)]
     # 4x16 has fewer nodes than the 8x16 context; 16x8 has as many, at
-    # other times, and must be refused with the run's cache as well as without
+    # other times, and must be refused with the run's cache as well as
+    # without.  With the cache, C would come from the other basis and the
+    # determinant from the cache's (with a 0.99-capture 4x16 basis, xi
+    # came out 1.4162182 instead of 1.4162344)
     for panels, order in ((4, 16), (16, 8)):
         other_ctx = kernels.make_context(osc_spec, quadrature.make_grid(1.0, panels, order))
         other_qkl = build_qkl(es.build_basis(other_ctx, 0.97), 0.348)
         with pytest.raises(GridMismatch):
             mc.estimate_qef_mc(ctx, other_qkl, state.P0, cfg)
-        with pytest.raises(GridMismatch):
-            mc.estimate_qef_mc_many(ctx, [other_qkl], state.P0, cfg, reps, cache)
+        with pytest.raises(GridMismatch, match="spectral cache"):
+            qef.compute_qef(ctx, other_qkl, state.P0, cache=cache)
+    # so is a copy of the cache's own basis: the cache checks identity, not content
+    with pytest.raises(GridMismatch, match="spectral cache"):
+        qef.compute_qef(ctx, build_qkl(copy.copy(qkl348.basis), 0.348), state.P0, cache=cache)
+    assert qef.compute_qef(ctx, build_qkl(qkl348.basis, 0.87), state.P0, cache=cache).xi
 
 
 def test_aggregate_overflow_guard():

@@ -142,12 +142,66 @@ def _traced_calls():
     return calls
 
 
+def _unread_members(sources, readers):
+    """Non-dunder methods and properties of the top-level classes in sources
+    that no reader reads, as "module.Class.name".
+
+    sources maps a module name to its text; readers are texts.  A reader
+    reads a member where it names it as an attribute that is not assigned
+    (x.name) or as a string constant (getattr(x, "name")).  The match is
+    by name alone, so a member that shares its name with an attribute read
+    anywhere counts as read.
+    """
+    read = set()
+    for text in readers:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted(f"{mod}.{cls.name}.{fn.name}"
+                  for mod, text in sources.items()
+                  for cls in ast.parse(text).body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                  and fn.name not in read)
+
+
+def _readers(sources):
+    """The package's module texts and every perfbench script."""
+    return [*sources.values(), *(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))]
+
+
 def test_every_definition_serves_the_pipeline():
     # a helper only tests call belongs in tests/oracles.py, not in the package,
-    # and a constant nothing in the package reads is deleted
+    # and a constant nothing in the package reads is deleted; so is a method
+    # or property that neither the package nor perfbench reads
     traced = _traced_calls()
     assert ("kernels", "covariance_on_grid") in traced
-    assert _unreached(_package_sources(), traced) == []
+    sources = _package_sources()
+    assert _unreached(sources, traced) == []
+    assert _unread_members(sources, _readers(sources)) == []
+
+
+def test_unread_members_are_found():
+    sources = dict(_package_sources(), orphan=(
+        "class Orphan:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return self.named_elsewhere\n\n"
+        "    @property\n    def named_elsewhere(self):\n        return 1\n\n"
+        "    @property\n    def unread_property(self):\n        return 2\n\n"
+        "    def unread_method(self):\n        self.assigned_only = 3\n\n"
+        "    def assigned_only(self):\n        return 4\n\n"
+        "    def by_name(self):\n        return 5\n\n"
+        "def caller():\n    return Orphan().used()\n"))
+    readers = _readers(sources)
+    assert _unread_members(sources, readers) == [
+        "orphan.Orphan.assigned_only", "orphan.Orphan.by_name",
+        "orphan.Orphan.unread_method", "orphan.Orphan.unread_property"]
+    # a string constant reads a member, as perfbench's getattr_static of lambda_grid does
+    readers.append("getattr(obj, 'by_name')\n")
+    assert "orphan.Orphan.by_name" not in _unread_members(sources, readers)
 
 
 def test_unreached_helpers_are_found_transitively():

@@ -99,7 +99,7 @@ def test_pk_trace_identity(cache):
     # the dense spectrum of sqrt(K) P sqrt(K)
     UPU = cache.modes.T @ cache.P @ cache.modes
     for theta in (0.0, 0.348, 0.87):
-        scale = tanhc(theta * np.repeat(cache.omegas, 2)) - 1.0
+        scale = tanhc(theta * np.repeat(cache.basis.omegas, 2)) - 1.0
         tr_pk = float(np.trace(cache.P)) + float(np.sum(scale * np.diag(UPU)))
         low_rank = float(np.sum(cache.mu)) + float(np.sum(scale * np.sum(cache.W ** 2, axis=0)))
         assert low_rank == pytest.approx(tr_pk, abs=1e-12)
@@ -120,7 +120,7 @@ def test_monte_carlo_terms_read_the_report(ctx, qkl348, state, monkeypatch):
     monkeypatch.setattr(qef, "_lanczos", counting)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
     rep = qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
-    terms = mc._theta_terms(qkl348, rep)
+    terms = mc._theta_terms(cache, rep)
     assert len(runs) == 1
     assert (terms.theta, terms.C) == (rep.theta, rep.C)
     assert terms.variance_finite == (2.0 * rep.theta * rep.spectral_radius < 1.0)

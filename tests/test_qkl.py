@@ -22,7 +22,8 @@ def test_tanhc_values():
 def test_build_qkl_shapes_and_weights(basis):
     q = qkl.build_qkl(basis, 0.348)
     r, N = len(basis.pairs), basis.grid.size
-    assert q.hk.shape == (r, N, 2, 2)
+    assert q.basis is basis
+    assert basis.hk.shape == (r, N, 2, 2)
     assert np.allclose(q.tanc_values, qkl.tanhc(0.348 * basis.omegas),
                        rtol=0.0, atol=0.0)
     assert np.all(q.tanc_values > 0.0)
@@ -36,9 +37,9 @@ def test_build_qkl_rejects_negative_theta(basis):
 
 def test_Hk_starts_at_zero_and_matches_grid(basis):
     q = qkl.build_qkl(basis, 0.0)
-    at0 = qkl.Hk_at(q, np.array([0.0]))
+    at0 = qkl.Hk_at(basis, np.array([0.0]))
     assert np.max(np.abs(at0)) == 0.0
-    at_nodes = qkl.Hk_at(q, basis.grid.nodes)
+    at_nodes = qkl.Hk_at(basis, basis.grid.nodes)
     assert np.max(np.abs(at_nodes - running_integrals(q))) <= 1e-13
 
 
