@@ -8,15 +8,19 @@ to an eigenfunction f(t) = [I 0] e^{t D(omega)} V f(0).  Writing
 f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
 = 1/2 and <phi, psi> = 0, which is what downstream consumers rely on.
 
-Roots are located by sampling ln |det E| over a frequency band; the
-brackets of all its local minima shrink together, one batched
-evaluation per step, and a refined minimum is a root when E(omega) has
-singular values below 1e-8 sigma_max, whose right singular vectors are
-its kernel.  The depth of the minimum is not a criterion: deep in the
-tail |det E| is rounding noise.  The retained eigenpairs form the
-spectral basis, checked by its Gram matrix and its Mercer residual.  A
-dense Nystrom discretization K of L provides an independent oracle for
-the same eigenfrequencies, the square roots of the eigenvalues of K^T K.
+Roots are located by sampling ln |det E| over a frequency band and
+bracketing its local minima.  A secant on the least-modulus eigenvalue
+of E(omega), whose zero stays simple at a semisimple double root of
+det E, refines all brackets together, one batched evaluation per step;
+a bracket stops when its step falls below 1e-12 relative or stops
+contracting at the rounding-noise floor.  A refined minimum is a root
+when E(omega) has singular values below 1e-8 sigma_max, whose right
+singular vectors are its kernel.  The depth of the minimum is not a
+criterion: deep in the tail |det E| is rounding noise.  The retained
+eigenpairs form the spectral basis, checked by its Gram matrix and its
+Mercer residual.  A dense Nystrom discretization K of L provides an
+independent oracle for the same eigenfrequencies, the square roots of
+the eigenvalues of K^T K.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .quadrature import Grid
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
 ROOT_MERGE_RTOL = 1e-8
 DEFAULT_SAMPLES = 400
-REFINE_POINTS = 9           # frequencies per bracket in each refinement step
-REFINE_XTOL = 1e-12         # relative bracket width at which refinement stops
+REFINE_XTOL = 1e-12         # relative secant step at which refinement stops
+REFINE_NOISE_RTOL = 1e-6    # a relative step below this that does not contract is noise
+REFINE_STEPS = 30           # secant steps per bracket at most
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
 
@@ -104,17 +109,30 @@ class SpectralBasis:
         return np.array([p.omega for p in self.pairs])
 
 
+def _least_eigenvalue(E: np.ndarray) -> np.ndarray:
+    """The least-modulus eigenvalue of each matrix in the stack E."""
+    lam = np.linalg.eigvals(E)
+    return np.take_along_axis(lam, np.argmin(np.abs(lam), axis=-1)[..., None], -1)[..., 0]
+
+
 def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float,
                           samples: int = DEFAULT_SAMPLES) -> list[Root]:
     """Locate and refine all roots of det E(omega) in [omega_min, omega_max].
 
     Samples ln(|det E|/|det G(T)|) on a uniform frequency grid and
-    brackets its interior local minima.  Each step resamples every
-    bracket at REFINE_POINTS frequencies in one bvp_matrices call and
-    shrinks it to the two neighbours of its lowest sample, until all are
-    narrower than REFINE_XTOL relative.  A refined minimum is a root when
-    E(omega) has singular values below KERNEL_SV_RTOL sigma_max; their
-    right singular vectors are its kernel rows.
+    brackets its interior local minima.  Each bracket is refined by a
+    secant on lambda(omega), the least-modulus eigenvalue of E(omega),
+    which has a simple zero even where det E has a semisimple double
+    one.  The secant starts from the bracket's lowest sample and the
+    lower of its two neighbours, takes the real part of each complex
+    step and clips the iterate to the bracket; every step advances all
+    unfinished brackets in one bvp_matrices call.  A bracket stops when
+    its step falls below REFINE_XTOL relative, or at the noise floor,
+    when a step below REFINE_NOISE_RTOL relative is no shorter than the
+    one before (its last iterate is kept), and after REFINE_STEPS steps
+    at most.  A refined minimum is a root when E(omega) has singular
+    values below KERNEL_SV_RTOL sigma_max; their right singular vectors
+    are its kernel rows.
     Returns roots in descending omega order.
 
     On long horizons E(omega) loses its digits and minima with no Nystrom
@@ -127,24 +145,31 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     if samples < 3:
         raise InvalidParameter(f"eigen.samples must be at least 3, got {samples}")
     log_g = float(np.linalg.slogdet(ctx.gram)[1])
-
-    def log_ratio(w: np.ndarray) -> np.ndarray:
-        return np.linalg.slogdet(bvp_matrices(ctx, w).E)[1] - log_g
-
     ws = np.linspace(omega_min, omega_max, samples)
-    logs = log_ratio(ws)
+    E = bvp_matrices(ctx, ws).E
+    logs = np.linalg.slogdet(E)[1] - log_g
     i = np.flatnonzero((logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])) + 1
-    # refine every bracket [ws[i-1], ws[i+1]] at once: resample each one
-    # and keep the two neighbours of its lowest sample
+    j = np.where(logs[i - 1] <= logs[i + 1], i - 1, i + 1)
     lo, hi = ws[i - 1], ws[i + 1]
-    rows = np.arange(i.size)
-    omegas = ws[i]
-    while np.any(hi - lo > REFINE_XTOL * (lo + hi)):
-        w = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
-        j = np.argmin(log_ratio(w), axis=-1)
-        omegas = w[rows, j]
-        lo = w[rows, np.maximum(j - 1, 0)]
-        hi = w[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
+    x0, x1 = ws[j], ws[i]
+    lam0, lam1 = _least_eigenvalue(E[j]), _least_eigenvalue(E[i])
+    last = np.abs(x1 - x0)
+    omegas = x1.copy()
+    live = np.arange(i.size)                      # brackets still refining
+    for _ in range(REFINE_STEPS):
+        with np.errstate(divide='ignore', invalid='ignore'):
+            step = np.real(lam1 * (x1 - x0) / (lam1 - lam0))
+        x2 = np.clip(x1 - np.where(np.isfinite(step), step, 0.0), lo, hi)
+        dx = np.abs(x2 - x1)
+        converged = dx <= REFINE_XTOL * x2
+        noisy = ~converged & (dx >= last) & (dx <= REFINE_NOISE_RTOL * x2)
+        omegas[live] = np.where(noisy, x1, x2)
+        go = ~(converged | noisy)
+        if not go.any():
+            break
+        live, lo, hi, last = live[go], lo[go], hi[go], dx[go]
+        x0, lam0, x1 = x1[go], lam1[go], x2[go]
+        lam1 = _least_eigenvalue(bvp_matrices(ctx, x1).E)
 
     out: list[Root] = []
     for w in sorted(omegas.tolist()):

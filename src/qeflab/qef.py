@@ -252,12 +252,18 @@ def compute_qef(ctx: KernelContext, qkl: QklBasis, P0: np.ndarray,
     Never raises for a supercritical theta: the report carries xi = None
     and the critical value so callers can rescale.  A cache built from
     another spectral basis is refused: C would come from one basis and
-    the determinant from the other.
+    the determinant from the other.  So is one built from another
+    context or another state covariance, which the cache, not ctx and
+    P0, would otherwise decide the determinant by.
     """
     if cache is None:
         cache = SpectralCache(ctx, qkl, P0)
     elif qkl.basis is not cache.basis:
         raise GridMismatch("qkl basis is not the one the spectral cache was built from")
+    elif ctx is not cache.ctx:
+        raise GridMismatch("kernel context is not the one the spectral cache was built from")
+    elif not (P0 is cache.P0 or np.array_equal(P0, cache.P0)):
+        raise InvalidParameter("P0 is not the state covariance the spectral cache was built from")
     th = qkl.theta
     sr = float(cache.lambdas(th)[0])
     th_crit = 1.0 / sr if sr > 0.0 else np.inf

@@ -7,8 +7,8 @@ theory, so that agreement checks the package's own evaluation:
 - the Green-function formula and the one-sided propagation of L,
   against the dense commutator-kernel quadrature, and that quadrature
   as one three-operand einsum, against its contraction in apply_L;
-- the eigen-ODE residual and the normalized boundary determinant,
-  against the shooting roots and eigenfunctions;
+- the eigen-ODE residual, the normalized boundary determinant and a
+  40-digit root of det E, against the shooting roots and eigenfunctions;
 - the shooting propagation with one matrix exponential per node, against
   the panel-factored propagator, and the Nystrom spectrum from a complex
   Hermitian eigvalsh, against the real one of K^T K;
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from numpy.polynomial import legendre
 
@@ -284,6 +285,42 @@ def det_ratio(ctx: KernelContext, omega: float) -> float:
     """|det E(omega)| normalized by |det G(T)| (scale-free root criterion)."""
     log_g = np.linalg.slogdet(ctx.gram)[1]
     return float(np.exp(np.linalg.slogdet(bvp_matrices(ctx, omega).E)[1] - log_g))
+
+
+def reference_root(ctx: KernelContext, omega: float, multiplicity: int = 1,
+                   dps: int = 40) -> float:
+    """The root of det E(w) = det(U e^{T D(w)} V) next to omega, to dps digits.
+
+    E is formed in dps-digit arithmetic from the context's float
+    matrices, so it is their exact E up to that precision.  A secant runs
+    on the multiplicity-th root of det E, whose zero is simple; each
+    step keeps the branch nearest the secant's own linear prediction.  It
+    starts 1e-12 and 2e-12 relative above omega, on one side of a root
+    that omega is much closer to, and stops at a 1e-20 relative step.
+    """
+    with mpmath.workdps(dps):
+        U, V, F, mho = (mpmath.matrix(a.tolist()) for a in (ctx.U, ctx.V, ctx.F, ctx.sys.mho))
+        n, T = ctx.n, mpmath.mpf(ctx.grid.T)
+        units = [mpmath.expjpi(mpmath.mpf(2 * k) / multiplicity) for k in range(multiplicity)]
+
+        def branch(w, near):
+            D = F * mpmath.mpc(1)
+            for a in range(n):
+                for b in range(n):
+                    D[n + a, b] += mpmath.mpc(0, 1) / w * mho[a, b]
+            r = mpmath.root(mpmath.det(U * mpmath.expm(T * D) * V), multiplicity)
+            return min((r * u for u in units), key=lambda v: abs(v - near))
+
+        x0, x1 = (mpmath.mpf(omega) * (1 + mpmath.mpf(f"{k}e-12")) for k in (1, 2))
+        g0 = branch(x0, 0)
+        g1 = branch(x1, g0)
+        for _ in range(20):
+            slope = (g1 - g0) / (x1 - x0)
+            x2 = x1 - mpmath.re(g1 / slope)
+            if abs(x2 - x1) <= mpmath.mpf("1e-20") * x2:
+                return float(x2)
+            x0, g0, x1, g1 = x1, g1, x2, branch(x2, g1 + (x2 - x1) * slope)
+    raise ValueError(f"the secant from omega={omega!r} did not converge")
 
 
 def propagate_per_node(ctx: KernelContext, D: np.ndarray) -> np.ndarray:

@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import J2, random_hurwitz_spec, squeezed_spec
-from oracles import det_ratio, nystrom_hermitian, ode_residual, propagate_per_node
+from oracles import (
+    det_ratio,
+    nystrom_hermitian,
+    ode_residual,
+    propagate_per_node,
+    reference_root,
+)
 from scipy.linalg import block_diag
 
 from qeflab import eigensolver as es
@@ -85,12 +91,16 @@ def test_deep_tail_root_is_certified_by_its_kernel(ctx):
     assert omegas[0] == pytest.approx(omegas[1], abs=1e-9)
 
 
+def readme_T4_ctx():
+    """The README oscillator at T = 4 on a 32 x 16 grid."""
+    spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2), T=4.0, theta=0.348)
+    return kernels.make_context(spec, quadrature.make_grid(4.0, panels=32, order=16))
+
+
 def test_long_horizon_scan_finds_every_band_root():
     # README oscillator at T = 4: the default band holds six Nystrom
     # omegas, and each must come back as a certified root
-    T = 4.0
-    spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2), T=T, theta=0.348)
-    ctx = kernels.make_context(spec, quadrature.make_grid(T, panels=32, order=16))
+    ctx = readme_T4_ctx()
     lo, hi = default_band(ctx)
     nystrom = es.nystrom_oracle(ctx).omegas
     in_band = nystrom[(nystrom >= lo) & (nystrom <= hi)]
@@ -100,9 +110,8 @@ def test_long_horizon_scan_finds_every_band_root():
     assert np.max(np.abs(omegas - in_band)) <= 2e-4 * nystrom[0]
 
 
-def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
-    # one call samples the band, each refinement step is one call for all
-    # brackets, and each root adds one kernel-dimension check
+def counting_bvp_calls(monkeypatch):
+    """Record the omega shape of every bvp_matrices call the scan makes."""
     calls = []
 
     def counting(ctx, omega):
@@ -110,9 +119,50 @@ def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
         return kernels.bvp_matrices(ctx, omega)
 
     monkeypatch.setattr(es, "bvp_matrices", counting)
+    return calls
+
+
+def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
+    # one call samples the band, each secant step is one call for all
+    # brackets (4 here), and each root adds one kernel-dimension check
+    calls = counting_bvp_calls(monkeypatch)
     roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
-    assert len(calls) <= 30
+    assert len(calls) <= 12
     assert calls.count(()) == len(roots)
+
+
+@pytest.mark.parametrize("case, most", [("two_copy", 12), ("tail80", 12), ("tail400", 12),
+                                        ("readme_T4", 24)])
+def test_scan_stops_in_few_batched_calls(case, most, ctx, grid, monkeypatch):
+    # a double root, the deep tail (where |det E| is rounding noise) and
+    # T = 4 (where the secant's noise floor, 1e-10 relative, lies above
+    # REFINE_XTOL) each take few calls: 7, 7, 6 and 17; at T = 4, stepping
+    # on to the 30-step cap instead of stopping at the floor makes 37
+    if case == "two_copy":
+        c = kernels.make_context(two_copy_spec(), grid)
+        band, samples = default_band(c), es.DEFAULT_SAMPLES
+    elif case == "readme_T4":
+        c = readme_T4_ctx()
+        band, samples = default_band(c), es.DEFAULT_SAMPLES
+    else:
+        c, band, samples = ctx, (0.02, 0.03), int(case[4:])
+    calls = counting_bvp_calls(monkeypatch)
+    roots = es.scan_eigenfrequencies(c, *band, samples)
+    assert len(calls) <= most
+    assert calls.count(()) == len(roots)
+
+
+@pytest.mark.parametrize("case", ["readme", "squeezed", "two_copy"])
+def test_roots_match_40_digit_reference(case, ctx, grid):
+    # each certified omega against a secant on det E in 40-digit arithmetic;
+    # a refinement that stops at a 1e-12 wide bracket is up to 1.3e-13 off
+    spec = {"squeezed": squeezed_spec(), "two_copy": two_copy_spec()}.get(case)
+    c = ctx if spec is None else kernels.make_context(spec, grid)
+    roots = es.scan_eigenfrequencies(c, *default_band(c))
+    assert [r.multiplicity for r in roots] == ([2, 2] if case == "two_copy" else [1, 1, 1])
+    for r in roots:
+        ref = reference_root(c, r.omega, r.multiplicity)
+        assert abs(r.omega - ref) <= 5e-14 * ref
 
 
 def test_squeezed_oscillator_roots():

@@ -16,10 +16,10 @@ from qeflab.qkl import build_qkl, tanhc
 FROZEN = {
     0.0: dict(C=0.0, tail_C=0.0, sr=5.7468672587252234e-01,
               thc=1.7400784722872147, xi=1.0, xicl=1.0),
-    0.348: dict(C=2.2715738279653935e-02, tail_C=1.6645175464996713e-04,
+    0.348: dict(C=2.2715738279653935e-02, tail_C=1.6645175465043437e-04,
                 sr=5.6714636616469050e-01, thc=1.7632132720208871,
                 xi=1.4162344193542500, xicl=1.4536989379668037),
-    0.87: dict(C=1.3785443689019167e-01, tail_C=1.0403234665622948e-03,
+    0.87: dict(C=1.3785443689019167e-01, tail_C=1.0403234665652150e-03,
                sr=5.3115310428515028e-01, thc=1.8826963298008865,
                xi=2.3869708755301811, xicl=2.9534034120035115),
 }
@@ -55,6 +55,20 @@ def test_xi_matches_exact_passive_value(ctx, qkl348, state, cache, theta):
     # exact QEF is e^{theta T}; the 8 x 16 grid is within 2.6e-5 of it
     rep = qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
     assert abs(rep.xi / np.exp(theta * ctx.grid.T) - 1.0) <= 1e-4
+
+
+def test_cache_refuses_another_context_or_state(osc_spec, grid, ctx, qkl348, state, cache):
+    # the cache decides the determinant, so a ctx or P0 it was not built
+    # from must be refused: with 2 P0 the cache's state gave xi 1.4162344
+    # where 2 P0's own is 2.1979821
+    assert qef.compute_qef(ctx, qkl348, 2.0 * state.P0).xi == pytest.approx(2.1979821, rel=1e-7)
+    with pytest.raises(InvalidParameter, match="spectral cache"):
+        qef.compute_qef(ctx, qkl348, 2.0 * state.P0, cache=cache)
+    with pytest.raises(GridMismatch, match="spectral cache"):
+        qef.compute_qef(kernels.make_context(osc_spec, grid), qkl348, state.P0, cache=cache)
+    # an equal copy of the cache's P0 is its state
+    rep = qef.compute_qef(ctx, qkl348, state.P0.copy(), cache=cache)
+    assert rep.xi == qef.compute_qef(ctx, qkl348, state.P0, cache=cache).xi
 
 
 def test_C_matches_mode_sum(basis):
