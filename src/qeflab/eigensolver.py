@@ -2,17 +2,19 @@
 
 The skew self-adjoint integral operator L with kernel Lambda(s - t) has
 purely imaginary eigenvalues +- i omega_k.  A positive omega is an
-eigenfrequency exactly when det E(omega) = 0 with E(omega) =
-U e^{T D(omega)} V, and each kernel vector f(0) of E(omega) propagates
-to an eigenfunction f(t) = [I 0] e^{t D(omega)} V f(0).  Writing
-f = phi + i psi, normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2
-= 1/2 and <phi, psi> = 0, which is what downstream consumers rely on.
+eigenfrequency exactly when det E(omega) = 0, E(omega) = Y(T) the
+terminal block of the boundary system in kernels, and each kernel
+vector y(0) of E(omega) propagates from [0; y(0)] to an eigenfunction
+f(t) = x(t) + B y(t), B = -(i/omega) Theta.  Writing f = phi + i psi,
+normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
+<phi, psi> = 0, which is what downstream consumers rely on.
 
 Roots are located by sampling ln |det E| over a frequency band and
-bracketing its local minima.  A secant on the least-modulus eigenvalue
-of E(omega), whose zero stays simple at a semisimple double root of
-det E, refines all brackets together, one batched evaluation per step;
-a bracket stops when its step falls below 1e-12 relative or stops
+bracketing its local minima; the same call checks the assembly far
+above the spectrum.  A secant on the least-modulus eigenvalue of
+E(omega), whose zero stays simple at a semisimple double root of det E,
+refines all brackets together, one batched evaluation per step; a
+bracket stops when its step falls below 1e-12 relative or stops
 contracting at the rounding-noise floor.  A refined minimum is a root
 when E(omega) has singular values below 1e-8 sigma_max, whose right
 singular vectors are its kernel.  The depth of the minimum is not a
@@ -32,6 +34,7 @@ import numpy as np
 from . import quadrature
 from .errors import (
     CaptureUnreachable,
+    DeterminantIdentityViolated,
     InvalidParameter,
     NoRootsFound,
     NonpositiveOmega,
@@ -49,6 +52,8 @@ REFINE_NOISE_RTOL = 1e-6    # a relative step below this that does not contract 
 REFINE_STEPS = 30           # secant steps per bracket at most
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
+TAIL_SCALE = 100.0          # the assembly check's omega in units of sqrt(hs_total / 2)
+TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_total / (2 omega^2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +74,14 @@ class EigenPair:
     """One eigenfrequency with its normalized eigenfunction on the grid.
 
     phi and psi are the real and imaginary parts of f, sampled at the
-    quadrature nodes.  bvp_residual is the quadrature-route residual
+    quadrature nodes, and y0 is the unit kernel vector of E(omega) that
+    starts f.  bvp_residual is the quadrature-route residual
     ||apply_L(f) - i omega f|| (independent of the shooting propagation);
-    boundary_residual is ||E(omega) f0|| for the unit kernel vector.
+    boundary_residual is ||E(omega) y0||.
     """
 
     omega: float
-    f0: np.ndarray
+    y0: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     multiplicity: int
@@ -119,8 +125,13 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
                           samples: int = DEFAULT_SAMPLES) -> list[Root]:
     """Locate and refine all roots of det E(omega) in [omega_min, omega_max].
 
-    Samples ln(|det E|/|det G(T)|) on a uniform frequency grid and
-    brackets its interior local minima.  Each bracket is refined by a
+    Samples ln |det E| on a uniform frequency grid and brackets its
+    interior local minima.  The sample call also evaluates E at
+    omega_inf = TAIL_SCALE sqrt(hs_total / 2), far above every omega_k,
+    and raises DeterminantIdentityViolated unless ln Delta(omega_inf) =
+    ln |det E(omega_inf)| + T tr A matches -hs_total / (2 omega_inf^2) to
+    TAIL_IDENTITY_RTOL relative: a broken assembly of D(omega) or a
+    horizon the exponential cannot resolve.  Each bracket is refined by a
     secant on lambda(omega), the least-modulus eigenvalue of E(omega),
     which has a simple zero even where det E has a semisimple double
     one.  The secant starts from the bracket's lowest sample and the
@@ -136,18 +147,26 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     Returns roots in descending omega order.
 
     On long horizons E(omega) loses its digits and minima with no Nystrom
-    partner pass this test too: 4 of the 13 roots certified on the README
-    oscillator at T = 8 (64x16 grid) lie over 2.7e-3 omega_1 from every
+    partner pass this test too: 3 of the 11 roots certified on the README
+    oscillator at T = 8 (64x16 grid) lie over 3.3e-3 omega_1 from every
     Nystrom omega.  Only build_basis's Gram gate stops them.
     """
     if not (0.0 < omega_min < omega_max):
         raise NonpositiveOmega(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
     if samples < 3:
         raise InvalidParameter(f"eigen.samples must be at least 3, got {samples}")
-    log_g = float(np.linalg.slogdet(ctx.gram)[1])
     ws = np.linspace(omega_min, omega_max, samples)
-    E = bvp_matrices(ctx, ws).E
-    logs = np.linalg.slogdet(E)[1] - log_g
+    omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
+    E = bvp_matrices(ctx, np.append(ws, omega_inf)).E
+    logs = np.linalg.slogdet(E)[1]
+    # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = hs_total / 2
+    want = -ctx.hs_total / (2.0 * omega_inf ** 2)
+    rel = abs((logs[-1] + ctx.grid.T * np.trace(ctx.sys.A)) / want - 1.0)
+    if not rel <= TAIL_IDENTITY_RTOL:
+        raise DeterminantIdentityViolated(
+            f"ln Delta({omega_inf:.4g}) deviates from -hs_total / (2 omega^2) by {rel:.3e} "
+            "relative")
+    E, logs = E[:-1], logs[:-1]
     i = np.flatnonzero((logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])) + 1
     j = np.where(logs[i - 1] <= logs[i + 1], i - 1, i + 1)
     lo, hi = ws[i - 1], ws[i + 1]
@@ -186,30 +205,32 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     return out[::-1]
 
 
-def _canonical_phase(f0: np.ndarray) -> complex:
-    """Phase factor making the largest-magnitude entry of f0 real positive."""
-    k = int(np.argmax(np.abs(f0)))
-    z = f0[k]
+def _canonical_phase(y0: np.ndarray) -> complex:
+    """Phase factor making the largest-magnitude entry of y0 real positive."""
+    k = int(np.argmax(np.abs(y0)))
+    z = y0[k]
     if z == 0:
         return 1.0 + 0.0j
     return np.conj(z) / abs(z)
 
 
 def _propagator(ctx: KernelContext, D: np.ndarray) -> np.ndarray:
-    """[I 0] e^{t D} V at every grid node t, shape (N, n, n).
+    """[I B] e^{t D} [0; I] at every grid node t, shape (N, n, n).
 
-    A node is t = t_p + x_q, its panel's left edge plus one of the Q offsets
-    every panel repeats, so e^{t_p D} e^{x_q D} takes P + Q exponentials, not N.
+    It maps y(0) to f(t) = x(t) + B y(t); B = D[:n, :n] - A.  A node is
+    t = t_p + x_q, its panel's left edge plus one of the Q offsets every
+    panel repeats, so e^{t_p D} e^{x_q D} takes P + Q exponentials, not N.
     """
     Q, n = ctx.grid.order, ctx.n
     ex = expm(np.concatenate([ctx.grid.nodes[:Q], ctx.grid.edges[:-1]])[:, None, None] * D)
-    return (ex[Q:, None, :n] @ (ex[:Q] @ ctx.V)).reshape(-1, n, n)
+    rows = ex[Q:, :n] + (D[:n, :n] - ctx.sys.A) @ ex[Q:, n:]       # [I B] e^{t_p D}
+    return (rows[:, None] @ ex[:Q, :, n:]).reshape(-1, n, n)
 
 
 def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     """Propagate the root's kernel vectors to orthonormal eigenpairs.
 
-    Each initial condition [f(0); f'(0)] = V f(0) satisfies the left
+    Each initial condition [x(0); y(0)] = [0; y(0)] satisfies the left
     boundary condition exactly by construction; the terminal condition
     quality is recorded as boundary_residual.  The k = multiplicity
     propagated functions f are orthonormalized together as
@@ -246,16 +267,16 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
             f"the {root.multiplicity} eigenfunctions at omega={omega:.6g} are linearly "
             "dependent")
     coef = np.linalg.inv(C).conj().T / scale[:, None]        # S^{-1} C^{-H}
-    f, f0s = f @ coef, root.kernel.T @ coef
+    f, y0s = f @ coef, root.kernel.T @ coef
     pairs = []
     for j in range(root.multiplicity):
-        phase = _canonical_phase(f0s[:, j])
+        phase = _canonical_phase(y0s[:, j])
         fj = f[..., j] * phase
-        f0 = f0s[:, j] * (phase / np.linalg.norm(f0s[:, j]))
+        y0 = y0s[:, j] * (phase / np.linalg.norm(y0s[:, j]))
         lres = quadrature.norm(grid, apply_L(ctx, fj) - 1j * omega * fj)
-        pairs.append(EigenPair(omega=omega, f0=f0, phi=fj.real.copy(), psi=fj.imag.copy(),
+        pairs.append(EigenPair(omega=omega, y0=y0, phi=fj.real.copy(), psi=fj.imag.copy(),
                                multiplicity=root.multiplicity, bvp_residual=lres,
-                               boundary_residual=float(np.linalg.norm(root.bvp.E @ f0))))
+                               boundary_residual=float(np.linalg.norm(root.bvp.E @ y0))))
     return pairs
 
 

@@ -1,4 +1,4 @@
-"""Two-point kernels and the boundary-value-problem matrices.
+"""Two-point kernels and the boundary system of the eigenproblem.
 
 The commutator structure of the oscillator variables over [0, T] is
 carried by the kernel
@@ -9,16 +9,23 @@ carried by the kernel
 which satisfies Lambda(tau) = -Lambda(-tau)^T, and by the stationary
 covariance kernel P(tau) = e^{tau A} P0 (tau >= 0), P(-tau) = P(tau)^T.
 The integral operator L(f)(s) = int_0^T Lambda(s-t) f(t) dt is skew
-self-adjoint; its eigenproblem reduces to a linear two-point boundary
-value problem whose companion matrices are assembled here:
+self-adjoint, and L f = i omega f exactly when (I - K) f = 0 for the
+one-sided-exponential kernel K = -(i/omega) L.  With B = -(i/omega) Theta
+and f = x + B y, where
 
-    F = [[0, I], [mho A^T mho^-1 A, A - mho A^T mho^-1]],
-    U = [A, -I],        V = [I; -Theta A^T Theta^-1],
-    D(omega) = F + (i/omega) [[0, 0], [mho, 0]],
-    G(T) = U e^{TF} V,  E(omega) = U e^{T D(omega)} V.
+    x(s) = int_0^s e^{(s-t)A} B f(t) dt,    y(s) = int_s^T e^{(t-s)A^T} f(t) dt,
 
-G(T) obeys det G(T) = e^{-T tr A} det(-mho Theta^-1), which doubles as a
-built-in self-test of the assembly.
+that is the linear boundary value problem
+
+    [x; y]' = D(omega) [x; y],   D(omega) = [[A + B, B^2], [-I, -A^T - B]],
+    x(0) = 0,  y(T) = 0.
+
+Its terminal block E(omega) = Y(T), the lower-right n x n block of
+e^{T D(omega)}, gives the Fredholm determinant
+Delta(omega) = det(I - K) = det E(omega) e^{T tr A} (Gohberg, Goldberg
+and Kaashoek, Classes of Linear Operators I, 1990, ch. IX), and each
+kernel vector y(0) of E(omega) starts an eigenfunction from [0; y(0)].
+The system needs A and Theta only.
 """
 
 from __future__ import annotations
@@ -28,16 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DeterminantIdentityViolated,
-    GridMismatch,
-    NonpositiveOmega,
-    SingularMho,
-)
+from .errors import GridMismatch, NonpositiveOmega, SingularMho
 from .model import SINGULAR_RCOND, OscillatorSpec, SystemMatrices, build_system
 from .quadrature import Grid
-
-DET_IDENTITY_RTOL = 1e-8
 
 # Degree-13 Pade coefficients b_0..b_13 and the 1-norm below which the
 # unscaled approximant is accurate to double precision (Higham 2005).
@@ -80,28 +80,20 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 class KernelContext:
-    """Immutable bundle of system matrices, quadrature grid and BVP matrices.
+    """Immutable bundle of system matrices and quadrature grid.
 
-    Construction requires nonsingular Theta and mho (full column rank of
-    the coupling matrix).  Grid evaluations of the commutator kernel are
+    Construction requires nonsingular mho (full column rank of the
+    coupling matrix).  Grid evaluations of the commutator kernel are
     cached lazily; everything else is cheap to recompute.
     """
 
     def __init__(self, sysm: SystemMatrices, Theta: np.ndarray, grid: Grid):
-        n = sysm.A.shape[0]
         if sysm.mho_singular:
             raise SingularMho("the BVP pipeline requires nonsingular mho = B J B^T")
-        A, mho = sysm.A, sysm.mho
         self.sys = sysm
         self.Theta = np.asarray(Theta, dtype=float)
         self.grid = grid
-        self.n = n
-        self.mho_inv = np.linalg.inv(mho)
-        self.Theta_inv = np.linalg.inv(self.Theta)
-        mAm = mho @ A.T @ self.mho_inv
-        self.F = np.block([[np.zeros((n, n)), np.eye(n)], [mAm @ A, A - mAm]])
-        self.U = np.hstack([A, -np.eye(n)])
-        self.V = np.vstack([np.eye(n), -self.Theta @ A.T @ self.Theta_inv])
+        self.n = sysm.A.shape[0]
 
     @cached_property
     def lag_exponentials(self) -> np.ndarray:
@@ -124,11 +116,6 @@ class KernelContext:
         w = self.grid.weights
         sq = np.einsum('abij,abij->ab', self.lambda_grid, self.lambda_grid)
         return float(np.einsum('a,b,ab->', w, w, sq))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """G at the grid horizon, validated by the determinant identity."""
-        return green_gram(self)
 
 
 def make_context(spec: OscillatorSpec, grid: Grid) -> KernelContext:
@@ -242,40 +229,23 @@ class BvpMatrices(NamedTuple):
 
 
 def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
-    """Frequency-shifted companion matrix D(omega) and terminal matrix E(omega).
+    """Boundary system D(omega) and terminal block E(omega) = Y(T).
 
-    omega is a positive scalar or an array of positive frequencies; the
-    array's shape leads both results, D of shape (*shape, 2n, 2n) and E
-    of shape (*shape, n, n), so a whole frequency scan is one call.
+    B = -(i/omega) Theta, D(omega) = [[A + B, B^2], [-I, -A^T - B]] and
+    E(omega) the lower-right n x n block of e^{T D(omega)}.  omega is a
+    positive scalar or an array of positive frequencies; the array's
+    shape leads both results, D of shape (*shape, 2n, 2n) and E of shape
+    (*shape, n, n), so a whole frequency scan is one call.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(omega > 0.0):
         raise NonpositiveOmega(
             f"eigenfrequency candidates must be positive, got minimum {np.min(omega)}")
-    n = ctx.n
-    D = np.broadcast_to(ctx.F.astype(complex), omega.shape + ctx.F.shape).copy()
-    D[..., n:, :n] += (1j / omega)[..., None, None] * ctx.sys.mho
-    E = ctx.U @ expm(ctx.grid.T * D) @ ctx.V
-    return BvpMatrices(D=D, E=E)
-
-
-def green_gram(ctx: KernelContext, T: float | None = None) -> np.ndarray:
-    """G(T) = U e^{TF} V, validated against its determinant identity.
-
-    det G(T) must equal e^{-T tr A} det(-mho Theta^-1) to relative
-    tolerance; a violation signals a broken F/U/V assembly or a horizon
-    the matrix exponential cannot resolve.
-    """
-    if T is None:
-        T = ctx.grid.T
-    if T < 0:
-        raise GridMismatch(f"horizon must be nonnegative, got {T}")
-    G = ctx.U @ expm(T * ctx.F) @ ctx.V
-    sign_l, log_l = np.linalg.slogdet(G)
-    sign_r, log_r = np.linalg.slogdet(-ctx.sys.mho @ ctx.Theta_inv)
-    log_r = log_r - T * float(np.trace(ctx.sys.A))
-    rel = abs(sign_l * np.exp(log_l - log_r) - sign_r)
-    if not rel <= DET_IDENTITY_RTOL:
-        raise DeterminantIdentityViolated(
-            f"det G({T}) deviates from e^(-T tr A) det(-mho Theta^-1) by {rel:.3e} relative")
-    return G
+    n, A = ctx.n, ctx.sys.A
+    B = (-1j / omega)[..., None, None] * ctx.Theta
+    D = np.empty(omega.shape + (2 * n, 2 * n), dtype=complex)
+    D[..., :n, :n] = A + B
+    D[..., :n, n:] = B @ B
+    D[..., n:, :n] = -np.eye(n)
+    D[..., n:, n:] = -A.T - B
+    return BvpMatrices(D=D, E=expm(ctx.grid.T * D)[..., n:, n:])

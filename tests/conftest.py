@@ -99,3 +99,20 @@ def dense_kernel(A, base, s, t):
     d = s[:, None] - t[None, :]
     E = expm(np.abs(d)[..., None, None] * A)
     return np.where((d >= 0.0)[..., None, None], E @ base, base @ np.swapaxes(E, -1, -2))
+
+
+def planted_bvp_matrices(defect):
+    """kernels.bvp_matrices with one planted defect in D(omega).
+
+    "transpose" puts A in place of A^T in the lower-right block, "sign"
+    flips B^2; E(omega) is recomputed from the planted D.
+    """
+    def bvp(ctx, omega):
+        n, A = ctx.n, ctx.sys.A
+        D = kernels.bvp_matrices(ctx, omega).D
+        if defect == "transpose":
+            D[..., n:, n:] += A.T - A
+        else:
+            D[..., :n, n:] *= -1.0
+        return kernels.BvpMatrices(D=D, E=kernels.expm(ctx.grid.T * D)[..., n:, n:])
+    return bvp

@@ -4,11 +4,15 @@ Nothing in qeflab calls these.  Each computes a quantity the package
 also reaches, by an independent route or as a direct consequence of the
 theory, so that agreement checks the package's own evaluation:
 
-- the Green-function formula and the one-sided propagation of L,
-  against the dense commutator-kernel quadrature, and that quadrature
-  as one three-operand einsum, against its contraction in apply_L;
-- the eigen-ODE residual, the normalized boundary determinant and a
-  40-digit root of det E, against the shooting roots and eigenfunctions;
+- the companion-form boundary system, built from A, Theta and mho with
+  mho^-1 and Theta^-1: its Green-function formula against the dense
+  commutator-kernel quadrature, its determinant ratio against the
+  package's det E(omega) e^{T tr A}, its second-order eigen-ODE against
+  the shooting eigenfunctions and its 40-digit roots against the
+  shooting roots;
+- the one-sided propagation of L against the dense kernel quadrature,
+  and that quadrature as one three-operand einsum, against its
+  contraction in apply_L;
 - the shooting propagation with one matrix exponential per node, against
   the panel-factored propagator, and the Nystrom spectrum from a complex
   Hermitian eigvalsh, against the real one of K^T K;
@@ -42,13 +46,7 @@ from qeflab import mc
 from qeflab.eigensolver import NystromResult
 from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP, TruncatedPair
-from qeflab.kernels import (
-    KernelContext,
-    _check_grid_function,
-    bvp_matrices,
-    expm,
-    weighted_matrix,
-)
+from qeflab.kernels import KernelContext, _check_grid_function, expm, weighted_matrix
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
 from qeflab.qkl import Hk_at, tanhc
 from qeflab.quadrature import Grid, _panel_view, panel_totals
@@ -256,6 +254,35 @@ def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.nda
     return g_plus.reshape(f.shape), g_minus.reshape(f.shape)
 
 
+def companion(A: np.ndarray, Theta: np.ndarray, mho: np.ndarray,
+              inv=np.linalg.inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The companion-form boundary system (F, U, V) of L's eigenproblem.
+
+        F = [[0, I], [mho A^T mho^-1 A, A - mho A^T mho^-1]],
+        U = [A, -I],        V = [I; -Theta A^T Theta^-1],
+
+    with D_c(omega) = F + (i/omega) [[0, 0], [mho, 0]] acting on [f; f'],
+    G(T) = U e^{TF} V and E_c(omega) = U e^{T D_c(omega)} V, so that
+    det E_c(omega) / det G(T) = Delta(omega).  The arrays may hold floats
+    or, with an inv for them, mpmath numbers (dtype object).
+    """
+    n = A.shape[0]
+    I, Z = np.eye(n, dtype=A.dtype), np.zeros((n, n), dtype=A.dtype)
+    mAm = mho @ A.T @ inv(mho)
+    F = np.block([[Z, I], [mAm @ A, A - mAm]])
+    return F, np.hstack([A, -I]), np.vstack([I, -Theta @ A.T @ inv(Theta)])
+
+
+def _companion_of(ctx: KernelContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return companion(ctx.sys.A, ctx.Theta, ctx.sys.mho)
+
+
+def green_gram(ctx: KernelContext, T: float) -> np.ndarray:
+    """G(T) = U e^{TF} V of the companion form."""
+    F, U, V = _companion_of(ctx)
+    return U @ expm(T * F) @ V
+
+
 def green_function(ctx: KernelContext, s: float, t: float) -> np.ndarray:
     """Commutator kernel reconstructed from the Green-function formula
 
@@ -270,36 +297,47 @@ def green_function(ctx: KernelContext, s: float, t: float) -> np.ndarray:
     if not (0.0 <= s <= T and 0.0 <= t <= T):
         raise GridMismatch(f"(s, t) must lie in [0, {T}]^2")
     n = ctx.n
-    G = ctx.gram
+    F, U, V = _companion_of(ctx)
+    G = U @ expm(T * F) @ V
     if reciprocal_cond(G) < SINGULAR_RCOND:
         raise ValueError("G(T) is numerically singular")
-    right = ctx.U @ expm((T - t) * ctx.F)
-    X = expm(s * ctx.F) @ ctx.V @ np.linalg.solve(G, right)
+    X = expm(s * F) @ V @ np.linalg.solve(G, U @ expm((T - t) * F))
     if t <= s:
-        X = X - expm((s - t) * ctx.F)
+        X = X - expm((s - t) * F)
     # [I 0] ... [0; mho] selects the upper-right n x n block times mho.
     return X[:n, n:] @ ctx.sys.mho
 
 
-def det_ratio(ctx: KernelContext, omega: float) -> float:
-    """|det E(omega)| normalized by |det G(T)| (scale-free root criterion)."""
-    log_g = np.linalg.slogdet(ctx.gram)[1]
-    return float(np.exp(np.linalg.slogdet(bvp_matrices(ctx, omega).E)[1] - log_g))
+def det_ratio(ctx: KernelContext, omega: float | np.ndarray) -> complex | np.ndarray:
+    """Delta(omega) = det E_c(omega) / det G(T) of the companion form, for every omega."""
+    F, U, V = _companion_of(ctx)
+    n, T = ctx.n, ctx.grid.T
+    omega = np.asarray(omega, dtype=float)
+    D = np.broadcast_to(F.astype(complex), omega.shape + F.shape).copy()
+    D[..., n:, :n] += (1j / omega)[..., None, None] * ctx.sys.mho
+    return np.linalg.det(U @ expm(T * D) @ V) / np.linalg.det(U @ expm(T * F) @ V)
+
+
+def _mp_inv(a: np.ndarray) -> np.ndarray:
+    return np.array((mpmath.matrix(a.tolist()) ** -1).tolist(), dtype=object)
 
 
 def reference_root(ctx: KernelContext, omega: float, multiplicity: int = 1,
                    dps: int = 40) -> float:
-    """The root of det E(w) = det(U e^{T D(w)} V) next to omega, to dps digits.
+    """The root of det E_c(w) = det(U e^{T D_c(w)} V) next to omega, to dps digits.
 
-    E is formed in dps-digit arithmetic from the context's float
-    matrices, so it is their exact E up to that precision.  A secant runs
-    on the multiplicity-th root of det E, whose zero is simple; each
-    step keeps the branch nearest the secant's own linear prediction.  It
-    starts 1e-12 and 2e-12 relative above omega, on one side of a root
-    that omega is much closer to, and stops at a 1e-20 relative step.
+    The companion form is assembled in dps-digit arithmetic from the
+    context's A, Theta and mho, so no float mho^-1 or Theta^-1 enters.  A
+    secant runs on the multiplicity-th root of det E_c, whose zero is
+    simple; each step keeps the branch nearest the secant's own linear
+    prediction.  It starts 1e-12 and 2e-12 relative above omega, on one
+    side of a root that omega is much closer to, and stops at a 1e-20
+    relative step.
     """
     with mpmath.workdps(dps):
-        U, V, F, mho = (mpmath.matrix(a.tolist()) for a in (ctx.U, ctx.V, ctx.F, ctx.sys.mho))
+        A, Theta, mho = (np.vectorize(mpmath.mpf, otypes=[object])(a)
+                         for a in (ctx.sys.A, ctx.Theta, ctx.sys.mho))
+        F, U, V = (mpmath.matrix(a.tolist()) for a in companion(A, Theta, mho, inv=_mp_inv))
         n, T = ctx.n, mpmath.mpf(ctx.grid.T)
         units = [mpmath.expjpi(mpmath.mpf(2 * k) / multiplicity) for k in range(multiplicity)]
 
@@ -323,9 +361,14 @@ def reference_root(ctx: KernelContext, omega: float, multiplicity: int = 1,
     raise ValueError(f"the secant from omega={omega!r} did not converge")
 
 
-def propagate_per_node(ctx: KernelContext, D: np.ndarray) -> np.ndarray:
-    """e^{t D} V at every grid node t, shape (N, 2n, n), one expm per node."""
-    return expm(ctx.grid.nodes[:, None, None] * D) @ ctx.V
+def propagate_per_node(ctx: KernelContext, root) -> np.ndarray:
+    """[I B] e^{t D} [0; I] at every grid node t, shape (N, n, n), one expm per node.
+
+    D is the root's own D(omega), B = -(i/omega) Theta.
+    """
+    n = ctx.n
+    ex = expm(ctx.grid.nodes[:, None, None] * root.bvp.D)[..., n:]
+    return ex[:, :n] + (-1j / root.omega) * ctx.Theta @ ex[:, n:]
 
 
 def nystrom_hermitian(ctx: KernelContext) -> NystromResult:
@@ -340,21 +383,20 @@ def nystrom_hermitian(ctx: KernelContext) -> NystromResult:
 
 
 def ode_residual(ctx: KernelContext, pair) -> float:
-    """Sup-norm residual of the second-order eigen-ODE on the grid.
+    """Sup-norm residual of the companion form's second-order eigen-ODE on the grid.
 
     Differentiates the sampled eigenfunction with the panel Legendre
     machinery (independent of the shooting propagator) and substitutes
-    into f'' + (mho A^T mho^-1 - A) f' - mho A^T mho^-1 A f
-    - (i/omega) mho f = 0.
+    into f'' = mho A^T mho^-1 A f + (A - mho A^T mho^-1) f' + (i/omega) mho f,
+    the lower block row of [f; f']' = D_c(omega) [f; f'].
     """
-    grid = ctx.grid
-    A, mho = ctx.sys.A, ctx.sys.mho
-    mAm = mho @ A.T @ ctx.mho_inv
+    grid, n = ctx.grid, ctx.n
+    F, _, _ = _companion_of(ctx)
     f = pair.phi + 1j * pair.psi
     fp = differentiate(grid, f)
     fpp = differentiate(grid, fp)
-    resid = (fpp + fp @ (mAm - A).T - f @ (mAm @ A).T
-             - (1j / pair.omega) * f @ mho.T)
+    resid = (fpp - f @ F[n:, :n].T - fp @ F[n:, n:].T
+             - (1j / pair.omega) * f @ ctx.sys.mho.T)
     return float(np.max(np.abs(resid)))
 
 

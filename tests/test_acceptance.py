@@ -12,11 +12,17 @@ import time
 import numpy as np
 import pytest
 from conftest import J2, dense_kernel, random_hurwitz_spec, random_spec
-from oracles import apply_K, green_function, omega_from_sigma, surrogate_covariance
+from oracles import (
+    apply_K,
+    green_function,
+    green_gram,
+    omega_from_sigma,
+    surrogate_covariance,
+)
 
 from qeflab import cli, fock, mc, model, qef
 from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle
-from qeflab.kernels import green_gram, make_context
+from qeflab.kernels import make_context
 from qeflab.qkl import build_qkl
 from qeflab.quadrature import inner, make_grid
 
@@ -74,12 +80,14 @@ def test_03_green_function_equivalence(ctx):
 
 
 def test_04_determinant_law():
+    # det G(T) = e^{-T tr A} det(-mho Theta^-1) for the companion form's
+    # G(T) = U e^{TF} V, which holds only with realizability
     rng = np.random.default_rng(1004)
     grid = make_grid(1.0)
     worst = 0.0
     for i in range(20):
         ctx = make_context(_tame_spec(rng, 2 if i % 2 == 0 else 4), grid)
-        logdet_rhs0 = np.linalg.slogdet(-ctx.sys.mho @ ctx.Theta_inv)
+        logdet_rhs0 = np.linalg.slogdet(-ctx.sys.mho @ np.linalg.inv(ctx.Theta))
         for T in (0.1, 1.0, 5.0):
             sign_l, log_l = np.linalg.slogdet(green_gram(ctx, T))
             log_r = logdet_rhs0[1] - T * float(np.trace(ctx.sys.A))

@@ -10,11 +10,12 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from conftest import planted_bvp_matrices
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from qeflab import cli, mc, qef
+from qeflab import cli, eigensolver, mc, qef
 from qeflab.errors import SchemaViolation
 
 
@@ -661,6 +662,17 @@ def test_long_horizon_reports_json_error(tmp_path, capsys):
     assert err["error"] == "RefinementStalled"
 
 
+def test_broken_assembly_is_one_json_error(tmp_path, capsys, monkeypatch):
+    # the scan's built-in check of D(omega) ends the run with exit 3
+    monkeypatch.setattr(eigensolver, "bvp_matrices", planted_bvp_matrices("transpose"))
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["eigen", "--config", path]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DeterminantIdentityViolated"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_long_horizon_squeezed_eigen_is_capture_unreachable(tmp_path, capsys):
     # squeezed oscillator at T = 4: the scan certifies the band's roots by
     # their kernels, and the band's shortfall (0.978 captured) ends the run
@@ -676,10 +688,12 @@ def test_long_horizon_squeezed_eigen_is_capture_unreachable(tmp_path, capsys):
 
 def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):
     # README oscillator at T = 8: E(omega) has lost its digits and the scan
-    # certifies minima with no Nystrom partner; the Gram gate must refuse
-    # the basis they would form
+    # certifies minima with no Nystrom partner (3 of 11, capturing 0.9685
+    # together); at a capture they can reach, the Gram gate must refuse the
+    # basis they would form (deviation 0.30)
     cfg = base_config(tmp_path)
     cfg["oscillator"]["T"] = 8.0
+    cfg["eigen"]["capture_fraction"] = 0.95
     cfg["grid"] = {"panels": 64, "nodes_per_panel": 16}
     path = write_config(tmp_path, cfg)
     assert cli.main(["eigen", "--config", path]) == 3
