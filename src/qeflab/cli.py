@@ -1,16 +1,17 @@
 """Command-line pipeline: JSON config in, CSV results out.
 
+The command line is ``qeflab <command> --config PATH [--seed N] [--out DIR]``.
 Every subcommand reads one schema-validated configuration, runs a slice
 of the pipeline and writes CSV files into the output directory.  Exit
-codes: 0 success, 2 configuration problems, 3 numeric pipeline
-failures, 4 statistical validation mismatch.  Errors are reported as a
-single JSON object on stderr.  Output is deterministic for a fixed
-config and seed.
+codes: 0 success (and ``-h``/``--help``), 2 configuration problems and
+malformed command lines (``UsageError``), 3 numeric pipeline failures,
+4 statistical validation mismatch.  Errors are reported as a single
+JSON object on stderr.  Output is deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from importlib import resources
@@ -21,7 +22,13 @@ import numpy as np
 from . import fock as fockmod
 from . import model
 from .eigensolver import SpectralBasis, basis_gram, build_basis, nystrom_oracle
-from .errors import InvalidParameter, QeflabError, SchemaViolation, SupercriticalTheta
+from .errors import (
+    InvalidParameter,
+    QeflabError,
+    SchemaViolation,
+    SupercriticalTheta,
+    UsageError,
+)
 from .kernels import KernelContext, make_context
 from .mc import McConfig, estimate_qef_mc_many
 from .qef import QefReport, SpectralCache, compute_qef, find_critical_theta
@@ -317,29 +324,61 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qeflab",
-        description="Oscillator spectra and quadratic-exponential functionals")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the Monte-Carlo seed")
-        p.add_argument("--out", default=None,
-                       help="override the configured output directory")
-    args = parser.parse_args(argv)
+USAGE = "usage: qeflab {" + ",".join(COMMANDS) + "} --config PATH [--seed N] [--out DIR]"
+_OPTIONS = ("--config", "--seed", "--out")
+
+
+def parse_args(argv: list[str]) -> tuple[str, str, int | None, str | None]:
+    """(command, config, seed, out) from ``<command> --config PATH [--seed N] [--out DIR]``.
+
+    An option is ``--name value`` or ``--name=value``; the last occurrence
+    wins.  Raises UsageError, naming the offending argument, on anything else.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{got}: expected one of {', '.join(COMMANDS)}")
+    opts: dict[str, str] = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            kind = "unknown option" if arg.startswith("-") else "unexpected argument"
+            raise UsageError(f"{kind} {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"option {name} needs a value")
+        opts[name] = value
+    if "--config" not in opts:
+        raise UsageError("missing required option --config")
+    seed = opts.get("--seed")
+    return argv[0], opts["--config"], None if seed is None else _seed(seed), opts.get("--out")
+
+
+def _seed(text: str) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-            raise SchemaViolation("--seed must fit in 64 unsigned bits")
-        out = Path(args.out if args.out is not None else cfg["output_dir"])
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2 ** 64:
+        raise UsageError(f"--seed must be an integer in [0, 2**64), got {text!r}")
+    return seed
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
+    try:
+        command, config, seed, out_dir = parse_args(argv)
+        cfg = load_config(config)
+        out = Path(out_dir if out_dir is not None else cfg["output_dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SchemaViolation(f"cannot create output directory: {exc}") from exc
-        return COMMANDS[args.command](cfg, out, args.seed)
+        return COMMANDS[command](cfg, out, seed)
     except QeflabError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return exc.exit_code

@@ -326,12 +326,17 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     CaptureUnreachable when the band does not hold enough spectrum;
     widen it explicitly in that case.  Raises RefinementStalled when the
     retained eigenfunctions are not orthonormal: their Gram matrix must
-    equal I/2 to GRAM_ATOL.
+    equal I/2 to GRAM_ATOL.  Raises InvalidParameter when hs_total is not
+    finite, as for a horizon T far beyond the kernel's decay.
     """
     if not 0.0 < capture_fraction < 1.0:
         raise InvalidParameter(
             f"eigen.capture_fraction must be in (0, 1), got {capture_fraction}")
     hs_total = ctx.hs_total
+    if not np.isfinite(hs_total):
+        raise InvalidParameter(
+            f"the squared HS norm of L is {hs_total} on the grid of oscillator.T = "
+            f"{ctx.grid.T:g}: the kernel quadrature leaves the double range")
     if omega_max is None:
         omega_max = 1.05 * float(np.sqrt(hs_total / 2.0))
     if omega_min is None:

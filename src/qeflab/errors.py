@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every error carries a short machine-readable ``code`` and the process
-exit code the CLI maps it to: 2 for input/configuration problems, 3 for
-numeric pipeline failures.  Statistical validation mismatches (exit 4)
+exit code the CLI maps it to: 2 for input/configuration problems,
+a malformed command line (``UsageError``) among them, 3 for numeric
+pipeline failures.  Statistical validation mismatches (exit 4)
 are not exceptions; the validate command decides those from results.
 """
 
@@ -28,6 +29,12 @@ class InputError(QeflabError):
 
 class SchemaViolation(InputError):
     code = "SchemaViolation"
+
+
+class UsageError(InputError):
+    """A malformed command line: the CLI's grammar, not the config, is at fault."""
+
+    code = "UsageError"
 
 
 class NotAntisymmetric(InputError):

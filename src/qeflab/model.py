@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     CovarianceNotPSD,
+    InvalidParameter,
     LyapunovSolveFailed,
     NonFinite,
     NotAntisymmetric,
@@ -89,7 +90,7 @@ class GaussianStateData:
 def canonical_j(m: int) -> np.ndarray:
     """Antisymmetric channel structure J2 kron I_{m/2} for m even."""
     if m % 2 != 0 or m <= 0:
-        raise NotAntisymmetric(f"channel count must be even and positive, got {m}")
+        raise InvalidParameter(f"channel count must be even and positive, got {m}")
     return np.kron(J2, np.eye(m // 2))
 
 
@@ -128,11 +129,11 @@ def validate_spec(spec: OscillatorSpec) -> None:
         if not np.all(np.isfinite(X)):
             raise NonFinite(f"{name} contains non-finite entries")
     if spec.n % 2 != 0 or spec.m % 2 != 0 or spec.n <= 0 or spec.m <= 0:
-        raise NotAntisymmetric(f"n and m must be even positive, got n={spec.n}, m={spec.m}")
+        raise InvalidParameter(f"n and m must be even positive, got n={spec.n}, m={spec.m}")
     if Theta.shape != (spec.n, spec.n) or R.shape != (spec.n, spec.n):
-        raise NotAntisymmetric("Theta and R must be n x n")
+        raise InvalidParameter("Theta and R must be n x n")
     if M.shape != (spec.m, spec.n):
-        raise NotAntisymmetric(f"M must be m x n = {spec.m} x {spec.n}, got {M.shape}")
+        raise InvalidParameter(f"M must be m x n = {spec.m} x {spec.n}, got {M.shape}")
     scale = max(1.0, float(np.linalg.norm(Theta)))
     if np.linalg.norm(Theta + Theta.T) > ANTISYMMETRY_RTOL * scale:
         raise NotAntisymmetric("Theta is not antisymmetric within tolerance")

@@ -8,8 +8,8 @@ theory, so that agreement checks the package's own evaluation:
   mho^-1 and Theta^-1: its Green-function formula against the dense
   commutator-kernel quadrature, its determinant ratio against the
   package's det E(omega) e^{T tr A}, its second-order eigen-ODE against
-  the shooting eigenfunctions and its 40-digit roots against the
-  shooting roots;
+  the shooting eigenfunctions, and its 40-digit Delta and roots against
+  the package's determinant and the shooting roots;
 - the one-sided propagation of L against the dense kernel quadrature,
   and that quadrature as one three-operand einsum, against its
   contraction in apply_L;
@@ -322,6 +322,36 @@ def _mp_inv(a: np.ndarray) -> np.ndarray:
     return np.array((mpmath.matrix(a.tolist()) ** -1).tolist(), dtype=object)
 
 
+def _mp_companion(ctx: KernelContext):
+    """(F, U, V, det_E) of the companion form at the working mpmath precision.
+
+    F, U and V are formed from the context's A, Theta and mho in that
+    precision, so no float mho^-1 or Theta^-1 enters, and det_E(w) returns
+    det E_c(w) = det(U e^{T D_c(w)} V).
+    """
+    A, Theta, mho = (np.vectorize(mpmath.mpf, otypes=[object])(a)
+                     for a in (ctx.sys.A, ctx.Theta, ctx.sys.mho))
+    F, U, V = (mpmath.matrix(a.tolist()) for a in companion(A, Theta, mho, inv=_mp_inv))
+    n, T = ctx.n, mpmath.mpf(ctx.grid.T)
+
+    def det_E(w):
+        D = F * mpmath.mpc(1)
+        for a in range(n):
+            for b in range(n):
+                D[n + a, b] += mpmath.mpc(0, 1) / w * mho[a, b]
+        return mpmath.det(U * mpmath.expm(T * D) * V)
+
+    return F, U, V, det_E
+
+
+def reference_delta(ctx: KernelContext, omega: float, dps: int = 40) -> complex:
+    """Delta(omega) = det E_c(omega) / det G(T) of the companion form, to dps digits."""
+    with mpmath.workdps(dps):
+        F, U, V, det_E = _mp_companion(ctx)
+        G = U * mpmath.expm(mpmath.mpf(ctx.grid.T) * F) * V
+        return complex(det_E(mpmath.mpf(omega)) / mpmath.det(G))
+
+
 def reference_root(ctx: KernelContext, omega: float, multiplicity: int = 1,
                    dps: int = 40) -> float:
     """The root of det E_c(w) = det(U e^{T D_c(w)} V) next to omega, to dps digits.
@@ -335,18 +365,11 @@ def reference_root(ctx: KernelContext, omega: float, multiplicity: int = 1,
     relative step.
     """
     with mpmath.workdps(dps):
-        A, Theta, mho = (np.vectorize(mpmath.mpf, otypes=[object])(a)
-                         for a in (ctx.sys.A, ctx.Theta, ctx.sys.mho))
-        F, U, V = (mpmath.matrix(a.tolist()) for a in companion(A, Theta, mho, inv=_mp_inv))
-        n, T = ctx.n, mpmath.mpf(ctx.grid.T)
+        det_E = _mp_companion(ctx)[3]
         units = [mpmath.expjpi(mpmath.mpf(2 * k) / multiplicity) for k in range(multiplicity)]
 
         def branch(w, near):
-            D = F * mpmath.mpc(1)
-            for a in range(n):
-                for b in range(n):
-                    D[n + a, b] += mpmath.mpc(0, 1) / w * mho[a, b]
-            r = mpmath.root(mpmath.det(U * mpmath.expm(T * D) * V), multiplicity)
+            r = mpmath.root(det_E(w), multiplicity)
             return min((r * u for u in units), key=lambda v: abs(v - near))
 
         x0, x1 = (mpmath.mpf(omega) * (1 + mpmath.mpf(f"{k}e-12")) for k in (1, 2))

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from importlib import resources
@@ -712,6 +714,84 @@ def test_out_override(tmp_path):
                      "--out", str(override)]) == 0
     assert (override / "model.csv").exists()
     assert not (tmp_path / "configured" / "model.csv").exists()
+
+
+CONFIG = "<config>"
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "missing command"),
+    (["bogus", "--config", CONFIG], "'bogus'"),
+    (["eigen"], "--config"),
+    (["eigen", "--config"], "--config"),
+    (["eigen", "--config", CONFIG, "--seed", "abc"], "'abc'"),
+    (["eigen", "--config", CONFIG, "--seed", "-1"], "'-1'"),
+    (["validate", "--config", CONFIG, "--seed", str(2 ** 64)], str(2 ** 64)),
+    (["eigen", "--config", CONFIG, "--extra", "1"], "'--extra'"),
+    (["eigen", "--config", CONFIG, "stray"], "'stray'"),
+], ids=["empty", "unknown-command", "no-config", "config-without-value", "seed-abc",
+        "seed-negative", "seed-2**64", "unknown-option", "stray-argument"])
+def test_malformed_command_line_is_one_usage_error(tmp_path, capsys, argv, named):
+    # no usage text and no SystemExit: one JSON line naming the argument, exit 2
+    path = write_config(tmp_path, base_config(tmp_path))
+    argv = [path if arg == CONFIG else arg for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError"
+    assert named in payload["message"]
+    assert not any(tmp_path.rglob("*.csv"))
+
+
+def test_equals_form_and_last_option_wins(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path / "configured"))
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert cli.main(["model-check", f"--config={path}", f"--out={first}", "--out", str(last)]) == 0
+    assert (last / "model.csv").exists()
+    assert not first.exists() and not (tmp_path / "configured").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["eigen", "-h"]])
+def test_help_is_one_usage_line(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [cli.USAGE]
+    assert err == ""
+
+
+def test_cli_run_never_imports_argparse(tmp_path):
+    # argparse costs milliseconds per call to import and build; the CLI parses by hand
+    path = write_config(tmp_path, base_config(tmp_path))
+    code = ("import sys; from qeflab import cli; "
+            f"rc = cli.main(['fock', '--config', {path!r}]); "
+            "print(rc, 'argparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command", ["eigen", "qef"])
+def test_nonfinite_hs_norm_is_one_json_error(tmp_path, capsys, command):
+    # at T = 1e300 the kernel quadrature gives a nan HS norm; this exited 2
+    # with NonpositiveOmega and a band of (nan, nan)
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = 1e300
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidParameter"
+    assert "oscillator.T" in err["message"] and "HS norm" in err["message"]
+    assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])

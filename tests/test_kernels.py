@@ -16,6 +16,7 @@ from oracles import (
     det_ratio,
     green_function,
     kernel_on_grid_gathered,
+    reference_delta,
 )
 
 from qeflab import kernels, model, quadrature
@@ -222,6 +223,16 @@ def test_bvp_determinant_matches_companion(ctx, grid, system):
     ws = np.linspace(omega_max / 10.0, omega_max, 50)
     got, ref = delta(c, ws), det_ratio(c, ws)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.19, 0.3, 0.45, 0.57, 0.65])
+def test_bvp_determinant_matches_40_digit_delta(ctx, omega):
+    # pointwise against the companion form's Delta evaluated at 40 digits,
+    # so the float companion's own rounding cannot hide a misfit; 0.19 and
+    # 0.57 lie within 3% of the README roots 0.1955 and 0.5747 (misfits
+    # 7.9e-14 and 1.4e-14, at most 4.1e-14 elsewhere)
+    ref = reference_delta(ctx, omega)
+    assert abs(delta(ctx, omega) - ref) <= 1e-12 * abs(ref)
 
 
 def test_green_function_matches_lambda(ctx):

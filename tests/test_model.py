@@ -9,6 +9,7 @@ from oracles import transform_system
 from qeflab import model
 from qeflab.errors import (
     CovarianceNotPSD,
+    InvalidParameter,
     NonFinite,
     NotAntisymmetric,
     NotHurwitz,
@@ -135,7 +136,16 @@ def test_validate_rejects_bad_specs(osc_spec):
         model.validate_spec(bad)
     bad = model.OscillatorSpec(n=3, m=2, Theta=np.zeros((3, 3)), R=np.eye(3),
                                M=np.zeros((2, 3)), T=1.0, theta=0.0)
-    with pytest.raises(NotAntisymmetric):
+    with pytest.raises(InvalidParameter, match="even positive"):
+        model.validate_spec(bad)
+    # shape errors are not antisymmetry failures
+    bad = model.OscillatorSpec(n=2, m=2, Theta=J2.copy(), R=np.eye(4),
+                               M=np.eye(2), T=1.0, theta=0.0)
+    with pytest.raises(InvalidParameter, match="n x n"):
+        model.validate_spec(bad)
+    bad = model.OscillatorSpec(n=2, m=2, Theta=J2.copy(), R=np.eye(2),
+                               M=np.eye(4, 2), T=1.0, theta=0.0)
+    with pytest.raises(InvalidParameter, match="m x n"):
         model.validate_spec(bad)
 
 
@@ -156,5 +166,5 @@ def test_canonical_j_structure():
     J4 = model.canonical_j(4)
     assert np.allclose(J4, -J4.T)
     assert np.allclose(J4 @ J4, -np.eye(4))
-    with pytest.raises(NotAntisymmetric):
+    with pytest.raises(InvalidParameter, match="even and positive"):
         model.canonical_j(3)
