@@ -53,7 +53,7 @@ REFINE_STEPS = 30           # secant steps per bracket at most
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
 TAIL_SCALE = 100.0          # the assembly check's omega in units of sqrt(hs_total / 2)
-TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_total / (2 omega^2)
+TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_exact / (2 omega^2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +129,12 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     interior local minima.  The sample call also evaluates E at
     omega_inf = TAIL_SCALE sqrt(hs_total / 2), far above every omega_k,
     and raises DeterminantIdentityViolated unless ln Delta(omega_inf) =
-    ln |det E(omega_inf)| + T tr A matches -hs_total / (2 omega_inf^2) to
+    ln |det E(omega_inf)| + T tr A matches -hs_exact / (2 omega_inf^2) to
     TAIL_IDENTITY_RTOL relative: a broken assembly of D(omega) or a
-    horizon the exponential cannot resolve.  Each bracket is refined by a
-    secant on lambda(omega), the least-modulus eigenvalue of E(omega),
-    which has a simple zero even where det E has a semisimple double
-    one.  The secant starts from the bracket's lowest sample and the
+    horizon the exponential cannot resolve, never a coarse grid.  Each
+    bracket is refined by a secant on lambda(omega), the least-modulus
+    eigenvalue of E(omega), which has a simple zero even where det E has
+    a semisimple double one.  The secant starts from the bracket's lowest sample and the
     lower of its two neighbours, takes the real part of each complex
     step and clips the iterate to the bracket; every step advances all
     unfinished brackets in one bvp_matrices call.  A bracket stops when
@@ -159,12 +159,12 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
     omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
     E = bvp_matrices(ctx, np.append(ws, omega_inf)).E
     logs = np.linalg.slogdet(E)[1]
-    # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = hs_total / 2
-    want = -ctx.hs_total / (2.0 * omega_inf ** 2)
+    # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2
+    want = -ctx.hs_exact / (2.0 * omega_inf ** 2)
     rel = abs((logs[-1] + ctx.grid.T * np.trace(ctx.sys.A)) / want - 1.0)
     if not rel <= TAIL_IDENTITY_RTOL:
         raise DeterminantIdentityViolated(
-            f"ln Delta({omega_inf:.4g}) deviates from -hs_total / (2 omega^2) by {rel:.3e} "
+            f"ln Delta({omega_inf:.4g}) deviates from -||L||^2_HS / (2 omega^2) by {rel:.3e} "
             "relative")
     E, logs = E[:-1], logs[:-1]
     i = np.flatnonzero((logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])) + 1
@@ -326,14 +326,14 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
     CaptureUnreachable when the band does not hold enough spectrum;
     widen it explicitly in that case.  Raises RefinementStalled when the
     retained eigenfunctions are not orthonormal: their Gram matrix must
-    equal I/2 to GRAM_ATOL.  Raises InvalidParameter when hs_total is not
-    finite, as for a horizon T far beyond the kernel's decay.
+    equal I/2 to GRAM_ATOL.  Raises InvalidParameter unless 0 < hs_total
+    < inf, as for a horizon T far beyond the kernel's decay or near 0.
     """
     if not 0.0 < capture_fraction < 1.0:
         raise InvalidParameter(
             f"eigen.capture_fraction must be in (0, 1), got {capture_fraction}")
     hs_total = ctx.hs_total
-    if not np.isfinite(hs_total):
+    if not 0.0 < hs_total < np.inf:
         raise InvalidParameter(
             f"the squared HS norm of L is {hs_total} on the grid of oscillator.T = "
             f"{ctx.grid.T:g}: the kernel quadrature leaves the double range")

@@ -69,10 +69,6 @@ class LyapunovSolveFailed(QeflabError):
     code = "LyapunovSolveFailed"
 
 
-class SingularMho(QeflabError):
-    code = "SingularMho"
-
-
 class DeterminantIdentityViolated(QeflabError):
     code = "DeterminantIdentityViolated"
 

@@ -2,9 +2,9 @@
 
 A multimode oscillator is parameterised by a CCR matrix Theta (real
 antisymmetric, nonsingular), an energy matrix R (real symmetric) and a
-coupling matrix M (real m x n), plus a time horizon T and a risk
-sensitivity theta.  The drift and dispersion matrices of the governing
-linear dynamics are
+coupling matrix M (real m x n, any rank), plus a time horizon T and a
+risk sensitivity theta.  The drift and dispersion matrices of the
+governing linear dynamics are
 
     A = 2 Theta (R + M^T J M),      B = 2 Theta M^T,
 
@@ -67,8 +67,8 @@ class SystemMatrices:
     """Derived drift/dispersion matrices with diagnostic residuals.
 
     pr_residual is the Frobenius norm of A Theta + Theta A^T + mho
-    (zero up to rounding for any valid spec).  hurwitz and mho_singular
-    are advisory flags; operations that require them hard-fail instead.
+    (zero up to rounding for any valid spec).  hurwitz is advisory:
+    operations that require it hard-fail.  mho may be singular (m < n).
     """
 
     A: np.ndarray
@@ -77,7 +77,6 @@ class SystemMatrices:
     J: np.ndarray
     pr_residual: float
     hurwitz: bool
-    mho_singular: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +122,7 @@ def is_hurwitz(A: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
 
 
 def validate_spec(spec: OscillatorSpec) -> None:
-    """Check shapes, finiteness, antisymmetry of Theta and its nonsingularity."""
+    """Check shapes, finiteness, symmetry of R, antisymmetry of Theta and its nonsingularity."""
     Theta, R, M = np.asarray(spec.Theta), np.asarray(spec.R), np.asarray(spec.M)
     for name, X in (("Theta", Theta), ("R", R), ("M", M)):
         if not np.all(np.isfinite(X)):
@@ -137,6 +136,8 @@ def validate_spec(spec: OscillatorSpec) -> None:
     scale = max(1.0, float(np.linalg.norm(Theta)))
     if np.linalg.norm(Theta + Theta.T) > ANTISYMMETRY_RTOL * scale:
         raise NotAntisymmetric("Theta is not antisymmetric within tolerance")
+    if np.linalg.norm(R - R.T) > ANTISYMMETRY_RTOL * max(1.0, float(np.linalg.norm(R))):
+        raise InvalidParameter("R is not symmetric within tolerance")
     if reciprocal_cond(Theta) < SINGULAR_RCOND:
         raise SingularTheta("Theta is singular or numerically rank deficient")
 
@@ -156,7 +157,6 @@ def build_system(spec: OscillatorSpec) -> SystemMatrices:
         A=A, B=B, mho=mho, J=J,
         pr_residual=pr,
         hurwitz=is_hurwitz(A),
-        mho_singular=reciprocal_cond(mho) < SINGULAR_RCOND,
     )
 
 

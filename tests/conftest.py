@@ -76,8 +76,8 @@ def random_spec(rng, n, m=None, T=1.0):
 def random_hurwitz_spec(rng, n, m=None, T=1.0):
     """Random spec redrawn until the drift is Hurwitz.
 
-    A positive definite R plus full-rank field coupling makes the
-    rejection rate low; the loop is bounded in practice.
+    A positive definite R plus the field coupling makes the rejection
+    rate low, for m < n too; the loop is bounded in practice.
     """
     m = n if m is None else m
     while True:

@@ -9,7 +9,10 @@ theory, so that agreement checks the package's own evaluation:
   commutator-kernel quadrature, its determinant ratio against the
   package's det E(omega) e^{T tr A}, its second-order eigen-ODE against
   the shooting eigenfunctions, and its 40-digit Delta and roots against
-  the package's determinant and the shooting roots;
+  the package's determinant and the shooting roots.  It needs a
+  nonsingular mho, so it is the reference for m = n specs with
+  full-rank M only; the package itself reads A and Theta alone and runs
+  m < n as well;
 - the one-sided propagation of L against the dense kernel quadrature,
   and that quadrature as one three-operand einsum, against its
   contraction in apply_L;
@@ -264,7 +267,8 @@ def companion(A: np.ndarray, Theta: np.ndarray, mho: np.ndarray,
     with D_c(omega) = F + (i/omega) [[0, 0], [mho, 0]] acting on [f; f'],
     G(T) = U e^{TF} V and E_c(omega) = U e^{T D_c(omega)} V, so that
     det E_c(omega) / det G(T) = Delta(omega).  The arrays may hold floats
-    or, with an inv for them, mpmath numbers (dtype object).
+    or, with an inv for them, mpmath numbers (dtype object).  mho must be
+    nonsingular: m = n with full-rank M.
     """
     n = A.shape[0]
     I, Z = np.eye(n, dtype=A.dtype), np.zeros((n, n), dtype=A.dtype)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from qeflab import cli, eigensolver, mc, qef
+from qeflab import cli, eigensolver, mc, model, qef
 from qeflab.errors import SchemaViolation
 
 
@@ -363,6 +363,60 @@ def test_validate_readme_config(tmp_path, capsys):
     assert [(float(r[0]), r[1]) for r in rows] == [
         (0.0, "Z"), (0.0, "N"), (0.348, "Z"), (0.348, "N"), (0.87, "Z"), (0.87, "N")]
     assert all(float(r[2]) == 1.0 and float(r[3]) == 0.0 for r in rows[:2])
+
+
+def passive_two_mode_config(out_dir):
+    """Two coupled modes (n = 4) driven through one channel pair (m = 2).
+
+    mho = B J B^T has rank 2.  The oscillator is passive and its fields
+    are vacuum, so its exact QEF is xi(theta) = e^{n theta T / 2} =
+    e^{2 theta T}.
+    """
+    Omega = np.array([[1.0, 0.5], [0.5, 1.0]])
+    cfg = base_config(out_dir)
+    cfg["oscillator"] = {"n": 4, "m": 2, "Theta": model.canonical_j(4).tolist(),
+                         "R": np.kron(np.eye(2), Omega).tolist(),
+                         "M": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                         "T": 1.0, "theta": 0.348}
+    cfg["qef"]["theta_list"] = [0.1, 0.348, 0.87]
+    cfg["mc"] = {"samples": 20000, "seed": 0, "batch": 100}
+    return cfg
+
+
+def test_fewer_channels_than_variables_run_end_to_end(tmp_path, capsys):
+    path = write_config(tmp_path, passive_two_mode_config(tmp_path))
+    assert cli.main(["qef", "--config", path]) == 0
+    _, rows = read_rows(tmp_path / "qef.csv")
+    # measured 2.3e-7, 9.7e-6 and 1.6e-4, as on the README oscillator
+    for row, tol in zip(rows, (1e-4, 1e-4, 5e-4)):
+        theta = float(row[0])
+        assert abs(float(row[5]) / math.exp(2.0 * theta) - 1.0) <= tol
+    assert cli.main(["eigen", "--config", path]) == 0
+    _, shooting = read_rows(tmp_path / "eigen_shooting.csv")
+    _, nystrom = read_rows(tmp_path / "eigen_nystrom.csv")
+    omega_1 = float(nystrom[0][1])
+    assert shooting and all(abs(float(s[1]) - float(w[1])) <= 2e-4 * omega_1
+                            for s, w in zip(shooting, nystrom))
+    assert cli.main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_oscillator_runs_eigen_and_refuses_qef(tmp_path, capsys):
+    # M = 0 leaves L with the rank-2 kernel J e^{2(s - t)J}, one pair at
+    # omega = T; without dissipation there is no invariant state
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["M"] = [[0.0, 0.0], [0.0, 0.0]]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["eigen", "--config", path]) == 0
+    _, shooting = read_rows(tmp_path / "eigen_shooting.csv")
+    _, nystrom = read_rows(tmp_path / "eigen_nystrom.csv")
+    assert len(shooting) == 1
+    assert float(shooting[0][1]) == pytest.approx(1.0, rel=1e-12)
+    assert float(nystrom[0][1]) == pytest.approx(1.0, rel=1e-12)
+    capsys.readouterr()
+    for command in ("qef", "validate"):
+        assert cli.main([command, "--config", path]) == 3
+        assert stderr_code(capsys) == "NotHurwitz"
 
 
 def test_validate_shares_draws_and_skips_supercritical(tmp_path):
@@ -780,18 +834,20 @@ def test_cli_run_never_imports_argparse(tmp_path):
 
 @pytest.mark.parametrize("command", ["eigen", "qef"])
 def test_nonfinite_hs_norm_is_one_json_error(tmp_path, capsys, command):
-    # at T = 1e300 the kernel quadrature gives a nan HS norm; this exited 2
-    # with NonpositiveOmega and a band of (nan, nan)
-    cfg = base_config(tmp_path)
-    cfg["oscillator"]["T"] = 1e300
-    path = write_config(tmp_path, cfg)
-    assert cli.main([command, "--config", path]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "InvalidParameter"
-    assert "oscillator.T" in err["message"] and "HS norm" in err["message"]
-    assert not any(tmp_path.glob("*.csv"))
+    # at T = 1e300 the kernel quadrature gives a nan HS norm, at T = 1e-300
+    # a zero one; either is an input error that names oscillator.T, where a
+    # band of (nan, nan) or (0.0, 0.0) would name no config field
+    for T in (1e300, 1e-300):
+        cfg = base_config(tmp_path)
+        cfg["oscillator"]["T"] = T
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidParameter"
+        assert "oscillator.T" in err["message"] and "HS norm" in err["message"]
+        assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])
@@ -804,6 +860,23 @@ def test_ragged_matrix_is_a_schema_violation(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "SchemaViolation",
                    "message": "oscillator/R: rows must all have the same length"}
+
+
+@pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])
+def test_asymmetric_R_is_one_json_error(tmp_path, capsys, command):
+    # with an asymmetric R, A = 2 Theta (R + M^T J M) describes no
+    # Hamiltonian: the spec is refused before any check or kernel work
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["R"] = [[1.0, 0.5], [0.0, 1.0]]
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "InvalidParameter",
+                                    "message": "R is not symmetric within tolerance"}
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_huge_theta_diverges_instead_of_overflowing(tmp_path):

@@ -70,6 +70,32 @@ def test_scan_refuses_a_broken_assembly(ctx, monkeypatch, defect):
         es.scan_eigenfrequencies(ctx, *default_band(ctx))
 
 
+def test_tail_check_holds_on_coarse_grids(osc_spec):
+    # the check's reference is the grid-free HS norm, which the real
+    # assembly meets to <= 5e-5 on every grid; the grid's hs_total is
+    # 3.6e-2 high on 2 x 4, so the check must not read it.  The coarse
+    # grid shows as a capture shortfall instead
+    ctx24 = kernels.make_context(osc_spec, quadrature.make_grid(1.0, panels=2, order=4))
+    assert es.scan_eigenfrequencies(ctx24, *default_band(ctx24))
+    with pytest.raises(CaptureUnreachable):
+        es.build_basis(ctx24, 0.99)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_basis_with_fewer_channels_than_variables(seed):
+    # m = 2 < n = 4 leaves mho = B J B^T singular; nothing in the pipeline
+    # reads it, and the bases are as clean as for m = n (measured <= 3.4e-6
+    # omega_1 from the Nystrom list)
+    ctx4 = kernels.make_context(random_hurwitz_spec(np.random.default_rng(seed), 4, m=2),
+                                quadrature.make_grid(1.0))
+    assert np.linalg.matrix_rank(ctx4.sys.mho) == 2
+    basis = es.build_basis(ctx4, 0.99)
+    assert basis.gram_max_dev <= 1e-8
+    nystrom = es.nystrom_oracle(ctx4).omegas
+    gaps = [np.min(np.abs(nystrom - w)) for w in basis.omegas]
+    assert max(gaps) <= 2e-4 * nystrom[0]
+
+
 def two_copy_spec():
     """Two identical decoupled copies of the README mode.
 

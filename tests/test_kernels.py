@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from qeflab import kernels, model, quadrature
-from qeflab.errors import GridMismatch, NonpositiveOmega, SingularMho
+from qeflab.errors import GridMismatch, NonpositiveOmega
 
 HS_GRID_FROZEN = 7.5470480014459196e-01
 FIRST_ROOT = 5.7465521633649530e-01
@@ -159,6 +159,35 @@ def test_hs_total_frozen_and_analytic(ctx):
     assert ctx.hs_total == pytest.approx(analytic, abs=3e-4)
 
 
+def composite_hs(ctx, panels=64, order=64):
+    """2 int_0^T (T - tau) ||e^{tau A} Theta||_F^2 dtau by a composite rule and scipy's expm."""
+    tau_grid = quadrature.make_grid(ctx.grid.T, panels, order)
+    tau, w = tau_grid.nodes, tau_grid.weights
+    lam = np.stack([scipy.linalg.expm(t * ctx.sys.A) for t in tau]) @ ctx.Theta
+    return 2.0 * float(np.sum(w * (ctx.grid.T - tau) * np.einsum('kij,kij->k', lam, lam)))
+
+
+def test_hs_exact_is_grid_free(osc_spec):
+    # the README closed form on every grid, where hs_total misses it by
+    # up to 0.3 on one panel of two nodes
+    analytic = (3.0 + np.exp(-4.0)) / 4.0
+    for panels, order in ((1, 2), (2, 4), (8, 16)):
+        c = kernels.make_context(osc_spec, quadrature.make_grid(1.0, panels, order))
+        assert c.hs_exact == pytest.approx(analytic, rel=1e-14)
+
+
+@pytest.mark.parametrize("T", [1.0, 8.0])
+@pytest.mark.parametrize("seed", [None, 7, 12])
+def test_hs_exact_matches_composite_rule(T, seed):
+    # squeezed and two random n = 4 specs (the stiff seed 12 reads 3.0e-9 at T = 8)
+    spec = squeezed_spec() if seed is None else random_hurwitz_spec(
+        np.random.default_rng(seed), 4)
+    spec = model.OscillatorSpec(n=spec.n, m=spec.m, Theta=spec.Theta, R=spec.R, M=spec.M,
+                                T=T, theta=0.0)
+    c = kernels.make_context(spec, quadrature.make_grid(T))
+    assert c.hs_exact == pytest.approx(composite_hs(c), rel=1e-8)
+
+
 def test_covariance_closed_form(ctx, state):
     blocks = kernels.covariance_on_grid(ctx, state.P0)
     nodes = ctx.grid.nodes
@@ -275,9 +304,3 @@ def test_bvp_determinant_vanishes_at_root(ctx):
     assert abs(delta(ctx, FIRST_ROOT)) <= 1e-8
     assert abs(delta(ctx, 0.31)) > 1e-4
 
-
-def test_make_context_requires_full_rank_coupling(osc_spec, grid):
-    bad = model.OscillatorSpec(n=2, m=2, Theta=osc_spec.Theta, R=osc_spec.R,
-                               M=np.zeros((2, 2)), T=1.0, theta=0.0)
-    with pytest.raises(SingularMho):
-        kernels.make_context(bad, grid)

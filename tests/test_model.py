@@ -24,7 +24,6 @@ def test_fixture_matrices_closed_form(osc_spec):
     assert np.allclose(sysm.mho, 4.0 * J2, atol=1e-14)
     assert np.allclose(sysm.J, J2, atol=0.0)
     assert sysm.hurwitz
-    assert not sysm.mho_singular
 
 
 def test_fixture_pr_residual(osc_spec):
@@ -146,6 +145,11 @@ def test_validate_rejects_bad_specs(osc_spec):
     bad = model.OscillatorSpec(n=2, m=2, Theta=J2.copy(), R=np.eye(2),
                                M=np.eye(4, 2), T=1.0, theta=0.0)
     with pytest.raises(InvalidParameter, match="m x n"):
+        model.validate_spec(bad)
+    # an asymmetric R gives an A that no Hamiltonian describes
+    bad = model.OscillatorSpec(n=2, m=2, Theta=J2.copy(), R=np.array([[1.0, 0.5], [0.0, 1.0]]),
+                               M=np.eye(2), T=1.0, theta=0.0)
+    with pytest.raises(InvalidParameter, match="R is not symmetric"):
         model.validate_spec(bad)
 
 
