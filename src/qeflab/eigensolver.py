@@ -9,20 +9,11 @@ f(t) = x(t) + B y(t), B = -(i/omega) Theta.  Writing f = phi + i psi,
 normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
 <phi, psi> = 0, which is what downstream consumers rely on.
 
-Roots are located by sampling ln |det E| over a frequency band and
-bracketing its local minima; the same call checks the assembly far
-above the spectrum.  A secant on the least-modulus eigenvalue of
-E(omega), whose zero stays simple at a semisimple double root of det E,
-refines all brackets together, one batched evaluation per step; a
-bracket stops when its step falls below 1e-12 relative or stops
-contracting at the rounding-noise floor.  A refined minimum is a root
-when E(omega) has singular values below 1e-8 sigma_max, whose right
-singular vectors are its kernel.  The depth of the minimum is not a
-criterion: deep in the tail |det E| is rounding noise.  The retained
-eigenpairs form the spectral basis, checked by its Gram matrix and its
-Mercer residual.  A dense Nystrom discretization K of L provides an
-independent oracle for the same eigenfrequencies, the square roots of
-the eigenvalues of K^T K.
+The dense Nystrom discretization of L lists every eigenfrequency in the
+right count, to the grid's accuracy; a batched secant on E(omega) refines
+each one it seeds, and a refined omega is a root when E(omega) has a
+kernel.  The retained eigenpairs form the spectral basis, checked by its
+Gram matrix and its Mercer residual.
 """
 
 from __future__ import annotations
@@ -41,12 +32,12 @@ from .errors import (
     RankCollapse,
     RefinementStalled,
 )
-from .kernels import BvpMatrices, KernelContext, apply_L, bvp_matrices, expm, weighted_matrix
+from .kernels import BvpMatrices, KernelContext, apply_L, bvp_matrices, expm
 from .quadrature import Grid
 
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
-ROOT_MERGE_RTOL = 1e-8
-DEFAULT_SAMPLES = 400
+ROOT_MERGE_RTOL = 1e-8      # seeds or roots this close (times max(1, omega)) are one
+SEED_OFFSET = 1e-7          # relative offset of each secant's first point below its seed
 REFINE_XTOL = 1e-12         # relative secant step at which refinement stops
 REFINE_NOISE_RTOL = 1e-6    # a relative step below this that does not contract is noise
 REFINE_STEPS = 30           # secant steps per bracket at most
@@ -121,60 +112,57 @@ def _least_eigenvalue(E: np.ndarray) -> np.ndarray:
     return np.take_along_axis(lam, np.argmin(np.abs(lam), axis=-1)[..., None], -1)[..., 0]
 
 
-def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float,
-                          samples: int = DEFAULT_SAMPLES) -> list[Root]:
-    """Locate and refine all roots of det E(omega) in [omega_min, omega_max].
+def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
+                          omega_max: float) -> list[Root]:
+    """Refine every Nystrom omega in [omega_min, omega_max] to a root of det E(omega).
 
-    Samples ln |det E| on a uniform frequency grid and brackets its
-    interior local minima.  The sample call also evaluates E at
-    omega_inf = TAIL_SCALE sqrt(hs_total / 2), far above every omega_k,
-    and raises DeterminantIdentityViolated unless ln Delta(omega_inf) =
+    Each distinct omega_N of ctx.nystrom_omegas (seeds within
+    ROOT_MERGE_RTOL max(1, omega) are one) starts a secant on
+    lambda(omega), the least-modulus eigenvalue of E(omega), which has a
+    simple zero even where det E has a semisimple double one.  The
+    secant starts from (omega_N (1 - SEED_OFFSET), omega_N), takes the
+    real part of each complex step and clips the iterate to halfway to
+    the neighbouring seeds (to half the bottom seed, to 1.5 the top
+    one); every step advances all unfinished seeds in one bvp_matrices
+    call.  The first call also evaluates E at omega_inf = TAIL_SCALE
+    sqrt(hs_total / 2), far above every omega_k, and raises
+    DeterminantIdentityViolated unless ln Delta(omega_inf) =
     ln |det E(omega_inf)| + T tr A matches -hs_exact / (2 omega_inf^2) to
     TAIL_IDENTITY_RTOL relative: a broken assembly of D(omega) or a
-    horizon the exponential cannot resolve, never a coarse grid.  Each
-    bracket is refined by a secant on lambda(omega), the least-modulus
-    eigenvalue of E(omega), which has a simple zero even where det E has
-    a semisimple double one.  The secant starts from the bracket's lowest sample and the
-    lower of its two neighbours, takes the real part of each complex
-    step and clips the iterate to the bracket; every step advances all
-    unfinished brackets in one bvp_matrices call.  A bracket stops when
-    its step falls below REFINE_XTOL relative, or at the noise floor,
-    when a step below REFINE_NOISE_RTOL relative is no shorter than the
-    one before (its last iterate is kept), and after REFINE_STEPS steps
-    at most.  A refined minimum is a root when E(omega) has singular
-    values below KERNEL_SV_RTOL sigma_max; their right singular vectors
-    are its kernel rows.
-    Returns roots in descending omega order.
-
-    On long horizons E(omega) loses its digits and minima with no Nystrom
-    partner pass this test too: 3 of the 11 roots certified on the README
-    oscillator at T = 8 (64x16 grid) lie over 3.3e-3 omega_1 from every
-    Nystrom omega.  Only build_basis's Gram gate stops them.
+    horizon the exponential cannot resolve, never a coarse grid.  A
+    secant stops when its step falls below REFINE_XTOL relative, or at
+    the noise floor, when a step below REFINE_NOISE_RTOL relative is no
+    shorter than the one before (its last iterate is kept), and after
+    REFINE_STEPS steps at most.  A refined omega is a root when E(omega)
+    has singular values below KERNEL_SV_RTOL sigma_max; their right
+    singular vectors are its kernel rows.  Returns roots in descending
+    omega order.  On long horizons E(omega) loses its digits, and only
+    build_basis's Gram gate stops the roots it then yields (README
+    oscillator at T = 4 and 8).
     """
-    if not (0.0 < omega_min < omega_max):
-        raise NonpositiveOmega(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
-    if samples < 3:
-        raise InvalidParameter(f"eigen.samples must be at least 3, got {samples}")
-    ws = np.linspace(omega_min, omega_max, samples)
+    if not (0.0 < omega_min <= omega_max):
+        raise NonpositiveOmega(f"need 0 < omega_min <= omega_max, got ({omega_min}, {omega_max})")
+    s = ctx.nystrom_omegas
+    s = s[np.append(True, s[:-1] - s[1:] > ROOT_MERGE_RTOL * np.maximum(1.0, s[:-1]))]
+    half = 0.5 * np.append(s[:-1] - s[1:], s[-1:])           # to the next seed down, or 0
+    band = (s >= omega_min) & (s <= omega_max)
+    lo, hi = (s - half)[band], (s + np.append(0.5 * s[:1], half[:-1]))[band]
+    x1 = s[band]
+    x0 = x1 * (1.0 - SEED_OFFSET)
     omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
-    E = bvp_matrices(ctx, np.append(ws, omega_inf)).E
-    logs = np.linalg.slogdet(E)[1]
+    E = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]])).E
     # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2
     want = -ctx.hs_exact / (2.0 * omega_inf ** 2)
-    rel = abs((logs[-1] + ctx.grid.T * np.trace(ctx.sys.A)) / want - 1.0)
+    rel = abs((np.linalg.slogdet(E[-1])[1] + ctx.grid.T * np.trace(ctx.sys.A)) / want - 1.0)
     if not rel <= TAIL_IDENTITY_RTOL:
         raise DeterminantIdentityViolated(
             f"ln Delta({omega_inf:.4g}) deviates from -||L||^2_HS / (2 omega^2) by {rel:.3e} "
             "relative")
-    E, logs = E[:-1], logs[:-1]
-    i = np.flatnonzero((logs[1:-1] < logs[:-2]) & (logs[1:-1] <= logs[2:])) + 1
-    j = np.where(logs[i - 1] <= logs[i + 1], i - 1, i + 1)
-    lo, hi = ws[i - 1], ws[i + 1]
-    x0, x1 = ws[j], ws[i]
-    lam0, lam1 = _least_eigenvalue(E[j]), _least_eigenvalue(E[i])
-    last = np.abs(x1 - x0)
+    lam = _least_eigenvalue(E[:-1])
+    lam0, lam1 = lam[:x1.size], lam[x1.size:]
+    last = np.full(x1.size, np.inf)               # the offset start is no step to judge
     omegas = x1.copy()
-    live = np.arange(i.size)                      # brackets still refining
+    live = np.arange(x1.size)                     # seeds still refining
     for _ in range(REFINE_STEPS):
         with np.errstate(divide='ignore', invalid='ignore'):
             step = np.real(lam1 * (x1 - x0) / (lam1 - lam0))
@@ -197,11 +185,12 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float, omega_max: float
         bvp = bvp_matrices(ctx, w)
         _, sv, Vh = np.linalg.svd(bvp.E)          # ker E(w) by singular values, one row each
         kernel = Vh[np.flatnonzero(sv < KERNEL_SV_RTOL * sv[0])].conj()
-        if len(kernel):                           # a minimum without a kernel is no root
+        if len(kernel):                           # a refined omega without a kernel is no root
             out.append(Root(omega=w, kernel=kernel, bvp=bvp))
     if not out:
         raise NoRootsFound(
-            f"no refined minimum of |det E| in [{omega_min}, {omega_max}] has a kernel")
+            f"no Nystrom omega in [{omega_min}, {omega_max}] refines to a root of det E "
+            "with a kernel")
     return out[::-1]
 
 
@@ -283,14 +272,10 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
 def nystrom_oracle(ctx: KernelContext) -> NystromResult:
     """Spectrum of the weight-symmetrized dense discretization of L.
 
-    K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)] is real antisymmetric, so one
-    real eigvalsh of K^T K = -K^2 gives each omega^2 twice; only rounding
-    leaves nonpositive ones.  An omega is off by about eps omega_1^2 / omega.
+    Reads ctx.nystrom_omegas, the one eigvalsh per context that also
+    seeds the root scan.
     """
-    K = weighted_matrix(ctx.grid, ctx.lambda_grid)
-    K = 0.5 * (K - K.T)
-    squares = np.linalg.eigvalsh(K.T @ K)[::-2]
-    omegas = np.sqrt(squares[squares > 0.0])
+    omegas = ctx.nystrom_omegas
     return NystromResult(eigenvalues=np.concatenate([-omegas, omegas[::-1]]), omegas=omegas)
 
 
@@ -312,22 +297,18 @@ def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     return float(w @ (diff * diff) @ w)
 
 
-def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
-                omega_min: float | None = None, omega_max: float | None = None,
-                samples: int = DEFAULT_SAMPLES) -> SpectralBasis:
-    """Scan the band, retain dominant modes until the HS capture is met.
+def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralBasis:
+    """Refine the dominant Nystrom modes, retain them until the HS capture is met.
 
-    Each retained eigenpair contributes 2 omega_k^2 toward hs_captured;
-    the default band upper edge uses the Hilbert-Schmidt bound
-    omega_1 <= sqrt(hs_total / 2).  The default lower edge stays a factor
-    10 below that: deeper tail roots certify by their kernels too, but
-    moving the edge moves every sample point and so the last bits of
-    every omega, and their 2 omega^2 weight is negligible.  Raises
-    CaptureUnreachable when the band does not hold enough spectrum;
-    widen it explicitly in that case.  Raises RefinementStalled when the
-    retained eigenfunctions are not orthonormal: their Gram matrix must
-    equal I/2 to GRAM_ATOL.  Raises InvalidParameter unless 0 < hs_total
-    < inf, as for a horizon T far beyond the kernel's decay or near 0.
+    Each retained eigenpair contributes 2 omega_k^2 toward hs_captured.
+    The scan seeds the shortest prefix of ctx.nystrom_omegas whose
+    2 sum omega^2 reaches the target capture_fraction hs_total plus
+    hs_total - hs_exact, by which that list (summing to hs_total) can
+    overstate the roots, but not past hs_exact, the sum of all roots.
+    Raises CaptureUnreachable when the roots capture less than the
+    target, RefinementStalled when the retained eigenfunctions' Gram
+    matrix is not I/2 to GRAM_ATOL, and InvalidParameter unless
+    0 < hs_total < inf, as for a horizon T far beyond the kernel's decay.
     """
     if not 0.0 < capture_fraction < 1.0:
         raise InvalidParameter(
@@ -337,14 +318,14 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
         raise InvalidParameter(
             f"the squared HS norm of L is {hs_total} on the grid of oscillator.T = "
             f"{ctx.grid.T:g}: the kernel quadrature leaves the double range")
-    if omega_max is None:
-        omega_max = 1.05 * float(np.sqrt(hs_total / 2.0))
-    if omega_min is None:
-        omega_min = omega_max / 10.0
+    target = capture_fraction * hs_total
+    reach = min(target + max(0.0, hs_total - ctx.hs_exact), ctx.hs_exact)
+    seeds = ctx.nystrom_omegas
+    last = min(int(np.searchsorted(np.cumsum(2.0 * seeds ** 2), reach)), seeds.size - 1)
     try:
-        roots = scan_eigenfrequencies(ctx, omega_min, omega_max, samples)
+        roots = scan_eigenfrequencies(ctx, seeds[last], seeds[0])
     except NoRootsFound as exc:
-        raise CaptureUnreachable(f"no eigenfrequencies found in the band: {exc}") from exc
+        raise CaptureUnreachable(f"no eigenfrequencies found: {exc}") from exc
 
     pairs: list[EigenPair] = []
     for root in roots:
@@ -353,7 +334,6 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
 
     captured = 0.0
     retained: list[EigenPair] = []
-    target = capture_fraction * hs_total
     for p in pairs:
         retained.append(p)
         captured += 2.0 * p.omega ** 2
@@ -361,9 +341,9 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99, *,
             break
     if captured < target:
         raise CaptureUnreachable(
-            f"band [{omega_min:.3g}, {omega_max:.3g}] captures only "
-            f"{captured / hs_total:.4f} of the HS norm (target {capture_fraction}); "
-            "lower omega_min or raise samples")
+            f"the {len(roots)} roots refined from the leading {last + 1} Nystrom omegas "
+            f"capture only {captured / hs_total:.4f} of the HS norm (target "
+            f"{capture_fraction}); refine the grid or lower eigen.capture_fraction")
 
     basis = SpectralBasis(
         pairs=tuple(retained), hk=np.stack([np.stack([p.phi, p.psi], -1) for p in retained]),

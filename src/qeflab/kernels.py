@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveOmega
+from .errors import GridMismatch, NonpositiveOmega, OverflowDominated
 from .model import OscillatorSpec, SystemMatrices, build_system
 from .quadrature import Grid
 
@@ -82,8 +82,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 class KernelContext:
     """Immutable bundle of system matrices and quadrature grid.
 
-    Grid evaluations of the commutator kernel are cached lazily;
-    everything else is cheap to recompute.
+    Grid evaluations of the commutator kernel and its Nystrom spectrum
+    are cached lazily; everything else is cheap to recompute.
     """
 
     def __init__(self, sysm: SystemMatrices, Theta: np.ndarray, grid: Grid):
@@ -106,6 +106,18 @@ class KernelContext:
     def lambda_grid(self) -> np.ndarray:
         """Commutator kernel at all node pairs, shape (N, N, n, n): a view of lambda_matrix."""
         return _block_view(self.lambda_matrix, self.n)
+
+    @cached_property
+    def nystrom_omegas(self) -> np.ndarray:
+        """Positive omegas of K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)], descending.
+
+        K is real antisymmetric: one eigvalsh of K^T K = -K^2 gives each
+        omega^2 twice, off by a few eps omega_1^2, and 2 sum omega^2 = hs_total.
+        """
+        K = weighted_matrix(self.grid, self.lambda_grid)
+        K = 0.5 * (K - K.T)
+        squares = np.linalg.eigvalsh(K.T @ K)[::-2]
+        return np.sqrt(squares[squares > 0.0])
 
     @cached_property
     def hs_total(self) -> float:
@@ -239,7 +251,8 @@ def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
     E(omega) the lower-right n x n block of e^{T D(omega)}.  omega is a
     positive scalar or an array of positive frequencies; the array's
     shape leads both results, D of shape (*shape, 2n, 2n) and E of shape
-    (*shape, n, n), so a whole frequency scan is one call.
+    (*shape, n, n), so a whole frequency scan is one call.  Raises
+    OverflowDominated when E leaves the double range (T ||A|| of hundreds).
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(omega > 0.0):
@@ -252,4 +265,9 @@ def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
     D[..., :n, n:] = B @ B
     D[..., n:, :n] = -np.eye(n)
     D[..., n:, n:] = -A.T - B
-    return BvpMatrices(D=D, E=expm(ctx.grid.T * D)[..., n:, n:])
+    with np.errstate(over='ignore', invalid='ignore'):      # E is tested instead
+        E = expm(ctx.grid.T * D)[..., n:, n:]
+    if not np.isfinite(E).all():
+        raise OverflowDominated(f"E(omega) leaves the double range at oscillator.T = "
+                                f"{ctx.grid.T:g} with ||A|| = {np.linalg.norm(A, 2):.4g}")
+    return BvpMatrices(D=D, E=E)

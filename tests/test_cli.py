@@ -271,6 +271,21 @@ def test_model_check_fixture(tmp_path):
     assert all(r[-1] == "pass" for r in rows)
 
 
+def test_model_check_reports_a_failing_abscissa(tmp_path, capsys):
+    # a closed oscillator (M = 0) has A = 2J, not Hurwitz: model.csv still
+    # lists the realizability row and the failing abscissa, and leaves out
+    # the CCR recovery and ALE rows, which need a Hurwitz A
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["M"] = [[0.0, 0.0], [0.0, 0.0]]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["model-check", "--config", path]) == 3
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(tmp_path / "model.csv")
+    assert [(r[0], r[-1]) for r in rows] == [("pr_residual_rel", "pass"),
+                                             ("spectral_abscissa", "fail")]
+    assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_model_check_singular_theta(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["oscillator"]["Theta"] = [[0.0, 0.0], [0.0, 0.0]]
@@ -297,12 +312,25 @@ def test_eigen_outputs(tmp_path):
     assert len(gram) == 36
 
 
-def test_eigen_empty_band(tmp_path, capsys):
+def test_eigen_capture_shortfall(tmp_path, capsys):
+    # the roots sum to hs_exact, 0.999833 of the 8 x 16 grid's hs_total
     cfg = base_config(tmp_path)
-    cfg["eigen"].update(omega_min=0.6, omega_max=0.65)
+    cfg["eigen"]["capture_fraction"] = 0.9999
     path = write_config(tmp_path, cfg)
     assert cli.main(["eigen", "--config", path]) == 3
     assert stderr_code(capsys) == "CaptureUnreachable"
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [("omega_min", 0.05), ("omega_max", 0.7),
+                                        ("samples", 400)])
+def test_removed_eigen_fields_are_schema_violations(tmp_path, capsys, key, value):
+    # the Nystrom spectrum seeds the roots: no band or sample count is read
+    cfg = base_config(tmp_path)
+    cfg["eigen"][key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["eigen", "--config", path]) == 2
+    assert stderr_code(capsys) == "SchemaViolation"
 
 
 def test_qef_rows(tmp_path):
@@ -401,6 +429,32 @@ def test_fewer_channels_than_variables_run_end_to_end(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("system", ["readme", "squeezed"])
+def test_horizon_two_runs_end_to_end(tmp_path, capsys, system):
+    # T = 2 on 8 x 16: the Nystrom seeds refine to the 5 roots a 0.99
+    # capture needs; README's xi is 1.8e-7, 8.1e-6 and 1.4e-4 from e^{theta T}
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = 2.0
+    if system == "squeezed":
+        cfg["oscillator"].update(R=[[1.0, 0.3], [0.3, 2.0]], M=[[1.0, 0.5], [0.2, 1.0]])
+    cfg["qef"]["theta_list"] = [0.1, 0.348, 0.87]
+    cfg["mc"] = {"samples": 20000, "seed": 0, "batch": 100}
+    path = write_config(tmp_path, cfg)
+    for command in ("eigen", "qef", "validate"):
+        assert cli.main([command, "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    _, shooting = read_rows(tmp_path / "eigen_shooting.csv")
+    _, nystrom = read_rows(tmp_path / "eigen_nystrom.csv")
+    omega_1 = float(nystrom[0][1])
+    assert len(shooting) == 5
+    assert all(abs(float(s[1]) - float(w[1])) <= 2e-4 * omega_1
+               for s, w in zip(shooting, nystrom))
+    if system == "readme":
+        _, rows = read_rows(tmp_path / "qef.csv")
+        for row in rows:
+            assert abs(float(row[5]) / math.exp(2.0 * float(row[0])) - 1.0) <= 1e-3
+
+
 def test_closed_oscillator_runs_eigen_and_refuses_qef(tmp_path, capsys):
     # M = 0 leaves L with the rank-2 kernel J e^{2(s - t)J}, one pair at
     # omega = T; without dissipation there is no invariant state
@@ -441,7 +495,6 @@ def test_validate_shares_draws_and_skips_supercritical(tmp_path):
     ("oscillator", "m", 2, "model-check"),
     ("grid", "panels", 8, "qef"),
     ("grid", "nodes_per_panel", 16, "eigen"),
-    ("eigen", "samples", 400, "eigen"),
     ("mc", "samples", 400, "validate"),
     ("mc", "batch", 20, "validate"),
     ("mc", "seed", 11, "validate"),
@@ -533,12 +586,13 @@ def test_one_closed_form_pass_per_run(tmp_path, monkeypatch, command):
 ], ids=["qef-no-qef", "validate-no-qef", "validate-no-mc", "validate-bad-mc"])
 def test_config_errors_come_before_numeric_work(tmp_path, capsys, command, section, change,
                                                error):
-    # omega_max = 0.3 leaves the band short of the capture (exit 3), but a
-    # missing or invalid section the command reads is a config error first
+    # a capture above hs_exact / hs_total = 0.999833 fails the basis (exit
+    # 3), but a missing or invalid section the command reads is a config
+    # error first
     cfg = copy.deepcopy(README_CONFIG)
-    cfg["eigen"]["omega_max"] = 0.3
+    cfg["eigen"]["capture_fraction"] = 0.9999
     cfg["output_dir"] = str(tmp_path)
-    assert cli.main([command, "--config", write_config(tmp_path, cfg, "band.json")]) == 3
+    assert cli.main([command, "--config", write_config(tmp_path, cfg, "capture.json")]) == 3
     assert stderr_code(capsys) == "CaptureUnreachable"
     if change is None:
         del cfg[section]
@@ -729,9 +783,10 @@ def test_broken_assembly_is_one_json_error(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.glob("*.csv"))
 
 
-def test_long_horizon_squeezed_eigen_is_capture_unreachable(tmp_path, capsys):
-    # squeezed oscillator at T = 4: the scan certifies the band's roots by
-    # their kernels, and the band's shortfall (0.978 captured) ends the run
+def test_long_horizon_squeezed_eigen_is_refinement_stalled(tmp_path, capsys):
+    # squeezed oscillator at T = 4: the Nystrom seeds refine to roots that
+    # certify by their kernels, but their eigenfunctions are not
+    # orthonormal (Gram deviation 8.1e-7), and the Gram gate ends the run
     cfg = base_config(tmp_path)
     cfg["oscillator"].update(R=[[1.0, 0.3], [0.3, 2.0]], M=[[1.0, 0.5], [0.2, 1.0]], T=4.0)
     cfg["grid"] = {"panels": 32, "nodes_per_panel": 16}
@@ -739,7 +794,32 @@ def test_long_horizon_squeezed_eigen_is_capture_unreachable(tmp_path, capsys):
     assert cli.main(["eigen", "--config", path]) == 3
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "CaptureUnreachable"
+    err = json.loads(lines[0])
+    assert err["error"] == "RefinementStalled"
+    assert "Gram deviates" in err["message"]
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("T, error", [(400.0, "OverflowDominated"),
+                                      (200.0, "DeterminantIdentityViolated")])
+def test_horizon_beyond_the_exponential_is_one_json_error(tmp_path, capsys, T, error):
+    # README oscillator on 2 x 4: at T = 400, e^{T D(omega)} overflows, and
+    # numpy's overflow warnings must not reach stderr beside the JSON line;
+    # at T = 200, E stays finite but wrong, and the tail check misses by 4.2e-2
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = T
+    cfg["grid"] = {"panels": 2, "nodes_per_panel": 4}
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["eigen", "--config", path]) == 3
+    err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == error
+    if T == 400.0:
+        assert "oscillator.T = 400" in payload["message"] and "||A|| = 2.828" in payload["message"]
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):

@@ -37,7 +37,7 @@ SQUEEZED_ROOTS_FROZEN = (6.339011479288987e-01, 1.8865706645488806e-01,
 
 
 def test_scan_finds_certified_roots(ctx):
-    roots = es.scan_eigenfrequencies(ctx, 0.06, 0.65, samples=400)
+    roots = es.scan_eigenfrequencies(ctx, 0.06, 0.65)
     assert len(roots) == 3
     omegas = [r.omega for r in roots]
     assert omegas == sorted(omegas, reverse=True)
@@ -49,22 +49,20 @@ def test_scan_finds_certified_roots(ctx):
 
 def test_scan_input_validation(ctx):
     with pytest.raises(NonpositiveOmega):
-        es.scan_eigenfrequencies(ctx, -0.1, 0.5, samples=50)
+        es.scan_eigenfrequencies(ctx, -0.1, 0.5)
     with pytest.raises(NonpositiveOmega):
-        es.scan_eigenfrequencies(ctx, 0.5, 0.1, samples=50)
-    with pytest.raises(InvalidParameter, match="eigen.samples must be at least 3, got 2"):
-        es.scan_eigenfrequencies(ctx, 0.1, 0.5, samples=2)
+        es.scan_eigenfrequencies(ctx, 0.5, 0.1)
 
 
 def test_scan_empty_band_raises(ctx):
     with pytest.raises(NoRootsFound):
-        es.scan_eigenfrequencies(ctx, 0.60, 0.65, samples=60)
+        es.scan_eigenfrequencies(ctx, 0.60, 0.65)
 
 
 @pytest.mark.parametrize("defect", ["transpose", "sign"])
 def test_scan_refuses_a_broken_assembly(ctx, monkeypatch, defect):
-    # ln Delta far above the spectrum misses -hs_total / (2 omega^2) by
-    # 0.34 (A for A^T) and 2.0 (-B^2), against 1.3e-4 for the real assembly
+    # ln Delta far above the spectrum misses -hs_exact / (2 omega^2) by
+    # 0.34 (A for A^T) and 2.0 (-B^2), against <= 4.9e-5 for the real assembly
     monkeypatch.setattr(es, "bvp_matrices", planted_bvp_matrices(defect))
     with pytest.raises(DeterminantIdentityViolated, match="deviates"):
         es.scan_eigenfrequencies(ctx, *default_band(ctx))
@@ -106,25 +104,20 @@ def two_copy_spec():
 
 
 def default_band(ctx):
-    """build_basis's default band [omega_max / 10, omega_max]."""
+    """[omega_max / 10, omega_max], omega_max = 1.05 sqrt(hs_total / 2) above every omega."""
     omega_max = 1.05 * float(np.sqrt(ctx.hs_total / 2.0))
     return omega_max / 10.0, omega_max
 
 
 def test_deep_tail_root_is_certified_by_its_kernel(ctx):
-    # |det E|/|det G| at this README root is rounding noise (0.0 at 80
-    # samples, 3.1e-7 at 400) while E has a clean kernel: the scan must
-    # certify it either way, to the Nystrom omega and the eigenpair equation
+    # |det E|/|det G| at this README root is rounding noise while E has a
+    # clean kernel: the scan must certify it, to the Nystrom omega and the
+    # eigenpair equation
     nystrom = es.nystrom_oracle(ctx).omegas
-    omegas = []
-    for samples in (80, 400):
-        roots = es.scan_eigenfrequencies(ctx, 0.02, 0.03, samples)
-        assert [r.multiplicity for r in roots] == [1]
-        omega = roots[0].omega
-        assert np.min(np.abs(nystrom - omega)) <= 2e-4 * nystrom[0]
-        assert es.eigenfunction_from_root(ctx, roots[0])[0].bvp_residual <= 1e-4
-        omegas.append(omega)
-    assert omegas[0] == pytest.approx(omegas[1], abs=1e-9)
+    roots = es.scan_eigenfrequencies(ctx, 0.02, 0.03)
+    assert [r.multiplicity for r in roots] == [1]
+    assert np.min(np.abs(nystrom - roots[0].omega)) <= 2e-4 * nystrom[0]
+    assert es.eigenfunction_from_root(ctx, roots[0])[0].bvp_residual <= 1e-4
 
 
 def readme_T4_ctx():
@@ -134,8 +127,8 @@ def readme_T4_ctx():
 
 
 def test_long_horizon_scan_finds_every_band_root():
-    # README oscillator at T = 4: the default band holds six Nystrom
-    # omegas, and each must come back as a certified root
+    # README oscillator at T = 4: the band holds six Nystrom omegas, and
+    # each must come back as a certified root
     ctx = readme_T4_ctx()
     lo, hi = default_band(ctx)
     nystrom = es.nystrom_oracle(ctx).omegas
@@ -159,31 +152,29 @@ def counting_bvp_calls(monkeypatch):
 
 
 def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
-    # one call samples the band, each secant step is one call for all
-    # brackets (4 here), and each root adds one kernel-dimension check
+    # one call starts every seed's secant, each secant step is one call for
+    # all seeds (3 here), and each root adds one kernel-dimension check
     calls = counting_bvp_calls(monkeypatch)
     roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
     assert len(calls) <= 12
     assert calls.count(()) == len(roots)
 
 
-@pytest.mark.parametrize("case, most", [("two_copy", 12), ("tail80", 12), ("tail400", 12),
-                                        ("readme_T4", 24)])
+@pytest.mark.parametrize("case, most", [("two_copy", 12), ("tail", 12), ("readme_T4", 24)])
 def test_scan_stops_in_few_batched_calls(case, most, ctx, grid, monkeypatch):
     # a double root, the deep tail (where |det E| is rounding noise) and
-    # T = 4 (where the secant's noise floor, 1e-10 relative, lies above
-    # REFINE_XTOL) each take few calls: 7, 6, 6 and 17; at T = 4, stepping
-    # on to the 30-step cap instead of stopping at the floor makes 37
+    # T = 4 each take few calls: 6, 6 and 15 (the six T = 4 secants meet
+    # REFINE_XTOL within 8 steps)
     if case == "two_copy":
         c = kernels.make_context(two_copy_spec(), grid)
-        band, samples = default_band(c), es.DEFAULT_SAMPLES
+        band = default_band(c)
     elif case == "readme_T4":
         c = readme_T4_ctx()
-        band, samples = default_band(c), es.DEFAULT_SAMPLES
+        band = default_band(c)
     else:
-        c, band, samples = ctx, (0.02, 0.03), int(case[4:])
+        c, band = ctx, (0.02, 0.03)
     calls = counting_bvp_calls(monkeypatch)
-    roots = es.scan_eigenfrequencies(c, *band, samples)
+    roots = es.scan_eigenfrequencies(c, *band)
     assert len(calls) <= most
     assert calls.count(()) == len(roots)
 
@@ -224,6 +215,15 @@ def test_degenerate_roots(grid):
     basis = es.build_basis(ctx4, 0.97)
     assert [p.multiplicity for p in basis.pairs] == [2, 2, 2, 2]
     assert basis.omegas == pytest.approx(np.repeat(ROOTS_FROZEN[:2], 2), rel=1e-9)
+    assert basis.gram_max_dev <= 1e-12
+
+
+def test_two_copy_basis_reaches_the_default_capture(grid):
+    # the two copies' 0.99 needs the third double root, 0.0785, far below
+    # sqrt(hs_total / 2) of the doubled HS norm
+    basis = es.build_basis(kernels.make_context(two_copy_spec(), grid), 0.99)
+    assert [p.multiplicity for p in basis.pairs] == [2] * 6
+    assert basis.omegas == pytest.approx(np.repeat(ROOTS_FROZEN, 2), rel=1e-9)
     assert basis.gram_max_dev <= 1e-12
 
 
@@ -439,14 +439,10 @@ def test_build_basis_validation(ctx):
 
 
 def test_build_basis_capture_unreachable(ctx):
-    # the default band certifies ~0.9927; asking for more must fail loudly
-    with pytest.raises(CaptureUnreachable):
-        es.build_basis(ctx, 0.999)
-
-
-def test_build_basis_empty_band_reports_capture_unreachable(ctx):
-    with pytest.raises(CaptureUnreachable):
-        es.build_basis(ctx, 0.5, omega_min=0.6, omega_max=0.65)
+    # the roots sum to hs_exact, 0.999833 of the grid's hs_total on 8 x 16:
+    # asking for more must fail loudly
+    with pytest.raises(CaptureUnreachable, match="capture only"):
+        es.build_basis(ctx, 0.9999)
 
 
 def test_stack_and_gram_shapes(basis):

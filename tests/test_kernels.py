@@ -239,8 +239,9 @@ def delta(ctx, omega):
 @pytest.mark.parametrize("system", ["readme", "squeezed", "random4"])
 def test_bvp_determinant_matches_companion(ctx, grid, system):
     # the x/y system's det E e^{T tr A} against det E_c / det G(T) of the
-    # companion form, which needs mho^-1 and Theta^-1, at 50 omega of the
-    # default band; near a root both sides keep only their absolute
+    # companion form, which needs mho^-1 and Theta^-1, at 50 omega of
+    # [omega_max / 10, omega_max], omega_max just above the HS bound on
+    # omega_1; near a root both sides keep only their absolute
     # rounding, so the misfit is measured against the band's largest
     # |Delta| (7.8e-13 README, 4.1e-13 squeezed, 7.6e-14 random4; near the
     # README roots the companion form is itself up to 1.8e-12 relative off
