@@ -17,7 +17,7 @@ from .eigensolver import (
 )
 from .errors import QeflabError
 from .fock import TruncatedPair, build_pair, lhs_exponential, rhs_average, verify_ode
-from .kernels import KernelContext, apply_L, bvp_matrices, make_context
+from .kernels import KernelContext, bvp_matrices, make_context
 from .mc import McConfig, McEstimate, QefMcResult, estimate_qef_mc
 from .model import OscillatorSpec, SystemMatrices, build_system, recover_ccr, solve_state_ale
 from .qef import QefReport, compute_C, compute_qef, find_critical_theta
@@ -41,7 +41,6 @@ __all__ = [
     "SpectralBasis",
     "SystemMatrices",
     "TruncatedPair",
-    "apply_L",
     "build_basis",
     "build_pair",
     "build_qkl",

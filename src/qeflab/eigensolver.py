@@ -12,7 +12,7 @@ normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
 The dense Nystrom discretization of L lists every eigenfrequency in the
 right count, to the grid's accuracy; a batched secant on E(omega) refines
 each one it seeds, and a refined omega is a root when E(omega) has a
-kernel.  The retained eigenpairs form the spectral basis, checked by its
+kernel; a seed without a root of its own is an error.  The retained eigenpairs form the spectral basis, checked by its
 Gram matrix and its Mercer residual.
 """
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import quadrature
 from .errors import (
     CaptureUnreachable,
     DeterminantIdentityViolated,
@@ -32,7 +31,7 @@ from .errors import (
     RankCollapse,
     RefinementStalled,
 )
-from .kernels import BvpMatrices, KernelContext, apply_L, bvp_matrices, expm
+from .kernels import BvpMatrices, KernelContext, bvp_matrices, expm
 from .quadrature import Grid
 
 KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
@@ -66,9 +65,9 @@ class EigenPair:
 
     phi and psi are the real and imaginary parts of f, sampled at the
     quadrature nodes, and y0 is the unit kernel vector of E(omega) that
-    starts f.  bvp_residual is the quadrature-route residual
-    ||apply_L(f) - i omega f|| (independent of the shooting propagation);
-    boundary_residual is ||E(omega) y0||.
+    starts f.  bvp_residual is the Nystrom residual ||K y - i omega y||_2
+    of y = sqrt(w) f, K = ctx.nystrom_matrix (independent of the shooting
+    propagation); boundary_residual is ||E(omega) y0||.
     """
 
     omega: float
@@ -136,8 +135,11 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     REFINE_STEPS steps at most.  A refined omega is a root when E(omega)
     has singular values below KERNEL_SV_RTOL sigma_max; their right
     singular vectors are its kernel rows.  Returns roots in descending
-    omega order.  On long horizons E(omega) loses its digits, and only
-    build_basis's Gram gate stops the roots it then yields (README
+    omega order, one per seed: a seed whose refined omega has no kernel,
+    or lands within ROOT_MERGE_RTOL max(1, omega) of another seed's,
+    raises RefinementStalled naming both, and a band without a seed
+    raises NoRootsFound.  On long horizons E(omega) loses its digits, and
+    only build_basis's Gram gate stops the roots it then yields (README
     oscillator at T = 4 and 8).
     """
     if not (0.0 < omega_min <= omega_max):
@@ -146,8 +148,10 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     s = s[np.append(True, s[:-1] - s[1:] > ROOT_MERGE_RTOL * np.maximum(1.0, s[:-1]))]
     half = 0.5 * np.append(s[:-1] - s[1:], s[-1:])           # to the next seed down, or 0
     band = (s >= omega_min) & (s <= omega_max)
+    if not band.any():
+        raise NoRootsFound(f"no Nystrom omega in [{omega_min}, {omega_max}]")
     lo, hi = (s - half)[band], (s + np.append(0.5 * s[:1], half[:-1]))[band]
-    x1 = s[band]
+    seeds = x1 = s[band]
     x0 = x1 * (1.0 - SEED_OFFSET)
     omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
     E = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]])).E
@@ -179,18 +183,20 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
         lam1 = _least_eigenvalue(bvp_matrices(ctx, x1).E)
 
     out: list[Root] = []
-    for w in sorted(omegas.tolist()):
+    for i in range(seeds.size - 1, -1, -1):       # ascending, as the seeds' brackets are
+        w = float(omegas[i])
         if out and abs(w - out[-1].omega) <= ROOT_MERGE_RTOL * max(1.0, w):
-            continue
+            raise RefinementStalled(
+                f"the Nystrom seeds {seeds[i + 1]:.10g} and {seeds[i]:.10g} both refine to "
+                f"omega = {w:.10g}")
         bvp = bvp_matrices(ctx, w)
         _, sv, Vh = np.linalg.svd(bvp.E)          # ker E(w) by singular values, one row each
         kernel = Vh[np.flatnonzero(sv < KERNEL_SV_RTOL * sv[0])].conj()
-        if len(kernel):                           # a refined omega without a kernel is no root
-            out.append(Root(omega=w, kernel=kernel, bvp=bvp))
-    if not out:
-        raise NoRootsFound(
-            f"no Nystrom omega in [{omega_min}, {omega_max}] refines to a root of det E "
-            "with a kernel")
+        if not len(kernel):
+            raise RefinementStalled(
+                f"the Nystrom seed {seeds[i]:.10g} refines to omega = {w:.10g}, where E(omega) "
+                "has no kernel")
+        out.append(Root(omega=w, kernel=kernel, bvp=bvp))
     return out[::-1]
 
 
@@ -257,12 +263,15 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
             "dependent")
     coef = np.linalg.inv(C).conj().T / scale[:, None]        # S^{-1} C^{-H}
     f, y0s = f @ coef, root.kernel.T @ coef
+    K, sw = ctx.nystrom_matrix, np.sqrt(grid.weights)[:, None]
     pairs = []
     for j in range(root.multiplicity):
         phase = _canonical_phase(y0s[:, j])
         fj = f[..., j] * phase
         y0 = y0s[:, j] * (phase / np.linalg.norm(y0s[:, j]))
-        lres = quadrature.norm(grid, apply_L(ctx, fj) - 1j * omega * fj)
+        # the real K acts on the real and imaginary parts apart, with no complex copy
+        y = (sw * fj).reshape(-1)
+        lres = float(np.linalg.norm(K @ y.real + 1j * (K @ y.imag) - 1j * omega * y))
         pairs.append(EigenPair(omega=omega, y0=y0, phi=fj.real.copy(), psi=fj.imag.copy(),
                                multiplicity=root.multiplicity, bvp_residual=lres,
                                boundary_residual=float(np.linalg.norm(root.bvp.E @ y0))))
@@ -285,16 +294,18 @@ def basis_gram(basis: SpectralBasis) -> np.ndarray:
 
 
 def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
-    """Mean-square misfit of the truncated kernel expansion over the grid."""
-    hk = basis.hk
+    """Mean-square misfit of the truncated kernel expansion over the grid.
+
+    ||K - K_r||_F^2, K_r the Nystrom matrix of sum_k 2 omega_k h_k(s) bj h_k(t)^T,
+    as one rank-2r product; bj maps (phi, psi) to (-psi, phi).
+    """
+    hk = basis.hk * np.sqrt(ctx.grid.weights)[:, None, None]            # sqrt(w) h_k
     N, n = ctx.grid.size, ctx.n
-    # sum_k 2 omega_k h_k(s) bj h_k(t)^T as one rank-2r product; bj maps (phi, psi) to (-psi, phi)
     R = hk.transpose(1, 2, 0, 3).reshape(N * n, -1)                       # (N n, 2r)
     left = 2.0 * basis.omegas[:, None, None, None] * np.stack([-hk[..., 1], hk[..., 0]], axis=-1)
     L = left.transpose(1, 2, 0, 3).reshape(N * n, -1)
-    diff = ctx.lambda_matrix - L @ R.T                                    # node-major
-    w = np.repeat(ctx.grid.weights, n)
-    return float(w @ (diff * diff) @ w)
+    diff = ctx.nystrom_matrix - L @ R.T
+    return float(np.vdot(diff, diff))
 
 
 def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralBasis:
@@ -306,8 +317,9 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
     hs_total - hs_exact, by which that list (summing to hs_total) can
     overstate the roots, but not past hs_exact, the sum of all roots.
     Raises CaptureUnreachable when the roots capture less than the
-    target, RefinementStalled when the retained eigenfunctions' Gram
-    matrix is not I/2 to GRAM_ATOL, and InvalidParameter unless
+    target, RefinementStalled when a seed refines to no root of its own
+    or the retained eigenfunctions' Gram matrix is not I/2 to GRAM_ATOL,
+    and InvalidParameter unless
     0 < hs_total < inf, as for a horizon T far beyond the kernel's decay.
     """
     if not 0.0 < capture_fraction < 1.0:
@@ -322,10 +334,7 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
     reach = min(target + max(0.0, hs_total - ctx.hs_exact), ctx.hs_exact)
     seeds = ctx.nystrom_omegas
     last = min(int(np.searchsorted(np.cumsum(2.0 * seeds ** 2), reach)), seeds.size - 1)
-    try:
-        roots = scan_eigenfrequencies(ctx, seeds[last], seeds[0])
-    except NoRootsFound as exc:
-        raise CaptureUnreachable(f"no eigenfrequencies found: {exc}") from exc
+    roots = scan_eigenfrequencies(ctx, seeds[last], seeds[0])
 
     pairs: list[EigenPair] = []
     for root in roots:

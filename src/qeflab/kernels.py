@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveOmega, OverflowDominated
+from .errors import NonpositiveOmega, OverflowDominated
 from .model import OscillatorSpec, SystemMatrices, build_system
 from .quadrature import Grid
 
@@ -82,8 +82,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 class KernelContext:
     """Immutable bundle of system matrices and quadrature grid.
 
-    Grid evaluations of the commutator kernel and its Nystrom spectrum
-    are cached lazily; everything else is cheap to recompute.
+    Grid evaluations of the commutator kernel, its Nystrom matrix and
+    spectrum are cached lazily; everything else is cheap to recompute.
     """
 
     def __init__(self, sysm: SystemMatrices, Theta: np.ndarray, grid: Grid):
@@ -108,23 +108,30 @@ class KernelContext:
         return _block_view(self.lambda_matrix, self.n)
 
     @cached_property
+    def nystrom_matrix(self) -> np.ndarray:
+        """K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)], node-major, shape (N n, N n).
+
+        The matrix of L acting on sqrt(w) f, antisymmetrized against
+        rounding: the only form of L that the pipeline reads.
+        """
+        K = weighted_matrix(self.grid, self.lambda_matrix)
+        return 0.5 * (K - K.T)
+
+    @cached_property
     def nystrom_omegas(self) -> np.ndarray:
-        """Positive omegas of K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)], descending.
+        """Positive omegas of the Nystrom matrix K, descending.
 
         K is real antisymmetric: one eigvalsh of K^T K = -K^2 gives each
         omega^2 twice, off by a few eps omega_1^2, and 2 sum omega^2 = hs_total.
         """
-        K = weighted_matrix(self.grid, self.lambda_grid)
-        K = 0.5 * (K - K.T)
+        K = self.nystrom_matrix
         squares = np.linalg.eigvalsh(K.T @ K)[::-2]
         return np.sqrt(squares[squares > 0.0])
 
     @cached_property
     def hs_total(self) -> float:
-        """Squared Hilbert-Schmidt norm of L by quadrature over the grid."""
-        w = self.grid.weights
-        sq = np.einsum('abij,abij->ab', self.lambda_grid, self.lambda_grid)
-        return float(np.einsum('a,b,ab->', w, w, sq))
+        """Squared Hilbert-Schmidt norm of L on the grid, ||K||_F^2."""
+        return float(np.vdot(self.nystrom_matrix, self.nystrom_matrix))
 
     @cached_property
     def hs_exact(self) -> float:
@@ -204,39 +211,15 @@ def _block_view(matrix: np.ndarray, n: int) -> np.ndarray:
 
 
 def covariance_on_grid(ctx: KernelContext, P0: np.ndarray) -> np.ndarray:
-    """Covariance kernel at all node pairs, shape (N, N, n, n), from ctx's lag exponentials."""
-    return _block_view(kernel_matrix(ctx.grid, ctx.lag_exponentials, P0), ctx.n)
+    """The Nystrom matrix P_h = [sqrt(w_a) P(s_a - s_b) sqrt(w_b)] of the covariance
+    kernel, node-major, shape (N n, N n), from ctx's lag exponentials."""
+    return weighted_matrix(ctx.grid, kernel_matrix(ctx.grid, ctx.lag_exponentials, P0))
 
 
-def weighted_matrix(grid: Grid, blocks: np.ndarray) -> np.ndarray:
-    """[sqrt(w_a) blocks[a, b] sqrt(w_b)] of grid-kernel blocks (N, N, n, n), node-major.
-
-    The (N n, N n) matrix of the kernel's integral operator on sqrt(w) f.
-    """
-    N, n = blocks.shape[0], blocks.shape[2]
-    sw = np.sqrt(grid.weights)
-    scaled = blocks * sw[:, None, None, None] * sw[None, :, None, None]
-    return scaled.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-
-
-def _check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f)
-    if f.shape != (ctx.grid.size, ctx.n):
-        raise GridMismatch(
-            f"expected grid function of shape ({ctx.grid.size}, {ctx.n}), got {f.shape}")
-    return f
-
-
-def apply_L(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
-    """g(s) = int_0^T Lambda(s - t) f(t) dt on the quadrature grid."""
-    f = _check_grid_function(ctx, f)
-    wf = (ctx.grid.weights[:, None] * f).reshape(-1)
-    # the real kernel acts on the real and imaginary parts apart, so no
-    # complex copy of it is made
-    g = ctx.lambda_matrix @ wf.real
-    if np.iscomplexobj(wf):
-        g = g + 1j * (ctx.lambda_matrix @ wf.imag)
-    return g.reshape(f.shape)
+def weighted_matrix(grid: Grid, matrix: np.ndarray) -> np.ndarray:
+    """[sqrt(w_a) matrix[a, b] sqrt(w_b)] of a node-major grid kernel (N n, N n)."""
+    sw = np.repeat(np.sqrt(grid.weights), matrix.shape[0] // grid.size)
+    return sw[:, None] * matrix * sw[None, :]
 
 
 class BvpMatrices(NamedTuple):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidParameter, StateUnavailable
-from .kernels import KernelContext, covariance_on_grid, weighted_matrix
+from .kernels import KernelContext, covariance_on_grid
 from .model import clip_psd
 from .qkl import QklBasis, build_qkl
 
@@ -94,7 +94,7 @@ class SpectralCache:
             raise GridMismatch("qkl basis and kernel context use different grids")
         self.ctx, self.P0, self.basis = ctx, P0, qkl.basis
         n, N = ctx.n, grid.size
-        P = weighted_matrix(grid, covariance_on_grid(ctx, P0))
+        P = covariance_on_grid(ctx, P0)
         self.P = 0.5 * (P + P.T)
         # columns sqrt(w) sqrt(2) phi_k, sqrt(w) sqrt(2) psi_k: the
         # orthonormal eigenvectors of the discretized K

@@ -3,10 +3,10 @@
 The time interval is split into equal panels with a Gauss-Legendre rule
 of fixed order on each.  All integral operators in the package share one
 such grid, so grid functions are plain arrays whose leading axis runs
-over the nodes.  Besides plain integration and inner products the module
-evaluates running integrals anywhere in [0, T] through panel-wise
-Legendre-series antiderivatives, exact on each panel's interpolating
-polynomial.
+over the nodes; the operators themselves weight the nodes (see
+kernels.weighted_matrix).  The module evaluates running integrals
+anywhere in [0, T] through panel-wise Legendre-series antiderivatives,
+exact on each panel's interpolating polynomial.
 """
 
 from __future__ import annotations
@@ -71,29 +71,6 @@ def _panel_view(grid: Grid, values: np.ndarray) -> np.ndarray:
         raise GridMismatch(
             f"grid function has leading axis {values.shape[0]}, grid has {grid.size} nodes")
     return values.reshape((grid.panels, grid.order) + values.shape[1:])
-
-
-def integrate(grid: Grid, values: np.ndarray):
-    """Integral over [0, T] of a grid function (leading axis = nodes)."""
-    if values.shape[0] != grid.size:
-        raise GridMismatch(
-            f"grid function has leading axis {values.shape[0]}, grid has {grid.size} nodes")
-    w = grid.weights.reshape((grid.size,) + (1,) * (values.ndim - 1))
-    return (w * values).sum(axis=0)
-
-
-def inner(grid: Grid, f: np.ndarray, g: np.ndarray):
-    """L2 inner product <f, g> = integral of conj(f)·g over [0, T].
-
-    Contracts all non-node axes, so it works for vector- and matrix-valued
-    grid functions alike.
-    """
-    prod = np.conj(f) * g
-    return integrate(grid, prod.reshape(grid.size, -1).sum(axis=1))
-
-
-def norm(grid: Grid, f: np.ndarray) -> float:
-    return float(np.sqrt(inner(grid, f, f).real))
 
 
 @lru_cache(maxsize=None)

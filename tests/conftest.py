@@ -90,6 +90,36 @@ def random_hurwitz_spec(rng, n, m=None, T=1.0):
             return cand
 
 
+def envelope_config(rng, out_dir):
+    """One CLI config of the operating-envelope corpus, drawn from rng.
+
+    Three draws in four are random_hurwitz_spec: n in {2, 4}, m = 2 or
+    m = n, the horizon T log-uniform in [0.1, 16], 1-8 panels of 16 nodes
+    and capture 0.99.  The rest are the non-Hurwitz slice: random_spec,
+    whose drift need not be stable, T log-uniform in [0.01, 20], 1-8
+    panels of 2-19 nodes and a capture in [0.5, 0.999].  Every grid stays
+    at desk scale (at most 608 unknowns).
+    """
+    n = int(rng.choice([2, 4]))
+    m = int(rng.choice([2, n]))
+    if rng.uniform() < 0.75:
+        T = float(np.exp(rng.uniform(np.log(0.1), np.log(16.0))))
+        spec = random_hurwitz_spec(rng, n, m, T)
+        nodes, capture = 16, 0.99
+    else:
+        T = float(np.exp(rng.uniform(np.log(0.01), np.log(20.0))))
+        spec = random_spec(rng, n, m, T)
+        nodes, capture = int(rng.integers(2, 20)), float(rng.uniform(0.5, 0.999))
+    return {
+        "oscillator": {"n": n, "m": m, "Theta": spec.Theta.tolist(), "R": spec.R.tolist(),
+                       "M": spec.M.tolist(), "T": T, "theta": 0.0},
+        "grid": {"panels": int(rng.integers(1, 9)), "nodes_per_panel": nodes},
+        "eigen": {"capture_fraction": capture},
+        "qef": {"theta_list": [0.1, 0.5]},
+        "output_dir": str(out_dir),
+    }
+
+
 def dense_kernel(A, base, s, t):
     """One-sided-exponential kernel with one expm per time pair.
 

@@ -14,8 +14,11 @@ theory, so that agreement checks the package's own evaluation:
   full-rank M only; the package itself reads A and Theta alone and runs
   m < n as well;
 - the one-sided propagation of L against the dense kernel quadrature,
-  and that quadrature as one three-operand einsum, against its
-  contraction in apply_L;
+  and that quadrature as one three-operand einsum, against the
+  Nystrom matrix K that the package reads;
+- the Fredholm determinant of a one-sided-exponential kernel from one
+  matrix exponential of its boundary system (boundary_logdet), against
+  the Nystrom determinants of L and of the covariance kernel;
 - the shooting propagation with one matrix exponential per node, against
   the panel-factored propagator, and the Nystrom spectrum from a complex
   Hermitian eigvalsh, against the real one of K^T K;
@@ -33,7 +36,8 @@ theory, so that agreement checks the package's own evaluation:
 - the inverse of the Fock sigma(omega) map, and the Fock left side as a
   dense matrix exponential;
 - the panel Legendre running integrals and spectral derivative these
-  routes are built from.
+  routes are built from, and the quadrature integral, inner product and
+  norm of grid functions.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import legendre
 
 from qeflab import mc
 from qeflab.eigensolver import NystromResult
 from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP, TruncatedPair
-from qeflab.kernels import KernelContext, _check_grid_function, expm, weighted_matrix
+from qeflab.kernels import KernelContext, expm
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
 from qeflab.qkl import Hk_at, tanhc
 from qeflab.quadrature import Grid, _panel_view, panel_totals
@@ -72,6 +77,56 @@ def _reference_ops(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S = legendre.legval(x, anti).T
     D = legendre.legval(x, legendre.legder(coeffs)).T
     return S, D, x
+
+
+def integrate(grid: Grid, values: np.ndarray):
+    """Integral over [0, T] of a grid function (leading axis = nodes)."""
+    if values.shape[0] != grid.size:
+        raise GridMismatch(
+            f"grid function has leading axis {values.shape[0]}, grid has {grid.size} nodes")
+    w = grid.weights.reshape((grid.size,) + (1,) * (values.ndim - 1))
+    return (w * values).sum(axis=0)
+
+
+def inner(grid: Grid, f: np.ndarray, g: np.ndarray):
+    """L2 inner product <f, g> = integral of conj(f) g over [0, T].
+
+    Contracts all non-node axes, so it works for vector- and matrix-valued
+    grid functions alike.
+    """
+    prod = np.conj(f) * g
+    return integrate(grid, prod.reshape(grid.size, -1).sum(axis=1))
+
+
+def norm(grid: Grid, f: np.ndarray) -> float:
+    return float(np.sqrt(inner(grid, f, f).real))
+
+
+def check_grid_function(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
+    f = np.asarray(f)
+    if f.shape != (ctx.grid.size, ctx.n):
+        raise GridMismatch(
+            f"expected grid function of shape ({ctx.grid.size}, {ctx.n}), got {f.shape}")
+    return f
+
+
+def weighted_blocks(grid: Grid, blocks: np.ndarray) -> np.ndarray:
+    """[sqrt(w_a) blocks[a, b] sqrt(w_b)] of grid-kernel blocks (N, N, n, n), node-major.
+
+    Weights each node-pair block before the node-major reshape, against
+    kernels.weighted_matrix, which weights the node-major matrix.
+    """
+    N, n = blocks.shape[0], blocks.shape[2]
+    sw = np.sqrt(grid.weights)
+    scaled = blocks * sw[:, None, None, None] * sw[None, :, None, None]
+    return scaled.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+
+
+def nystrom_apply(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
+    """g = L f on the grid through the Nystrom matrix: sqrt(w) g = K sqrt(w) f."""
+    f = check_grid_function(ctx, f)
+    sw = np.sqrt(ctx.grid.weights)[:, None]
+    return (ctx.nystrom_matrix @ (sw * f).reshape(-1)).reshape(f.shape) / sw
 
 
 def cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -201,7 +256,7 @@ def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> lis
 
 def apply_L_einsum(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     """The kernel quadrature sum_b w_b Lambda(s_a - t_b) f(t_b) as one einsum."""
-    f = _check_grid_function(ctx, f)
+    f = check_grid_function(ctx, f)
     return np.einsum('abij,b,bj->ai', ctx.lambda_grid, ctx.grid.weights, f)
 
 
@@ -213,9 +268,9 @@ def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Both are propagated panel by panel with variation-of-constants
     recursions, so this route is independent of the dense kernel
-    quadrature in apply_L and serves as its consistency check.
+    quadrature in the Nystrom matrix and serves as its consistency check.
     """
-    f = _check_grid_function(ctx, f)
+    f = check_grid_function(ctx, f)
     grid = ctx.grid
     A, Theta = ctx.sys.A, ctx.Theta
     q, panels = grid.order, grid.panels
@@ -255,6 +310,25 @@ def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.nda
         edge = carried
 
     return g_plus.reshape(f.shape), g_minus.reshape(f.shape)
+
+
+def boundary_logdet(A: np.ndarray, B: np.ndarray, T: float) -> float:
+    """ln det(I - K) of the one-sided-exponential kernel with drift A and base B on [0, T].
+
+    K has the kernel e^{(s-t)A} B for s > t and B e^{(t-s)A^T} for s < t:
+    L for B = Theta, the covariance operator P for B = P0.  Writing
+    f = x + B y, x' = A x + B f with x(0) = 0 and y' = -A^T y - f with
+    y(T) = 0, so det(I - K) = det Y(T) e^{T tr A}, Y(T) the lower-right
+    n x n block of e^{T D}, D = [[A + B, B^2], [-I, -A^T - B]] (Gohberg,
+    Goldberg and Kaashoek, Classes of Linear Operators I, 1990, ch. IX).
+    One scipy exponential, apart from kernels.bvp_matrices and the grid.
+    """
+    n = A.shape[0]
+    D = np.block([[A + B, B @ B], [-np.eye(n), -A.T - B]])
+    sign, logdet = np.linalg.slogdet(scipy.linalg.expm(T * D)[n:, n:])
+    if not sign > 0.0:
+        raise InvalidParameter(f"det(I - K) = det Y(T) e^(T tr A) has sign {sign}")
+    return float(logdet + T * np.trace(A))
 
 
 def companion(A: np.ndarray, Theta: np.ndarray, mho: np.ndarray,
@@ -404,7 +478,7 @@ def nystrom_hermitian(ctx: KernelContext) -> NystromResult:
     -i K has the eigenvalues +-omega of the weight-symmetrized kernel
     matrix K directly, each to eps omega_1 absolute.
     """
-    H = -1j * weighted_matrix(ctx.grid, ctx.lambda_grid)
+    H = -1j * weighted_blocks(ctx.grid, ctx.lambda_grid)
     evals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     return NystromResult(eigenvalues=evals, omegas=evals[evals > 0.0][::-1])
 

@@ -16,6 +16,7 @@ from oracles import (
     apply_K,
     green_function,
     green_gram,
+    inner,
     omega_from_sigma,
     surrogate_covariance,
 )
@@ -24,7 +25,7 @@ from qeflab import cli, fock, mc, model, qef
 from qeflab.eigensolver import basis_gram, build_basis, nystrom_oracle
 from qeflab.kernels import make_context
 from qeflab.qkl import build_qkl
-from qeflab.quadrature import inner, make_grid
+from qeflab.quadrature import make_grid
 
 
 def _tame_spec(rng, n, rho=0.4):

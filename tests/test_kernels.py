@@ -13,10 +13,14 @@ from conftest import J2, dense_kernel, random_hurwitz_spec, squeezed_spec
 from oracles import (
     apply_L_einsum,
     apply_L_split,
+    boundary_logdet,
     det_ratio,
     green_function,
+    inner,
     kernel_on_grid_gathered,
+    nystrom_apply,
     reference_delta,
+    weighted_blocks,
 )
 
 from qeflab import kernels, model, quadrature
@@ -102,7 +106,7 @@ def test_grids_equal_per_pair_assembly(osc_spec, grid, system):
     P0 = model.solve_state_ale(c.sys.A, c.sys.B).P0
     assert np.array_equal(c.lambda_grid, kernel_on_grid_gathered(c.sys.A, grid, c.Theta))
     assert np.array_equal(kernels.covariance_on_grid(c, P0),
-                          kernel_on_grid_gathered(c.sys.A, grid, P0))
+                          weighted_blocks(grid, kernel_on_grid_gathered(c.sys.A, grid, P0)))
 
 
 def test_grids_share_one_set_of_lag_exponentials(osc_spec, grid, monkeypatch):
@@ -120,7 +124,7 @@ def test_grids_share_one_set_of_lag_exponentials(osc_spec, grid, monkeypatch):
     c.lambda_grid
     kernels.covariance_on_grid(c, np.eye(2))
     assert len(calls) == 3
-    # lambda_grid is a view of the node-major matrix apply_L multiplies by
+    # lambda_grid is a view of the node-major matrix the Nystrom matrix weights
     assert np.shares_memory(c.lambda_grid, c.lambda_matrix)
 
 
@@ -189,8 +193,11 @@ def test_hs_exact_matches_composite_rule(T, seed):
 
 
 def test_covariance_closed_form(ctx, state):
-    blocks = kernels.covariance_on_grid(ctx, state.P0)
-    nodes = ctx.grid.nodes
+    # P_h is node-major and weighted: its (a, b) block is sqrt(w_a w_b) P(s_a - s_b)
+    nodes, w = ctx.grid.nodes, ctx.grid.weights
+    Ph = kernels.covariance_on_grid(ctx, state.P0)
+    assert Ph.shape == (2 * nodes.size, 2 * nodes.size)
+    blocks = kernels._block_view(Ph, 2) / np.sqrt(np.outer(w, w))[..., None, None]
     a, b = 90, 30
     tau = nodes[a] - nodes[b]
     assert np.allclose(blocks[a, b], rotation_form(tau), atol=1e-13)
@@ -200,14 +207,15 @@ def test_covariance_closed_form(ctx, state):
 
 
 def test_apply_L_routes_agree(ctx):
+    # the Nystrom matrix K against the one-sided propagation of L
     nodes = ctx.grid.nodes
     f = np.stack([np.sin(2.0 * nodes), np.cos(nodes) * nodes], axis=1)
-    dense = kernels.apply_L(ctx, f)
+    dense = nystrom_apply(ctx, f)
     g_plus, g_minus = apply_L_split(ctx, f)
     split = g_plus + g_minus @ ctx.Theta.T
     assert np.max(np.abs(dense - split)) <= 2e-4
     with pytest.raises(GridMismatch):
-        kernels.apply_L(ctx, f[:-1])
+        apply_L_split(ctx, f[:-1])
 
 
 @pytest.mark.parametrize("system", ["readme", "squeezed", "random4"])
@@ -218,16 +226,50 @@ def test_apply_L_matches_einsum_reference(ctx, grid, system):
     rng = np.random.default_rng(3)
     f = rng.standard_normal((grid.size, c.n)) + 1j * rng.standard_normal((grid.size, c.n))
     ref = apply_L_einsum(c, f)
-    assert np.max(np.abs(kernels.apply_L(c, f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(nystrom_apply(c, f) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_apply_L_discrete_skew_adjointness(ctx, grid):
+    # the weighted kernel is antisymmetric before K's antisymmetrization, so
+    # that only removes rounding
+    K = ctx.nystrom_matrix
+    K0 = kernels.weighted_matrix(grid, ctx.lambda_matrix)
+    assert np.max(np.abs(K0 + K0.T)) <= 1e-15 * np.max(np.abs(K))
     rng = np.random.default_rng(11)
     f = rng.standard_normal((grid.size, 2))
     g = rng.standard_normal((grid.size, 2))
-    lhs = quadrature.inner(grid, f, kernels.apply_L(ctx, g))
-    rhs = quadrature.inner(grid, kernels.apply_L(ctx, f), g)
+    lhs = inner(grid, f, nystrom_apply(ctx, g))
+    rhs = inner(grid, nystrom_apply(ctx, f), g)
     assert abs(lhs + rhs) <= 1e-13 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("operator", ["L", "P"])
+def test_nystrom_determinants_converge_to_boundary_logdet(operator):
+    # ln det(I - K) at s = 1 and ln det(I - theta P_h) at theta = 0.348 on the
+    # squeezed oscillator against the grid-free boundary determinant: O(h^2),
+    # so each halving of the panel width divides the error by 4 (measured
+    # 3.996-4.003).  A 1e-6 relative error in P_h drives the ratio to 3.3
+    spec = squeezed_spec()
+    errors = []
+    for panels in (4, 8, 16):
+        c = kernels.make_context(spec, quadrature.make_grid(spec.T, panels, 16))
+        if operator == "L":
+            M, B = c.nystrom_matrix, c.Theta
+        else:
+            P0 = model.solve_state_ale(c.sys.A, c.sys.B).P0
+            M, B = 0.348 * kernels.covariance_on_grid(c, P0), 0.348 * P0
+        sign, logdet = np.linalg.slogdet(np.eye(M.shape[0]) - M)
+        assert sign > 0.0
+        errors.append(logdet - boundary_logdet(c.sys.A, B, spec.T))
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.3)
+    assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.3)
+
+
+def test_boundary_logdet_gives_the_leqg_value(ctx, state):
+    # the classical QEF exp(-ln det(I - theta P) / 2) at theta = 0.87 on the
+    # README oscillator, off the grid
+    xi_classical = np.exp(-0.5 * boundary_logdet(ctx.sys.A, 0.87 * state.P0, ctx.grid.T))
+    assert xi_classical == pytest.approx(2.9532891834831543, rel=1e-12)
 
 
 def delta(ctx, omega):

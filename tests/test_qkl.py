@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import apply_K, running_integrals, surrogate_covariance
+from oracles import apply_K, inner, norm, running_integrals, surrogate_covariance
 
-from qeflab import qkl, quadrature
+from qeflab import qkl
 from qeflab.errors import GridMismatch, InvalidParameter
 
 
@@ -61,8 +61,8 @@ def test_apply_K_contraction(basis):
     for _ in range(20):
         f = rng.standard_normal((grid.size, 2))
         kf = apply_K(q, f)
-        num = quadrature.inner(grid, f, kf)
-        den = quadrature.inner(grid, f, f)
+        num = inner(grid, f, kf)
+        den = inner(grid, f, f)
         assert num <= den * (1.0 + 1e-12)
         assert num >= 0.0
 
@@ -74,9 +74,9 @@ def test_apply_K_annihilates_orthogonal_complement(basis):
     f = rng.standard_normal((grid.size, 2))
     for pair in basis.pairs:
         for g in (pair.phi, pair.psi):
-            f = f - 2.0 * quadrature.inner(grid, g, f) * g
+            f = f - 2.0 * inner(grid, g, f) * g
     out = apply_K(q, f)
-    assert quadrature.norm(grid, out) <= 1e-12 * quadrature.norm(grid, f)
+    assert norm(grid, out) <= 1e-12 * norm(grid, f)
 
 
 def test_apply_K_shape_check(basis):
