@@ -162,7 +162,9 @@ def cmd_model_check(cfg: dict, out: Path, seed: int | None) -> int:
     """Write model.csv; the CCR and ALE rows need a Hurwitz A and are left out without one."""
     spec = _spec_from(cfg)
     sysm = model.build_system(spec)
-    pr_rel = sysm.pr_residual / max(float(np.linalg.norm(sysm.mho)), 1e-300)
+    # relative to the terms that cancel, not to mho alone (zero when M = 0)
+    terms = (sysm.A @ spec.Theta, spec.Theta @ sysm.A.T, sysm.mho)
+    pr_rel = sysm.pr_residual / max(sum(float(np.linalg.norm(t)) for t in terms), 1e-300)
     checks = [("pr_residual_rel", pr_rel, PR_RTOL, pr_rel <= PR_RTOL)]
     if sysm.hurwitz:
         recovered = model.recover_ccr(sysm.A, sysm.mho)

@@ -12,8 +12,9 @@ normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
 The dense Nystrom discretization of L lists every eigenfrequency in the
 right count, to the grid's accuracy; a batched secant on E(omega) refines
 each one it seeds, and a refined omega is a root when E(omega) has a
-kernel; a seed without a root of its own is an error.  The retained eigenpairs form the spectral basis, checked by its
-Gram matrix and its Mercer residual.
+kernel; a seed without a root of its own is an error.  The retained
+eigenpairs form the spectral basis, which stores them as one weighted
+mode matrix and is checked by its Gram matrix and its Mercer residual.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class SpectralBasis:
     """Retained eigenpairs ordered by descending omega, plus diagnostics."""
 
     pairs: tuple[EigenPair, ...]
-    hk: np.ndarray            # h_k = [phi_k psi_k] per pair on the grid, (modes, N, n, 2)
+    modes: np.ndarray         # sqrt(2w) phi_k, sqrt(2w) psi_k node-major, (N n, 2r), orthonormal
     grid: Grid
     hs_total: float
     hs_captured: float
@@ -290,21 +291,19 @@ def nystrom_oracle(ctx: KernelContext) -> NystromResult:
 
 def basis_gram(basis: SpectralBasis) -> np.ndarray:
     """All pairwise Gram blocks int h_j^T h_k dt, shape (r, r, 2, 2)."""
-    return np.einsum('jaip,a,kaiq->jkpq', basis.hk, basis.grid.weights, basis.hk)
+    r = len(basis.pairs)
+    return (0.5 * basis.modes.T @ basis.modes).reshape(r, 2, r, 2).transpose(0, 2, 1, 3)
 
 
 def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
     """Mean-square misfit of the truncated kernel expansion over the grid.
 
-    ||K - K_r||_F^2, K_r the Nystrom matrix of sum_k 2 omega_k h_k(s) bj h_k(t)^T,
-    as one rank-2r product; bj maps (phi, psi) to (-psi, phi).
+    ||K - (H - H^T)||_F^2 with H = sum_k omega_k a_k b_k^T, a_k and b_k the
+    mode columns of phi_k and psi_k: H - H^T is the Nystrom matrix of
+    sum_k 2 omega_k (phi_k(s) psi_k(t)^T - psi_k(s) phi_k(t)^T).
     """
-    hk = basis.hk * np.sqrt(ctx.grid.weights)[:, None, None]            # sqrt(w) h_k
-    N, n = ctx.grid.size, ctx.n
-    R = hk.transpose(1, 2, 0, 3).reshape(N * n, -1)                       # (N n, 2r)
-    left = 2.0 * basis.omegas[:, None, None, None] * np.stack([-hk[..., 1], hk[..., 0]], axis=-1)
-    L = left.transpose(1, 2, 0, 3).reshape(N * n, -1)
-    diff = ctx.nystrom_matrix - L @ R.T
+    H = (basis.modes[:, 0::2] * basis.omegas) @ basis.modes[:, 1::2].T
+    diff = ctx.nystrom_matrix - (H - H.T)
     return float(np.vdot(diff, diff))
 
 
@@ -354,9 +353,12 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
             f"capture only {captured / hs_total:.4f} of the HS norm (target "
             f"{capture_fraction}); refine the grid or lower eigen.capture_fraction")
 
+    # column (k, p) is sqrt(2 w) phi_k or sqrt(2 w) psi_k: orthonormal on the grid
+    h = np.stack([np.stack([p.phi, p.psi], -1) for p in retained], axis=-2)       # (N, n, r, 2)
+    modes = np.sqrt(2.0) * h * np.sqrt(ctx.grid.weights)[:, None, None, None]
     basis = SpectralBasis(
-        pairs=tuple(retained), hk=np.stack([np.stack([p.phi, p.psi], -1) for p in retained]),
-        grid=ctx.grid, hs_total=hs_total, hs_captured=captured, capture_fraction=capture_fraction,
+        pairs=tuple(retained), modes=modes.reshape(ctx.grid.size * ctx.n, -1), grid=ctx.grid,
+        hs_total=hs_total, hs_captured=captured, capture_fraction=capture_fraction,
         mercer_residual=0.0, gram_max_dev=0.0,
     )
     target_gram = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(retained)), np.eye(2))

@@ -14,10 +14,12 @@ Both routes sample the tail-completed model that matches the spectral
 form of K used by the closed-form determinant: the surrogate is drawn as
 a Brownian path plus rank-one corrections along the retained modes
 (Z = W - sum_k (1 - sqrt(tanhc(theta omega_k))) H_k zeta_k with zeta_k
-the mode projections of the same W), and <N, K N> applies K as identity
-plus the retained-mode corrections.  A purely truncated surrogate would
-estimate a different quantity, low by the trace of the neglected part
-of PK, which is not small even when the Hilbert-Schmidt capture is.
+the mode projections of the same W; H_k enters only through its
+increments over the sampling cells, integrated exactly from the basis's
+mode matrix), and <N, K N> applies K as identity plus the retained-mode
+corrections.  A purely truncated surrogate would estimate a different
+quantity, low by the trace of the neglected part of PK, which is not
+small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
 batches are drawn in index order, so estimates are seed-determined.
@@ -45,8 +47,8 @@ import numpy as np
 from .errors import InvalidParameter, OverflowDominated, SupercriticalTheta
 from .kernels import KernelContext, kernel_matrix, lag_exponentials
 from .qef import OVERFLOW_LOG, QefReport, SpectralCache, compute_qef, find_critical_theta
-from .qkl import Hk_at, QklBasis
-from .quadrature import Grid
+from .qkl import QklBasis
+from .quadrature import Grid, cell_integrals
 
 KURTOSIS_LIMIT = 10.0          # excess kurtosis of batch means beyond this flags the run
 GROUP_ROWS = 512               # draws of consecutive batches weighted together, at most
@@ -152,8 +154,10 @@ class _Geometry:
         self.dt = grid.T / m
         mids = Grid(T=grid.T, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
                     weights=np.full(m, self.dt), edges=bounds)
-        dH = np.diff(Hk_at(cache.basis, bounds), axis=0)                      # (m, r, n, 2)
-        self.dH = dH.transpose(0, 2, 1, 3).reshape(m * ctx.n, -1)             # (m n, 2r)
+        # cell increments of H_k = sqrt(2) int h_k; mode columns / sqrt(w) are sqrt(2) h_k
+        h = cache.basis.modes.reshape(grid.size, ctx.n, -1) / np.sqrt(grid.weights)[:, None, None]
+        dH = cell_integrals(grid, h, cfg.increments_per_panel)               # (m, n, 2r)
+        self.dH = dH.reshape(m * ctx.n, -1)                                   # (m n, 2r)
         self.Pm = kernel_matrix(mids, lag_exponentials(ctx.sys.A, mids), cache.P0)
         self.PmdH = self.Pm @ self.dH                                         # (m n, 2r)
         self.G = self.dH.T @ self.PmdH                                        # (2r, 2r)

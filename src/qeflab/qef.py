@@ -9,10 +9,11 @@ product converges exactly when theta * r(PK) < 1.
 P K is not symmetric; it has the spectrum of the positive semidefinite
 operator sqrt(K) P sqrt(K).  Everything is discretized on the quadrature
 grid with weight symmetrization, and K enters in its spectral form: the
-identity plus rank-2r corrections along the retained modes U.  So
-SpectralCache factors P = V diag(mu) V^T once per run, one eigh of size
-N n, and keeps W = diag(sqrt(mu)) V^T U, of shape (N n, 2r), and the
-Monte-Carlo N-route's P^{1/2} U = V W.  Each theta then needs two
+identity plus rank-2r corrections along the retained modes U, the
+spectral basis's mode matrix.  So SpectralCache factors
+P = V diag(mu) V^T once per run, one eigh of size N n, and keeps
+W = diag(sqrt(mu)) V^T U, of shape (N n, 2r), and the Monte-Carlo
+N-route's P^{1/2} U = V W.  Each theta then needs two
 numbers and no factorization of size N n:
 
 - ln det(I - theta sqrt(K) P sqrt(K)) = sum_k ln(1 - theta lambda_k),
@@ -68,12 +69,12 @@ class SpectralCache:
     """Grid discretizations shared by every theta evaluation.
 
     Keeps the context, the state covariance P0 and the spectral basis it
-    was built from, the weight-symmetrized covariance matrix P, its one
-    eigendecomposition P = V diag(mu) V^T (mu descending) and the
-    orthonormal mode block U whose columns carry K.  Only K's eigenvalue
-    per column of U, k_eigenvalues(theta), depends on theta, so one
-    instance built from any theta's qkl basis serves every theta of that
-    basis.  The CLI builds one per run, passes it to every compute_qef
+    was built from, the weight-symmetrized covariance matrix P and its one
+    eigendecomposition P = V diag(mu) V^T (mu descending).  K acts along
+    the basis's orthonormal mode matrix U = basis.modes.  Only K's
+    eigenvalue per column of U, k_eigenvalues(theta), depends on theta,
+    so one instance built from any theta's qkl basis serves every theta
+    of that basis.  The CLI builds one per run, passes it to every compute_qef
     call, and hands it with those reports to its one Monte-Carlo pass
     over all thetas.
 
@@ -89,21 +90,16 @@ class SpectralCache:
     def __init__(self, ctx: KernelContext, qkl: QklBasis, P0: np.ndarray):
         if P0 is None:
             raise StateUnavailable("Gaussian state covariance P0 is required")
-        grid = ctx.grid
-        if not np.array_equal(qkl.basis.grid.nodes, grid.nodes):
+        if not np.array_equal(qkl.basis.grid.nodes, ctx.grid.nodes):
             raise GridMismatch("qkl basis and kernel context use different grids")
         self.ctx, self.P0, self.basis = ctx, P0, qkl.basis
-        n, N = ctx.n, grid.size
         P = covariance_on_grid(ctx, P0)
         self.P = 0.5 * (P + P.T)
-        # columns sqrt(w) sqrt(2) phi_k, sqrt(w) sqrt(2) psi_k: the
-        # orthonormal eigenvectors of the discretized K
-        cols = np.sqrt(2.0) * self.basis.hk * np.sqrt(grid.weights)[None, :, None, None]
-        self.modes = cols.transpose(1, 2, 0, 3).reshape(N * n, -1)
         evals, V = np.linalg.eigh(self.P)
         self.mu = clip_psd(evals[::-1], "covariance matrix")
         V = V[:, ::-1]
-        self.W = np.sqrt(self.mu)[:, None] * (V.T @ self.modes)
+        # the basis's mode columns are the orthonormal eigenvectors of the discretized K
+        self.W = np.sqrt(self.mu)[:, None] * (V.T @ self.basis.modes)
         # V diag(sqrt(mu)) V^T is unique and continuous in P, whatever basis
         # eigh picks in a degenerate eigenspace, and so is its product with U
         self.root_modes = V @ self.W
@@ -111,10 +107,10 @@ class SpectralCache:
         # theta alone: sin(1), sin(2), ... has no structure in V's
         # coordinates, and unlike a numpy.random draw it costs no import
         # (about 20 ms) on the qef path
-        self._start = np.sin(np.arange(1.0, N * n + 1.0))
+        self._start = np.sin(np.arange(1.0, self.mu.size + 1.0))
 
     def k_eigenvalues(self, theta: float) -> np.ndarray:
-        """K's eigenvalue tanhc(theta omega_k) per column of modes; refuses theta < 0."""
+        """K's eigenvalue tanhc(theta omega_k) per column of basis.modes; refuses theta < 0."""
         return np.repeat(build_qkl(self.basis, theta).tanc_values, 2)
 
     def lambdas(self, theta: float) -> np.ndarray:

@@ -1,16 +1,12 @@
-"""Karhunen-Loeve coefficient functions and the K eigenvalues at one theta.
+"""The Karhunen-Loeve K eigenvalues at one theta.
 
 Each retained eigenfrequency omega_k carries a pair of real coefficient
-functions h_k = [phi_k psi_k] and their running integrals
-H_k(t) = sqrt(2) int_0^t h_k, evaluated at any times in [0, T] by Hk_at.
-In the full (untruncated) basis the H_k reproduce the Wiener covariance,
-sum_k H_k(s) H_k(t)^T = min(s, t) I_n; after truncation the identity
-holds up to the Hilbert-Schmidt tail.
-
-The surrogate-process covariance operator K = tanc(theta L) acts
-spectrally: the orthonormal functions sqrt(2) phi_k, sqrt(2) psi_k are
-eigenvectors with eigenvalue tanhc(theta omega_k) in (0, 1].  Only
-these eigenvalues depend on theta.
+functions h_k = [phi_k psi_k], which the spectral basis stores weighted,
+as its orthonormal mode matrix SpectralBasis.modes.  The covariance
+operator K = tanc(theta L) of the surrogate process acts spectrally: the
+orthonormal functions sqrt(2) phi_k, sqrt(2) psi_k are eigenvectors
+with eigenvalue tanhc(theta omega_k) in (0, 1].  Only these eigenvalues
+depend on theta.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .eigensolver import SpectralBasis
 from .errors import InvalidParameter
 
@@ -40,8 +35,8 @@ class QklBasis:
     """The K eigenvalues of the truncated expansion at one theta.
 
     tanc_values holds tanhc(theta omega_k) per retained mode of basis
-    (each value is a K eigenvalue of multiplicity 2); the coefficient
-    functions are the basis's theta-independent hk.
+    (each value is a K eigenvalue of multiplicity 2); the modes are the
+    basis's theta-independent mode matrix.
     """
 
     basis: SpectralBasis
@@ -56,8 +51,3 @@ def build_qkl(basis: SpectralBasis, theta: float) -> QklBasis:
     tanc = tanhc(theta * basis.omegas)
     return QklBasis(basis=basis, theta=float(theta), tanc_values=np.atleast_1d(tanc))
 
-
-def Hk_at(basis: SpectralBasis, ts: np.ndarray) -> np.ndarray:
-    """H_k evaluated at arbitrary times in [0, T], shape (len(ts), r, n, 2)."""
-    flat = np.moveaxis(basis.hk, 0, 1)
-    return np.sqrt(2.0) * quadrature.cumulative_at(basis.grid, flat, np.asarray(ts, dtype=float))

@@ -4,15 +4,15 @@ The time interval is split into equal panels with a Gauss-Legendre rule
 of fixed order on each.  All integral operators in the package share one
 such grid, so grid functions are plain arrays whose leading axis runs
 over the nodes; the operators themselves weight the nodes (see
-kernels.weighted_matrix).  The module evaluates running integrals
-anywhere in [0, T] through panel-wise Legendre-series antiderivatives,
-exact on each panel's interpolating polynomial.
+kernels.weighted_matrix).  cell_integrals integrates a grid function
+over equal sub-cells of every panel, exactly on each panel's
+interpolating polynomial: the cell increments the Monte-Carlo Z-route
+reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -66,54 +66,17 @@ def make_grid(T: float, panels: int = 8, order: int = 16) -> Grid:
                 nodes=nodes, weights=weights, edges=edges)
 
 
-def _panel_view(grid: Grid, values: np.ndarray) -> np.ndarray:
-    if values.shape[0] != grid.size:
-        raise GridMismatch(
-            f"grid function has leading axis {values.shape[0]}, grid has {grid.size} nodes")
-    return values.reshape((grid.panels, grid.order) + values.shape[1:])
+def cell_integrals(grid: Grid, values: np.ndarray, cells: int) -> np.ndarray:
+    """Integrals of a grid function over `cells` equal sub-cells of each panel.
 
-
-@lru_cache(maxsize=None)
-def _panel_weights(order: int) -> np.ndarray:
-    return legendre.leggauss(order)[1]
-
-
-def cumulative_at(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
-    """Running integral of a grid function evaluated at arbitrary times.
-
-    Parameters
-    ----------
-    values : ndarray, shape (nodes, ...)
-    ts : scalar or 1-d array of times in [0, T].
-
-    Returns shape ts.shape + values.shape[1:].
+    values has shape (nodes, ...); returns shape (panels * cells, ...), the
+    sub-cells in time order.  Each panel's interpolating polynomial is
+    integrated exactly: the Legendre antiderivatives of the Lagrange basis
+    at the sub-cell edges give one (order, cells) matrix for every panel.
     """
-    ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts_arr.min() < -1e-12 or ts_arr.max() > grid.T + 1e-12:
-        raise GridMismatch(f"evaluation times must lie in [0, {grid.T}]")
-    half = 0.5 * (grid.T / grid.panels)
-    totals = panel_totals(grid, values)
-    offsets = np.concatenate([np.zeros((1,) + totals.shape[1:]), np.cumsum(totals, axis=0)], axis=0)
-
-    x_ref, _ = legendre.leggauss(grid.order)
-    vand_inv = np.linalg.inv(legendre.legvander(x_ref, grid.order - 1))
-    coeffs = np.tensordot(vand_inv, values.reshape(grid.panels, grid.order, -1), axes=(1, 1))
-    anti = legendre.legint(coeffs, lbnd=-1)
-
-    p = np.clip(np.searchsorted(grid.edges, ts_arr, side='right') - 1, 0, grid.panels - 1)
-    center = 0.5 * (grid.edges[p] + grid.edges[p + 1])
-    x = (ts_arr - center) / half
-    # per-point Clenshaw against each time's own panel, so t = 0 gives exactly 0
-    partial = half * legendre.legval(x[:, None], anti[:, p], tensor=False)
-    out = offsets[p].reshape(partial.shape) + partial
-    out = out.reshape(ts_arr.shape + values.shape[1:])
-    if np.isscalar(ts) or np.asarray(ts).ndim == 0:
-        return out[0]
-    return out
-
-
-def panel_totals(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Integral of a grid function over each panel, shape (panels, ...)."""
-    v = _panel_view(grid, values)
-    half = 0.5 * (grid.T / grid.panels)
-    return half * np.einsum('j,pj...->p...', _panel_weights(grid.order), v)
+    x = legendre.leggauss(grid.order)[0]
+    anti = legendre.legint(np.linalg.inv(legendre.legvander(x, grid.order - 1)), lbnd=-1)
+    edges = legendre.legval(np.linspace(-1.0, 1.0, cells + 1), anti)       # (order, cells + 1)
+    S = 0.5 * (grid.T / grid.panels) * np.diff(edges, axis=-1)
+    v = values.reshape((grid.panels, grid.order) + values.shape[1:])
+    return np.einsum('jc,pj...->pc...', S, v).reshape((-1,) + values.shape[1:])

@@ -98,7 +98,8 @@ def envelope_config(rng, out_dir):
     and capture 0.99.  The rest are the non-Hurwitz slice: random_spec,
     whose drift need not be stable, T log-uniform in [0.01, 20], 1-8
     panels of 2-19 nodes and a capture in [0.5, 0.999].  Every grid stays
-    at desk scale (at most 608 unknowns).
+    at desk scale (at most 608 unknowns).  The mc section (400 samples in
+    20 batches) lets validate run too.
     """
     n = int(rng.choice([2, 4]))
     m = int(rng.choice([2, n]))
@@ -116,6 +117,7 @@ def envelope_config(rng, out_dir):
         "grid": {"panels": int(rng.integers(1, 9)), "nodes_per_panel": nodes},
         "eigen": {"capture_fraction": capture},
         "qef": {"theta_list": [0.1, 0.5]},
+        "mc": {"samples": 400, "seed": 0, "batch": 20},
         "output_dir": str(out_dir),
     }
 

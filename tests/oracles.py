@@ -36,8 +36,12 @@ theory, so that agreement checks the package's own evaluation:
 - the inverse of the Fock sigma(omega) map, and the Fock left side as a
   dense matrix exponential;
 - the panel Legendre running integrals and spectral derivative these
-  routes are built from, and the quadrature integral, inner product and
-  norm of grid functions.
+  routes are built from, the running integrals at arbitrary times, one
+  point at a time, against the cell integrals of the Monte-Carlo
+  geometry, and the quadrature integral, inner product and norm of grid
+  functions;
+- the coefficient functions h_k of the retained pairs, against the
+  basis's weighted mode matrix.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP, TruncatedPair
 from qeflab.kernels import KernelContext, expm
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
-from qeflab.qkl import Hk_at, tanhc
-from qeflab.quadrature import Grid, _panel_view, panel_totals
+from qeflab.qkl import tanhc
+from qeflab.quadrature import Grid
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +133,43 @@ def nystrom_apply(ctx: KernelContext, f: np.ndarray) -> np.ndarray:
     return (ctx.nystrom_matrix @ (sw * f).reshape(-1)).reshape(f.shape) / sw
 
 
+def panel_view(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """A grid function with its node axis split into (panels, order)."""
+    if values.shape[0] != grid.size:
+        raise GridMismatch(
+            f"grid function has leading axis {values.shape[0]}, grid has {grid.size} nodes")
+    return values.reshape((grid.panels, grid.order) + values.shape[1:])
+
+
+def panel_totals(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Integral of a grid function over each panel, shape (panels, ...)."""
+    half = 0.5 * (grid.T / grid.panels)
+    return half * np.einsum('j,pj...->p...', legendre.leggauss(grid.order)[1],
+                            panel_view(grid, values))
+
+
+def cumulative_at_loop(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
+    """Running integral of a grid function at arbitrary times in [0, T], shape (len(ts), ...).
+
+    One panel lookup, legint and legval per time, on each panel's
+    interpolating polynomial.
+    """
+    v = panel_view(grid, values)
+    half = 0.5 * (grid.T / grid.panels)
+    totals = panel_totals(grid, values)
+    offsets = np.concatenate([np.zeros((1,) + totals.shape[1:]), np.cumsum(totals, axis=0)])
+    x_ref, _ = legendre.leggauss(grid.order)
+    vand_inv = np.linalg.inv(legendre.legvander(x_ref, grid.order - 1))
+    out = np.empty((len(ts),) + values.shape[1:])
+    for i, t in enumerate(ts):
+        p = min(max(int(np.searchsorted(grid.edges, t, side='right')) - 1, 0), grid.panels - 1)
+        x = (t - 0.5 * (grid.edges[p] + grid.edges[p + 1])) / half
+        coeffs = vand_inv @ v[p].reshape(grid.order, -1)
+        partial = half * legendre.legval(x, legendre.legint(coeffs, lbnd=-1))
+        out[i] = (offsets[p].reshape(-1) + partial).reshape(values.shape[1:])
+    return out
+
+
 def cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Running integral t -> integral of f from 0 to t, sampled at the nodes.
 
@@ -136,7 +177,7 @@ def cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
     interpolating polynomial, so the result is spectrally accurate for
     smooth integrands.
     """
-    local = _panel_view(grid, panel_cumulative(grid, values))
+    local = panel_view(grid, panel_cumulative(grid, values))
     totals = panel_totals(grid, values)
     offsets = np.concatenate([np.zeros((1,) + totals.shape[1:], dtype=totals.dtype),
                               np.cumsum(totals, axis=0)[:-1]], axis=0)
@@ -151,7 +192,7 @@ def panel_cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
     input may be discontinuous across panels (panel-local integrands).
     """
     S, _, _ = _reference_ops(grid.order)
-    v = _panel_view(grid, values)
+    v = panel_view(grid, values)
     half = 0.5 * (grid.T / grid.panels)
     out = half * np.einsum('ij,pj...->pi...', S, v)
     return out.reshape(values.shape)
@@ -160,7 +201,7 @@ def panel_cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
 def differentiate(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral derivative of a grid function, panel by panel."""
     _, D, _ = _reference_ops(grid.order)
-    v = _panel_view(grid, values)
+    v = panel_view(grid, values)
     half = 0.5 * (grid.T / grid.panels)
     out = np.einsum('ij,pj...->pi...', D, v) / half
     return out.reshape(values.shape)
@@ -238,7 +279,7 @@ def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> lis
     zeta = dW @ geom.dH / geom.dt
     R = _path_root(geom)
     y = rng.standard_normal((size, R.shape[0])) @ R
-    proj2 = (y @ geom.cache.modes) ** 2
+    proj2 = (y @ geom.cache.basis.modes) ** 2
     base = np.einsum('si,si->s', y, y)
     out = []
     for t in terms:
@@ -501,9 +542,20 @@ def ode_residual(ctx: KernelContext, pair) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def running_integrals(qkl) -> np.ndarray:
-    """H_k(t) = sqrt(2) int_0^t h_k at the grid nodes, shape (N, r, n, 2)."""
-    return np.sqrt(2.0) * cumulative(qkl.basis.grid, np.moveaxis(qkl.basis.hk, 0, 1))
+def hk_of(basis) -> np.ndarray:
+    """h_k = [phi_k psi_k] per retained pair on the grid, shape (r, N, n, 2)."""
+    return np.stack([np.stack([p.phi, p.psi], -1) for p in basis.pairs])
+
+
+def running_integrals(qkl, ts=None) -> np.ndarray:
+    """H_k(t) = sqrt(2) int_0^t h_k, shape (len(ts), r, n, 2).
+
+    At the grid nodes unless explicit times in [0, T] are given.
+    """
+    grid, h = qkl.basis.grid, np.moveaxis(hk_of(qkl.basis), 0, 1)
+    if ts is None:
+        return np.sqrt(2.0) * cumulative(grid, h)
+    return np.sqrt(2.0) * cumulative_at_loop(grid, h, np.asarray(ts, dtype=float))
 
 
 def surrogate_covariance(qkl, ts: np.ndarray | None = None) -> np.ndarray:
@@ -514,7 +566,7 @@ def surrogate_covariance(qkl, ts: np.ndarray | None = None) -> np.ndarray:
     the grid nodes unless explicit times are given; returns shape
     (M, M, n, n).
     """
-    H = running_integrals(qkl) if ts is None else Hk_at(qkl.basis, ts)
+    H = running_integrals(qkl, ts)
     return np.einsum('k,akip,bkjp->abij', qkl.tanc_values, H, H)
 
 
@@ -526,7 +578,7 @@ def apply_K(qkl, f: np.ndarray) -> np.ndarray:
     the result is accurate up to the reported truncation tail.
     """
     f = np.asarray(f)
-    grid, hk = qkl.basis.grid, qkl.basis.hk
+    grid, hk = qkl.basis.grid, hk_of(qkl.basis)
     if f.shape != (grid.size, hk.shape[2]):
         raise GridMismatch(f"expected grid function of shape ({grid.size}, {hk.shape[2]}), "
                            f"got {f.shape}")
@@ -554,7 +606,7 @@ def dense_lambdas(cache, theta: float) -> np.ndarray:
     t = tanhc(theta omega_k) per mode, and diagonalizes it in full.
     """
     scale = np.sqrt(tanhc(theta * np.repeat(cache.basis.omegas, 2))) - 1.0
-    U, P = cache.modes, cache.P
+    U, P = cache.basis.modes, cache.P
     UP = U.T @ P
     X = P + U @ (scale[:, None] * UP)
     X = X + (UP.T * scale[None, :]) @ U.T \

@@ -16,6 +16,7 @@ from oracles import (
     apply_K,
     green_function,
     green_gram,
+    hk_of,
     inner,
     omega_from_sigma,
     surrogate_covariance,
@@ -128,7 +129,7 @@ def test_07_hs_identity(ctx, basis):
 
 
 def test_08_mercer_truncation(ctx, basis):
-    hk = basis.hk
+    hk = hk_of(basis)
     recon = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, J2, hk)
     misfit = recon - ctx.lambda_grid
     w = ctx.grid.weights

@@ -272,18 +272,30 @@ def test_model_check_fixture(tmp_path):
 
 
 def test_model_check_reports_a_failing_abscissa(tmp_path, capsys):
-    # a closed oscillator (M = 0) has A = 2J, not Hurwitz: model.csv still
-    # lists the realizability row and the failing abscissa, and leaves out
-    # the CCR recovery and ALE rows, which need a Hurwitz A
-    cfg = base_config(tmp_path)
-    cfg["oscillator"]["M"] = [[0.0, 0.0], [0.0, 0.0]]
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["model-check", "--config", path]) == 3
-    assert capsys.readouterr().err == ""
-    _, rows = read_rows(tmp_path / "model.csv")
-    assert [(r[0], r[-1]) for r in rows] == [("pr_residual_rel", "pass"),
-                                             ("spectral_abscissa", "fail")]
-    assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-12)
+    # a closed oscillator (M = 0) has A = 2 Theta R, whose spectrum is
+    # imaginary, so A is not Hurwitz: model.csv still lists the
+    # realizability row and the failing abscissa, and leaves out the CCR
+    # recovery and ALE rows, which need a Hurwitz A.  README's residual is
+    # exactly 0; the n = 4 one is rounding noise (5.6e-17), which must pass
+    # although mho = 0
+    closed4 = {"n": 4, "m": 2,
+               "Theta": [[0.0, 0.3, 0.7, 0.0], [-0.3, 0.0, 0.1, 0.7],
+                         [-0.7, -0.1, 0.0, 0.2], [0.0, -0.7, -0.2, 0.0]],
+               "R": [[1.3, 0.2, 0.1, 0.0], [0.2, 0.7, 0.0, 0.3],
+                     [0.1, 0.0, 1.1, 0.2], [0.0, 0.3, 0.2, 0.9]],
+               "M": [[0.0] * 4] * 2}
+    for i, osc in enumerate([{"M": [[0.0, 0.0], [0.0, 0.0]]}, closed4]):
+        cfg = base_config(tmp_path / str(i))
+        cfg["oscillator"].update(osc)
+        path = write_config(tmp_path, cfg, name=f"run{i}.json")
+        assert cli.main(["model-check", "--config", path]) == 3
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(tmp_path / str(i) / "model.csv")
+        assert [(r[0], r[-1]) for r in rows] == [("pr_residual_rel", "pass"),
+                                                 ("spectral_abscissa", "fail")]
+        assert float(rows[0][1]) <= 1e-15
+        assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-12)
+    assert float(rows[0][1]) > 0.0          # the n = 4 row is noise, not an exact 0
 
 
 def test_model_check_singular_theta(tmp_path, capsys):
@@ -842,20 +854,23 @@ def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize("index", range(20))
 def test_envelope_slice_fails_only_by_contract(tmp_path, capsys, index):
-    # 20 seeded draws of the operating-envelope corpus: every eigen and qef
-    # run succeeds with an empty stderr or exits 2, 3 or 4 with one JSON
-    # line, and no numpy RuntimeWarning escapes (the seeds give 17 eigen and
-    # 12 qef successes)
+    # 20 seeded draws of the operating-envelope corpus: every run of the
+    # four config-driven commands succeeds or ends in a verdict (model-check
+    # 3 from a failing row, validate 4) with an empty stderr, or exits 2 or
+    # 3 with one JSON line, and no numpy RuntimeWarning escapes
     path = write_config(tmp_path, envelope_config(np.random.default_rng([21, index]), tmp_path))
-    for command in ("eigen", "qef"):
+    for command, verdict in (("model-check", 3), ("eigen", None), ("qef", None),
+                             ("validate", 4)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main([command, "--config", path])
         err = capsys.readouterr().err.splitlines()
         assert code in (0, 2, 3, 4)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert (err == []) == (code == 0)
-        assert len(err) <= 1 and all("error" in json.loads(line) for line in err)
+        if code in (0, verdict):
+            assert err == []
+        else:
+            assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 def test_out_override(tmp_path):

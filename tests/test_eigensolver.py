@@ -7,6 +7,7 @@ import pytest
 from conftest import J2, planted_bvp_matrices, random_hurwitz_spec, squeezed_spec
 from oracles import (
     det_ratio,
+    hk_of,
     inner,
     norm,
     nystrom_apply,
@@ -436,7 +437,7 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.mercer_residual <= basis.hs_total - basis.hs_captured + 1e-6
     assert np.all(np.diff(basis.omegas) < 0)
     # reference: the kernel expansion as one four-operand einsum
-    hk = basis.hk
+    hk = hk_of(basis)
     approx = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', basis.omegas, hk, J2, hk)
     diff = ctx.lambda_grid - approx
     w = ctx.grid.weights
@@ -470,18 +471,19 @@ def test_build_basis_capture_unreachable(ctx):
 
 
 def test_stack_and_gram_shapes(basis):
-    hk = basis.hk
-    assert hk.shape == (3, basis.grid.size, 2, 2)
-    for k, pair in enumerate(basis.pairs):
-        assert np.array_equal(hk[k], np.stack([pair.phi, pair.psi], axis=-1))
+    assert basis.modes.shape == (basis.grid.size * 2, 6)
     gram = es.basis_gram(basis)
     target = 0.5 * np.einsum('jk,pq->jkpq', np.eye(3), np.eye(2))
     assert np.max(np.abs(gram - target)) <= 1e-12
+    # reference: the quadrature Gram blocks int h_j^T h_k dt of the pairs
+    hk = hk_of(basis)
+    ref = np.einsum('jaip,a,kaiq->jkpq', hk, basis.grid.weights, hk)
+    assert np.max(np.abs(gram - ref)) <= 1e-15
 
 
 def test_mercer_reconstruction_pointwise(ctx, basis):
     # 2 sum omega h J2 h^T reproduces Lambda up to the spectral tail
-    hk = basis.hk
+    hk = hk_of(basis)
     om = basis.omegas
     recon = 2.0 * np.einsum('k,kaip,pq,kbjq->abij', om, hk, J2, hk)
     misfit = recon - ctx.lambda_grid

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import dense_kernel, squeezed_spec
-from oracles import run_batch, symmetric_root
+from oracles import hk_of, run_batch, running_integrals, symmetric_root
 
 from qeflab import kernels, mc, model, qef, quadrature
 from qeflab.eigensolver import build_basis
@@ -45,7 +45,7 @@ def test_sample_N_zero_state(ctx, qkl348):
     # |y|^2 = 0 and y U = 0, and its weight is exactly exp(-C)
     zero = np.zeros((2, 2))
     cache = qef.SpectralCache(ctx, qkl348, zero)
-    assert cache.root_modes.shape == cache.modes.shape
+    assert cache.root_modes.shape == cache.basis.modes.shape
     assert np.max(np.abs(cache.root_modes)) == 0.0
     geom = mc._Geometry(cache, mc.McConfig(samples=200, seed=0, batch=100))
     terms = mc._theta_terms(cache, qef.compute_qef(ctx, qkl348, zero, cache=cache))
@@ -77,7 +77,7 @@ def test_cache_path_factor_is_symmetric_root(ctx, qkl348, state):
     # reference: scipy's Schur-method square root of the cache's own P,
     # applied to the cache's own modes
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    ref = scipy.linalg.sqrtm(cache.P) @ cache.modes
+    ref = scipy.linalg.sqrtm(cache.P) @ cache.basis.modes
     assert np.max(np.abs(cache.root_modes - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -104,7 +104,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     # forms, on the same draws: each batch draws dW, then z, from its stream
     qkl = build_qkl(basis, theta)
     est, terms = _geometry(ctx, qkl, state)
-    n, r, N = ctx.n, basis.hk.shape[0], ctx.grid.size
+    n, r, N = ctx.n, len(basis.pairs), ctx.grid.size
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
     Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)
@@ -125,7 +125,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
         paths = (rng.standard_normal((size, N * n)) @ root).reshape(size, N, n) \
             / np.sqrt(w)[None, :, None]
         base = np.einsum('sai,a,sai->s', paths, w, paths)
-        proj = np.einsum('kaip,a,sai->skp', basis.hk, w, paths)
+        proj = np.einsum('kaip,a,sai->skp', hk_of(basis), w, paths)
         q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
         for q, mean in zip((q_z, q_n), means[0, :, j]):
             ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
@@ -270,11 +270,21 @@ def test_N_route_determinant_matches_closed_form(ctx, basis, state, squeezed, wh
     qkl = build_qkl(b, theta)
     cache = qef.SpectralCache(c, qkl, P0)
     rep = qef.compute_qef(c, qkl, P0, cache=cache)
-    R, U = symmetric_root(cache.P), cache.modes
+    R, U = symmetric_root(cache.P), cache.basis.modes
     K = np.eye(U.shape[0]) + (U * (np.repeat(qkl.tanc_values, 2) - 1.0)) @ U.T
     sign, logdet = np.linalg.slogdet(np.eye(U.shape[0]) - theta * R @ K @ R)
     assert sign == 1.0
     assert float(np.exp(-rep.C - 0.5 * logdet)) == pytest.approx(rep.xi, rel=1e-12, abs=0.0)
+
+
+def test_cell_increments_are_running_integral_differences(ctx, qkl348, state):
+    # the Z-route's dH, integrated cell by cell from the mode matrix, against
+    # differences of the per-point running integrals H_k of the pairs
+    est, _ = _geometry(ctx, qkl348, state)
+    m = est.dH.shape[0] // ctx.n
+    H = running_integrals(qkl348, np.linspace(0.0, ctx.grid.T, m + 1))       # (m + 1, r, n, 2)
+    ref = np.diff(H, axis=0).transpose(0, 2, 1, 3).reshape(est.dH.shape)
+    assert np.max(np.abs(est.dH - ref)) <= 1e-14 * np.max(np.abs(H))
 
 
 def test_midpoint_geometry_matches_dense_expm(ctx, qkl348, state):

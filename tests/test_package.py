@@ -209,7 +209,7 @@ def test_unreached_helpers_are_found_transitively():
         "from .quadrature import make_grid\n"
         "from . import quadrature\n\n"
         "def helper():\n    return make_grid(1.0)\n\n"
-        "def caller(grid):\n    return helper(), quadrature.panel_totals(grid, grid.nodes)\n"))
+        "def caller(grid):\n    return helper(), quadrature.cell_integrals(grid, grid.nodes, 2)\n"))
     traced = _traced_calls()
     assert _unreached(sources, traced) == ["orphan.caller", "orphan.helper"]
     # a traced call is a root, and what it calls is reached through it

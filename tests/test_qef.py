@@ -112,7 +112,7 @@ def test_pk_trace_identity(cache):
     # tr(P K) from the rank-2r spectral form of K equals the trace of the
     # cache's low-rank operator diag(mu) + W diag(t - 1) W^T and the sum of
     # the dense spectrum of sqrt(K) P sqrt(K)
-    UPU = cache.modes.T @ cache.P @ cache.modes
+    UPU = cache.basis.modes.T @ cache.P @ cache.basis.modes
     for theta in (0.0, 0.348, 0.87):
         scale = tanhc(theta * np.repeat(cache.basis.omegas, 2)) - 1.0
         tr_pk = float(np.trace(cache.P)) + float(np.sum(scale * np.diag(UPU)))

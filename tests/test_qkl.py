@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import apply_K, inner, norm, running_integrals, surrogate_covariance
+from oracles import apply_K, inner, norm, surrogate_covariance
 
 from qeflab import qkl
 from qeflab.errors import GridMismatch, InvalidParameter
@@ -23,7 +23,7 @@ def test_build_qkl_shapes_and_weights(basis):
     q = qkl.build_qkl(basis, 0.348)
     r, N = len(basis.pairs), basis.grid.size
     assert q.basis is basis
-    assert basis.hk.shape == (r, N, 2, 2)
+    assert basis.modes.shape == (N * 2, 2 * r)
     assert np.allclose(q.tanc_values, qkl.tanhc(0.348 * basis.omegas),
                        rtol=0.0, atol=0.0)
     assert np.all(q.tanc_values > 0.0)
@@ -35,12 +35,16 @@ def test_build_qkl_rejects_negative_theta(basis):
         qkl.build_qkl(basis, -0.1)
 
 
-def test_Hk_starts_at_zero_and_matches_grid(basis):
-    q = qkl.build_qkl(basis, 0.0)
-    at0 = qkl.Hk_at(basis, np.array([0.0]))
-    assert np.max(np.abs(at0)) == 0.0
-    at_nodes = qkl.Hk_at(basis, basis.grid.nodes)
-    assert np.max(np.abs(at_nodes - running_integrals(q))) <= 1e-13
+def test_mode_columns_are_weighted_pairs(basis):
+    # column (k, p) of the node-major mode matrix is sqrt(2 w) phi_k or
+    # sqrt(2 w) psi_k, and the columns are orthonormal
+    cols = basis.modes.reshape(basis.grid.size, 2, len(basis.pairs), 2)
+    sw = np.sqrt(2.0 * basis.grid.weights)[:, None]
+    for k, pair in enumerate(basis.pairs):
+        for p, f in enumerate((pair.phi, pair.psi)):
+            assert np.max(np.abs(cols[:, :, k, p] - sw * f)) <= 1e-15 * np.max(np.abs(sw * f))
+    gram = basis.modes.T @ basis.modes
+    assert np.max(np.abs(gram - np.eye(2 * len(basis.pairs)))) <= 1e-12
 
 
 def test_apply_K_eigen_action(basis):
