@@ -9,7 +9,6 @@ number-basis cross-checks.
 
 from .eigensolver import (
     EigenPair,
-    NystromResult,
     SpectralBasis,
     build_basis,
     nystrom_oracle,
@@ -32,7 +31,6 @@ __all__ = [
     "KernelContext",
     "McConfig",
     "McEstimate",
-    "NystromResult",
     "OscillatorSpec",
     "QefMcResult",
     "QefReport",

@@ -54,7 +54,10 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise SchemaViolation(f"cannot write output file: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -208,8 +211,7 @@ def cmd_eigen(cfg: dict, out: Path, seed: int | None) -> int:
             for k, pair in enumerate(basis.pairs)]
     _write_csv(out / "eigen_shooting.csv",
                ["k", "omega", "multiplicity", "bvp_residual"], rows)
-    oracle = nystrom_oracle(ctx)
-    rows = [[k, w] for k, w in enumerate(oracle.omegas[:2 * len(basis.pairs)])]
+    rows = [[k, w] for k, w in enumerate(nystrom_oracle(ctx)[:2 * len(basis.pairs)])]
     _write_csv(out / "eigen_nystrom.csv", ["k", "omega"], rows)
     gram = basis_gram(basis)
     rows = [[j, k, p, q, gram[j, k, p, q]]

@@ -12,14 +12,16 @@ normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
 The dense Nystrom discretization of L lists every eigenfrequency in the
 right count, to the grid's accuracy; a batched secant on E(omega) refines
 each one it seeds, and a refined omega is a root when E(omega) has a
-kernel; a seed without a root of its own is an error.  The retained
-eigenpairs form the spectral basis, which stores them as one weighted
-mode matrix and is checked by its Gram matrix and its Mercer residual.
+kernel; a seed without a root of its own is an error.  One QR per root
+orthonormalizes its eigenfunctions, and each eigenpair holds them in one
+form, its weighted node-major mode columns sqrt(2w) phi and sqrt(2w) psi.
+The retained pairs' columns are the spectral basis's mode matrix, checked
+by its Gram matrix and its Mercer residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,30 +64,22 @@ class Root:
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """One eigenfrequency with its normalized eigenfunction on the grid.
+    """One eigenfrequency with its normalized eigenfunction f = phi + i psi.
 
-    phi and psi are the real and imaginary parts of f, sampled at the
-    quadrature nodes, and y0 is the unit kernel vector of E(omega) that
-    starts f.  bvp_residual is the Nystrom residual ||K y - i omega y||_2
-    of y = sqrt(w) f, K = ctx.nystrom_matrix (independent of the shooting
-    propagation); boundary_residual is ||E(omega) y0||.
+    modes holds the columns sqrt(2w) phi and sqrt(2w) psi, node-major,
+    shape (N n, 2): the layout of SpectralBasis.modes.  y0 is the unit
+    kernel vector of E(omega) that starts f.  bvp_residual is the Nystrom
+    residual ||K y - i omega y||_2 of y = sqrt(w) f, K =
+    ctx.nystrom_matrix (independent of the shooting propagation);
+    boundary_residual is ||E(omega) y0||.
     """
 
     omega: float
     y0: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
+    modes: np.ndarray
     multiplicity: int
     bvp_residual: float
     boundary_residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class NystromResult:
-    """Dense-discretization spectrum of L (the verification oracle)."""
-
-    eigenvalues: np.ndarray   # -omegas and +omegas, ascending
-    omegas: np.ndarray        # positive eigenfrequencies, descending
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,64 +223,52 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     Each initial condition [x(0); y(0)] = [0; y(0)] satisfies the left
     boundary condition exactly by construction; the terminal condition
     quality is recorded as boundary_residual.  The k = multiplicity
-    propagated functions f are orthonormalized together as
-    f S^{-1} C^{-H}, where S holds their L2 norms and C C^H is the
-    Cholesky factorization of their Gram matrix normalized to a unit
-    diagonal; for k = 1 this is plain normalization.  RankCollapse is
-    raised when k > 1 and a pivot of the QR factorization of
-    sqrt(w) f S^{-1} (the residual norm Gram-Schmidt would test) is below
-    RANK_ATOL times the gain of the map from a unit initial vector to
-    sqrt(w) f S^{-1}: the k functions are then within a RANK_ATOL change
-    of the kernel rows from dependence.  Those pivots are accurate to
-    rounding, where the pivots of C, from the squared Gram, are accurate
-    only to sqrt(eps).
+    propagated functions f are orthonormalized together by one QR
+    factorization sqrt(w) f S^{-1} = Q R, S their L2 norms: Q's columns
+    are the weighted eigenfunctions, and y(0) follows from a solve with
+    R.  RankCollapse is raised when k > 1 and a pivot of R (the residual
+    norm Gram-Schmidt would test) is below RANK_ATOL times the gain of
+    the map from a unit initial vector to sqrt(w) f S^{-1}: the k
+    functions are then within a RANK_ATOL change of the kernel rows from
+    dependence.
     """
-    omega, grid = root.omega, ctx.grid
-    prop = _propagator(ctx, root.bvp.D)                      # (N, n, n)
-    f = prop @ root.kernel.T                                 # (N, n, k)
-    gram = np.einsum('aij,aik->jk', f.conj(), grid.weights[:, None, None] * f)
-    scale = np.sqrt(gram.diagonal().real)
-    # sqrt(w) f for every initial vector: a change of RANK_ATOL in a unit
-    # kernel row moves the normalized functions by up to RANK_ATOL times
-    # this map's gain (bounded by its Frobenius norm), so functions no
-    # farther than that from dependence have collapsed (one never has)
-    wprop = (np.sqrt(grid.weights)[:, None, None] * prop).reshape(-1, ctx.n)
+    omega, sw = root.omega, np.sqrt(ctx.grid.weights)[:, None, None]
+    wprop = (sw * _propagator(ctx, root.bvp.D)).reshape(-1, ctx.n)       # (N n, n)
+    wf = wprop @ root.kernel.T                                           # sqrt(w) f, (N n, k)
+    scale = np.linalg.norm(wf, axis=0)
+    # a change of RANK_ATOL in a unit kernel row moves the normalized
+    # functions by up to RANK_ATOL times this map's gain (bounded by its
+    # Frobenius norm), so functions no farther than that from dependence
+    # have collapsed (one never has)
     gain = np.linalg.norm(wprop) / scale.min()
-    pivots = np.abs(np.linalg.qr(wprop @ root.kernel.T / scale, mode='r').diagonal())
-    try:
-        collapsed = root.multiplicity > 1 and not pivots.min() >= RANK_ATOL * gain
-        C = np.linalg.cholesky(gram / np.outer(scale, scale))
-    except np.linalg.LinAlgError:   # not positive definite: a pivot vanished
-        collapsed = True
-    if collapsed:
+    Q, R = np.linalg.qr(wf / scale)
+    if root.multiplicity > 1 and not np.abs(R.diagonal()).min() >= RANK_ATOL * gain:
         raise RankCollapse(
             f"the {root.multiplicity} eigenfunctions at omega={omega:.6g} are linearly "
             "dependent")
-    coef = np.linalg.inv(C).conj().T / scale[:, None]        # S^{-1} C^{-H}
-    f, y0s = f @ coef, root.kernel.T @ coef
-    K, sw = ctx.nystrom_matrix, np.sqrt(grid.weights)[:, None]
+    y0s = np.linalg.solve(R.T, root.kernel / scale[:, None])     # row j starts Q's column j
+    K = ctx.nystrom_matrix
     pairs = []
     for j in range(root.multiplicity):
-        phase = _canonical_phase(y0s[:, j])
-        fj = f[..., j] * phase
-        y0 = y0s[:, j] * (phase / np.linalg.norm(y0s[:, j]))
+        phase = _canonical_phase(y0s[j])
+        y = Q[:, j] * phase
+        y0 = y0s[j] * (phase / np.linalg.norm(y0s[j]))
         # the real K acts on the real and imaginary parts apart, with no complex copy
-        y = (sw * fj).reshape(-1)
         lres = float(np.linalg.norm(K @ y.real + 1j * (K @ y.imag) - 1j * omega * y))
-        pairs.append(EigenPair(omega=omega, y0=y0, phi=fj.real.copy(), psi=fj.imag.copy(),
+        pairs.append(EigenPair(omega=omega, y0=y0,
+                               modes=np.sqrt(2.0) * np.stack([y.real, y.imag], -1),
                                multiplicity=root.multiplicity, bvp_residual=lres,
                                boundary_residual=float(np.linalg.norm(root.bvp.E @ y0))))
     return pairs
 
 
-def nystrom_oracle(ctx: KernelContext) -> NystromResult:
-    """Spectrum of the weight-symmetrized dense discretization of L.
+def nystrom_oracle(ctx: KernelContext) -> np.ndarray:
+    """Positive eigenfrequencies of the dense discretization of L, descending.
 
     Reads ctx.nystrom_omegas, the one eigvalsh per context that also
     seeds the root scan.
     """
-    omegas = ctx.nystrom_omegas
-    return NystromResult(eigenvalues=np.concatenate([-omegas, omegas[::-1]]), omegas=omegas)
+    return ctx.nystrom_omegas
 
 
 def basis_gram(basis: SpectralBasis) -> np.ndarray:
@@ -295,14 +277,14 @@ def basis_gram(basis: SpectralBasis) -> np.ndarray:
     return (0.5 * basis.modes.T @ basis.modes).reshape(r, 2, r, 2).transpose(0, 2, 1, 3)
 
 
-def _mercer_residual(ctx: KernelContext, basis: SpectralBasis) -> float:
+def _mercer_residual(ctx: KernelContext, modes: np.ndarray, omegas: np.ndarray) -> float:
     """Mean-square misfit of the truncated kernel expansion over the grid.
 
     ||K - (H - H^T)||_F^2 with H = sum_k omega_k a_k b_k^T, a_k and b_k the
     mode columns of phi_k and psi_k: H - H^T is the Nystrom matrix of
     sum_k 2 omega_k (phi_k(s) psi_k(t)^T - psi_k(s) phi_k(t)^T).
     """
-    H = (basis.modes[:, 0::2] * basis.omegas) @ basis.modes[:, 1::2].T
+    H = (modes[:, 0::2] * omegas) @ modes[:, 1::2].T
     diff = ctx.nystrom_matrix - (H - H.T)
     return float(np.vdot(diff, diff))
 
@@ -335,11 +317,7 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
     last = min(int(np.searchsorted(np.cumsum(2.0 * seeds ** 2), reach)), seeds.size - 1)
     roots = scan_eigenfrequencies(ctx, seeds[last], seeds[0])
 
-    pairs: list[EigenPair] = []
-    for root in roots:
-        pairs.extend(eigenfunction_from_root(ctx, root))
-    pairs.sort(key=lambda p: -p.omega)
-
+    pairs = [p for root in roots for p in eigenfunction_from_root(ctx, root)]
     captured = 0.0
     retained: list[EigenPair] = []
     for p in pairs:
@@ -353,19 +331,16 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
             f"capture only {captured / hs_total:.4f} of the HS norm (target "
             f"{capture_fraction}); refine the grid or lower eigen.capture_fraction")
 
-    # column (k, p) is sqrt(2 w) phi_k or sqrt(2 w) psi_k: orthonormal on the grid
-    h = np.stack([np.stack([p.phi, p.psi], -1) for p in retained], axis=-2)       # (N, n, r, 2)
-    modes = np.sqrt(2.0) * h * np.sqrt(ctx.grid.weights)[:, None, None, None]
-    basis = SpectralBasis(
-        pairs=tuple(retained), modes=modes.reshape(ctx.grid.size * ctx.n, -1), grid=ctx.grid,
-        hs_total=hs_total, hs_captured=captured, capture_fraction=capture_fraction,
-        mercer_residual=0.0, gram_max_dev=0.0,
-    )
-    target_gram = 0.5 * np.einsum('jk,pq->jkpq', np.eye(len(retained)), np.eye(2))
-    gram_max_dev = float(np.max(np.abs(basis_gram(basis) - target_gram)))
+    modes = np.concatenate([p.modes for p in retained], axis=1)
+    # basis_gram is half of modes^T modes: this is its largest deviation from I/2
+    gram_max_dev = 0.5 * float(np.max(np.abs(modes.T @ modes - np.eye(modes.shape[1]))))
     if not gram_max_dev <= GRAM_ATOL:
         raise RefinementStalled(
             f"basis Gram deviates from I/2 by {gram_max_dev:.3e} (limit {GRAM_ATOL}); "
             "the shooting eigenfunctions are not orthonormal on this grid")
-    return replace(basis, mercer_residual=_mercer_residual(ctx, basis),
-                   gram_max_dev=gram_max_dev)
+    omegas = np.array([p.omega for p in retained])
+    return SpectralBasis(
+        pairs=tuple(retained), modes=modes, grid=ctx.grid, hs_total=hs_total,
+        hs_captured=captured, capture_fraction=capture_fraction,
+        mercer_residual=_mercer_residual(ctx, modes, omegas), gram_max_dev=gram_max_dev,
+    )

@@ -152,20 +152,17 @@ def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None
     return gaussian_average(pair, sigma_from_omega(omega)) / np.cosh(omega)
 
 
-def corner_error(pair: TruncatedPair, omega: float, relative: bool = False) -> float:
+def corner_error(pair: TruncatedPair, omega: float) -> float:
     """Max-abs gap between the identity's sides on the leading N/2 corner.
 
-    relative divides by the corner's own largest magnitude; the corner
-    contains entries growing like e^{omega (N-1)}, so only the relative
-    error is comparable across truncation sizes.
+    The corner contains entries growing like e^{omega (N-1)}, so only the
+    gap relative to the corner's largest magnitude is comparable across
+    truncation sizes.
     """
     k = pair.N // 2
     lhs = lhs_exponential(pair, omega)
     rhs = rhs_average(pair, omega)
-    gap = float(np.abs(lhs[:k, :k] - rhs[:k, :k]).max())
-    if relative:
-        gap /= float(np.abs(lhs[:k, :k]).max())
-    return gap
+    return float(np.abs(lhs[:k, :k] - rhs[:k, :k]).max())
 
 
 def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | None = None,

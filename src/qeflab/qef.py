@@ -39,6 +39,8 @@ from .qkl import QklBasis, build_qkl
 
 OVERFLOW_LOG = 700.0
 LANCZOS_RTOL = 1e-14           # residual of the top Ritz pair, relative to its value
+CRITICAL_THETA_MAX = 1e9       # theta past which g(theta) = 1 counts as never crossed
+CRITICAL_RTOL = 1e-9           # relative width at which the bisection stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,15 +207,15 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
     return partial + tail, tail
 
 
-def find_critical_theta(cache: SpectralCache, theta_max: float = 1e9,
-                        rtol: float = 1e-9) -> float:
+def find_critical_theta(cache: SpectralCache) -> float:
     """Crossing of g(theta) = theta * r(P K(theta)) = 1 by bisection.
 
     g is nondecreasing (theta K(theta) grows in operator order, and
     conjugation by P^{1/2} preserves that), so the crossing is the
     supremum of risk parameters with a convergent determinant: evaluating
-    just below it stays finite, just above it diverges.  Some systems
-    never cross (g saturates below 1); these return infinity.
+    just below it stays finite, just above it diverges.  The bisection
+    stops at CRITICAL_RTOL relative width.  Some systems never cross (g
+    saturates below 1); past CRITICAL_THETA_MAX these return infinity.
     """
     sr0 = float(cache.lambdas(0.0)[0])
     if sr0 <= 0.0:
@@ -223,9 +225,9 @@ def find_critical_theta(cache: SpectralCache, theta_max: float = 1e9,
     while hi * float(cache.lambdas(hi)[0]) < 1.0:
         lo = hi
         hi *= 2.0
-        if hi > theta_max:
+        if hi > CRITICAL_THETA_MAX:
             return np.inf
-    while hi - lo > rtol * hi:
+    while hi - lo > CRITICAL_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mid * float(cache.lambdas(mid)[0]) < 1.0:
             lo = mid

@@ -55,9 +55,8 @@ import scipy.linalg
 from numpy.polynomial import legendre
 
 from qeflab import mc
-from qeflab.eigensolver import NystromResult
 from qeflab.errors import GridMismatch, InvalidParameter
-from qeflab.fock import SIGMA_SUP, TruncatedPair
+from qeflab.fock import SIGMA_SUP, TruncatedPair, corner_error, lhs_exponential
 from qeflab.kernels import KernelContext, expm
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
 from qeflab.qkl import tanhc
@@ -513,15 +512,22 @@ def propagate_per_node(ctx: KernelContext, root) -> np.ndarray:
     return ex[:, :n] + (-1j / root.omega) * ctx.Theta @ ex[:, n:]
 
 
-def nystrom_hermitian(ctx: KernelContext) -> NystromResult:
+def nystrom_hermitian(ctx: KernelContext) -> tuple[np.ndarray, np.ndarray]:
     """The Nystrom spectrum as every eigenvalue of the Hermitian -i K.
 
     -i K has the eigenvalues +-omega of the weight-symmetrized kernel
-    matrix K directly, each to eps omega_1 absolute.
+    matrix K directly, each to eps omega_1 absolute.  Returns them
+    ascending, and the positive omegas descending.
     """
     H = -1j * weighted_blocks(ctx.grid, ctx.lambda_grid)
     evals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-    return NystromResult(eigenvalues=evals, omegas=evals[evals > 0.0][::-1])
+    return evals, evals[evals > 0.0][::-1]
+
+
+def pair_function(grid: Grid, pair) -> np.ndarray:
+    """f = phi + i psi of one eigenpair on the grid, shape (N, n), from its mode columns."""
+    f = pair.modes[:, 0] + 1j * pair.modes[:, 1]
+    return f.reshape(grid.size, -1) / np.sqrt(2.0 * grid.weights)[:, None]
 
 
 def ode_residual(ctx: KernelContext, pair) -> float:
@@ -534,7 +540,7 @@ def ode_residual(ctx: KernelContext, pair) -> float:
     """
     grid, n = ctx.grid, ctx.n
     F, _, _ = _companion_of(ctx)
-    f = pair.phi + 1j * pair.psi
+    f = pair_function(grid, pair)
     fp = differentiate(grid, f)
     fpp = differentiate(grid, fp)
     resid = (fpp - f @ F[n:, :n].T - fp @ F[n:, n:].T
@@ -544,7 +550,9 @@ def ode_residual(ctx: KernelContext, pair) -> float:
 
 def hk_of(basis) -> np.ndarray:
     """h_k = [phi_k psi_k] per retained pair on the grid, shape (r, N, n, 2)."""
-    return np.stack([np.stack([p.phi, p.psi], -1) for p in basis.pairs])
+    grid, r = basis.grid, len(basis.pairs)
+    h = basis.modes.reshape(grid.size, -1, r, 2)
+    return np.moveaxis(h / np.sqrt(2.0 * grid.weights)[:, None, None, None], 2, 0)
 
 
 def running_integrals(qkl, ts=None) -> np.ndarray:
@@ -591,6 +599,12 @@ def omega_from_sigma(sigma: float) -> float:
     if not 0.0 <= sigma < SIGMA_SUP:
         raise InvalidParameter(f"sigma must lie in [0, sqrt(2)), got {sigma}")
     return float(np.arctanh(0.5 * sigma ** 2))
+
+
+def relative_corner_error(pair: TruncatedPair, omega: float) -> float:
+    """corner_error over the corner's largest magnitude, comparable across N."""
+    k = pair.N // 2
+    return corner_error(pair, omega) / float(np.abs(lhs_exponential(pair, omega)[:k, :k]).max())
 
 
 def lhs_exponential_dense(pair: TruncatedPair, omega: float) -> np.ndarray:

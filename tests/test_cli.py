@@ -1031,3 +1031,22 @@ def test_output_dir_that_is_a_file(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SchemaViolation"
     assert err["message"].startswith("cannot create output directory: ")
+
+
+@pytest.mark.parametrize("command, first", [
+    ("model-check", "model.csv"), ("eigen", "eigen_shooting.csv"), ("qef", "qef.csv"),
+    ("validate", "mc.csv"), ("fock", "fock.csv")])
+def test_unwritable_output_is_one_json_error(tmp_path, capsys, command, first):
+    # a directory in the place of the command's first CSV: one JSON line
+    # and exit 2, as for an output directory that cannot be created
+    (tmp_path / first).mkdir()
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "SchemaViolation"
+    assert err["message"].startswith("cannot write output file: ")
+    assert first in err["message"]
+    assert "wrote" not in captured.out

@@ -13,6 +13,7 @@ from oracles import (
     nystrom_apply,
     nystrom_hermitian,
     ode_residual,
+    pair_function,
     propagate_per_node,
     reference_root,
 )
@@ -93,7 +94,7 @@ def test_basis_with_fewer_channels_than_variables(seed):
     assert np.linalg.matrix_rank(ctx4.sys.mho) == 2
     basis = es.build_basis(ctx4, 0.99)
     assert basis.gram_max_dev <= 1e-8
-    nystrom = es.nystrom_oracle(ctx4).omegas
+    nystrom = es.nystrom_oracle(ctx4)
     gaps = [np.min(np.abs(nystrom - w)) for w in basis.omegas]
     assert max(gaps) <= 2e-4 * nystrom[0]
 
@@ -117,7 +118,7 @@ def test_deep_tail_root_is_certified_by_its_kernel(ctx):
     # |det E|/|det G| at this README root is rounding noise while E has a
     # clean kernel: the scan must certify it, to the Nystrom omega and the
     # eigenpair equation
-    nystrom = es.nystrom_oracle(ctx).omegas
+    nystrom = es.nystrom_oracle(ctx)
     roots = es.scan_eigenfrequencies(ctx, 0.02, 0.03)
     assert [r.multiplicity for r in roots] == [1]
     assert np.min(np.abs(nystrom - roots[0].omega)) <= 2e-4 * nystrom[0]
@@ -145,6 +146,17 @@ def test_every_seed_yields_one_root_or_an_error(osc_spec, grid, case):
         es.build_basis(ctx, 0.99)
 
 
+def test_unrefined_seeds_are_not_certified(ctx, monkeypatch):
+    # with no secant step the top three README seeds are the scan's omegas;
+    # E there has sigma_min / sigma_max = 6.1e-6, 3.6e-6 and 1.2e-6, no
+    # kernel at KERNEL_SV_RTOL, so the scan must refuse them rather than
+    # certify grid-accurate omegas as roots
+    monkeypatch.setattr(es, "REFINE_STEPS", 0)
+    s = ctx.nystrom_omegas
+    with pytest.raises(RefinementStalled, match="has no kernel"):
+        es.scan_eigenfrequencies(ctx, s[2], s[0])
+
+
 def readme_T4_ctx():
     """The README oscillator at T = 4 on a 32 x 16 grid."""
     spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2), T=4.0, theta=0.348)
@@ -156,7 +168,7 @@ def test_long_horizon_scan_finds_every_band_root():
     # each must come back as a certified root
     ctx = readme_T4_ctx()
     lo, hi = default_band(ctx)
-    nystrom = es.nystrom_oracle(ctx).omegas
+    nystrom = es.nystrom_oracle(ctx)
     in_band = nystrom[(nystrom >= lo) & (nystrom <= hi)]
     assert len(in_band) == 6
     omegas = np.array([r.omega for r in es.scan_eigenfrequencies(ctx, lo, hi)])
@@ -230,7 +242,7 @@ def test_squeezed_oscillator_roots():
     assert [r.multiplicity for r in roots] == [1, 1, 1]
     omegas = np.array([r.omega for r in roots])
     assert omegas == pytest.approx(SQUEEZED_ROOTS_FROZEN, rel=1e-12)
-    nystrom = es.nystrom_oracle(ctx).omegas[:3]
+    nystrom = es.nystrom_oracle(ctx)[:3]
     assert np.max(np.abs(omegas - nystrom)) <= 2e-4 * omegas[0]
 
 
@@ -263,9 +275,9 @@ def test_eigenfunction_properties(ctx, grid):
     pairs = es.eigenfunction_from_root(ctx, root)
     assert len(pairs) == 1
     p = pairs[0]
-    f = p.phi + 1j * p.psi
-    assert norm(grid, p.phi) ** 2 == pytest.approx(0.5, abs=1e-10)
-    assert norm(grid, p.psi) ** 2 == pytest.approx(0.5, abs=1e-10)
+    f = pair_function(grid, p)
+    assert norm(grid, f.real) ** 2 == pytest.approx(0.5, abs=1e-10)
+    assert norm(grid, f.imag) ** 2 == pytest.approx(0.5, abs=1e-10)
     assert norm(grid, f) == pytest.approx(1.0, abs=1e-12)
     # canonical phase: the dominant y0 entry is real positive
     lead = p.y0[np.argmax(np.abs(p.y0))]
@@ -286,9 +298,9 @@ def test_eigenfunction_ode_residual(ctx, basis):
 def test_conjugate_orthogonality(ctx, grid, basis):
     # <conj f_j, f_k> = 0 distinguishes the +omega eigenspace from -omega
     for j, pj in enumerate(basis.pairs):
-        fj = pj.phi + 1j * pj.psi
+        fj = pair_function(grid, pj)
         for pk in basis.pairs[j:]:
-            fk = pk.phi + 1j * pk.psi
+            fk = pair_function(grid, pk)
             assert abs(inner(grid, np.conj(fj), fk)) <= 1e-6
 
 
@@ -321,7 +333,7 @@ def test_mixed_kernel_rows_orthonormalize(grid):
     root = es.scan_eigenfrequencies(ctx4, *default_band(ctx4))[0]
     a, b = root.kernel
     pairs = es.eigenfunction_from_root(ctx4, replace(root, kernel=np.array([a, a + 0.5j * b])))
-    f = np.stack([p.phi + 1j * p.psi for p in pairs], axis=-1)
+    f = np.stack([pair_function(grid, p) for p in pairs], axis=-1)
     gram = np.einsum('a,aij,aik->jk', grid.weights, f.conj(), f)
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
     for p in pairs:
@@ -329,7 +341,7 @@ def test_mixed_kernel_rows_orthonormalize(grid):
         assert p.bvp_residual <= 1e-4
         assert p.boundary_residual <= 1e-8
     scan = es.eigenfunction_from_root(ctx4, root)
-    g = np.stack([p.phi + 1j * p.psi for p in scan], axis=-1)
+    g = np.stack([pair_function(grid, p) for p in scan], axis=-1)
     overlap = np.einsum('a,aij,aik->jk', grid.weights, g.conj(), f)
     assert np.allclose(overlap.conj().T @ overlap, np.eye(2), atol=1e-12)
 
@@ -371,15 +383,15 @@ def test_squeezed_basis_orthonormal(grid):
 
 
 def test_nystrom_oracle_spectrum(ctx):
-    res = es.nystrom_oracle(ctx)
-    assert res.omegas[0] == pytest.approx(NYSTROM_TOP_FROZEN, rel=1e-12)
+    omegas = es.nystrom_oracle(ctx)
+    assert omegas[0] == pytest.approx(NYSTROM_TOP_FROZEN, rel=1e-12)
     # the spectrum of the skew operator comes in +/- pairs
-    ev = res.eigenvalues
+    ev = np.concatenate([-omegas, omegas[::-1]])
     assert np.array_equal(ev, np.sort(ev))
     assert np.array_equal(ev, -ev[::-1])
     # discretized eigenvalues agree with shooting at grid accuracy
     for k, frozen in enumerate(ROOTS_FROZEN):
-        assert res.omegas[k] == pytest.approx(frozen, rel=5e-3)
+        assert omegas[k] == pytest.approx(frozen, rel=5e-3)
 
 
 @pytest.fixture(scope="module", params=["readme", "squeezed", "random4"])
@@ -410,19 +422,20 @@ def test_panel_propagation_matches_per_node(route_ctx):
 
 def test_nystrom_matches_hermitian_route(route_ctx):
     system, c = route_ctx
-    res, ref = es.nystrom_oracle(c), nystrom_hermitian(c)
-    w1 = ref.omegas[0]
+    res, (ref_ev, ref) = es.nystrom_oracle(c), nystrom_hermitian(c)
+    ev = np.concatenate([-res, res[::-1]])
+    w1 = ref[0]
     top = 2 * len(es.scan_eigenfrequencies(c, *default_band(c)))
-    assert np.abs(res.omegas[:top] - ref.omegas[:top]).max() <= 1e-12 * w1
-    assert res.eigenvalues.shape == ref.eigenvalues.shape
+    assert np.abs(res[:top] - ref[:top]).max() <= 1e-12 * w1
+    assert ev.shape == ref_ev.shape
     # squaring keeps every omega^2 to a few eps omega_1^2, so omega only to
     # about eps omega_1^2 / omega: 1e-10 omega_1 holds down to the bottom of
     # these two spectra (smallest omega 5e-6 omega_1), not for every random
     # draw (up to 2e-9 omega_1 over seeds 0-29, whose smallest omega reach
     # 1e-9 omega_1)
-    assert np.abs(res.eigenvalues ** 2 - ref.eigenvalues ** 2).max() <= 1e-12 * w1 ** 2
+    assert np.abs(ev ** 2 - ref_ev ** 2).max() <= 1e-12 * w1 ** 2
     if system != "random4":
-        assert np.abs(res.eigenvalues - ref.eigenvalues).max() <= 1e-10 * w1
+        assert np.abs(ev - ref_ev).max() <= 1e-10 * w1
 
 
 def test_build_basis_diagnostics(basis, ctx):

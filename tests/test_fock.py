@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import lhs_exponential_dense, omega_from_sigma
+from oracles import lhs_exponential_dense, omega_from_sigma, relative_corner_error
 from scipy.linalg import expm
 
 from qeflab import fock
@@ -121,7 +121,7 @@ def test_bch_factorization(pair40):
 def test_truncation_convergence_sweep():
     # relative corner errors shrink as N grows at fixed omega and grow
     # with omega at fixed N, down to the floating-point floor
-    errs = {(N, om): fock.corner_error(fock.build_pair(N), om, relative=True)
+    errs = {(N, om): relative_corner_error(fock.build_pair(N), om)
             for N in (20, 40, 80) for om in (0.1, 0.2, 0.4)}
     for om in (0.1, 0.2, 0.4):
         seq = [errs[(N, om)] for N in (20, 40, 80)]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import apply_K, inner, norm, surrogate_covariance
+from oracles import apply_K, inner, norm, pair_function, surrogate_covariance
 
 from qeflab import qkl
 from qeflab.errors import GridMismatch, InvalidParameter
@@ -36,13 +36,11 @@ def test_build_qkl_rejects_negative_theta(basis):
 
 
 def test_mode_columns_are_weighted_pairs(basis):
-    # column (k, p) of the node-major mode matrix is sqrt(2 w) phi_k or
-    # sqrt(2 w) psi_k, and the columns are orthonormal
-    cols = basis.modes.reshape(basis.grid.size, 2, len(basis.pairs), 2)
-    sw = np.sqrt(2.0 * basis.grid.weights)[:, None]
+    # columns 2k and 2k + 1 of the node-major mode matrix are pair k's
+    # sqrt(2 w) phi_k and sqrt(2 w) psi_k, and the columns are orthonormal
     for k, pair in enumerate(basis.pairs):
-        for p, f in enumerate((pair.phi, pair.psi)):
-            assert np.max(np.abs(cols[:, :, k, p] - sw * f)) <= 1e-15 * np.max(np.abs(sw * f))
+        assert pair.modes.shape == (basis.grid.size * 2, 2)
+        assert np.array_equal(basis.modes[:, 2 * k:2 * k + 2], pair.modes)
     gram = basis.modes.T @ basis.modes
     assert np.max(np.abs(gram - np.eye(2 * len(basis.pairs)))) <= 1e-12
 
@@ -52,9 +50,10 @@ def test_apply_K_eigen_action(basis):
     q = qkl.build_qkl(basis, theta)
     for k, pair in enumerate(basis.pairs):
         lam = q.tanc_values[k]
-        for f in (pair.phi, pair.psi):
-            out = apply_K(q, f)
-            assert np.max(np.abs(out - lam * f)) <= 1e-12
+        f = pair_function(basis.grid, pair)
+        for part in (f.real, f.imag):
+            out = apply_K(q, part)
+            assert np.max(np.abs(out - lam * part)) <= 1e-12
 
 
 def test_apply_K_contraction(basis):
@@ -77,8 +76,9 @@ def test_apply_K_annihilates_orthogonal_complement(basis):
     grid = basis.grid
     f = rng.standard_normal((grid.size, 2))
     for pair in basis.pairs:
-        for g in (pair.phi, pair.psi):
-            f = f - 2.0 * inner(grid, g, f) * g
+        g = pair_function(grid, pair)
+        for part in (g.real, g.imag):
+            f = f - 2.0 * inner(grid, part, f) * part
     out = apply_K(q, f)
     assert norm(grid, out) <= 1e-12 * norm(grid, f)
 
