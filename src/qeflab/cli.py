@@ -167,7 +167,7 @@ def cmd_model_check(cfg: dict, out: Path, seed: int | None) -> int:
     sysm = model.build_system(spec)
     # relative to the terms that cancel, not to mho alone (zero when M = 0)
     terms = (sysm.A @ spec.Theta, spec.Theta @ sysm.A.T, sysm.mho)
-    pr_rel = sysm.pr_residual / max(sum(float(np.linalg.norm(t)) for t in terms), 1e-300)
+    pr_rel = sysm.pr_residual / max(sum(model.frobenius(t) for t in terms), 1e-300)
     checks = [("pr_residual_rel", pr_rel, PR_RTOL, pr_rel <= PR_RTOL)]
     if sysm.hurwitz:
         recovered = model.recover_ccr(sysm.A, sysm.mho)
@@ -235,7 +235,7 @@ def cmd_qef(cfg: dict, out: Path, seed: int | None) -> int:
             "diverged" if rep.xi is None else rep.xi,
             "diverged" if rep.xi_classical is None else rep.xi_classical,
         ])
-        tanc = build_qkl(cache.basis, rep.theta).tanc_values
+        tanc = cache.k_eigenvalues(rep.theta)[::2]
         for k, pair in enumerate(cache.basis.pairs):
             qkl_rows.append([rep.theta, k, pair.omega, tanc[k]])
     _write_csv(out / "qef.csv",
@@ -299,7 +299,7 @@ def cmd_fock(cfg: dict, out: Path, seed: int | None) -> int:
         with np.errstate(all="ignore"):
             err = fockmod.corner_error(pair, omega)
             sigma = fockmod.sigma_from_omega(omega)
-            ode = fockmod.verify_ode(pair, [sigma]).max_residual
+            ode = fockmod.verify_ode(pair, [sigma])
         if not (np.isfinite(err) and np.isfinite(ode)):
             raise InvalidParameter(
                 f"fock.omega_list value {omega} with fock.N = {N} gives corner_error "

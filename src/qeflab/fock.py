@@ -53,21 +53,6 @@ class TruncatedPair:
     xi_weights: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class OdeReport:
-    """Residuals of the generating-function ODE at exact derivatives.
-
-    residuals[i] is the max-abs corner-block mismatch between the
-    closed-form derivative f'(sigmas[i]) and
-    (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f: rounding
-    only, as long as the truncation has not reached the corner.
-    """
-
-    sigmas: np.ndarray
-    residuals: np.ndarray
-    max_residual: float
-
-
 def build_pair(N: int) -> TruncatedPair:
     """Standard ladder construction of (xi, eta) on N Fock levels."""
     if N < 4:
@@ -166,13 +151,15 @@ def corner_error(pair: TruncatedPair, omega: float) -> float:
 
 
 def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | None = None,
-               step: float | None = None) -> OdeReport:
-    """Check f' = (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
+               step: float | None = None) -> float:
+    """Largest residual of f' = (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
 
     Both f and f' are the closed forms of _average_diagonals, and
     xi^2 + eta^2 is diag(number_form).  All three are diagonal, so the
     leading N/2 corner block is compared on its diagonal, and the
-    residual tests the ODE itself.  quad_order and step are
+    residual, the max-abs mismatch over that diagonal and the sigmas,
+    tests the ODE itself: rounding only, as long as the truncation has
+    not reached the corner.  quad_order and step are
     unused: the average and its derivative are exact.  They stay only
     because perfbench/layers.py still passes them.
     """
@@ -186,7 +173,7 @@ def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | No
         f, slope = _average_diagonals(pair, sigma)
         gain = sigma / (1.0 - 0.25 * sigma ** 4)
         residuals[i] = float(np.abs(slope[:k] - gain * (q + 0.5 * sigma ** 2) * f[:k]).max())
-    return OdeReport(sigmas=sigmas, residuals=residuals, max_residual=float(residuals.max()))
+    return float(residuals.max())
 
 
 def sigma_from_omega(omega: float) -> float:

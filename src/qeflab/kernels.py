@@ -74,8 +74,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for i in range(int(s.max(initial=0))):
-        r = np.where((s > i)[..., None, None], r @ r, r)
+    with np.errstate(over="ignore", invalid="ignore"):      # callers test the result
+        for i in range(int(s.max(initial=0))):
+            r = np.where((s > i)[..., None, None], r @ r, r)
     return r
 
 

@@ -22,6 +22,7 @@ invariant Gaussian state from A P0 + P0 A^T + B B^T = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,6 @@ class SystemMatrices:
     A: np.ndarray
     B: np.ndarray
     mho: np.ndarray
-    J: np.ndarray
     pr_residual: float
     hurwitz: bool
 
@@ -121,6 +121,19 @@ def is_hurwitz(A: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
     return bool(np.max(np.linalg.eigvals(A).real) < -margin)
 
 
+def frobenius(X: np.ndarray) -> float:
+    """Frobenius norm of X, free of overflow while it stays in the double range.
+
+    X is first divided by the power of two 2^e at its largest entry (e = 0
+    when that entry is below 1).  That division is exact, so wherever
+    np.linalg.norm(X) is finite the result is the same to the last bit.
+    """
+    X = np.asarray(X, dtype=float)
+    e = max(0, math.frexp(float(np.abs(X).max(initial=0.0)))[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(X, -e)), e))
+
+
 def validate_spec(spec: OscillatorSpec) -> None:
     """Check shapes, finiteness, symmetry of R, antisymmetry of Theta and its nonsingularity."""
     Theta, R, M = np.asarray(spec.Theta), np.asarray(spec.R), np.asarray(spec.M)
@@ -133,29 +146,38 @@ def validate_spec(spec: OscillatorSpec) -> None:
         raise InvalidParameter("Theta and R must be n x n")
     if M.shape != (spec.m, spec.n):
         raise InvalidParameter(f"M must be m x n = {spec.m} x {spec.n}, got {M.shape}")
-    scale = max(1.0, float(np.linalg.norm(Theta)))
-    if np.linalg.norm(Theta + Theta.T) > ANTISYMMETRY_RTOL * scale:
-        raise NotAntisymmetric("Theta is not antisymmetric within tolerance")
-    if np.linalg.norm(R - R.T) > ANTISYMMETRY_RTOL * max(1.0, float(np.linalg.norm(R))):
-        raise InvalidParameter("R is not symmetric within tolerance")
+    with np.errstate(over="ignore"):       # a gap past the double range is refused as inf
+        if frobenius(Theta + Theta.T) > ANTISYMMETRY_RTOL * max(1.0, frobenius(Theta)):
+            raise NotAntisymmetric("Theta is not antisymmetric within tolerance")
+        if frobenius(R - R.T) > ANTISYMMETRY_RTOL * max(1.0, frobenius(R)):
+            raise InvalidParameter("R is not symmetric within tolerance")
     if reciprocal_cond(Theta) < SINGULAR_RCOND:
         raise SingularTheta("Theta is singular or numerically rank deficient")
 
 
 def build_system(spec: OscillatorSpec) -> SystemMatrices:
-    """Construct A, B, mho from the spec and compute the realizability residual."""
+    """Construct A, B, mho from the spec and compute the realizability residual.
+
+    Raises NonFinite when finite entries of the spec give a product
+    outside the double range.
+    """
     validate_spec(spec)
     Theta = np.asarray(spec.Theta, dtype=float)
     R = np.asarray(spec.R, dtype=float)
     M = np.asarray(spec.M, dtype=float)
     J = canonical_j(spec.m)
-    A = 2.0 * Theta @ (R + M.T @ J @ M)
-    B = 2.0 * Theta @ M.T
-    mho = B @ J @ B.T
-    pr = float(np.linalg.norm(A @ Theta + Theta @ A.T + mho))
+    with np.errstate(over="ignore", invalid="ignore"):      # tested instead
+        A = 2.0 * Theta @ (R + M.T @ J @ M)
+        B = 2.0 * Theta @ M.T
+        mho = B @ J @ B.T
+        gap = A @ Theta + Theta @ A.T + mho
+    if not all(np.isfinite(X).all() for X in (A, B, mho, gap)):
+        raise NonFinite("A = 2 Theta (R + M^T J M), B = 2 Theta M^T, mho = B J B^T or "
+                        "A Theta + Theta A^T + mho leaves the double range: "
+                        "oscillator.Theta, R and M are too large")
     return SystemMatrices(
-        A=A, B=B, mho=mho, J=J,
-        pr_residual=pr,
+        A=A, B=B, mho=mho,
+        pr_residual=frobenius(gap),
         hurwitz=is_hurwitz(A),
     )
 

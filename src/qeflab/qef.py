@@ -35,12 +35,23 @@ import numpy as np
 from .errors import GridMismatch, InvalidParameter, StateUnavailable
 from .kernels import KernelContext, covariance_on_grid
 from .model import clip_psd
-from .qkl import QklBasis, build_qkl
+from .qkl import QklBasis
 
 OVERFLOW_LOG = 700.0
 LANCZOS_RTOL = 1e-14           # residual of the top Ritz pair, relative to its value
 CRITICAL_THETA_MAX = 1e9       # theta past which g(theta) = 1 counts as never crossed
 CRITICAL_RTOL = 1e-9           # relative width at which the bisection stops
+
+
+def tanhc(z):
+    """tanh(z) / z extended by continuity to 1 at z = 0."""
+    z = np.asarray(z, dtype=float)
+    out = np.ones_like(z)
+    nz = z != 0.0
+    out[nz] = np.tanh(z[nz]) / z[nz]
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +124,9 @@ class SpectralCache:
 
     def k_eigenvalues(self, theta: float) -> np.ndarray:
         """K's eigenvalue tanhc(theta omega_k) per column of basis.modes; refuses theta < 0."""
-        return np.repeat(build_qkl(self.basis, theta).tanc_values, 2)
+        if theta < 0.0:
+            raise InvalidParameter(f"theta must be nonnegative, got {theta}")
+        return np.repeat(tanhc(theta * self.basis.omegas), 2)
 
     def lambdas(self, theta: float) -> np.ndarray:
         """Leading eigenvalues of sqrt(K) P sqrt(K) at one theta, descending.

@@ -59,7 +59,7 @@ from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP, TruncatedPair, corner_error, lhs_exponential
 from qeflab.kernels import KernelContext, expm
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
-from qeflab.qkl import tanhc
+from qeflab.qef import tanhc
 from qeflab.quadrature import Grid
 
 
@@ -575,7 +575,7 @@ def surrogate_covariance(qkl, ts: np.ndarray | None = None) -> np.ndarray:
     (M, M, n, n).
     """
     H = running_integrals(qkl, ts)
-    return np.einsum('k,akip,bkjp->abij', qkl.tanc_values, H, H)
+    return np.einsum('k,akip,bkjp->abij', tanhc(qkl.theta * qkl.basis.omegas), H, H)
 
 
 def apply_K(qkl, f: np.ndarray) -> np.ndarray:
@@ -591,7 +591,7 @@ def apply_K(qkl, f: np.ndarray) -> np.ndarray:
         raise GridMismatch(f"expected grid function of shape ({grid.size}, {hk.shape[2]}), "
                            f"got {f.shape}")
     proj = np.einsum('kaip,a,ai->kp', hk, grid.weights, f)
-    return 2.0 * np.einsum('k,kaip,kp->ai', qkl.tanc_values, hk, proj)
+    return 2.0 * np.einsum('k,kaip,kp->ai', tanhc(qkl.theta * qkl.basis.omegas), hk, proj)
 
 
 def omega_from_sigma(sigma: float) -> float:

@@ -978,17 +978,56 @@ def test_ragged_matrix_is_a_schema_violation(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])
 def test_asymmetric_R_is_one_json_error(tmp_path, capsys, command):
     # with an asymmetric R, A = 2 Theta (R + M^T J M) describes no
-    # Hamiltonian: the spec is refused before any check or kernel work
+    # Hamiltonian: the spec is refused before any check or kernel work.
+    # At 1e300 the Frobenius norm of R overflowed, the tolerance became inf
+    # and the spec was accepted
+    for R in ([[1.0, 0.5], [0.0, 1.0]], [[1e300, 1e300], [0.0, 1e300]]):
+        cfg = base_config(tmp_path)
+        cfg["oscillator"]["R"] = R
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", path]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "InvalidParameter",
+                                        "message": "R is not symmetric within tolerance"}
+        assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["model-check", "eigen", "qef", "validate"])
+@pytest.mark.parametrize("oscillator, error", [
+    # A = 2 Theta (R + M^T J M) overflows: numpy warnings, then a traceback
+    # from is_hurwitz's eigvals on inf entries
+    ({"Theta": [[0.0, 1e200], [-1e200, 0.0]], "R": [[1e200, 0.0], [0.0, 1e200]]}, "NonFinite"),
+    ({"M": [[1e160, 0.0], [0.0, 1e160]]}, "NonFinite"),
+    # A is finite but A Theta overflows: warnings before each outcome
+    ({"Theta": [[0.0, 1e150], [-1e150, 0.0]], "R": [[1e150, 0.0], [0.0, 1e150]]}, "NonFinite"),
+    # A is finite but norms of R and of A Theta overflowed, and so did the
+    # kernel's matrix exponentials, each with a warning before the outcome
+    ({"R": [[1e300, 0.0], [0.0, 1e300]]}, None),
+], ids=["Theta-R-1e200", "M-1e160", "Theta-R-1e150", "R-1e300"])
+def test_overflowing_spec_is_one_json_error(tmp_path, capsys, command, oscillator, error):
     cfg = base_config(tmp_path)
-    cfg["oscillator"]["R"] = [[1.0, 0.5], [0.0, 1.0]]
+    cfg["oscillator"].update(oscillator)
     path = write_config(tmp_path, cfg)
-    assert cli.main([command, "--config", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "InvalidParameter",
-                                    "message": "R is not symmetric within tolerance"}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", path])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == []
+        return
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert error is None or payload["error"] == error
+    if error == "NonFinite":
+        assert code == 2 and "oscillator.Theta, R and M" in payload["message"]
     assert not any(tmp_path.glob("*.csv"))
 
 

@@ -134,8 +134,7 @@ def test_truncation_convergence_sweep():
 
 
 def test_ode_residual_at_zero(pair20):
-    rep = fock.verify_ode(pair20, np.array([0.0]), step=1e-3)
-    assert rep.max_residual == 0.0
+    assert fock.verify_ode(pair20, np.array([0.0]), step=1e-3) == 0.0
 
 
 def ode_gap(pair, sigma, coef):
@@ -158,9 +157,9 @@ def test_ode_residual_separates_planted_defect(N):
     for omega in (0.1, 0.15, 0.2):
         sigma = fock.sigma_from_omega(omega)
         scale = np.exp(omega * (N - 1))
-        rep = fock.verify_ode(pair, [sigma])
-        assert rep.max_residual == ode_gap(pair, sigma, 0.5)
-        assert rep.max_residual <= 1e-6 * scale
+        residual = fock.verify_ode(pair, [sigma])
+        assert residual == ode_gap(pair, sigma, 0.5)
+        assert residual <= 1e-6 * scale
         assert ode_gap(pair, sigma, 1.0 / 3.0) >= 1e-2 * scale
         # the closed-form derivative is the limit of difference quotients
         h = 1e-5
@@ -178,7 +177,7 @@ def test_ode_domain_checks(pair20):
     with pytest.raises(InvalidParameter):
         fock.verify_ode(pair20, np.array([]))
     # just below sqrt(2) the residual exists: f and f' are evaluated at sigma only
-    assert np.isfinite(fock.verify_ode(pair20, np.array([1.414])).max_residual)
+    assert np.isfinite(fock.verify_ode(pair20, np.array([1.414])))
 
 
 def test_omega_sigma_bijection():

@@ -108,7 +108,8 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
     Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)
-    corr = 1.0 - np.sqrt(qkl.tanc_values)
+    tanc = est.cache.k_eigenvalues(theta)[::2]
+    corr = 1.0 - np.sqrt(tanc)
     w = ctx.grid.weights
     root = symmetric_root(est.cache.P)
     sizes = np.array([50, 30])
@@ -126,7 +127,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
             / np.sqrt(w)[None, :, None]
         base = np.einsum('sai,a,sai->s', paths, w, paths)
         proj = np.einsum('kaip,a,sai->skp', hk_of(basis), w, paths)
-        q_n = base + 2.0 * np.einsum('k,skp->s', qkl.tanc_values - 1.0, proj ** 2)
+        q_n = base + 2.0 * np.einsum('k,skp->s', tanc - 1.0, proj ** 2)
         for q, mean in zip((q_z, q_n), means[0, :, j]):
             ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
             assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -271,7 +272,7 @@ def test_N_route_determinant_matches_closed_form(ctx, basis, state, squeezed, wh
     cache = qef.SpectralCache(c, qkl, P0)
     rep = qef.compute_qef(c, qkl, P0, cache=cache)
     R, U = symmetric_root(cache.P), cache.basis.modes
-    K = np.eye(U.shape[0]) + (U * (np.repeat(qkl.tanc_values, 2) - 1.0)) @ U.T
+    K = np.eye(U.shape[0]) + (U * (cache.k_eigenvalues(theta) - 1.0)) @ U.T
     sign, logdet = np.linalg.slogdet(np.eye(U.shape[0]) - theta * R @ K @ R)
     assert sign == 1.0
     assert float(np.exp(-rep.C - 0.5 * logdet)) == pytest.approx(rep.xi, rel=1e-12, abs=0.0)

@@ -22,7 +22,7 @@ def test_fixture_matrices_closed_form(osc_spec):
     assert np.allclose(sysm.A, 2.0 * (J2 - np.eye(2)), atol=1e-15)
     assert np.allclose(sysm.B, 2.0 * J2, atol=1e-15)
     assert np.allclose(sysm.mho, 4.0 * J2, atol=1e-14)
-    assert np.allclose(sysm.J, J2, atol=0.0)
+    assert np.allclose(model.canonical_j(2), J2, atol=0.0)
     assert sysm.hurwitz
 
 

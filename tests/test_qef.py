@@ -11,7 +11,8 @@ from scipy.linalg import block_diag
 from qeflab import eigensolver as es
 from qeflab import kernels, mc, model, qef, quadrature
 from qeflab.errors import CovarianceNotPSD, GridMismatch, InvalidParameter, StateUnavailable
-from qeflab.qkl import build_qkl, tanhc
+from qeflab.qef import tanhc
+from qeflab.qkl import build_qkl
 
 # frozen on the reference system with the default 0.99-capture basis
 FROZEN = {
@@ -163,6 +164,8 @@ def test_lambdas_rejects_negative_theta(cache):
         cache.lambdas(-0.5)
     with pytest.raises(InvalidParameter):
         cache.log_det(-0.5)
+    with pytest.raises(InvalidParameter, match="theta must be nonnegative, got -0.5"):
+        cache.k_eigenvalues(-0.5)
 
 
 def test_quantum_correction_tightens_classical(ctx, qkl348, state, cache):

@@ -1,19 +1,22 @@
 """Coefficient functions, tanhc weights, and the surrogate covariance."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from oracles import apply_K, inner, norm, pair_function, surrogate_covariance
 
 from qeflab import qkl
 from qeflab.errors import GridMismatch, InvalidParameter
+from qeflab.qef import tanhc
 
 
 def test_tanhc_values():
-    assert qkl.tanhc(0.0) == 1.0
-    assert qkl.tanhc(1.0) == pytest.approx(0.7615941559557649, rel=1e-15)
-    assert qkl.tanhc(-1.0) == qkl.tanhc(1.0)
+    assert tanhc(0.0) == 1.0
+    assert tanhc(1.0) == pytest.approx(0.7615941559557649, rel=1e-15)
+    assert tanhc(-1.0) == tanhc(1.0)
     z = np.array([0.0, 0.5, 2.0])
-    out = qkl.tanhc(z)
+    out = tanhc(z)
     assert out.shape == (3,)
     assert out[0] == 1.0
     assert np.all(np.diff(out) < 0)
@@ -22,12 +25,13 @@ def test_tanhc_values():
 def test_build_qkl_shapes_and_weights(basis):
     q = qkl.build_qkl(basis, 0.348)
     r, N = len(basis.pairs), basis.grid.size
-    assert q.basis is basis
+    assert q.basis is basis and q.theta == 0.348
+    assert [f.name for f in fields(q)] == ["basis", "theta"]
     assert basis.modes.shape == (N * 2, 2 * r)
-    assert np.allclose(q.tanc_values, qkl.tanhc(0.348 * basis.omegas),
-                       rtol=0.0, atol=0.0)
-    assert np.all(q.tanc_values > 0.0)
-    assert np.all(q.tanc_values <= 1.0)
+    weights = tanhc(q.theta * basis.omegas)
+    assert weights.shape == (r,)
+    assert np.all(weights > 0.0)
+    assert np.all(weights <= 1.0)
 
 
 def test_build_qkl_rejects_negative_theta(basis):
@@ -49,7 +53,7 @@ def test_apply_K_eigen_action(basis):
     theta = 0.87
     q = qkl.build_qkl(basis, theta)
     for k, pair in enumerate(basis.pairs):
-        lam = q.tanc_values[k]
+        lam = tanhc(theta * pair.omega)
         f = pair_function(basis.grid, pair)
         for part in (f.real, f.imag):
             out = apply_K(q, part)
