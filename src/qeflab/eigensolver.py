@@ -2,17 +2,19 @@
 
 The skew self-adjoint integral operator L with kernel Lambda(s - t) has
 purely imaginary eigenvalues +- i omega_k.  A positive omega is an
-eigenfrequency exactly when det E(omega) = 0, E(omega) = Y(T) the
-terminal block of the boundary system in kernels, and each kernel
-vector y(0) of E(omega) propagates from [0; y(0)] to an eigenfunction
-f(t) = x(t) + B y(t), B = -(i/omega) Theta.  Writing f = phi + i psi,
-normalization ||f|| = 1 forces ||phi||^2 = ||psi||^2 = 1/2 and
-<phi, psi> = 0, which is what downstream consumers rely on.
+eigenfrequency exactly when the terminal block Y(T) of the boundary
+system in kernels is singular, and each y(0) in its kernel propagates
+from [0; y(0)] to an eigenfunction f(t) = x(t) + B y(t), B = -(i/omega)
+Theta.  Both are read from the bounded matrix N(omega) of the ordered
+split (kernels.bvp_matrices), which is singular with Y(T) at any
+horizon.  Writing f = phi + i psi, normalization ||f|| = 1 forces
+||phi||^2 = ||psi||^2 = 1/2 and <phi, psi> = 0, which is what
+downstream consumers rely on.
 
 The dense Nystrom discretization of L lists every eigenfrequency in the
-right count, to the grid's accuracy; a batched secant on E(omega) refines
-each one it seeds, and a refined omega is a root when E(omega) has a
-kernel; a seed without a root of its own is an error.  One QR per root
+right count, to the grid's accuracy; a batched secant on det N(omega)
+refines each one it seeds, and a refined omega is a root when N(omega)
+has a kernel; a seed without a root of its own is an error.  One QR per root
 orthonormalizes its eigenfunctions, and each eigenpair holds them in one
 form, its weighted node-major mode columns sqrt(2w) phi and sqrt(2w) psi.
 The retained pairs' columns are the spectral basis's mode matrix, checked
@@ -37,11 +39,10 @@ from .errors import (
 from .kernels import BvpMatrices, KernelContext, bvp_matrices, expm
 from .quadrature import Grid
 
-KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker E
+KERNEL_SV_RTOL = 1e-8       # singular values below this fraction of sigma_max span ker N
 ROOT_MERGE_RTOL = 1e-8      # seeds or roots this close (times max(1, omega)) are one
 SEED_OFFSET = 1e-7          # relative offset of each secant's first point below its seed
 REFINE_XTOL = 1e-12         # relative secant step at which refinement stops
-REFINE_NOISE_RTOL = 1e-6    # a relative step below this that does not contract is noise
 REFINE_STEPS = 30           # secant steps per bracket at most
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
@@ -51,11 +52,13 @@ TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_exact / (
 
 @dataclass(frozen=True, eq=False)
 class Root:
-    """Refined root of det E(omega): D(omega), E(omega) and ker E(omega) as rows."""
+    """Refined root of det N(omega): its split, ker N(omega) as rows [a; y(0)] and
+    the propagator from such a row to f on the grid (see _propagator)."""
 
     omega: float
     kernel: np.ndarray
     bvp: BvpMatrices
+    propagator: np.ndarray
 
     @property
     def multiplicity(self) -> int:
@@ -68,10 +71,11 @@ class EigenPair:
 
     modes holds the columns sqrt(2w) phi and sqrt(2w) psi, node-major,
     shape (N n, 2): the layout of SpectralBasis.modes.  y0 is the unit
-    kernel vector of E(omega) that starts f.  bvp_residual is the Nystrom
+    vector y(0) that starts f, in ker Y(T).  bvp_residual is the Nystrom
     residual ||K y - i omega y||_2 of y = sqrt(w) f, K =
     ctx.nystrom_matrix (independent of the shooting propagation);
-    boundary_residual is ||E(omega) y0||.
+    boundary_residual is ||N(omega) v|| for the unit kernel vector v =
+    [a; y(0)] of N that starts f, bounded at any horizon as N is.
     """
 
     omega: float
@@ -100,83 +104,90 @@ class SpectralBasis:
         return np.array([p.omega for p in self.pairs])
 
 
-def _least_eigenvalue(E: np.ndarray) -> np.ndarray:
-    """The least-modulus eigenvalue of each matrix in the stack E."""
-    lam = np.linalg.eigvals(E)
-    return np.take_along_axis(lam, np.argmin(np.abs(lam), axis=-1)[..., None], -1)[..., 0]
+def _det_root(N: np.ndarray, k: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """det(N)^(1/k) of each matrix in the stack N, on the k-th-root branch nearest near."""
+    r = np.linalg.det(N) ** (1.0 / k)
+    with np.errstate(divide='ignore', invalid='ignore'):      # det 0 leaves g = 0
+        turns = np.round(np.angle(near / r) * k / (2.0 * np.pi))
+    return r * np.exp(2j * np.pi / k * np.where(np.isfinite(turns), turns, 0.0))
 
 
 def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
                           omega_max: float) -> list[Root]:
-    """Refine every Nystrom omega in [omega_min, omega_max] to a root of det E(omega).
+    """Refine every Nystrom omega in [omega_min, omega_max] to a root of det N(omega).
 
-    Each distinct omega_N of ctx.nystrom_omegas (seeds within
-    ROOT_MERGE_RTOL max(1, omega) are one) starts a secant on
-    lambda(omega), the least-modulus eigenvalue of E(omega), which has a
-    simple zero even where det E has a semisimple double one.  The
-    secant starts from (omega_N (1 - SEED_OFFSET), omega_N), takes the
-    real part of each complex step and clips the iterate to halfway to
-    the neighbouring seeds (to half the bottom seed, to 1.5 the top
-    one); every step advances all unfinished seeds in one bvp_matrices
-    call.  The first call also evaluates E at omega_inf = TAIL_SCALE
-    sqrt(hs_total / 2), far above every omega_k, and raises
-    DeterminantIdentityViolated unless ln Delta(omega_inf) =
-    ln |det E(omega_inf)| + T tr A matches -hs_exact / (2 omega_inf^2) to
-    TAIL_IDENTITY_RTOL relative: a broken assembly of D(omega) or a
-    horizon the exponential cannot resolve, never a coarse grid.  A
-    secant stops when its step falls below REFINE_XTOL relative, or at
-    the noise floor, when a step below REFINE_NOISE_RTOL relative is no
-    shorter than the one before (its last iterate is kept), and after
-    REFINE_STEPS steps at most.  A refined omega is a root when E(omega)
-    has singular values below KERNEL_SV_RTOL sigma_max; their right
-    singular vectors are its kernel rows.  Returns roots in descending
-    omega order, one per seed: a seed whose refined omega has no kernel,
-    or lands within ROOT_MERGE_RTOL max(1, omega) of another seed's,
-    raises RefinementStalled naming both, and a band without a seed
-    raises NoRootsFound.  On long horizons E(omega) loses its digits, and
-    only build_basis's Gram gate stops the roots it then yields (README
-    oscillator at T = 4 and 8).
+    N is the bounded boundary matrix of kernels.bvp_matrices.  Each
+    distinct omega_N of ctx.nystrom_omegas (the k seeds within
+    ROOT_MERGE_RTOL max(1, omega) of each other are one) starts a secant
+    on g(omega) = det N(omega)^(1/k), which has a simple zero even where
+    det N has a k-fold one; each evaluation keeps the branch of the k-th
+    root nearest the secant's linear prediction.  The secant starts from
+    (omega_N (1 - SEED_OFFSET), omega_N), takes the real part of each
+    complex step and clips the iterate to halfway to the neighbouring
+    seeds (to half the bottom seed, to 1.5 the top one); every step
+    advances all unfinished seeds in one bvp_matrices call.  The first
+    call also evaluates N at omega_inf = TAIL_SCALE sqrt(hs_total / 2),
+    far above every omega_k, and raises DeterminantIdentityViolated
+    unless ln Delta(omega_inf) = ln |det N| + T Re tr S+ + T tr A matches
+    -hs_exact / (2 omega_inf^2) to TAIL_IDENTITY_RTOL relative: a broken
+    assembly of D(omega), never a coarse grid or a long horizon.  A
+    secant stops when its step falls below REFINE_XTOL relative, after
+    REFINE_STEPS steps at most.  One more call evaluates every refined
+    omega, which is a root when N(omega) has singular values below
+    KERNEL_SV_RTOL sigma_max; their right singular vectors [a; y(0)] are
+    its kernel rows.  Returns roots in descending omega order, one per
+    seed: a seed whose refined omega has no kernel, or lands within
+    ROOT_MERGE_RTOL max(1, omega) of another seed's, raises
+    RefinementStalled naming both, and a band without a seed raises
+    NoRootsFound.
     """
     if not (0.0 < omega_min <= omega_max):
         raise NonpositiveOmega(f"need 0 < omega_min <= omega_max, got ({omega_min}, {omega_max})")
     s = ctx.nystrom_omegas
-    s = s[np.append(True, s[:-1] - s[1:] > ROOT_MERGE_RTOL * np.maximum(1.0, s[:-1]))]
+    new = np.append(True, s[:-1] - s[1:] > ROOT_MERGE_RTOL * np.maximum(1.0, s[:-1]))
+    first = np.flatnonzero(new)
+    s, k = s[first], np.diff(np.append(first, s.size))       # distinct seeds, multiplicities
     half = 0.5 * np.append(s[:-1] - s[1:], s[-1:])           # to the next seed down, or 0
     band = (s >= omega_min) & (s <= omega_max)
     if not band.any():
         raise NoRootsFound(f"no Nystrom omega in [{omega_min}, {omega_max}]")
     lo, hi = (s - half)[band], (s + np.append(0.5 * s[:1], half[:-1]))[band]
     seeds = x1 = s[band]
+    k = k[band]
     x0 = x1 * (1.0 - SEED_OFFSET)
     omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
-    E = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]])).E
-    # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2
+    bvp = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]]))
+    # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2;
+    # ln |det Y(T)| = ln |det N| + T Re tr S+
+    got = (np.linalg.slogdet(bvp.N[-1])[1]
+           + ctx.grid.T * (np.trace(bvp.S[-1, 0]).real + np.trace(ctx.sys.A)))
     want = -ctx.hs_exact / (2.0 * omega_inf ** 2)
-    rel = abs((np.linalg.slogdet(E[-1])[1] + ctx.grid.T * np.trace(ctx.sys.A)) / want - 1.0)
+    rel = abs(got / want - 1.0)
     if not rel <= TAIL_IDENTITY_RTOL:
         raise DeterminantIdentityViolated(
             f"ln Delta({omega_inf:.4g}) deviates from -||L||^2_HS / (2 omega^2) by {rel:.3e} "
             "relative")
-    lam = _least_eigenvalue(E[:-1])
-    lam0, lam1 = lam[:x1.size], lam[x1.size:]
-    last = np.full(x1.size, np.inf)               # the offset start is no step to judge
     omegas = x1.copy()
     live = np.arange(x1.size)                     # seeds still refining
+    g0 = _det_root(bvp.N[:x1.size], k, 1.0)
+    g1 = _det_root(bvp.N[x1.size:-1], k, g0)
     for _ in range(REFINE_STEPS):
+        slope = (g1 - g0) / (x1 - x0)
         with np.errstate(divide='ignore', invalid='ignore'):
-            step = np.real(lam1 * (x1 - x0) / (lam1 - lam0))
+            step = np.real(g1 / slope)
         x2 = np.clip(x1 - np.where(np.isfinite(step), step, 0.0), lo, hi)
-        dx = np.abs(x2 - x1)
-        converged = dx <= REFINE_XTOL * x2
-        noisy = ~converged & (dx >= last) & (dx <= REFINE_NOISE_RTOL * x2)
-        omegas[live] = np.where(noisy, x1, x2)
-        go = ~(converged | noisy)
+        omegas[live] = x2
+        go = np.abs(x2 - x1) > REFINE_XTOL * x2
         if not go.any():
             break
-        live, lo, hi, last = live[go], lo[go], hi[go], dx[go]
-        x0, lam0, x1 = x1[go], lam1[go], x2[go]
-        lam1 = _least_eigenvalue(bvp_matrices(ctx, x1).E)
+        near = (g1 + (x2 - x1) * slope)[go]
+        live, lo, hi, k = live[go], lo[go], hi[go], k[go]
+        x0, g0, x1 = x1[go], g1[go], x2[go]
+        g1 = _det_root(bvp_matrices(ctx, x1).N, k, near)
 
+    bvp = bvp_matrices(ctx, omegas)
+    propagator = _propagator(ctx, bvp)
+    _, sv, Vh = np.linalg.svd(bvp.N)              # ker N(omega) by singular values, one row each
     out: list[Root] = []
     for i in range(seeds.size - 1, -1, -1):       # ascending, as the seeds' brackets are
         w = float(omegas[i])
@@ -184,56 +195,58 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
             raise RefinementStalled(
                 f"the Nystrom seeds {seeds[i + 1]:.10g} and {seeds[i]:.10g} both refine to "
                 f"omega = {w:.10g}")
-        bvp = bvp_matrices(ctx, w)
-        _, sv, Vh = np.linalg.svd(bvp.E)          # ker E(w) by singular values, one row each
-        kernel = Vh[np.flatnonzero(sv < KERNEL_SV_RTOL * sv[0])].conj()
+        kernel = Vh[i, sv[i] < KERNEL_SV_RTOL * sv[i, 0]].conj()
         if not len(kernel):
             raise RefinementStalled(
-                f"the Nystrom seed {seeds[i]:.10g} refines to omega = {w:.10g}, where E(omega) "
+                f"the Nystrom seed {seeds[i]:.10g} refines to omega = {w:.10g}, where N(omega) "
                 "has no kernel")
-        out.append(Root(omega=w, kernel=kernel, bvp=bvp))
+        out.append(Root(omega=w, kernel=kernel, bvp=BvpMatrices(*(f[i] for f in bvp)),
+                        propagator=propagator[i]))
     return out[::-1]
 
 
-def _canonical_phase(y0: np.ndarray) -> complex:
-    """Phase factor making the largest-magnitude entry of y0 real positive."""
-    k = int(np.argmax(np.abs(y0)))
-    z = y0[k]
-    if z == 0:
-        return 1.0 + 0.0j
-    return np.conj(z) / abs(z)
+def _propagator(ctx: KernelContext, bvp: BvpMatrices) -> np.ndarray:
+    """The map from [a; y(0)] in ker N to f(t) = x(t) + B y(t) at the grid nodes, (..., N, n, 2n).
 
-
-def _propagator(ctx: KernelContext, D: np.ndarray) -> np.ndarray:
-    """[I B] e^{t D} [0; I] at every grid node t, shape (N, n, n).
-
-    It maps y(0) to f(t) = x(t) + B y(t); B = D[:n, :n] - A.  A node is
-    t = t_p + x_q, its panel's left edge plus one of the Q offsets every
-    panel repeats, so e^{t_p D} e^{x_q D} takes P + Q exponentials, not N.
+    With N [a; y(0)] = 0 the state e^{t D} [0; y(0)] is z(t) = X+
+    e^{-(T - t) S+} a + X- e^{t S-} c- y(0).  D(omega) is Hamiltonian, so
+    its spectrum is symmetric about the imaginary axis: S+ has no
+    eigenvalue left of it, S- none right of it, and no factor grows on
+    [0, T].  B = D[:n, :n] - A.  A node is t = t_p + x_q, its panel's
+    left edge plus one of the offsets every panel repeats: e^{t S-} =
+    e^{t_p S-} e^{x_q S-} and e^{(t - T) S+} = e^{(t_p + h - T) S+}
+    e^{(x_q - h) S+}, h the panel width, all exponents of the right sign.
     """
-    Q, n = ctx.grid.order, ctx.n
-    ex = expm(np.concatenate([ctx.grid.nodes[:Q], ctx.grid.edges[:-1]])[:, None, None] * D)
-    rows = ex[Q:, :n] + (D[:n, :n] - ctx.sys.A) @ ex[Q:, n:]       # [I B] e^{t_p D}
-    return (rows[:, None] @ ex[:Q, :, n:]).reshape(-1, n, n)
+    n, T, P, Q = ctx.n, ctx.grid.T, ctx.grid.panels, ctx.grid.order
+    h, x, t = T / P, ctx.grid.nodes[:Q], ctx.grid.edges[:-1]
+    rows = bvp.Z[..., :n, :] + (bvp.D[..., :n, :n] - ctx.sys.A) @ bvp.Z[..., n:, :]   # [I B] Z
+    ex = expm(np.concatenate([x - h, t + h - T, x, t])[:, None, None]
+              * np.repeat(bvp.S, P + Q, axis=-3))
+    # [I B] X+ e^{(t - T) S+} and [I B] X- e^{t S-} c-, panel by offset
+    plus = ((rows[..., None, :, :n] @ ex[..., Q:P + Q, :, :])[..., None, :, :]
+            @ ex[..., None, :Q, :, :])
+    minus = ((rows[..., None, :, n:] @ ex[..., P + 2 * Q:, :, :])[..., None, :, :]
+             @ (ex[..., P + Q:P + 2 * Q, :, :] @ bvp.c[..., None, n:, :])[..., None, :, :, :])
+    return np.concatenate([plus, minus], axis=-1).reshape(bvp.S.shape[:-3] + (P * Q, n, 2 * n))
 
 
 def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     """Propagate the root's kernel vectors to orthonormal eigenpairs.
 
-    Each initial condition [x(0); y(0)] = [0; y(0)] satisfies the left
-    boundary condition exactly by construction; the terminal condition
-    quality is recorded as boundary_residual.  The k = multiplicity
-    propagated functions f are orthonormalized together by one QR
-    factorization sqrt(w) f S^{-1} = Q R, S their L2 norms: Q's columns
-    are the weighted eigenfunctions, and y(0) follows from a solve with
-    R.  RankCollapse is raised when k > 1 and a pivot of R (the residual
-    norm Gram-Schmidt would test) is below RANK_ATOL times the gain of
-    the map from a unit initial vector to sqrt(w) f S^{-1}: the k
-    functions are then within a RANK_ATOL change of the kernel rows from
-    dependence.
+    The split's propagation from a kernel vector [a; y(0)] of N meets the
+    terminal condition y(T) = 0 exactly and the initial one x(0) = 0 up
+    to N's residual on it, recorded as boundary_residual.  The k =
+    multiplicity propagated functions f are orthonormalized together by
+    one QR factorization sqrt(w) f S^{-1} = Q R, S their L2 norms: Q's
+    columns are the weighted eigenfunctions, and their kernel vectors
+    follow from a solve with R.  RankCollapse is raised when k > 1 and a
+    pivot of R (the residual norm Gram-Schmidt would test) is below
+    RANK_ATOL times the gain of the map from a unit kernel vector to
+    sqrt(w) f S^{-1}: the k functions are then within a RANK_ATOL change
+    of the kernel rows from dependence.
     """
-    omega, sw = root.omega, np.sqrt(ctx.grid.weights)[:, None, None]
-    wprop = (sw * _propagator(ctx, root.bvp.D)).reshape(-1, ctx.n)       # (N n, n)
+    omega, n, sw = root.omega, ctx.n, np.sqrt(ctx.grid.weights)[:, None, None]
+    wprop = (sw * root.propagator).reshape(-1, 2 * n)                    # (N n, 2n)
     wf = wprop @ root.kernel.T                                           # sqrt(w) f, (N n, k)
     scale = np.linalg.norm(wf, axis=0)
     # a change of RANK_ATOL in a unit kernel row moves the normalized
@@ -246,19 +259,20 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
         raise RankCollapse(
             f"the {root.multiplicity} eigenfunctions at omega={omega:.6g} are linearly "
             "dependent")
-    y0s = np.linalg.solve(R.T, root.kernel / scale[:, None])     # row j starts Q's column j
+    starts = np.linalg.solve(R.T, root.kernel / scale[:, None])  # row j starts Q's column j
     K = ctx.nystrom_matrix
     pairs = []
     for j in range(root.multiplicity):
-        phase = _canonical_phase(y0s[j])
+        z = starts[j, n + np.argmax(np.abs(starts[j, n:]))]   # y(0)'s largest entry, made real
+        phase = np.conj(z) / abs(z)
         y = Q[:, j] * phase
-        y0 = y0s[j] * (phase / np.linalg.norm(y0s[j]))
+        start = starts[j] * (phase / np.linalg.norm(starts[j]))
         # the real K acts on the real and imaginary parts apart, with no complex copy
         lres = float(np.linalg.norm(K @ y.real + 1j * (K @ y.imag) - 1j * omega * y))
-        pairs.append(EigenPair(omega=omega, y0=y0,
+        pairs.append(EigenPair(omega=omega, y0=start[n:] / np.linalg.norm(start[n:]),
                                modes=np.sqrt(2.0) * np.stack([y.real, y.imag], -1),
                                multiplicity=root.multiplicity, bvp_residual=lres,
-                               boundary_residual=float(np.linalg.norm(root.bvp.E @ y0))))
+                               boundary_residual=float(np.linalg.norm(root.bvp.N @ start))))
     return pairs
 
 

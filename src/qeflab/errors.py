@@ -81,6 +81,10 @@ class RefinementStalled(QeflabError):
     code = "RefinementStalled"
 
 
+class IllConditionedSplit(QeflabError):
+    code = "IllConditionedSplit"
+
+
 class RankCollapse(QeflabError):
     code = "RankCollapse"
 

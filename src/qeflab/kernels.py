@@ -20,11 +20,12 @@ that is the linear boundary value problem
     [x; y]' = D(omega) [x; y],   D(omega) = [[A + B, B^2], [-I, -A^T - B]],
     x(0) = 0,  y(T) = 0.
 
-Its terminal block E(omega) = Y(T), the lower-right n x n block of
-e^{T D(omega)}, gives the Fredholm determinant
-Delta(omega) = det(I - K) = det E(omega) e^{T tr A} (Gohberg, Goldberg
-and Kaashoek, Classes of Linear Operators I, 1990, ch. IX), and each
-kernel vector y(0) of E(omega) starts an eigenfunction from [0; y(0)].
+Its terminal block Y(T), the lower-right n x n block of e^{T D(omega)},
+gives the Fredholm determinant Delta(omega) = det(I - K) = det Y(T)
+e^{T tr A} (Gohberg, Goldberg and Kaashoek, Classes of Linear Operators
+I, 1990, ch. IX), and each y(0) in the kernel of Y(T) starts an
+eigenfunction from [0; y(0)].  Y(T) is read from the ordered split of
+D's spectrum (boundary_split), bounded at any T where e^{T D} is not.
 The system needs A and Theta only, so M may have any rank (m < n too).
 """
 
@@ -35,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonpositiveOmega, OverflowDominated
+from .errors import IllConditionedSplit, NonpositiveOmega
 from .model import OscillatorSpec, SystemMatrices, build_system
-from .quadrature import Grid
+from .quadrature import Grid, make_grid
 
 # Degree-13 Pade coefficients b_0..b_13 and the 1-norm below which the
 # unscaled approximant is accurate to double precision (Higham 2005).
@@ -45,6 +46,8 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+SPLIT_GAP_RTOL = 1e-6       # least gap across the split, relative to max |eigenvalue| of D
+AXIS_RTOL = 1e-6            # real parts below this fraction of max |lambda| lie on the axis
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -138,13 +141,17 @@ class KernelContext:
     def hs_exact(self) -> float:
         """||L||^2_HS = 2 int_0^T (T - tau) ||e^{tau A} Theta||_F^2 dtau, off the grid.
 
-        The integrand is smooth: 32 Gauss-Legendre nodes reach rounding on the
-        README oscillator, where hs_total integrates across the kink at s = t.
+        A 16-node Gauss-Legendre rule on panels no longer than 1/||A||_1
+        reaches rounding at any T, on a closed oscillator too, with
+        e^{tau A} = e^{t_p A} e^{x_q A} per panel edge t_p and offset x_q.
         """
-        x, w = np.polynomial.legendre.leggauss(32)
-        T, tau = self.grid.T, 0.5 * self.grid.T * (x + 1.0)
-        lam = expm(tau[:, None, None] * self.sys.A) @ self.Theta
-        return float(T * np.sum(w * (T - tau) * np.einsum('kij,kij->k', lam, lam)))
+        T, A = self.grid.T, self.sys.A
+        rule = make_grid(T, max(1, int(np.ceil(T * np.abs(A).sum(axis=0).max()))), 16)
+        q = rule.order
+        ex = expm(np.concatenate([rule.nodes[:q], rule.edges[:-1]])[:, None, None] * A)
+        lam = (ex[q:, None] @ (ex[:q] @ self.Theta)).reshape(-1, self.n, self.n)
+        return float(2.0 * np.sum(rule.weights * (T - rule.nodes)
+                                  * np.einsum('kij,kij->k', lam, lam)))
 
 
 def make_context(spec: OscillatorSpec, grid: Grid) -> KernelContext:
@@ -224,19 +231,26 @@ def weighted_matrix(grid: Grid, matrix: np.ndarray) -> np.ndarray:
 
 
 class BvpMatrices(NamedTuple):
+    """D(omega) and its ordered split (see boundary_split), omega's shape leading.
+
+    Z = [X+ X-] with D X+ = X+ S[0] and D X- = X- S[1], c = Z^{-1} [0; I]
+    stacks c+ over c-, and N is the bounded boundary matrix.
+    """
+
     D: np.ndarray
-    E: np.ndarray
+    Z: np.ndarray
+    S: np.ndarray
+    c: np.ndarray
+    N: np.ndarray
 
 
 def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
-    """Boundary system D(omega) and terminal block E(omega) = Y(T).
+    """Boundary system D(omega) and the ordered split of its spectrum.
 
-    B = -(i/omega) Theta, D(omega) = [[A + B, B^2], [-I, -A^T - B]] and
-    E(omega) the lower-right n x n block of e^{T D(omega)}.  omega is a
-    positive scalar or an array of positive frequencies; the array's
-    shape leads both results, D of shape (*shape, 2n, 2n) and E of shape
-    (*shape, n, n), so a whole frequency scan is one call.  Raises
-    OverflowDominated when E leaves the double range (T ||A|| of hundreds).
+    B = -(i/omega) Theta and D(omega) = [[A + B, B^2], [-I, -A^T - B]].
+    omega is a positive scalar or an array of positive frequencies; the
+    array's shape leads every result, so a whole frequency scan is one
+    call.  See boundary_split.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(omega > 0.0):
@@ -249,9 +263,67 @@ def bvp_matrices(ctx: KernelContext, omega: float | np.ndarray) -> BvpMatrices:
     D[..., :n, n:] = B @ B
     D[..., n:, :n] = -np.eye(n)
     D[..., n:, n:] = -A.T - B
-    with np.errstate(over='ignore', invalid='ignore'):      # E is tested instead
-        E = expm(ctx.grid.T * D)[..., n:, n:]
-    if not np.isfinite(E).all():
-        raise OverflowDominated(f"E(omega) leaves the double range at oscillator.T = "
-                                f"{ctx.grid.T:g} with ||A|| = {np.linalg.norm(A, 2):.4g}")
-    return BvpMatrices(D=D, E=E)
+    return boundary_split(D, ctx.grid.T, omega)
+
+
+def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
+    """The ordered split of D's spectrum, in place of the exponential e^{T D}.
+
+    X+ and X- span the invariant subspaces of D's n eigenvalues of largest
+    real part and of the rest.  Then Y(T) = X2+ e^{T S+} c+ + X2- e^{T S-}
+    c-, and Y(T) y = 0 exactly when N [a; y] = 0 for
+
+        N = [[X2+, X2- e^{T S-} c-], [e^{-T S+}, -c+]],    a = e^{T S+} c+ y,
+
+    with |det N| = |det Y(T)| e^{-T Re tr S+}.  As the split is ordered,
+    e^{-T S+}, e^{T S-} and N stay O(1) at any T, and no block need be
+    invertible (X2+ is singular on the README oscillator with M = 0).
+    Each basis is its half of the eigenvectors of D with x rescaled (Db),
+    orthonormalized, after one Newton step on its Riccati equation: in the
+    frame Q = [Q1 Q2], F = Q^H Db Q, F22 X - X F11 = -F21, basis Q1 + Q2 X,
+    S = F11 + F12 X.  That
+    removes the sqrt(eps) error nearly parallel eigenvectors leave where
+    an eigenvalue is defective, as on a closed oscillator at every omega.
+    Raises IllConditionedSplit, naming omega, where the halves hold
+    eigenvalues within SPLIT_GAP_RTOL max |lambda| of each other.
+    """
+    n = D.shape[-1] // 2
+    # D diag(s, 1) = diag(s, 1) Db, whose off-diagonal blocks have one norm, has
+    # D's S, c and X2; without it N is ill scaled where B is large (short T)
+    s = np.sqrt(np.linalg.norm(D[..., :n, n:], axis=(-2, -1)) / np.sqrt(n))[..., None, None]
+    Db = D.copy()
+    Db[..., :n, n:] /= s
+    Db[..., n:, :n] *= s
+    lam, V = np.linalg.eig(Db)
+    # real parts at rounding level count as 0, and ties go by imaginary part
+    # (then real part), so the split, and with it N, is continuous in omega
+    size = np.abs(lam).max(axis=-1, keepdims=True)
+    real = np.where(np.abs(lam.real) <= AXIS_RTOL * size, 0.0, lam.real)
+    order = np.lexsort((-lam.real, -lam.imag, -real), axis=-1)
+    lam = np.take_along_axis(lam, order, -1)
+    gap = np.abs(lam[..., :n, None] - lam[..., None, n:]).min(axis=(-2, -1)) / size[..., 0]
+    if not np.all(gap > SPLIT_GAP_RTOL):
+        worst = np.unravel_index(np.argmin(gap), gap.shape)
+        raise IllConditionedSplit(
+            f"D(omega) at omega = {omega[worst]:.10g} has an eigenvalue on each side of the "
+            f"split within {gap[worst]:.3e} of max |eigenvalue| (limit {SPLIT_GAP_RTOL:g}): "
+            "they coalesce")
+    V = np.take_along_axis(V, order[..., None, :], -1)
+    Q = np.linalg.qr(np.moveaxis(V.reshape(V.shape[:-1] + (2, n)), -2, -3), mode="complete").Q
+    F = Q.conj().swapaxes(-1, -2) @ Db[..., None, :, :] @ Q
+    ident = np.eye(n)
+    K = (np.einsum("...ik,jl->...ijkl", F[..., n:, n:], ident)
+         - np.einsum("ik,...lj->...ijkl", ident, F[..., :n, :n]))
+    shape = F.shape[:-2]
+    X = np.linalg.solve(K.reshape(shape + (n * n, n * n)),
+                        -F[..., n:, :n].reshape(shape + (n * n, 1))).reshape(shape + (n, n))
+    Y = Q[..., :n] + Q[..., n:] @ X
+    S = F[..., :n, :n] + F[..., :n, n:] @ X
+    Z = np.moveaxis(Y, -3, -2).reshape(Y.shape[:-3] + (2 * n, 2 * n))    # Db's [X+ X-]
+    c = np.linalg.solve(Z, np.eye(2 * n, n, -n))
+    Z = np.concatenate([s * Z[..., :n, :], Z[..., n:, :]], axis=-2)       # D's [X+ X-]
+    ex = expm(np.array([-T, T])[:, None, None] * S)                     # e^{-T S+}, e^{T S-}
+    N = np.concatenate([
+        np.concatenate([Z[..., n:, :n], Z[..., n:, n:] @ ex[..., 1, :, :] @ c[..., n:, :]], -1),
+        np.concatenate([ex[..., 0, :, :], -c[..., :n, :]], -1)], -2)
+    return BvpMatrices(D=D, Z=Z, S=S, c=c, N=N)

@@ -13,6 +13,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -50,13 +51,16 @@ class Grid:
         return self.panels * self.order
 
 
+gauss_legendre = cache(legendre.leggauss)    # nodes and weights on [-1, 1], once per order
+
+
 def make_grid(T: float, panels: int = 8, order: int = 16) -> Grid:
     """Build a composite Gauss-Legendre grid with equal panels."""
     if T <= 0:
         raise GridMismatch(f"time horizon must be positive, got {T}")
     if panels < 1 or order < 2:
         raise GridMismatch(f"need panels >= 1 and order >= 2, got {panels}, {order}")
-    x, w = legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     edges = np.linspace(0.0, T, panels + 1)
     half = 0.5 * (T / panels)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -74,7 +78,7 @@ def cell_integrals(grid: Grid, values: np.ndarray, cells: int) -> np.ndarray:
     integrated exactly: the Legendre antiderivatives of the Lagrange basis
     at the sub-cell edges give one (order, cells) matrix for every panel.
     """
-    x = legendre.leggauss(grid.order)[0]
+    x = gauss_legendre(grid.order)[0]
     anti = legendre.legint(np.linalg.inv(legendre.legvander(x, grid.order - 1)), lbnd=-1)
     edges = legendre.legval(np.linspace(-1.0, 1.0, cells + 1), anti)       # (order, cells + 1)
     S = 0.5 * (grid.T / grid.panels) * np.diff(edges, axis=-1)

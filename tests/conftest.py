@@ -137,7 +137,7 @@ def planted_bvp_matrices(defect):
     """kernels.bvp_matrices with one planted defect in D(omega).
 
     "transpose" puts A in place of A^T in the lower-right block, "sign"
-    flips B^2; E(omega) is recomputed from the planted D.
+    flips B^2; the split is recomputed from the planted D.
     """
     def bvp(ctx, omega):
         n, A = ctx.n, ctx.sys.A
@@ -146,5 +146,5 @@ def planted_bvp_matrices(defect):
             D[..., n:, n:] += A.T - A
         else:
             D[..., :n, n:] *= -1.0
-        return kernels.BvpMatrices(D=D, E=kernels.expm(ctx.grid.T * D)[..., n:, n:])
+        return kernels.boundary_split(D, ctx.grid.T, np.asarray(omega, dtype=float))
     return bvp

@@ -7,7 +7,7 @@ theory, so that agreement checks the package's own evaluation:
 - the companion-form boundary system, built from A, Theta and mho with
   mho^-1 and Theta^-1: its Green-function formula against the dense
   commutator-kernel quadrature, its determinant ratio against the
-  package's det E(omega) e^{T tr A}, its second-order eigen-ODE against
+  package's det Y(T) e^{T tr A} from the split, its second-order eigen-ODE against
   the shooting eigenfunctions, and its 40-digit Delta and roots against
   the package's determinant and the shooting roots.  It needs a
   nonsingular mho, so it is the reference for m = n specs with
@@ -20,7 +20,7 @@ theory, so that agreement checks the package's own evaluation:
   matrix exponential of its boundary system (boundary_logdet), against
   the Nystrom determinants of L and of the covariance kernel;
 - the shooting propagation with one matrix exponential per node, against
-  the panel-factored propagator, and the Nystrom spectrum from a complex
+  the split's bounded propagator, and the Nystrom spectrum from a complex
   Hermitian eigvalsh, against the real one of K^T K;
 - the spectral action of K and the surrogate covariance, against the
   retained modes;

@@ -20,7 +20,7 @@ from oracles import (
 from scipy.linalg import block_diag
 
 from qeflab import eigensolver as es
-from qeflab import kernels, model, quadrature
+from qeflab import kernels, model, qef, quadrature
 from qeflab.errors import (
     CaptureUnreachable,
     DeterminantIdentityViolated,
@@ -30,6 +30,7 @@ from qeflab.errors import (
     RankCollapse,
     RefinementStalled,
 )
+from qeflab.qkl import build_qkl
 
 ROOTS_FROZEN = (5.7465521633649530e-01, 1.9547061871487989e-01,
                 7.8524605398457306e-02)
@@ -147,14 +148,20 @@ def test_every_seed_yields_one_root_or_an_error(osc_spec, grid, case):
 
 
 def test_unrefined_seeds_are_not_certified(ctx, monkeypatch):
-    # with no secant step the top three README seeds are the scan's omegas;
-    # E there has sigma_min / sigma_max = 6.1e-6, 3.6e-6 and 1.2e-6, no
-    # kernel at KERNEL_SV_RTOL, so the scan must refuse them rather than
-    # certify grid-accurate omegas as roots
+    # with no secant step the seeds are the scan's omegas, and N there has
+    # no kernel at KERNEL_SV_RTOL, so the scan must refuse them rather than
+    # certify nearby omegas as roots: the top three README seeds of the
+    # grid (sigma_min / sigma_max of N 7.8e-5, 2.3e-4 and 7.3e-4), and the
+    # three roots moved up by 1e-6 relative (1.4e-6, 1.4e-6 and 1.8e-6),
+    # which a certificate at 1e-4 would pass as roots
     monkeypatch.setattr(es, "REFINE_STEPS", 0)
     s = ctx.nystrom_omegas
     with pytest.raises(RefinementStalled, match="has no kernel"):
         es.scan_eigenfrequencies(ctx, s[2], s[0])
+    planted = np.concatenate([np.array(ROOTS_FROZEN) * (1.0 + 1e-6), s[3:]])
+    monkeypatch.setitem(ctx.__dict__, "nystrom_omegas", planted)
+    with pytest.raises(RefinementStalled, match="has no kernel"):
+        es.scan_eigenfrequencies(ctx, planted[2], planted[0])
 
 
 def readme_T4_ctx():
@@ -176,6 +183,33 @@ def test_long_horizon_scan_finds_every_band_root():
     assert np.max(np.abs(omegas - in_band)) <= 2e-4 * nystrom[0]
 
 
+@pytest.mark.parametrize("system", ["readme", "squeezed"])
+def test_long_horizon_roots_match_reference(system):
+    # T = 4 on 16 x 16, where the exponential's secant could not leave its
+    # seeds and the Gram gate ended the run: every root of the 0.99
+    # capture lies within 1.0e-15 of a 60-digit companion-form root, the
+    # basis is orthonormal to 2.4e-15, and README's xi reads 3.5e-7 and
+    # 1.6e-5 from e^{theta T} (2.7e-4 at theta = 0.87, the closed form's
+    # own truncation error, which grows with T and theta)
+    base = squeezed_spec() if system == "squeezed" else model.OscillatorSpec(
+        n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2), T=1.0, theta=0.0)
+    spec = model.OscillatorSpec(n=2, m=2, Theta=base.Theta, R=base.R, M=base.M, T=4.0,
+                                theta=0.0)
+    ctx = kernels.make_context(spec, quadrature.make_grid(4.0, panels=16, order=16))
+    basis = es.build_basis(ctx, 0.99)
+    assert len(basis.pairs) >= 9
+    for w in basis.omegas:
+        ref = reference_root(ctx, w, dps=60)
+        assert abs(w - ref) <= 1e-12 * ref
+    assert basis.gram_max_dev <= 1e-10
+    if system == "readme":
+        P0 = model.solve_state_ale(ctx.sys.A, ctx.sys.B).P0
+        cache = qef.SpectralCache(ctx, build_qkl(basis, 0.0), P0)
+        for theta in (0.1, 0.348):
+            rep = qef.compute_qef(ctx, build_qkl(basis, theta), P0, cache=cache)
+            assert abs(rep.xi / np.exp(theta * 4.0) - 1.0) <= 1e-4
+
+
 def counting_bvp_calls(monkeypatch):
     """Record the omega shape of every bvp_matrices call the scan makes."""
     calls = []
@@ -190,18 +224,19 @@ def counting_bvp_calls(monkeypatch):
 
 def test_scan_refines_in_few_batched_calls(ctx, monkeypatch):
     # one call starts every seed's secant, each secant step is one call for
-    # all seeds (3 here), and each root adds one kernel-dimension check
+    # all seeds (3 here), and one call checks every root's kernel
     calls = counting_bvp_calls(monkeypatch)
     roots = es.scan_eigenfrequencies(ctx, *default_band(ctx))
     assert len(calls) <= 12
-    assert calls.count(()) == len(roots)
+    assert calls[-1] == (len(roots),)
 
 
 @pytest.mark.parametrize("case, most", [("two_copy", 12), ("tail", 12), ("readme_T4", 24)])
 def test_scan_stops_in_few_batched_calls(case, most, ctx, grid, monkeypatch):
-    # a double root, the deep tail (where |det E| is rounding noise) and
-    # T = 4 each take few calls: 6, 6 and 15 (the six T = 4 secants meet
-    # REFINE_XTOL within 8 steps)
+    # a double root, the deep tail and T = 4 each take few calls, 5 here:
+    # one starts the secants, three secant steps follow, and one checks
+    # every root's kernel (on the exponential, the six T = 4 secants took
+    # 8 steps and each root one call, 15 in all)
     if case == "two_copy":
         c = kernels.make_context(two_copy_spec(), grid)
         band = default_band(c)
@@ -213,7 +248,7 @@ def test_scan_stops_in_few_batched_calls(case, most, ctx, grid, monkeypatch):
     calls = counting_bvp_calls(monkeypatch)
     roots = es.scan_eigenfrequencies(c, *band)
     assert len(calls) <= most
-    assert calls.count(()) == len(roots)
+    assert calls[-1] == (len(roots),)
 
 
 @pytest.mark.parametrize("case", ["readme", "squeezed", "two_copy", "random11", "random12"])
@@ -314,14 +349,16 @@ def test_rank_collapse_on_repeated_kernel_rows(ctx):
 
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_rank_collapse_on_nearly_equal_kernel_rows(ctx, index):
-    # rows 1e-9 apart are one kernel direction; propagation magnifies their
-    # difference to 4e-8 (omega = 0.19547) and 4e-7 (omega = 0.078525) of
-    # the functions, which a Gram-pivot test at 1e-8 passed as a second
-    # eigenpair with bvp_residual 0.49 and 0.35
+    # rows 1e-9 apart are one kernel direction; the bounded propagation
+    # leaves their difference at 5.1e-10 to 7.0e-10 of the normalized
+    # functions, against a limit of 1e-8 times its gain of 1.2 to 1.4 (the
+    # exponential magnified it to 4e-8 and 4e-7 at omega = 0.19547 and
+    # 0.078525, which a Gram-pivot test at 1e-8 passed as a second
+    # eigenpair with bvp_residual 0.49 and 0.35)
     root = es.scan_eigenfrequencies(ctx, *default_band(ctx))[index]
     assert root.omega == pytest.approx(ROOTS_FROZEN[index], rel=1e-10)
     k = root.kernel[0]
-    near = replace(root, kernel=np.array([k, k + 1e-9 * np.array([1.0, -1.0j])]))
+    near = replace(root, kernel=np.array([k, k + 1e-9 * np.array([1.0, -1.0j, 1.0j, 1.0])]))
     with pytest.raises(RankCollapse, match="linearly dependent"):
         es.eigenfunction_from_root(ctx, near)
 
@@ -347,8 +384,8 @@ def test_mixed_kernel_rows_orthonormalize(grid):
 
 
 def test_build_basis_one_pass_per_root(ctx, grid, monkeypatch):
-    # each root costs one scalar bvp_matrices call and one SVD in the scan,
-    # which its eigenpairs reuse, whatever its multiplicity
+    # the scan checks every root's kernel in one bvp_matrices call and one
+    # stacked SVD, which the eigenpairs reuse, whatever their multiplicity
     calls, svds = [], []
 
     def counting(ctx, omega):
@@ -367,8 +404,8 @@ def test_build_basis_one_pass_per_root(ctx, grid, monkeypatch):
         calls.clear()
         svds.clear()
         es.build_basis(c, capture)
-        assert calls.count(()) == n_roots
-        assert len(svds) == n_roots
+        assert calls[-1] == (n_roots,)
+        assert svds == [(n_roots, 2 * c.n, 2 * c.n)]
 
 
 def test_squeezed_basis_orthonormal(grid):
@@ -405,19 +442,18 @@ def route_ctx(request, ctx):
 
 
 def test_panel_propagation_matches_per_node(route_ctx):
-    # [I B] e^{t_p D} e^{x_q D} [0; I] against one exponential per node at
-    # every certified root.  Both round at a level that grows with ||T D||,
-    # 6-194 here: B^2 = -Theta^2 / omega^2 grows toward the band's foot
-    # (the stiff n = 4 draw of seed 12 has ||D|| of 10.6-61, where the
-    # companion form reached 1e3 and lost 2e-11 of its propagation)
+    # the split's bounded propagation of each kernel vector [a; y(0)] of N
+    # against one exponential per node, [I B] e^{t D} [0; I] y(0), at
+    # every certified root.  The exponential rounds at a level that grows
+    # with e^{t Re lambda+}: the functions agree within 3.3e-13 of their
+    # norm here
     _, c = route_ctx
     roots = es.scan_eigenfrequencies(c, *default_band(c))
     assert roots
     for root in roots:
-        got = es._propagator(c, root.bvp.D)
-        want = propagate_per_node(c, root)
-        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
-        assert err.max() <= 1e-13
+        got = es._propagator(c, root.bvp) @ root.kernel.T
+        want = propagate_per_node(c, root) @ root.kernel[:, c.n:].T
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_nystrom_matches_hermitian_route(route_ctx):
@@ -458,15 +494,19 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.mercer_residual == pytest.approx(ref, rel=1e-13)
 
 
-def test_long_horizon_basis_fails_gram_gate():
-    # README oscillator at T = 16 on 32 x 16: the shooting eigenfunctions
-    # pass the root scan but are far from orthonormal; the Gram gate must
-    # refuse the basis rather than return it
+def test_long_horizon_basis_is_orthonormal():
+    # README oscillator at T = 16 on 32 x 16: the exponential's shooting
+    # eigenfunctions were far from orthonormal there, and the Gram gate
+    # refused the basis; the split's 38 eigenpairs are orthonormal to
+    # 8.4e-15, and their omegas within 5.5e-4 omega_1 of the Nystrom list
+    # (the grid's accuracy at two panels per unit of T)
     spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2),
                                 T=16.0, theta=0.348)
     ctx = kernels.make_context(spec, quadrature.make_grid(16.0, panels=32, order=16))
-    with pytest.raises(RefinementStalled, match="Gram deviates"):
-        es.build_basis(ctx, 0.99)
+    basis = es.build_basis(ctx, 0.99)
+    assert basis.gram_max_dev <= 1e-12
+    nystrom = es.nystrom_oracle(ctx)
+    assert np.max(np.abs(basis.omegas - nystrom[:len(basis.pairs)])) <= 1e-3 * nystrom[0]
 
 
 def test_build_basis_validation(ctx):

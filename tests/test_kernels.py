@@ -24,7 +24,7 @@ from oracles import (
 )
 
 from qeflab import kernels, model, quadrature
-from qeflab.errors import GridMismatch, NonpositiveOmega
+from qeflab.errors import GridMismatch, IllConditionedSplit, NonpositiveOmega
 
 HS_GRID_FROZEN = 7.5470480014459196e-01
 FIRST_ROOT = 5.7465521633649530e-01
@@ -180,6 +180,34 @@ def test_hs_exact_is_grid_free(osc_spec):
         assert c.hs_exact == pytest.approx(analytic, rel=1e-14)
 
 
+def at_horizon(spec, T, **changes):
+    """spec with horizon T (and any other field changed) on a 2 x 4 grid's context."""
+    fields = dict(n=spec.n, m=spec.m, Theta=spec.Theta, R=spec.R, M=spec.M, T=T, theta=0.0)
+    fields.update(changes)
+    return kernels.make_context(model.OscillatorSpec(**fields), quadrature.make_grid(T, 2, 4))
+
+
+@pytest.mark.parametrize("T", [1.0, 64.0, 200.0])
+def test_hs_exact_matches_closed_form_at_any_horizon(osc_spec, T):
+    # README: ||L||^2_HS = 4 (T/4 - (1 - e^{-4T})/16).  One 32-node rule
+    # over [0, T] was off by 1.3e-6 at T = 64 and 4.0e-2 at T = 200
+    exact = 4.0 * (T / 4.0 - (1.0 - np.exp(-4.0 * T)) / 16.0)
+    assert at_horizon(osc_spec, T).hs_exact == pytest.approx(exact, rel=1e-13)
+
+
+def test_hs_exact_on_a_closed_oscillator(osc_spec):
+    # M = 0 and R = diag(1, 2) leave A = [[0, 4], [-2, 0]], with imaginary
+    # eigenvalues +-i sqrt(8): ||e^{tau A} Theta||_F^2 = 2.25 - 0.25 cos(2
+    # sqrt(8) tau), so ||L||^2_HS = 2.25 T^2 - (1 - cos(2 sqrt(8) T)) / 64.
+    # At T = 64 the integrand turns 58 times, and one 32-node rule was off
+    # by 1.4e-2
+    T = 64.0
+    c = at_horizon(osc_spec, T, R=np.diag([1.0, 2.0]), M=np.zeros((2, 2)))
+    assert np.allclose(c.sys.A, [[0.0, 4.0], [-2.0, 0.0]], rtol=0.0, atol=0.0)
+    exact = 2.25 * T ** 2 - (1.0 - np.cos(2.0 * np.sqrt(8.0) * T)) / 64.0
+    assert c.hs_exact == pytest.approx(exact, rel=1e-13)
+
+
 @pytest.mark.parametrize("T", [1.0, 8.0])
 @pytest.mark.parametrize("seed", [None, 7, 12])
 def test_hs_exact_matches_composite_rule(T, seed):
@@ -273,21 +301,26 @@ def test_boundary_logdet_gives_the_leqg_value(ctx, state):
 
 
 def delta(ctx, omega):
-    """Delta(omega) = det E(omega) e^{T tr A} from the package's boundary system."""
-    E = kernels.bvp_matrices(ctx, omega).E
-    return np.linalg.det(E) * np.exp(ctx.grid.T * np.trace(ctx.sys.A))
+    """Delta(omega) = det Y(T) e^{T tr A} from the package's split of D(omega).
+
+    det N = (-1)^n e^{-T tr S+} det Y(T), by the Schur complement of N's
+    lower-left block e^{-T S+}.
+    """
+    b, n, T = kernels.bvp_matrices(ctx, omega), ctx.n, ctx.grid.T
+    tr_plus = np.trace(b.S[..., 0, :, :], axis1=-2, axis2=-1)
+    return (-1) ** n * np.linalg.det(b.N) * np.exp(T * (tr_plus + np.trace(ctx.sys.A)))
 
 
 @pytest.mark.parametrize("system", ["readme", "squeezed", "random4"])
 def test_bvp_determinant_matches_companion(ctx, grid, system):
-    # the x/y system's det E e^{T tr A} against det E_c / det G(T) of the
+    # the x/y system's det Y(T) e^{T tr A} against det E_c / det G(T) of the
     # companion form, which needs mho^-1 and Theta^-1, at 50 omega of
     # [omega_max / 10, omega_max], omega_max just above the HS bound on
     # omega_1; near a root both sides keep only their absolute
     # rounding, so the misfit is measured against the band's largest
-    # |Delta| (7.8e-13 README, 4.1e-13 squeezed, 7.6e-14 random4; near the
+    # |Delta| (7.9e-14 README, 2.6e-13 squeezed, 6.5e-14 random4; near the
     # README roots the companion form is itself up to 1.8e-12 relative off
-    # a 40-digit Delta, the x/y system 4.2e-13)
+    # a 40-digit Delta, the x/y system 1.3e-14)
     spec = {"readme": None, "squeezed": squeezed_spec(),
             "random4": random_hurwitz_spec(np.random.default_rng(7), 4)}[system]
     c = ctx if spec is None else kernels.make_context(spec, grid)
@@ -302,7 +335,7 @@ def test_bvp_determinant_matches_40_digit_delta(ctx, omega):
     # pointwise against the companion form's Delta evaluated at 40 digits,
     # so the float companion's own rounding cannot hide a misfit; 0.19 and
     # 0.57 lie within 3% of the README roots 0.1955 and 0.5747 (misfits
-    # 7.9e-14 and 1.4e-14, at most 4.1e-14 elsewhere)
+    # 1.3e-14 and 7.4e-15, at most 1.8e-15 elsewhere)
     ref = reference_delta(ctx, omega)
     assert abs(delta(ctx, omega) - ref) <= 1e-12 * abs(ref)
 
@@ -320,27 +353,63 @@ def test_bvp_matrices_structure(ctx):
     with pytest.raises(NonpositiveOmega):
         kernels.bvp_matrices(ctx, 0.0)
     omega = 0.31
-    D, E = kernels.bvp_matrices(ctx, omega)
-    B = (-1j / omega) * ctx.Theta
-    A = ctx.sys.A
+    b = kernels.bvp_matrices(ctx, omega)
+    D, B, A = b.D, (-1j / omega) * ctx.Theta, ctx.sys.A
     assert np.array_equal(D[:2, :2], A + B)
     assert np.allclose(D[:2, 2:], -(J2 @ J2) / omega ** 2, rtol=1e-15, atol=0.0)
     assert np.array_equal(D[2:, :2], -np.eye(2))
     assert np.array_equal(D[2:, 2:], -A.T - B)
-    # E is the lower-right block of e^{T D}, T = 1
-    assert _max_rel(E, scipy.linalg.expm(D)[2:, 2:]) <= 1e-13
+    # Z's halves span invariant subspaces of D, c = Z^-1 [0; I], and the
+    # ordered split leaves S+ the eigenvalues right of S-'s
+    Xp, Xm, Sp, Sm = b.Z[:, :2], b.Z[:, 2:], b.S[0], b.S[1]
+    assert _max_rel(D @ Xp, Xp @ Sp) <= 1e-14 and _max_rel(D @ Xm, Xm @ Sm) <= 1e-14
+    assert _max_rel(b.Z @ b.c, np.vstack([np.zeros((2, 2)), np.eye(2)])) <= 1e-14
+    assert np.linalg.eigvals(Sm).real.max() <= np.linalg.eigvals(Sp).real.min() + 1e-12
+    # X2+ e^{T S+} c+ + X2- e^{T S-} c- is the lower-right block of e^{T D}, T = 1
+    Y = (Xp[2:] @ scipy.linalg.expm(Sp) @ b.c[:2] + Xm[2:] @ scipy.linalg.expm(Sm) @ b.c[2:])
+    assert _max_rel(Y, scipy.linalg.expm(D)[2:, 2:]) <= 1e-13
+    N = np.block([[Xp[2:], Xm[2:] @ scipy.linalg.expm(Sm) @ b.c[2:]],
+                  [scipy.linalg.expm(-Sp), -b.c[:2]]])
+    assert _max_rel(b.N, N) <= 1e-14
 
 
 def test_bvp_matrices_batched(ctx):
     ws = np.array([0.31, FIRST_ROOT, 1.7, 4.0])
-    D, E = kernels.bvp_matrices(ctx, ws)
-    assert D.shape == (4, 4, 4) and E.shape == (4, 2, 2)
-    assert np.array_equal(D, np.stack([kernels.bvp_matrices(ctx, w).D for w in ws]))
-    assert np.array_equal(E, np.stack([kernels.bvp_matrices(ctx, w).E for w in ws]))
-    assert kernels.bvp_matrices(ctx, ws.reshape(2, 2)).E.shape == (2, 2, 2, 2)
+    b = kernels.bvp_matrices(ctx, ws)
+    assert b.D.shape == (4, 4, 4) and b.S.shape == (4, 2, 2, 2) and b.N.shape == (4, 4, 4)
+    for field, value in zip(b._fields, b):
+        single = np.stack([getattr(kernels.bvp_matrices(ctx, w), field) for w in ws])
+        assert np.array_equal(value, single), field
+    assert kernels.bvp_matrices(ctx, ws.reshape(2, 2)).N.shape == (2, 2, 4, 4)
     for bad in (np.array([0.31, 0.0]), np.array([-1.0, 0.5]), np.array([0.5, np.nan])):
         with pytest.raises(NonpositiveOmega):
             kernels.bvp_matrices(ctx, bad)
+
+
+@pytest.mark.parametrize("T", [1.0, 64.0, 400.0])
+def test_split_stays_bounded(osc_spec, T):
+    # README near omega_1 and omega_2 and at omega = 61.4, far above the
+    # spectrum: e^{T D(omega)} grows like e^{7.4 T} and overflowed at
+    # T = 400, while N's largest entry stays 1.000 at every T, and
+    # ln |Delta(61.4)| = ln |det N| + T Re tr S+ + T tr A matches
+    # -||L||^2_HS / (2 omega^2) within 8.3e-5 relative
+    c = at_horizon(osc_spec, T)
+    ws = np.array([0.2, 0.57, 61.4])
+    b = kernels.bvp_matrices(c, ws)
+    assert np.abs(b.N).max() <= 1.5
+    tr_plus = np.trace(b.S[:, 0], axis1=-2, axis2=-1).real
+    log_delta = np.linalg.slogdet(b.N)[1] + T * (tr_plus + np.trace(c.sys.A))
+    assert log_delta[-1] == pytest.approx(-c.hs_exact / (2.0 * ws[-1] ** 2), rel=1e-3)
+
+
+def test_coalescing_eigenvalues_are_one_named_error():
+    # a 4-fold defective eigenvalue of D belongs to both halves of the
+    # split, which then share no pair of invariant subspaces: the split
+    # refuses it, naming omega, rather than return an N built from them
+    D = 2j * np.eye(4) + np.diag(np.ones(3), 1)
+    with pytest.raises(IllConditionedSplit, match="at omega = 1 has an eigenvalue on each side"):
+        kernels.boundary_split(D, 1.0, np.asarray(1.0))
+    assert IllConditionedSplit.exit_code == 3
 
 
 def test_bvp_determinant_vanishes_at_root(ctx):
