@@ -116,9 +116,9 @@ def default_band(ctx):
 
 
 def test_deep_tail_root_is_certified_by_its_kernel(ctx):
-    # |det E|/|det G| at this README root is rounding noise while E has a
-    # clean kernel: the scan must certify it, to the Nystrom omega and the
-    # eigenpair equation
+    # |Delta| at this README root is rounding noise while N has a clean
+    # kernel (sigma_min / sigma_max = 2.0e-15): the scan must certify it,
+    # to the Nystrom omega and the eigenpair equation
     nystrom = es.nystrom_oracle(ctx)
     roots = es.scan_eigenfrequencies(ctx, 0.02, 0.03)
     assert [r.multiplicity for r in roots] == [1]
