@@ -52,13 +52,11 @@ TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_exact / (
 
 @dataclass(frozen=True, eq=False)
 class Root:
-    """Refined root of det N(omega): its split, ker N(omega) as rows [a; y(0)] and
-    the propagator from such a row to f on the grid (see _propagator)."""
+    """Refined root of det N(omega): its split and ker N(omega) as rows [a; y(0)]."""
 
     omega: float
     kernel: np.ndarray
     bvp: BvpMatrices
-    propagator: np.ndarray
 
     @property
     def multiplicity(self) -> int:
@@ -186,7 +184,6 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
         g1 = _det_root(bvp_matrices(ctx, x1).N, k, near)
 
     bvp = bvp_matrices(ctx, omegas)
-    propagator = _propagator(ctx, bvp)
     _, sv, Vh = np.linalg.svd(bvp.N)              # ker N(omega) by singular values, one row each
     out: list[Root] = []
     for i in range(seeds.size - 1, -1, -1):       # ascending, as the seeds' brackets are
@@ -200,8 +197,7 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
             raise RefinementStalled(
                 f"the Nystrom seed {seeds[i]:.10g} refines to omega = {w:.10g}, where N(omega) "
                 "has no kernel")
-        out.append(Root(omega=w, kernel=kernel, bvp=BvpMatrices(*(f[i] for f in bvp)),
-                        propagator=propagator[i]))
+        out.append(Root(omega=w, kernel=kernel, bvp=BvpMatrices(*(f[i] for f in bvp))))
     return out[::-1]
 
 
@@ -246,7 +242,7 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
     of the kernel rows from dependence.
     """
     omega, n, sw = root.omega, ctx.n, np.sqrt(ctx.grid.weights)[:, None, None]
-    wprop = (sw * root.propagator).reshape(-1, 2 * n)                    # (N n, 2n)
+    wprop = (sw * _propagator(ctx, root.bvp)).reshape(-1, 2 * n)         # (N n, 2n)
     wf = wprop @ root.kernel.T                                           # sqrt(w) f, (N n, k)
     scale = np.linalg.norm(wf, axis=0)
     # a change of RANK_ATOL in a unit kernel row moves the normalized

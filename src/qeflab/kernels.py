@@ -141,17 +141,26 @@ class KernelContext:
     def hs_exact(self) -> float:
         """||L||^2_HS = 2 int_0^T (T - tau) ||e^{tau A} Theta||_F^2 dtau, off the grid.
 
-        A 16-node Gauss-Legendre rule on panels no longer than 1/||A||_1
-        reaches rounding at any T, on a closed oscillator too, with
-        e^{tau A} = e^{t_p A} e^{x_q A} per panel edge t_p and offset x_q.
+        A 16-node Gauss-Legendre rule on 2^j panels of width h <= 1/||A||_1
+        reaches rounding at any T, on a closed oscillator too.  With E =
+        e^{hA} and G_i = sum_q w_q x_q^i e^{x_q A} Theta Theta^T e^{x_q A^T}
+        over one panel's offsets, panel p adds tr E^p ((T - p h) G_0 - G_1)
+        E^{pT}, and the sums over p double j times, whatever T.
         """
         T, A = self.grid.T, self.sys.A
-        rule = make_grid(T, max(1, int(np.ceil(T * np.abs(A).sum(axis=0).max()))), 16)
-        q = rule.order
-        ex = expm(np.concatenate([rule.nodes[:q], rule.edges[:-1]])[:, None, None] * A)
-        lam = (ex[q:, None] @ (ex[:q] @ self.Theta)).reshape(-1, self.n, self.n)
-        return float(2.0 * np.sum(rule.weights * (T - rule.nodes)
-                                  * np.einsum('kij,kij->k', lam, lam)))
+        j = max(0, int(np.frexp(T * np.abs(A).sum(axis=0).max())[1]))
+        rule = make_grid(T / 2 ** j, 1, 16)
+        ex = expm(np.append(rule.nodes, rule.T)[:, None, None] * A)
+        g = ex[:-1] @ self.Theta
+        g = np.stack([rule.weights * (T - rule.nodes), rule.weights]) @ (
+            g @ g.swapaxes(-1, -2)).reshape(rule.size, -1)
+        # over the first k = 2^i panels: sum_p E^p (T G_0 - G_1) E^{pT} and sum_p E^p G_0
+        # E^{pT} (blk), sum_p p E^p G_0 E^{pT} (tilt); E^k (Ek)
+        blk, tilt, Ek = g.reshape(2, self.n, self.n), 0.0, ex[-1]
+        for i in range(j):
+            tilt = tilt + Ek @ (tilt + 2 ** i * blk[1]) @ Ek.T
+            blk, Ek = blk + Ek @ blk @ Ek.T, Ek @ Ek
+        return float(2.0 * np.trace(blk[0] - rule.T * tilt))
 
 
 def make_context(spec: OscillatorSpec, grid: Grid) -> KernelContext:

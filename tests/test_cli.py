@@ -841,6 +841,31 @@ def test_horizon_beyond_the_exponential_is_one_json_error(tmp_path, capsys, T):
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("T, R, M", [
+    (1e6, None, None),                                  # README
+    (100.0, [[1e4, 0.0], [0.0, 1e4]], None),            # T ||A||_1 = 4e6
+    (1e6, [[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]),   # closed oscillator
+])
+def test_huge_horizon_is_one_json_error(tmp_path, capsys, T, R, M):
+    # hs_exact's work grows with log(T ||A||_1), not T ||A||_1, so these end in
+    # one JSON verdict of the scan on the 2 x 4 grid (DeterminantIdentityViolated,
+    # where T tr A of 4e6 leaves the tail check rounding that hs_total's 2.7e11
+    # on panels 5e5 wide makes relevant; RefinementStalled for the other two),
+    # not in a MemoryError
+    cfg = base_config(tmp_path)
+    cfg["oscillator"]["T"] = T
+    cfg["oscillator"].update({k: v for k, v in (("R", R), ("M", M)) if v is not None})
+    cfg["grid"] = {"panels": 2, "nodes_per_panel": 4}
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["eigen", "--config", path]) in (2, 3)
+    err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_long_horizon_false_roots_never_reach_a_basis(tmp_path, capsys):
     # README oscillator at T = 8: on the exponential the scan certified
     # minima with no Nystrom partner (3 of 11), and the Gram gate refused

@@ -251,6 +251,64 @@ def test_scan_stops_in_few_batched_calls(case, most, ctx, grid, monkeypatch):
     assert calls[-1] == (len(roots),)
 
 
+def scan_with(monkeypatch, c, change):
+    """Scan c's default band with every N passed through change; the roots and call count."""
+    calls = []
+
+    def changed(ctx, omega):
+        calls.append(np.shape(omega))
+        b = kernels.bvp_matrices(ctx, omega)
+        return b._replace(N=change(b.N))
+
+    monkeypatch.setattr(es, "bvp_matrices", changed)
+    roots = es.scan_eigenfrequencies(c, *default_band(c))
+    monkeypatch.undo()
+    return np.array([r.omega for r in roots]), len(calls)
+
+
+def flip_column(N):
+    N = N.copy()
+    N[..., 0] *= -1.0
+    return N
+
+
+def swap_columns(N):
+    return N[..., [1, 0] + list(range(2, N.shape[-1]))]
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0])
+def test_double_root_secant_converges_in_either_order(T, monkeypatch):
+    # the secant has no noise-floor stop: at the two-copy oscillator's double
+    # roots det N^{1/2} reaches rounding within 1e-9 of the root.  Another
+    # order of X+'s columns, as another sort of equal eigenvalues gives,
+    # changes det N's sign, so the square root's branch; with either sign or
+    # order every scan still ends in 5-7 calls, its roots within 1.1e-12
+    spec = two_copy_spec()
+    spec = model.OscillatorSpec(n=4, m=4, Theta=spec.Theta, R=spec.R, M=spec.M, T=T,
+                                theta=0.0)
+    c = kernels.make_context(spec, quadrature.make_grid(T, 4 * int(np.ceil(T)), 16))
+    clean, _ = scan_with(monkeypatch, c, lambda N: N)
+    for change in (lambda N: N, flip_column, swap_columns):
+        roots, calls = scan_with(monkeypatch, c, change)
+        assert calls <= 8
+        assert roots == pytest.approx(clean, rel=1e-11)
+
+
+def test_secant_in_noise_stays_in_the_noise_band(ctx, monkeypatch):
+    # N read with a relative error of 1e-10 puts det N's zero in a noise band
+    # far wider than REFINE_XTOL: the secant wanders inside it and stops by
+    # chance or after REFINE_STEPS (30 steps, 32 calls), its last iterate
+    # in the band (6-12 calls and within 1.5e-11 of the clean roots over
+    # noise seeds 0-7; on the two-copy oscillator, 1e-8 noise spends all
+    # 30 steps and ends within 3e-9, still certified)
+    clean, _ = scan_with(monkeypatch, ctx, lambda N: N)
+    rng = np.random.default_rng(5)
+    roots, calls = scan_with(monkeypatch, ctx,
+                             lambda N: N * (1.0 + 1e-10 * rng.standard_normal(N.shape)))
+    assert calls <= es.REFINE_STEPS + 2
+    assert roots == pytest.approx(clean, rel=1e-9)
+
+
 @pytest.mark.parametrize("case", ["readme", "squeezed", "two_copy", "random11", "random12"])
 def test_roots_match_40_digit_reference(case, ctx, grid):
     # each certified omega against a secant on det E_c, the companion form
@@ -442,18 +500,21 @@ def route_ctx(request, ctx):
 
 
 def test_panel_propagation_matches_per_node(route_ctx):
-    # the split's bounded propagation of each kernel vector [a; y(0)] of N
-    # against one exponential per node, [I B] e^{t D} [0; I] y(0), at
-    # every certified root.  The exponential rounds at a level that grows
-    # with e^{t Re lambda+}: the functions agree within 3.3e-13 of their
-    # norm here
+    # the split's propagation, panel by offset, started from [a; y(0)] with
+    # a = e^{T S+} c+ y(0) for every y(0), is [I B] e^{t D} [0; I]: against
+    # one exponential per node at every certified root, within 3.0e-14 of
+    # each node's norm here
     _, c = route_ctx
+    n, T = c.n, c.grid.T
     roots = es.scan_eigenfrequencies(c, *default_band(c))
     assert roots
     for root in roots:
-        got = es._propagator(c, root.bvp) @ root.kernel.T
-        want = propagate_per_node(c, root) @ root.kernel[:, c.n:].T
-        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+        b = root.bvp
+        start = np.concatenate([kernels.expm(T * b.S[0]) @ b.c[:n], np.eye(n)])
+        got = es._propagator(c, b) @ start
+        want = propagate_per_node(c, root)
+        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert err.max() <= 1e-13
 
 
 def test_nystrom_matches_hermitian_route(route_ctx):

@@ -187,10 +187,11 @@ def at_horizon(spec, T, **changes):
     return kernels.make_context(model.OscillatorSpec(**fields), quadrature.make_grid(T, 2, 4))
 
 
-@pytest.mark.parametrize("T", [1.0, 64.0, 200.0])
+@pytest.mark.parametrize("T", [1.0, 64.0, 200.0, 1e6])
 def test_hs_exact_matches_closed_form_at_any_horizon(osc_spec, T):
     # README: ||L||^2_HS = 4 (T/4 - (1 - e^{-4T})/16).  One 32-node rule
-    # over [0, T] was off by 1.3e-6 at T = 64 and 4.0e-2 at T = 200
+    # over [0, T] was off by 1.3e-6 at T = 64 and 4.0e-2 at T = 200; the
+    # panel sums double 22 times at T = 1e6 (2^22 panels)
     exact = 4.0 * (T / 4.0 - (1.0 - np.exp(-4.0 * T)) / 16.0)
     assert at_horizon(osc_spec, T).hs_exact == pytest.approx(exact, rel=1e-13)
 
