@@ -48,6 +48,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 SPLIT_GAP_RTOL = 1e-6       # least gap across the split, relative to max |eigenvalue| of D
 AXIS_RTOL = 1e-6            # real parts below this fraction of max |lambda| lie on the axis
+EIGVEC_COND = 1e2           # eigenvector matrices this well conditioned are the split's bases
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -58,17 +59,20 @@ def expm(a: np.ndarray) -> np.ndarray:
     revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).  Each
     matrix gets its own scaling power s = max(0, ceil(log2(||a||_1 /
     theta_13))); the approximant is one batched solve, and the squarings
-    run max(s) times with the already-squared matrices masked out.
+    run max(s) times with the already-squared matrices masked out.  A
+    stack of diagonal matrices is exponentiated entry by entry.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
+    d, ident = np.diagonal(a, axis1=-2, axis2=-1), np.eye(a.shape[-1])
+    if np.array_equal(a, d[..., None] * ident):          # a stack of diagonal matrices
+        return np.exp(d)[..., None] * ident
     norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     with np.errstate(divide='ignore'):
         s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
     a = a / np.exp2(s)[..., None, None]
     b = _PADE13
-    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -287,12 +291,12 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
     with |det N| = |det Y(T)| e^{-T Re tr S+}.  As the split is ordered,
     e^{-T S+}, e^{T S-} and N stay O(1) at any T, and no block need be
     invertible (X2+ is singular on the README oscillator with M = 0).
-    Each basis is its half of the eigenvectors of D with x rescaled (Db),
-    orthonormalized, after one Newton step on its Riccati equation: in the
-    frame Q = [Q1 Q2], F = Q^H Db Q, F22 X - X F11 = -F21, basis Q1 + Q2 X,
-    S = F11 + F12 X.  That
-    removes the sqrt(eps) error nearly parallel eigenvectors leave where
-    an eigenvalue is defective, as on a closed oscillator at every omega.
+    The bases are the halves of the eigenvectors of D with x rescaled
+    (Db), S diagonal, where their matrix has condition number at most
+    EIGVEC_COND; otherwise each half is orthonormalized and refined by
+    _riccati_bases, which removes the sqrt(eps) error nearly parallel
+    eigenvectors leave where an eigenvalue is defective, as on a closed
+    oscillator at every omega.
     Raises IllConditionedSplit, naming omega, where the halves hold
     eigenvalues within SPLIT_GAP_RTOL max |lambda| of each other.
     """
@@ -318,6 +322,27 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
             f"split within {gap[worst]:.3e} of max |eigenvalue| (limit {SPLIT_GAP_RTOL:g}): "
             "they coalesce")
     V = np.take_along_axis(V, order[..., None, :], -1)
+    if np.linalg.cond(V).max() <= EIGVEC_COND:        # the eigenvectors, S diagonal
+        Z, S = V, lam.reshape(lam.shape[:-1] + (2, n))[..., None] * np.eye(n)
+    else:
+        Z, S = _riccati_bases(Db, V)
+    ex = expm(np.array([-T, T])[:, None, None] * S)                     # e^{-T S+}, e^{T S-}
+    c = np.linalg.solve(Z, np.eye(2 * n, n, -n))
+    Z = np.concatenate([s * Z[..., :n, :], Z[..., n:, :]], axis=-2)       # D's [X+ X-]
+    N = np.concatenate([
+        np.concatenate([Z[..., n:, :n], Z[..., n:, n:] @ ex[..., 1, :, :] @ c[..., n:, :]], -1),
+        np.concatenate([ex[..., 0, :, :], -c[..., :n, :]], -1)], -2)
+    return BvpMatrices(D=D, Z=Z, S=S, c=c, N=N)
+
+
+def _riccati_bases(Db: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases [X+ X-] of Db's halves and their S, refined from eigenvectors V.
+
+    Each half of V is orthonormalized and given one Newton step on its
+    Riccati equation: in the frame Q = [Q1 Q2], F = Q^H Db Q, F22 X - X F11
+    = -F21, basis Q1 + Q2 X, S = F11 + F12 X.
+    """
+    n = V.shape[-1] // 2
     Q = np.linalg.qr(np.moveaxis(V.reshape(V.shape[:-1] + (2, n)), -2, -3), mode="complete").Q
     F = Q.conj().swapaxes(-1, -2) @ Db[..., None, :, :] @ Q
     ident = np.eye(n)
@@ -327,12 +352,5 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
     X = np.linalg.solve(K.reshape(shape + (n * n, n * n)),
                         -F[..., n:, :n].reshape(shape + (n * n, 1))).reshape(shape + (n, n))
     Y = Q[..., :n] + Q[..., n:] @ X
-    S = F[..., :n, :n] + F[..., :n, n:] @ X
-    Z = np.moveaxis(Y, -3, -2).reshape(Y.shape[:-3] + (2 * n, 2 * n))    # Db's [X+ X-]
-    c = np.linalg.solve(Z, np.eye(2 * n, n, -n))
-    Z = np.concatenate([s * Z[..., :n, :], Z[..., n:, :]], axis=-2)       # D's [X+ X-]
-    ex = expm(np.array([-T, T])[:, None, None] * S)                     # e^{-T S+}, e^{T S-}
-    N = np.concatenate([
-        np.concatenate([Z[..., n:, :n], Z[..., n:, n:] @ ex[..., 1, :, :] @ c[..., n:, :]], -1),
-        np.concatenate([ex[..., 0, :, :], -c[..., :n, :]], -1)], -2)
-    return BvpMatrices(D=D, Z=Z, S=S, c=c, N=N)
+    Z = np.moveaxis(Y, -3, -2).reshape(Y.shape[:-3] + (2 * n, 2 * n))
+    return Z, F[..., :n, :n] + F[..., :n, n:] @ X
