@@ -46,7 +46,7 @@ REFINE_XTOL = 1e-12         # relative secant step at which refinement stops
 REFINE_STEPS = 30           # secant steps per bracket at most
 GRAM_ATOL = 1e-8            # largest entry of the basis Gram minus I/2
 RANK_ATOL = 1e-8            # kernel-row change within which a root's functions collapse
-TAIL_SCALE = 100.0          # the assembly check's omega in units of sqrt(hs_total / 2)
+TAIL_SCALE = 100.0          # the assembly check's omega in units of sqrt(hs_exact / 2)
 TAIL_IDENTITY_RTOL = 1e-2   # relative misfit of ln Delta there to -hs_exact / (2 omega^2)
 
 
@@ -124,7 +124,7 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     complex step and clips the iterate to halfway to the neighbouring
     seeds (to half the bottom seed, to 1.5 the top one); every step
     advances all unfinished seeds in one bvp_matrices call.  The first
-    call also evaluates N at omega_inf = TAIL_SCALE sqrt(hs_total / 2),
+    call also evaluates N at omega_inf = TAIL_SCALE sqrt(hs_exact / 2),
     far above every omega_k, and raises DeterminantIdentityViolated
     unless ln Delta(omega_inf) = ln |det N| + T Re tr S+ + T tr A matches
     -hs_exact / (2 omega_inf^2) to TAIL_IDENTITY_RTOL relative: a broken
@@ -153,7 +153,7 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     seeds = x1 = s[band]
     k = k[band]
     x0 = x1 * (1.0 - SEED_OFFSET)
-    omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_total / 2.0))
+    omega_inf = TAIL_SCALE * float(np.sqrt(ctx.hs_exact / 2.0))
     bvp = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]]))
     # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2;
     # ln |det Y(T)| = ln |det N| + T Re tr S+
