@@ -208,22 +208,15 @@ def _propagator(ctx: KernelContext, bvp: BvpMatrices) -> np.ndarray:
     e^{-(T - t) S+} a + X- e^{t S-} c- y(0).  D(omega) is Hamiltonian, so
     its spectrum is symmetric about the imaginary axis: S+ has no
     eigenvalue left of it, S- none right of it, and no factor grows on
-    [0, T].  B = D[:n, :n] - A.  A node is t = t_p + x_q, its panel's
-    left edge plus one of the offsets every panel repeats: e^{t S-} =
-    e^{t_p S-} e^{x_q S-} and e^{(t - T) S+} = e^{(t_p + h - T) S+}
-    e^{(x_q - h) S+}, h the panel width, all exponents of the right sign.
+    [0, T].  B = D[:n, :n] - A.
     """
-    n, T, P, Q = ctx.n, ctx.grid.T, ctx.grid.panels, ctx.grid.order
-    h, x, t = T / P, ctx.grid.nodes[:Q], ctx.grid.edges[:-1]
+    n, T, t = ctx.n, ctx.grid.T, ctx.grid.nodes
     rows = bvp.Z[..., :n, :] + (bvp.D[..., :n, :n] - ctx.sys.A) @ bvp.Z[..., n:, :]   # [I B] Z
-    ex = expm(np.concatenate([x - h, t + h - T, x, t])[:, None, None]
-              * np.repeat(bvp.S, P + Q, axis=-3))
-    # [I B] X+ e^{(t - T) S+} and [I B] X- e^{t S-} c-, panel by offset
-    plus = ((rows[..., None, :, :n] @ ex[..., Q:P + Q, :, :])[..., None, :, :]
-            @ ex[..., None, :Q, :, :])
-    minus = ((rows[..., None, :, n:] @ ex[..., P + 2 * Q:, :, :])[..., None, :, :]
-             @ (ex[..., P + Q:P + 2 * Q, :, :] @ bvp.c[..., None, n:, :])[..., None, :, :, :])
-    return np.concatenate([plus, minus], axis=-1).reshape(bvp.S.shape[:-3] + (P * Q, n, 2 * n))
+    ex = expm(np.stack([t - T, t], -1)[:, :, None, None] * bvp.S[..., None, :, :, :])
+    # [I B] X+ e^{(t - T) S+} and [I B] X- e^{t S-} c- at every node
+    plus = rows[..., None, :, :n] @ ex[..., 0, :, :]
+    minus = rows[..., None, :, n:] @ ex[..., 1, :, :] @ bvp.c[..., None, n:, :]
+    return np.concatenate([plus, minus], axis=-1)
 
 
 def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:

@@ -293,10 +293,12 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
     invertible (X2+ is singular on the README oscillator with M = 0).
     The bases are the halves of the eigenvectors of D with x rescaled
     (Db), S diagonal, where their matrix has condition number at most
-    EIGVEC_COND; otherwise each half is orthonormalized and refined by
-    _riccati_bases, which removes the sqrt(eps) error nearly parallel
-    eigenvectors leave where an eigenvalue is defective, as on a closed
-    oscillator at every omega.
+    EIGVEC_COND.  Otherwise each half is orthonormalized and takes one
+    Newton step on its Riccati equation: in the frame Q = [Q1 Q2], F =
+    Q^H Db Q, F22 X - X F11 = -F21, basis Q1 + Q2 X, S = F11 + F12 X.
+    That removes the sqrt(eps) error nearly parallel eigenvectors leave
+    where an eigenvalue is defective, as on a closed oscillator at every
+    omega.
     Raises IllConditionedSplit, naming omega, where the halves hold
     eigenvalues within SPLIT_GAP_RTOL max |lambda| of each other.
     """
@@ -325,7 +327,18 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
     if np.linalg.cond(V).max() <= EIGVEC_COND:        # the eigenvectors, S diagonal
         Z, S = V, lam.reshape(lam.shape[:-1] + (2, n))[..., None] * np.eye(n)
     else:
-        Z, S = _riccati_bases(Db, V)
+        Q = np.linalg.qr(np.moveaxis(V.reshape(V.shape[:-1] + (2, n)), -2, -3),
+                         mode="complete").Q
+        F = Q.conj().swapaxes(-1, -2) @ Db[..., None, :, :] @ Q
+        ident = np.eye(n)
+        K = (np.einsum("...ik,jl->...ijkl", F[..., n:, n:], ident)
+             - np.einsum("ik,...lj->...ijkl", ident, F[..., :n, :n]))
+        shape = F.shape[:-2]
+        X = np.linalg.solve(K.reshape(shape + (n * n, n * n)),
+                            -F[..., n:, :n].reshape(shape + (n * n, 1))).reshape(shape + (n, n))
+        Y = Q[..., :n] + Q[..., n:] @ X
+        S = F[..., :n, :n] + F[..., :n, n:] @ X
+        Z = np.moveaxis(Y, -3, -2).reshape(Y.shape[:-3] + (2 * n, 2 * n))
     ex = expm(np.array([-T, T])[:, None, None] * S)                     # e^{-T S+}, e^{T S-}
     c = np.linalg.solve(Z, np.eye(2 * n, n, -n))
     Z = np.concatenate([s * Z[..., :n, :], Z[..., n:, :]], axis=-2)       # D's [X+ X-]
@@ -333,24 +346,3 @@ def boundary_split(D: np.ndarray, T: float, omega: np.ndarray) -> BvpMatrices:
         np.concatenate([Z[..., n:, :n], Z[..., n:, n:] @ ex[..., 1, :, :] @ c[..., n:, :]], -1),
         np.concatenate([ex[..., 0, :, :], -c[..., :n, :]], -1)], -2)
     return BvpMatrices(D=D, Z=Z, S=S, c=c, N=N)
-
-
-def _riccati_bases(Db: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bases [X+ X-] of Db's halves and their S, refined from eigenvectors V.
-
-    Each half of V is orthonormalized and given one Newton step on its
-    Riccati equation: in the frame Q = [Q1 Q2], F = Q^H Db Q, F22 X - X F11
-    = -F21, basis Q1 + Q2 X, S = F11 + F12 X.
-    """
-    n = V.shape[-1] // 2
-    Q = np.linalg.qr(np.moveaxis(V.reshape(V.shape[:-1] + (2, n)), -2, -3), mode="complete").Q
-    F = Q.conj().swapaxes(-1, -2) @ Db[..., None, :, :] @ Q
-    ident = np.eye(n)
-    K = (np.einsum("...ik,jl->...ijkl", F[..., n:, n:], ident)
-         - np.einsum("ik,...lj->...ijkl", ident, F[..., :n, :n]))
-    shape = F.shape[:-2]
-    X = np.linalg.solve(K.reshape(shape + (n * n, n * n)),
-                        -F[..., n:, :n].reshape(shape + (n * n, 1))).reshape(shape + (n, n))
-    Y = Q[..., :n] + Q[..., n:] @ X
-    Z = np.moveaxis(Y, -3, -2).reshape(Y.shape[:-3] + (2 * n, 2 * n))
-    return Z, F[..., :n, :n] + F[..., :n, n:] @ X

@@ -500,10 +500,10 @@ def route_ctx(request, ctx):
 
 
 def test_panel_propagation_matches_per_node(route_ctx):
-    # the split's propagation, panel by offset, started from [a; y(0)] with
-    # a = e^{T S+} c+ y(0) for every y(0), is [I B] e^{t D} [0; I]: against
-    # one exponential per node at every certified root, within 3.0e-14 of
-    # each node's norm here
+    # the split's propagation started from [a; y(0)] with a = e^{T S+} c+
+    # y(0) for every y(0) is [I B] e^{t D} [0; I]: against one exponential
+    # of D per node at every certified root, within 3.1e-14 of each node's
+    # norm here
     _, c = route_ctx
     n, T = c.n, c.grid.T
     roots = es.scan_eigenfrequencies(c, *default_band(c))
