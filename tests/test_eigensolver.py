@@ -117,7 +117,7 @@ def default_band(ctx):
 
 def test_deep_tail_root_is_certified_by_its_kernel(ctx):
     # |Delta| at this README root is rounding noise while N has a clean
-    # kernel (sigma_min / sigma_max = 2.0e-15): the scan must certify it,
+    # kernel (sigma_min / sigma_max = 9.2e-15): the scan must certify it,
     # to the Nystrom omega and the eigenpair equation
     nystrom = es.nystrom_oracle(ctx)
     roots = es.scan_eigenfrequencies(ctx, 0.02, 0.03)
@@ -187,8 +187,8 @@ def test_long_horizon_scan_finds_every_band_root():
 def test_long_horizon_roots_match_reference(system):
     # T = 4 on 16 x 16, where the exponential's secant could not leave its
     # seeds and the Gram gate ended the run: every root of the 0.99
-    # capture lies within 1.0e-15 of a 60-digit companion-form root, the
-    # basis is orthonormal to 2.4e-15, and README's xi reads 3.5e-7 and
+    # capture lies within 3.1e-15 of a 60-digit companion-form root, the
+    # basis is orthonormal to 4.2e-15, and README's xi reads 3.5e-7 and
     # 1.6e-5 from e^{theta T} (2.7e-4 at theta = 0.87, the closed form's
     # own truncation error, which grows with T and theta)
     base = squeezed_spec() if system == "squeezed" else model.OscillatorSpec(
@@ -408,7 +408,7 @@ def test_rank_collapse_on_repeated_kernel_rows(ctx):
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_rank_collapse_on_nearly_equal_kernel_rows(ctx, index):
     # rows 1e-9 apart are one kernel direction; the bounded propagation
-    # leaves their difference at 5.1e-10 to 7.0e-10 of the normalized
+    # leaves their difference at 5.3e-10 to 7.0e-10 of the normalized
     # functions, against a limit of 1e-8 times its gain of 1.2 to 1.4 (the
     # exponential magnified it to 4e-8 and 4e-7 at omega = 0.19547 and
     # 0.078525, which a Gram-pivot test at 1e-8 passed as a second
@@ -559,7 +559,7 @@ def test_long_horizon_basis_is_orthonormal():
     # README oscillator at T = 16 on 32 x 16: the exponential's shooting
     # eigenfunctions were far from orthonormal there, and the Gram gate
     # refused the basis; the split's 38 eigenpairs are orthonormal to
-    # 8.4e-15, and their omegas within 5.5e-4 omega_1 of the Nystrom list
+    # 1.9e-14, and their omegas within 5.5e-4 omega_1 of the Nystrom list
     # (the grid's accuracy at two panels per unit of T)
     spec = model.OscillatorSpec(n=2, m=2, Theta=J2, R=np.eye(2), M=np.eye(2),
                                 T=16.0, theta=0.348)

@@ -319,9 +319,9 @@ def test_bvp_determinant_matches_companion(ctx, grid, system):
     # [omega_max / 10, omega_max], omega_max just above the HS bound on
     # omega_1; near a root both sides keep only their absolute
     # rounding, so the misfit is measured against the band's largest
-    # |Delta| (7.9e-14 README, 2.6e-13 squeezed, 6.5e-14 random4; near the
+    # |Delta| (7.9e-14 README, 2.7e-13 squeezed, 6.5e-14 random4; near the
     # README roots the companion form is itself up to 1.8e-12 relative off
-    # a 40-digit Delta, the x/y system 1.3e-14)
+    # a 40-digit Delta, the x/y system 4.3e-14)
     spec = {"readme": None, "squeezed": squeezed_spec(),
             "random4": random_hurwitz_spec(np.random.default_rng(7), 4)}[system]
     c = ctx if spec is None else kernels.make_context(spec, grid)
@@ -336,7 +336,7 @@ def test_bvp_determinant_matches_40_digit_delta(ctx, omega):
     # pointwise against the companion form's Delta evaluated at 40 digits,
     # so the float companion's own rounding cannot hide a misfit; 0.19 and
     # 0.57 lie within 3% of the README roots 0.1955 and 0.5747 (misfits
-    # 1.3e-14 and 7.4e-15, at most 1.8e-15 elsewhere)
+    # 1.7e-14 and 4.3e-14, at most 3.2e-15 elsewhere)
     ref = reference_delta(ctx, omega)
     assert abs(delta(ctx, omega) - ref) <= 1e-12 * abs(ref)
 
