@@ -13,6 +13,7 @@ seed.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -115,13 +116,31 @@ def load_config(path: str) -> dict:
     def _reject(token):
         raise SchemaViolation(f"non-finite number {token!r} in config")
 
+    def _finite(parse):
+        # 1e999 parses to inf, and an integer beyond the double range would
+        # fail only where a later step converts it to float
+        def number(token):
+            try:
+                value = parse(token)
+                if math.isfinite(value):
+                    return value
+            except (OverflowError, ValueError):    # int() refuses 4300+ digits
+                pass
+            raise SchemaViolation(f"number {token} in config is outside the double range")
+        return number
+
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_constant=_reject)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_constant=_reject, parse_float=_finite(float),
+                            parse_int=_finite(int))
     except OSError as exc:
         raise SchemaViolation(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaViolation("config nests deeper than the JSON parser's recursion limit") from exc
     schema = json.loads(
         resources.files("qeflab").joinpath("config_schema.json").read_text())
     error = max(_violations(cfg, schema, schema["$defs"]),
@@ -375,7 +394,12 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SchemaViolation(f"cannot create output directory: {exc}") from exc
-        return COMMANDS[command](cfg, out, seed)
+        try:
+            return COMMANDS[command](cfg, out, seed)
+        except MemoryError as exc:
+            # a size the schema allows can still need more memory than exists
+            raise InvalidParameter(
+                f"the config needs an allocation this machine cannot make: {exc}") from exc
     except QeflabError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return exc.exit_code

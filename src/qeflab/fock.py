@@ -13,12 +13,14 @@ r U(phi) xi U(phi)^dagger with the diagonal U(phi) = e^{i phi n}, exactly
 under truncation.  Averaging over phi keeps only the number-basis
 diagonal of e^{sigma r xi}, and phi and phi + pi pair e^{sigma r xi} with
 e^{-sigma r xi}.  So with xi = V diag(lam) V^T,
-f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] and f is diagonal: one
-eigendecomposition of xi per basis serves every sigma.  Its derivative
-f'(sigma) follows from the same erf values, so the ODE check compares
-exact sides.  The left side's xi^2 + eta^2 = a a^dagger + a^dagger a is
-diagonal under truncation too, so every comparison here runs on the
-number-basis diagonal and needs no N x N matrix product.
+f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] and f is diagonal: xi's
+Gauss-Hermite rule (lam, V^2), from one real eigendecomposition per
+basis, serves every sigma.  Its derivative f'(sigma) follows from the
+same erf values, so the ODE check compares exact sides.  The left
+side's xi^2 + eta^2 = a a^dagger + a^dagger a is diagonal under
+truncation too, with a closed-form diagonal.  So every function here
+takes and returns real number-basis diagonals: no ladder matrix
+and no N x N matrix product is ever formed.
 """
 
 from __future__ import annotations
@@ -36,49 +38,45 @@ LOG_MAX = float(np.log(np.finfo(float).max))   # largest x with a finite e^x
 
 @dataclass(frozen=True, eq=False)
 class TruncatedPair:
-    """Position and momentum matrices in the truncated number basis.
+    """xi's Gauss-Hermite rule on N Fock levels.
 
-    The commutator [xi, eta] equals iI exactly on the leading (N-1)
-    corner; only the last diagonal entry is corrupted by truncation.
-    ccr_residual is the max-abs deviation on that corner.  xi is real
-    symmetric, and xi_eigvals with xi_weights[j, l] = V_jl^2 hold its
-    eigendecomposition xi = V diag(xi_eigvals) V^T.
+    The truncated position matrix xi = (a + a^dagger) / sqrt(2) is real,
+    symmetric and tridiagonal with off-diagonal sqrt(j/2): the Jacobi
+    matrix of the Hermite polynomials.  With xi = V diag(lam) V^T,
+    xi_eigvals holds lam, the N-point Gauss-Hermite nodes, and
+    xi_weights[j, l] = V_jl^2 the weights with which the j-th diagonal
+    entry of a function of xi averages over them (row 0 is the
+    Gauss-Hermite rule's weights over sqrt(pi)).
     """
 
     N: int
-    xi: np.ndarray
-    eta: np.ndarray
-    ccr_residual: float
     xi_eigvals: np.ndarray
     xi_weights: np.ndarray
 
 
 def build_pair(N: int) -> TruncatedPair:
-    """Standard ladder construction of (xi, eta) on N Fock levels."""
+    """xi's rule on N Fock levels from one eigendecomposition of its tridiagonal form."""
     if N < 4:
         raise InvalidParameter(f"fock.N must be at least 4, got {N}")
-    a = np.diag(np.sqrt(np.arange(1, N)), k=1).astype(complex)
-    xi = (a + a.conj().T) / np.sqrt(2.0)
-    eta = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    comm = xi @ eta - eta @ xi
-    dev = comm[:N - 1, :N - 1] - 1j * np.eye(N - 1)
-    lam, V = np.linalg.eigh(xi.real)
-    return TruncatedPair(N=N, xi=xi, eta=eta, ccr_residual=float(np.abs(dev).max()),
-                         xi_eigvals=lam, xi_weights=V * V)
+    off = np.sqrt(np.arange(1, N) / 2.0)
+    lam, V = np.linalg.eigh(np.diag(off, k=1) + np.diag(off, k=-1))
+    return TruncatedPair(N=N, xi_eigvals=lam, xi_weights=V * V)
 
 
 def number_form(pair: TruncatedPair) -> np.ndarray:
     """The diagonal q = (1, 3, ..., 2N - 3, N - 1) of the quadratic xi^2 + eta^2.
 
-    xi^2 + eta^2 = a a^dagger + a^dagger a is diagonal under truncation.
-    xi and eta are Hermitian, so (xi^2)_jj = sum_l |xi_jl|^2: q is the row
-    sums of |xi|^2 + |eta|^2, with no matrix product.
+    xi^2 + eta^2 = a a^dagger + a^dagger a is diagonal under truncation:
+    2j + 1 on level j, except at the edge, where a a^dagger loses its
+    term and leaves N - 1.
     """
-    return (np.abs(pair.xi) ** 2).sum(axis=1) + (np.abs(pair.eta) ** 2).sum(axis=1)
+    q = 2.0 * np.arange(pair.N) + 1.0
+    q[-1] = pair.N - 1
+    return q
 
 
 def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} = diag(e^{omega q_j}) from number_form's q.
+    """The diagonal e^{omega q_j} of e^{omega (xi^2 + eta^2)}, q from number_form.
 
     The largest q_j is 2N - 3, so an omega (2N - 3) beyond the double
     exponent range is refused instead of overflowing.
@@ -90,7 +88,7 @@ def lhs_exponential(pair: TruncatedPair, omega: float) -> np.ndarray:
             f"fock.N = {pair.N} and fock.omega_list value {omega} give "
             f"e^(omega (2N - 3)) = e^{omega * (2 * pair.N - 3):.6g}, beyond the "
             f"double range e^{LOG_MAX:.6g}")
-    return np.diag(np.exp(omega * number_form(pair)))
+    return np.exp(omega * number_form(pair))
 
 
 def _average_diagonals(pair: TruncatedPair, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,17 +115,17 @@ def _average_diagonals(pair: TruncatedPair, sigma: float) -> tuple[np.ndarray, n
 def gaussian_average(pair: TruncatedPair, sigma: float) -> np.ndarray:
     """f(sigma): mean of e^{sigma (a xi + b eta)} over standard normal a, b.
 
-    The diagonal matrix f_jj = sum_l V_jl^2 E[cosh(sigma lam_l r)] over
-    the Rayleigh radius r (see the module docstring and
-    _average_diagonals).
+    f is diagonal; this is its diagonal f_jj = sum_l V_jl^2
+    E[cosh(sigma lam_l r)] over the Rayleigh radius r (see the module
+    docstring and _average_diagonals).
     """
     if sigma == 0.0:
-        return np.eye(pair.N)                    # f(0) = I exactly
-    return np.diag(_average_diagonals(pair, sigma)[0])
+        return np.ones(pair.N)                   # f(0) = I exactly
+    return _average_diagonals(pair, sigma)[0]
 
 
 def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None) -> np.ndarray:
-    """f(sqrt(2 tanh omega)) / cosh(omega), the identity's right side.
+    """The diagonal of f(sqrt(2 tanh omega)) / cosh(omega), the identity's right side.
 
     quad_order is unused: the average is in closed form.  It stays only
     because perfbench/layers.py still passes it.
@@ -140,28 +138,26 @@ def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None
 def corner_error(pair: TruncatedPair, omega: float) -> float:
     """Max-abs gap between the identity's sides on the leading N/2 corner.
 
-    The corner contains entries growing like e^{omega (N-1)}, so only the
-    gap relative to the corner's largest magnitude is comparable across
-    truncation sizes.
+    Both sides are diagonal, so the corner block is compared on its
+    diagonal.  The corner contains entries growing like e^{omega (N-1)},
+    so only the gap relative to the corner's largest magnitude is
+    comparable across truncation sizes.
     """
     k = pair.N // 2
-    lhs = lhs_exponential(pair, omega)
-    rhs = rhs_average(pair, omega)
-    return float(np.abs(lhs[:k, :k] - rhs[:k, :k]).max())
+    gap = lhs_exponential(pair, omega)[:k] - rhs_average(pair, omega)[:k]
+    return float(np.abs(gap).max())
 
 
 def verify_ode(pair: TruncatedPair, sigma_grid: np.ndarray, quad_order: int | None = None,
                step: float | None = None) -> float:
     """Largest residual of f' = (sigma / (1 - sigma^4/4)) (xi^2 + eta^2 + sigma^2/2) f.
 
-    Both f and f' are the closed forms of _average_diagonals, and
-    xi^2 + eta^2 is diag(number_form).  All three are diagonal, so the
-    leading N/2 corner block is compared on its diagonal, and the
-    residual, the max-abs mismatch over that diagonal and the sigmas,
-    tests the ODE itself: rounding only, as long as the truncation has
-    not reached the corner.  quad_order and step are
-    unused: the average and its derivative are exact.  They stay only
-    because perfbench/layers.py still passes them.
+    f and f' are _average_diagonals' closed forms and xi^2 + eta^2 is
+    number_form's diagonal, so the residual, the max-abs mismatch over
+    the leading N/2 diagonal entries and the sigmas, tests the ODE
+    itself: rounding only, as long as the truncation has not reached the
+    corner.  quad_order and step are unused; they stay only because
+    perfbench/layers.py still passes them.
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
     if sigmas.size == 0 or sigmas.min(initial=0.0) < 0.0:

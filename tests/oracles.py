@@ -604,12 +604,25 @@ def omega_from_sigma(sigma: float) -> float:
 def relative_corner_error(pair: TruncatedPair, omega: float) -> float:
     """corner_error over the corner's largest magnitude, comparable across N."""
     k = pair.N // 2
-    return corner_error(pair, omega) / float(np.abs(lhs_exponential(pair, omega)[:k, :k]).max())
+    return corner_error(pair, omega) / float(np.abs(lhs_exponential(pair, omega)[:k]).max())
+
+
+def ladder_pair(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The position and momentum matrices (xi, eta) on N Fock levels, dense.
+
+    The standard ladder construction: xi = (a + a^dagger) / sqrt(2) and
+    eta = (a - a^dagger) / (i sqrt(2)) with the truncated annihilator a.
+    The commutator [xi, eta] equals iI on the leading (N - 1) corner;
+    truncation corrupts only its last diagonal entry.
+    """
+    a = np.diag(np.sqrt(np.arange(1, N)), k=1).astype(complex)
+    return (a + a.conj().T) / np.sqrt(2.0), (a - a.conj().T) / (1j * np.sqrt(2.0))
 
 
 def lhs_exponential_dense(pair: TruncatedPair, omega: float) -> np.ndarray:
-    """e^{omega (xi^2 + eta^2)} as a dense matrix exponential of the dense products."""
-    return expm(omega * (pair.xi @ pair.xi + pair.eta @ pair.eta))
+    """e^{omega (xi^2 + eta^2)} as a dense matrix exponential of the ladder products."""
+    xi, eta = ladder_pair(pair.N)
+    return expm(omega * (xi @ xi + eta @ eta))
 
 
 def dense_lambdas(cache, theta: float) -> np.ndarray:

@@ -250,6 +250,24 @@ def test_load_config_rejects_nonfinite(tmp_path):
     path.write_text('{"oscillator": {"T": Infinity}}')
     with pytest.raises(SchemaViolation, match="non-finite"):
         cli.load_config(str(path))
+    # literals beyond the double range: 1e999 parsed to inf, and a
+    # 401-digit integer failed in float() after the schema passed it
+    huge = "1" + "0" * 400
+    for section, key, literal in [("oscillator", "T", "1e999"), ("oscillator", "theta", "1e999"),
+                                  ("oscillator", "T", "-1e999"), ("oscillator", "T", huge),
+                                  ("oscillator", "R", f"[[{huge}, 0.0], [0.0, 1.0]]"),
+                                  ("qef", "theta_list", f"[{huge}]"),
+                                  ("fock", "omega_list", f"[0.1, {huge}]")]:
+        marker = "9876.54321"
+        cfg = base_config(tmp_path)
+        cfg[section][key] = float(marker)
+        path.write_text(json.dumps(cfg).replace(marker, literal))
+        with pytest.raises(SchemaViolation, match="outside the double range"):
+            cli.load_config(str(path))
+    # 1e-999 underflows to zero, a number inside the range
+    cfg = base_config(tmp_path)
+    path.write_text(json.dumps(cfg).replace('"theta": 0.348', '"theta": 1e-999'))
+    assert cli.load_config(str(path))["oscillator"]["theta"] == 0.0
 
 
 def test_load_config_malformed_json(tmp_path):
@@ -259,6 +277,39 @@ def test_load_config_malformed_json(tmp_path):
         cli.load_config(str(path))
     with pytest.raises(SchemaViolation, match="cannot read"):
         cli.load_config(str(tmp_path / "missing.json"))
+    # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(SchemaViolation, match="not UTF-8"):
+        cli.load_config(str(path))
+    # nesting past the parser's recursion limit ended in a RecursionError
+    path.write_text("[" * 100000)
+    with pytest.raises(SchemaViolation, match="recursion limit"):
+        cli.load_config(str(path))
+
+
+BAD_CONFIG_FILES = {
+    "non-utf8": b'{"a": "\xff"}',
+    "deep": b"[" * 100000,
+    "T-1e999": json.dumps(base_config("out")).replace('"T": 1.0', '"T": 1e999').encode(),
+    "theta-1e999": json.dumps(base_config("out")).replace('"theta": 0.348',
+                                                          '"theta": 1e999').encode(),
+    "T-401-digits": json.dumps(base_config("out")).replace(
+        '"T": 1.0', '"T": 1' + "0" * 400).encode(),
+}
+
+
+@pytest.mark.parametrize("content", BAD_CONFIG_FILES.values(), ids=BAD_CONFIG_FILES.keys())
+def test_bad_config_file_is_one_json_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["eigen", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not caught
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "SchemaViolation"
 
 
 def test_model_check_fixture(tmp_path):
@@ -732,6 +783,10 @@ def run_fock(tmp_path, capsys, fock_cfg):
     ({"N": 8, "omega_list": [0.5, 25.0], "quad_order": 12}, ("fock.omega_list", "25.0")),
     # tanh omega rounds to 1: exited 2 with a message about sigma naming no field
     ({"N": 8, "omega_list": [20.0], "quad_order": 12}, ("fock.omega_list", "20.0", "19")),
+    # a 5e6-level basis needs a 182 TiB matrix, beyond a 47-bit address
+    # space, so its allocation fails at once whatever the overcommit
+    # policy: numpy's _ArrayMemoryError traceback ended the run, exit 1
+    ({"N": 5 * 10 ** 6, "omega_list": [0.1]}, ("cannot make", "TiB")),
 ])
 def test_fock_out_of_range_is_one_json_error(tmp_path, capsys, fock_cfg, fields):
     code, err, _ = run_fock(tmp_path, capsys, fock_cfg)
@@ -769,6 +824,19 @@ def test_fock_reports_finite_cells_or_one_json_error(tmp_path, capsys, N, omegas
     assert code in (0, 2, 3)
     assert err == [] or (len(err) == 1 and isinstance(json.loads(err[0]), dict))
     assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+
+def test_fock_at_a_thousand_levels_meets_the_smoke_bounds(tmp_path, capsys):
+    # the CI smoke's bounds relative to the corner scale e^{omega (N - 1)},
+    # at a basis far above the other tests' N <= 160
+    code, err, cells = run_fock(tmp_path, capsys, {"N": 1000, "omega_list": [0.1]})
+    assert code == 0
+    assert err == []
+    N, omega, corner, ode = (float(cell) for cell in cells[0])
+    assert (N, omega) == (1000.0, 0.1)
+    scale = math.exp(omega * (N - 1))
+    assert corner <= 1e-4 * scale
+    assert ode <= 1e-6 * scale
 
 
 def test_long_horizon_qef_succeeds(tmp_path, capsys):
