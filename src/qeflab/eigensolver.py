@@ -93,7 +93,6 @@ class SpectralBasis:
     grid: Grid
     hs_total: float
     hs_captured: float
-    capture_fraction: float
     mercer_residual: float
     gram_max_dev: float
 
@@ -343,7 +342,6 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
             "the shooting eigenfunctions are not orthonormal on this grid")
     omegas = np.array([p.omega for p in retained])
     return SpectralBasis(
-        pairs=tuple(retained), modes=modes, grid=ctx.grid, hs_total=hs_total,
-        hs_captured=captured, capture_fraction=capture_fraction,
+        pairs=tuple(retained), modes=modes, grid=ctx.grid, hs_total=hs_total, hs_captured=captured,
         mercer_residual=_mercer_residual(ctx, modes, omegas), gram_max_dev=gram_max_dev,
     )

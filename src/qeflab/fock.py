@@ -130,8 +130,6 @@ def rhs_average(pair: TruncatedPair, omega: float, quad_order: int | None = None
     quad_order is unused: the average is in closed form.  It stays only
     because perfbench/layers.py still passes it.
     """
-    if omega < 0.0:
-        raise NonpositiveOmega(f"need omega >= 0, got {omega}")
     return gaussian_average(pair, sigma_from_omega(omega)) / np.cosh(omega)
 
 

@@ -103,37 +103,17 @@ class McEstimate:
 
 @dataclass(frozen=True, eq=False)
 class QefMcResult:
-    """Both estimator routes for one theta, plus the seed that made them."""
+    """Both estimator routes for one theta."""
 
     theta: float
     z: McEstimate
     n: McEstimate
-    seed: int
 
 
 def _batch_sizes(samples: int, batches: int) -> np.ndarray:
     sizes = np.full(batches, samples // batches, dtype=int)
     sizes[:samples % batches] += 1
     return sizes
-
-
-@dataclass(frozen=True, eq=False)
-class _ThetaTerms:
-    """The per-theta scalars that weight a batch's draws."""
-
-    theta: float
-    C: float
-    corr: np.ndarray               # (2r,) Z-route corrections 1 - sqrt(tanhc(theta omega_k))
-    tanc_m1: np.ndarray            # (2r,) N-route K action tanhc(theta omega_k) - 1
-    variance_finite: bool
-
-
-def _theta_terms(cache: SpectralCache, rep: QefReport) -> _ThetaTerms:
-    """Per-theta scalars: K's eigenvalues from the cache; theta, C and the
-    spectral radius from the closed form's report."""
-    t = cache.k_eigenvalues(rep.theta)
-    return _ThetaTerms(theta=rep.theta, C=rep.C, corr=1.0 - np.sqrt(t), tanc_m1=t - 1.0,
-                       variance_finite=2.0 * rep.theta * rep.spectral_radius < 1.0)
 
 
 class _Geometry:
@@ -153,7 +133,7 @@ class _Geometry:
         bounds = np.linspace(0.0, grid.T, m + 1)
         self.dt = grid.T / m
         mids = Grid(T=grid.T, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
-                    weights=np.full(m, self.dt), edges=bounds)
+                    weights=np.full(m, self.dt))
         # cell increments of H_k = sqrt(2) int h_k; mode columns / sqrt(w) are sqrt(2) h_k
         h = cache.basis.modes.reshape(grid.size, ctx.n, -1) / np.sqrt(grid.weights)[:, None, None]
         dH = cell_integrals(grid, h, cfg.increments_per_panel)               # (m, n, 2r)
@@ -165,11 +145,14 @@ class _Geometry:
         self.cache = cache
 
     def run_group(self, sizes: np.ndarray, seeds: list[np.random.SeedSequence],
-                  terms: list[_ThetaTerms]) -> tuple[np.ndarray, np.ndarray]:
-        """Consecutive batches, drawn once and weighted for every theta.
+                  reps: list[QefReport]) -> tuple[np.ndarray, np.ndarray]:
+        """Consecutive batches, drawn once and weighted for the theta of every report.
 
         Each batch draws dW, then z, from its own stream into the group's
-        rows.  Returns the batch means and clipped counts, each of shape
+        rows.  A report's theta and C weight the draws, with K's
+        eigenvalues t_k = tanhc(theta omega_k) from the cache: the Z-route
+        corrections 1 - sqrt(t_k) and the N-route K action t_k - 1.
+        Returns the batch means and clipped counts, each of shape
         (theta, route Z/N, batch).
         """
         starts = np.cumsum(sizes) - sizes
@@ -192,14 +175,15 @@ class _Geometry:
         base = np.einsum('si,si->s', z @ P, z)
         proj2 = (z @ root_modes) ** 2
 
-        means = np.empty((len(terms), 2, len(sizes)))
-        clipped = np.empty((len(terms), 2, len(sizes)), dtype=int)
-        for i, t in enumerate(terms):
-            u = zeta * t.corr
+        means = np.empty((len(reps), 2, len(sizes)))
+        clipped = np.empty((len(reps), 2, len(sizes)), dtype=int)
+        for i, rep in enumerate(reps):
+            t = self.cache.k_eigenvalues(rep.theta)
+            u = zeta * (1.0 - np.sqrt(t))
             q_z = a - 2.0 * np.einsum('sk,sk->s', u, b) + np.einsum('sk,sk->s', u @ self.G, u)
-            q_n = base + proj2 @ t.tanc_m1
+            q_n = base + proj2 @ (t - 1.0)
             for route, q in enumerate((q_z, q_n)):
-                expo = -t.C + 0.5 * t.theta * q
+                expo = -rep.C + 0.5 * rep.theta * q
                 means[i, route] = np.add.reduceat(np.exp(np.minimum(expo, OVERFLOW_LOG)),
                                                   starts) / sizes
                 clipped[i, route] = np.add.reduceat(expo > OVERFLOW_LOG, starts, dtype=int)
@@ -258,22 +242,21 @@ def estimate_qef_mc_many(cache: SpectralCache, reps: list[QefReport],
             raise SupercriticalTheta(
                 f"theta={rep.theta:.6g} is at or beyond the critical value "
                 f"{find_critical_theta(cache):.6g}; the estimator mean diverges")
-    terms = [_theta_terms(cache, rep) for rep in reps]
     geom = _Geometry(cache, cfg)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
-    means = np.empty((len(terms), 2, cfg.batch))
-    clipped = np.empty((len(terms), 2, cfg.batch), dtype=int)
+    means = np.empty((len(reps), 2, cfg.batch))
+    clipped = np.empty((len(reps), 2, cfg.batch), dtype=int)
     for group in _groups(sizes):
-        means[..., group], clipped[..., group] = geom.run_group(sizes[group], seeds[group],
-                                                                terms)
+        means[..., group], clipped[..., group] = geom.run_group(sizes[group], seeds[group], reps)
 
     results = []
-    for i, t in enumerate(terms):
-        z, n = (_aggregate(means[i, route], sizes, int(clipped[i, route].sum()),
-                           t.variance_finite)
+    for i, rep in enumerate(reps):
+        # the second moment is finite while 2 theta r(PK) < 1
+        variance_finite = 2.0 * rep.theta * rep.spectral_radius < 1.0
+        z, n = (_aggregate(means[i, route], sizes, int(clipped[i, route].sum()), variance_finite)
                 for route in (0, 1))
-        results.append(QefMcResult(theta=t.theta, z=z, n=n, seed=cfg.seed))
+        results.append(QefMcResult(theta=rep.theta, z=z, n=n))
     return results
 
 

@@ -17,7 +17,8 @@ through the physical realizability identity
 which holds exactly by construction and, for Hurwitz A, makes Theta
 recoverable from (A, mho) alone via a continuous Lyapunov solve.  The
 same solver yields the stationary one-point covariance P0 of the
-invariant Gaussian state from A P0 + P0 A^T + B B^T = 0.
+invariant Gaussian state from A P0 + P0 A^T + B B^T = 0; it refuses a
+singular system or a non-finite solution for both.
 """
 
 from __future__ import annotations
@@ -188,14 +189,20 @@ def solve_continuous_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Row-major vectorization turns the equation into the Kronecker system
     (A kron I + I kron A) vec(X) = vec(Q) of size n^2, solved directly;
     it is nonsingular exactly when no two eigenvalues of A sum to zero,
-    which holds for Hurwitz A.  An exactly singular system raises
-    numpy.linalg.LinAlgError.
+    which holds for Hurwitz A.  An exactly singular system or a
+    non-finite solution raises LyapunovSolveFailed.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     ident = np.eye(n)
     K = np.kron(A, ident) + np.kron(ident, A)
-    return np.linalg.solve(K, np.asarray(Q, dtype=float).reshape(n * n)).reshape(n, n)
+    try:
+        X = np.linalg.solve(K, np.asarray(Q, dtype=float).reshape(n * n)).reshape(n, n)
+    except np.linalg.LinAlgError as exc:
+        raise LyapunovSolveFailed(str(exc)) from exc
+    if not np.all(np.isfinite(X)):
+        raise LyapunovSolveFailed("Lyapunov solve returned non-finite entries")
+    return X
 
 
 def recover_ccr(A: np.ndarray, mho: np.ndarray) -> np.ndarray:
@@ -208,12 +215,7 @@ def recover_ccr(A: np.ndarray, mho: np.ndarray) -> np.ndarray:
     """
     if not is_hurwitz(A):
         raise NotHurwitz("CCR recovery requires a Hurwitz drift matrix")
-    try:
-        X = solve_continuous_lyapunov(A, -np.asarray(mho, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovSolveFailed(str(exc)) from exc
-    if not np.all(np.isfinite(X)):
-        raise LyapunovSolveFailed("Lyapunov solve returned non-finite entries")
+    X = solve_continuous_lyapunov(A, -np.asarray(mho, dtype=float))
     scale = max(1.0, float(np.linalg.norm(X)))
     if np.linalg.norm(X + X.T) > 1e-6 * scale:
         raise LyapunovSolveFailed("recovered matrix is far from antisymmetric; "
@@ -226,10 +228,7 @@ def solve_state_ale(A: np.ndarray, B: np.ndarray) -> GaussianStateData:
     if not is_hurwitz(A):
         raise NotHurwitz("the invariant Gaussian state requires a Hurwitz drift matrix")
     BBt = np.asarray(B, dtype=float) @ np.asarray(B, dtype=float).T
-    try:
-        X = solve_continuous_lyapunov(A, -BBt)
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovSolveFailed(str(exc)) from exc
+    X = solve_continuous_lyapunov(A, -BBt)
     P0 = 0.5 * (X + X.T)
     clip_psd(np.linalg.eigvalsh(P0), "state covariance")
     return GaussianStateData(P0=P0)

@@ -35,8 +35,6 @@ class Grid:
         Gauss-Legendre nodes per panel.
     nodes, weights : ndarray, shape (panels*order,)
         Global nodes (ascending) and quadrature weights.
-    edges : ndarray, shape (panels+1,)
-        Panel boundaries, from 0 to T.
     """
 
     T: float
@@ -44,7 +42,6 @@ class Grid:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    edges: np.ndarray
 
     @property
     def size(self) -> int:
@@ -66,8 +63,7 @@ def make_grid(T: float, panels: int = 8, order: int = 16) -> Grid:
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half * x[None, :]).ravel()
     weights = np.tile(half * w, panels)
-    return Grid(T=float(T), panels=panels, order=order,
-                nodes=nodes, weights=weights, edges=edges)
+    return Grid(T=float(T), panels=panels, order=order, nodes=nodes, weights=weights)
 
 
 def cell_integrals(grid: Grid, values: np.ndarray, cells: int) -> np.ndarray:

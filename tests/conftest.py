@@ -38,9 +38,12 @@ def state(ctx):
     return model.solve_state_ale(ctx.sys.A, ctx.sys.B)
 
 
+BASIS_CAPTURE = 0.99       # the capture fraction the basis fixture is built for
+
+
 @pytest.fixture(scope="session")
 def basis(ctx):
-    return build_basis(ctx, 0.99)
+    return build_basis(ctx, BASIS_CAPTURE)
 
 
 def squeezed_spec():

@@ -147,6 +147,11 @@ def panel_totals(grid: Grid, values: np.ndarray) -> np.ndarray:
                             panel_view(grid, values))
 
 
+def panel_edges(grid: Grid) -> np.ndarray:
+    """Panel boundaries of a grid of equal panels, from 0 to T, shape (panels + 1,)."""
+    return np.linspace(0.0, grid.T, grid.panels + 1)
+
+
 def cumulative_at_loop(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
     """Running integral of a grid function at arbitrary times in [0, T], shape (len(ts), ...).
 
@@ -159,10 +164,11 @@ def cumulative_at_loop(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
     offsets = np.concatenate([np.zeros((1,) + totals.shape[1:]), np.cumsum(totals, axis=0)])
     x_ref, _ = legendre.leggauss(grid.order)
     vand_inv = np.linalg.inv(legendre.legvander(x_ref, grid.order - 1))
+    edges = panel_edges(grid)
     out = np.empty((len(ts),) + values.shape[1:])
     for i, t in enumerate(ts):
-        p = min(max(int(np.searchsorted(grid.edges, t, side='right')) - 1, 0), grid.panels - 1)
-        x = (t - 0.5 * (grid.edges[p] + grid.edges[p + 1])) / half
+        p = min(max(int(np.searchsorted(edges, t, side='right')) - 1, 0), grid.panels - 1)
+        x = (t - 0.5 * (edges[p] + edges[p + 1])) / half
         coeffs = vand_inv @ v[p].reshape(grid.order, -1)
         partial = half * legendre.legval(x, legendre.legint(coeffs, lbnd=-1))
         out[i] = (offsets[p].reshape(-1) + partial).reshape(values.shape[1:])
@@ -265,12 +271,12 @@ def _path_root(geom) -> np.ndarray:
     return symmetric_root(geom.cache.P)
 
 
-def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> list[tuple]:
+def run_batch(geom, size: int, seed: np.random.SeedSequence, reps: list) -> list[tuple]:
     """One Monte-Carlo batch of a geometry, drawn and weighted on its own.
 
     Draws dW, then z, from the batch's stream and forms dZ, y = z P_h^{1/2}
     from its own symmetric root of P_h, and both routes' quadratic forms
-    in full for every theta.  Returns per theta
+    in full for the theta and C of every report.  Returns per report
     ((z_mean, z_clipped), (n_mean, n_clipped)).
     """
     rng = np.random.default_rng(seed)
@@ -281,13 +287,14 @@ def run_batch(geom, size: int, seed: np.random.SeedSequence, terms: list) -> lis
     proj2 = (y @ geom.cache.basis.modes) ** 2
     base = np.einsum('si,si->s', y, y)
     out = []
-    for t in terms:
-        dZ = dW - (zeta * t.corr) @ geom.dH.T
+    for rep in reps:
+        tanc = geom.cache.k_eigenvalues(rep.theta)
+        dZ = dW - (zeta * (1.0 - np.sqrt(tanc))) @ geom.dH.T
         q_z = np.einsum('si,si->s', dZ @ geom.Pm, dZ)
-        q_n = base + proj2 @ t.tanc_m1
+        q_n = base + proj2 @ (tanc - 1.0)
         routes = []
         for q in (q_z, q_n):
-            expo = -t.C + 0.5 * t.theta * q
+            expo = -rep.C + 0.5 * rep.theta * q
             routes.append((float(np.mean(np.exp(np.minimum(expo, mc.OVERFLOW_LOG)))),
                            int(np.sum(expo > mc.OVERFLOW_LOG))))
         out.append(tuple(routes))
@@ -315,7 +322,7 @@ def apply_L_split(ctx: KernelContext, f: np.ndarray) -> tuple[np.ndarray, np.nda
     A, Theta = ctx.sys.A, ctx.Theta
     q, panels = grid.order, grid.panels
     width = grid.T / panels
-    t_loc = grid.nodes[:q] - grid.edges[0]  # local node offsets, same in every panel
+    t_loc = grid.nodes[:q]  # the first panel's nodes: local offsets, same in every panel
     E_pos = expm(t_loc[:, None, None] * A)           # e^{tau A}
     E_neg = expm(-t_loc[:, None, None] * A)          # e^{-tau A}
     E_posT = expm(t_loc[:, None, None] * A.T)        # e^{tau A^T}

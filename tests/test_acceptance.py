@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import J2, dense_kernel, random_hurwitz_spec, random_spec
+from conftest import BASIS_CAPTURE, J2, dense_kernel, random_hurwitz_spec, random_spec
 from oracles import (
     apply_K,
     green_function,
@@ -124,7 +124,7 @@ def test_06_basis_orthonormality(basis):
 
 def test_07_hs_identity(ctx, basis):
     gap = abs(basis.hs_captured - ctx.hs_total)
-    bound = (1.0 - basis.capture_fraction) * ctx.hs_total + 1e-6
+    bound = (1.0 - BASIS_CAPTURE) * ctx.hs_total + 1e-6
     assert gap <= bound
     print(f"criterion 07 PASS: HS identity gap {gap:.4e} <= {bound:.4e}")
 

@@ -706,6 +706,29 @@ def test_validate_rejects_tiny_sample_count(tmp_path, capsys):
     assert stderr_code(capsys) == "SchemaViolation"
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("fock", "fock", "N"),
+    ("eigen", "grid", "panels"),
+    ("eigen", "grid", "nodes_per_panel"),
+    ("validate", "mc", "samples"),
+    ("validate", "mc", "increments_per_panel"),
+])
+def test_size_beyond_exact_doubles_is_one_json_error(tmp_path, capsys, command, section, key):
+    # 10**30 ended in numpy's ValueError or OverflowError traceback, exit 1;
+    # the schema caps every size at 2**53 - 1, the largest integer a double
+    # holds exactly, whose first array is already 64 PiB
+    cfg = base_config(tmp_path)
+    cfg[section][key] = 10 ** 30
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line) == {
+        "error": "SchemaViolation",
+        "message": f"{section}/{key}: {10 ** 30} is greater than the maximum of {2 ** 53 - 1}"}
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_validate_rejects_single_batch(tmp_path, capsys):
     # the batch-means standard error divides by batch - 1
     cfg = copy.deepcopy(README_CONFIG)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import J2, planted_bvp_matrices, random_hurwitz_spec, squeezed_spec
+from conftest import BASIS_CAPTURE, J2, planted_bvp_matrices, random_hurwitz_spec, squeezed_spec
 from oracles import (
     det_ratio,
     hk_of,
@@ -541,7 +541,7 @@ def test_build_basis_diagnostics(basis, ctx):
     assert basis.hs_captured == pytest.approx(HS_CAPTURED_FROZEN, rel=1e-9)
     achieved = basis.hs_captured / basis.hs_total
     assert achieved == pytest.approx(CAPTURE_FROZEN, rel=1e-9)
-    assert achieved >= basis.capture_fraction
+    assert achieved >= BASIS_CAPTURE
     assert basis.gram_max_dev <= 1e-12
     assert basis.mercer_residual == pytest.approx(MERCER_FROZEN, rel=1e-6)
     assert basis.mercer_residual <= basis.hs_total - basis.hs_captured + 1e-6

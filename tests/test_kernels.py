@@ -75,7 +75,7 @@ def _midpoint_grid(m):
     # the Monte-Carlo Z-route increment grid: one Gauss-Legendre node per panel
     bounds = np.linspace(0.0, 1.0, m + 1)
     return quadrature.Grid(T=1.0, panels=m, order=1, nodes=0.5 * (bounds[:-1] + bounds[1:]),
-                           weights=np.full(m, 1.0 / m), edges=bounds)
+                           weights=np.full(m, 1.0 / m))
 
 
 @pytest.mark.parametrize("make", [

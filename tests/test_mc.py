@@ -48,11 +48,11 @@ def test_sample_N_zero_state(ctx, qkl348):
     assert cache.root_modes.shape == cache.basis.modes.shape
     assert np.max(np.abs(cache.root_modes)) == 0.0
     geom = mc._Geometry(cache, mc.McConfig(samples=200, seed=0, batch=100))
-    terms = mc._theta_terms(cache, qef.compute_qef(ctx, qkl348, zero, cache=cache))
+    rep = qef.compute_qef(ctx, qkl348, zero, cache=cache)
     means, clipped = geom.run_group(np.array([20, 13]), np.random.SeedSequence(0).spawn(2),
-                                    [terms])
+                                    [rep])
     for n_mean in means[0, 1]:
-        assert n_mean == pytest.approx(np.exp(-terms.C), rel=1e-15)
+        assert n_mean == pytest.approx(np.exp(-rep.C), rel=1e-15)
     assert not clipped.any()
 
 
@@ -87,14 +87,13 @@ def test_estimate_deterministic_across_threads(ctx, qkl348, state):
     b = mc.estimate_qef_mc(ctx, qkl348, state.P0, cfg)
     assert (a.z.mean, a.z.stderr, a.n.mean, a.n.stderr) == \
            (b.z.mean, b.z.stderr, b.n.mean, b.n.stderr)
-    assert a.seed == cfg.seed
 
 
 def _geometry(ctx, qkl, state):
     cache = qef.SpectralCache(ctx, qkl, state.P0)
     cfg = mc.McConfig(samples=200, seed=0, batch=100)
     rep = qef.compute_qef(ctx, qkl, state.P0, cache=cache)
-    return mc._Geometry(cache, cfg), mc._theta_terms(cache, rep)
+    return mc._Geometry(cache, cfg), rep
 
 
 @pytest.mark.parametrize("theta", [0.348, 0.87])
@@ -103,7 +102,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     # batches against the per-index einsum forms of the same quadratic
     # forms, on the same draws: each batch draws dW, then z, from its stream
     qkl = build_qkl(basis, theta)
-    est, terms = _geometry(ctx, qkl, state)
+    est, rep = _geometry(ctx, qkl, state)
     n, r, N = ctx.n, len(basis.pairs), ctx.grid.size
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
@@ -114,7 +113,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     root = symmetric_root(est.cache.P)
     sizes = np.array([50, 30])
     seeds = np.random.SeedSequence(123).spawn(2)
-    means, _ = est.run_group(sizes, seeds, [terms])
+    means, _ = est.run_group(sizes, seeds, [rep])
     for j, (size, seed) in enumerate(zip(sizes, seeds)):
         rng = np.random.default_rng(seed)
         dW = rng.standard_normal((size, m, n)) * np.sqrt(est.dt)
@@ -129,7 +128,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
         proj = np.einsum('kaip,a,sai->skp', hk_of(basis), w, paths)
         q_n = base + 2.0 * np.einsum('k,skp->s', tanc - 1.0, proj ** 2)
         for q, mean in zip((q_z, q_n), means[0, :, j]):
-            ref = float(np.mean(np.exp(-terms.C + 0.5 * theta * q)))
+            ref = float(np.mean(np.exp(-rep.C + 0.5 * theta * q)))
             assert mean == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -137,13 +136,13 @@ def test_group_clips_like_per_batch_reference(ctx, qkl348, state, monkeypatch):
     # a clip lowered into the bulk of the exponents gives every batch of
     # the group clipped samples, whose means and counts the reference fixes
     monkeypatch.setattr(mc, "OVERFLOW_LOG", 0.3)
-    est, terms = _geometry(ctx, qkl348, state)
+    est, rep = _geometry(ctx, qkl348, state)
     sizes = np.array([40, 25, 33])
     seeds = np.random.SeedSequence(5).spawn(3)
-    means, clipped = est.run_group(sizes, seeds, [terms])
+    means, clipped = est.run_group(sizes, seeds, [rep])
     assert np.all(clipped > 0) and np.all(clipped < sizes)
     for j, (size, seed) in enumerate(zip(sizes, seeds)):
-        [routes] = run_batch(est, int(size), seed, [terms])
+        [routes] = run_batch(est, int(size), seed, [rep])
         for route, (mean, count) in enumerate(routes):
             assert means[0, route, j] == pytest.approx(mean, rel=1e-12, abs=0.0)
             assert clipped[0, route, j] == count
@@ -189,16 +188,16 @@ def test_grouped_pass_matches_per_batch_reference(ctx, basis, state, squeezed, s
     qkls = [build_qkl(b, theta) for theta in thetas]
     cache = qef.SpectralCache(c, qkls[0], P0)
     reps = [qef.compute_qef(c, q, P0, cache=cache) for q in qkls]
-    terms = [mc._theta_terms(cache, rep) for rep in reps]
     geom = mc._Geometry(cache, cfg)
     sizes = mc._batch_sizes(cfg.samples, cfg.batch)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
-    batches = [run_batch(geom, int(size), seed, terms) for size, seed in zip(sizes, seeds)]
+    batches = [run_batch(geom, int(size), seed, reps) for size, seed in zip(sizes, seeds)]
     got = mc.estimate_qef_mc_many(cache, reps, cfg)
-    for i, (t, res) in enumerate(zip(terms, got)):
+    for i, (rep, res) in enumerate(zip(reps, got)):
+        variance_finite = 2.0 * rep.theta * rep.spectral_radius < 1.0
         for route, est in enumerate((res.z, res.n)):
             ref = mc._aggregate(np.array([bt[i][route][0] for bt in batches]), sizes,
-                                sum(bt[i][route][1] for bt in batches), t.variance_finite)
+                                sum(bt[i][route][1] for bt in batches), variance_finite)
             assert est.mean == pytest.approx(ref.mean, rel=1e-12, abs=0.0)
             assert est.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
             assert est.kurtosis == pytest.approx(ref.kurtosis, rel=0.0, abs=1e-12)
@@ -207,7 +206,7 @@ def test_grouped_pass_matches_per_batch_reference(ctx, basis, state, squeezed, s
 
 
 def _fields(result):
-    return (result.theta, result.seed,
+    return (result.theta,
             *[getattr(est, f.name) for est in (result.z, result.n)
               for f in dataclasses.fields(est)])
 
@@ -242,21 +241,20 @@ def test_discrete_model_determinant_matches_closed_form(ctx, basis, state):
     # a finite determinant; with the shared-dH projection it reproduces
     # the closed form at the default increment resolution
     theta = 0.87
-    qkl = build_qkl(basis, theta)
-    rep = qef.compute_qef(ctx, qkl, state.P0)
-    est, terms = _geometry(ctx, qkl, state)
+    est, rep = _geometry(ctx, build_qkl(basis, theta), state)
+    corr = 1.0 - np.sqrt(est.cache.k_eigenvalues(theta))
     n = ctx.n
     m = est.dH.shape[0] // n
     L = np.eye(m * n)
     for j in range(est.dH.shape[1]):
         u = est.dH[:, j]
-        L -= terms.corr[j] * np.outer(u, u) / est.dt
+        L -= corr[j] * np.outer(u, u) / est.dt
     Sig = est.dt * (L @ L.T)
     Pm = 0.5 * (est.Pm + est.Pm.T)
     w, V = np.linalg.eigh(Sig)
     half = V * np.sqrt(np.clip(w, 0.0, None)) @ V.T
     evs = np.linalg.eigvalsh(half @ Pm @ half)
-    xi_disc = float(np.exp(-terms.C) * np.prod(1.0 - theta * evs) ** -0.5)
+    xi_disc = float(np.exp(-rep.C) * np.prod(1.0 - theta * evs) ** -0.5)
     assert xi_disc == pytest.approx(rep.xi, rel=5e-4)
 
 

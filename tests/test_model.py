@@ -10,6 +10,7 @@ from qeflab import model
 from qeflab.errors import (
     CovarianceNotPSD,
     InvalidParameter,
+    LyapunovSolveFailed,
     NonFinite,
     NotAntisymmetric,
     NotHurwitz,
@@ -79,6 +80,19 @@ def test_lyapunov_solve_matches_scipy():
         got = model.solve_continuous_lyapunov(A, Q)
         ref = scipy.linalg.solve_continuous_lyapunov(A, Q)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_lyapunov_solve_refuses_singular_and_nonfinite():
+    # one guarded solve serves both Lyapunov paths: a singular Kronecker
+    # system and a solution beyond the double range are LyapunovSolveFailed
+    # (the state path returned a nan P0 for the latter)
+    with pytest.raises(LyapunovSolveFailed, match="Singular matrix"):
+        model.solve_continuous_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+    A = -1e-9 * np.eye(2)
+    with pytest.raises(LyapunovSolveFailed, match="non-finite"):
+        model.solve_state_ale(A, 1e154 * np.eye(2))
+    with pytest.raises(LyapunovSolveFailed, match="non-finite"):
+        model.recover_ccr(A, 1e308 * J2)
 
 
 def test_clip_psd():

@@ -123,9 +123,12 @@ def test_pk_trace_identity(cache):
 
 
 def test_monte_carlo_terms_read_the_report(ctx, qkl348, state, monkeypatch):
-    # the Monte-Carlo weights take theta, C and the spectral radius from
-    # compute_qef's report: one Lanczos run per theta in all, and a rerun
-    # of lambdas gives the report's radius to the bit
+    # the Monte-Carlo weights take theta, C and the divergence test from
+    # compute_qef's reports: one Lanczos run per theta in all, and a rerun
+    # of lambdas gives the report's radius to the bit.  A report carrying
+    # theta 0.87 with the 0.348 report's C plus one weights the draws as
+    # the 0.87 report does, times e^{C(0.87) - C(0.348) - 1}, and its
+    # radius of one puts 2 theta r(PK) past 1, which flags both routes
     runs = []
 
     def counting(*args, **kwargs):
@@ -135,13 +138,19 @@ def test_monte_carlo_terms_read_the_report(ctx, qkl348, state, monkeypatch):
     lanczos = qef._lanczos
     monkeypatch.setattr(qef, "_lanczos", counting)
     cache = qef.SpectralCache(ctx, qkl348, state.P0)
-    rep = qef.compute_qef(ctx, qkl348, state.P0, cache=cache)
-    terms = mc._theta_terms(cache, rep)
-    assert len(runs) == 1
-    assert (terms.theta, terms.C) == (rep.theta, rep.C)
-    assert terms.variance_finite == (2.0 * rep.theta * rep.spectral_radius < 1.0)
-    assert cache.lambdas(0.348)[0] == rep.spectral_radius
+    reps = [qef.compute_qef(ctx, build_qkl(qkl348.basis, theta), state.P0, cache=cache)
+            for theta in (0.348, 0.87)]
+    moved = replace(reps[0], theta=0.87, C=reps[0].C + 1.0, spectral_radius=1.0)
+    _, real, alt = mc.estimate_qef_mc_many(cache, [*reps, moved],
+                                           mc.McConfig(samples=400, seed=1, batch=20))
     assert len(runs) == 2
+    assert alt.theta == 0.87
+    for est, got in ((real.z, alt.z), (real.n, alt.n)):
+        ratio = np.exp(reps[1].C - reps[0].C - 1.0)
+        assert got.mean == pytest.approx(est.mean * ratio, rel=1e-14, abs=0.0)
+        assert not est.unreliable and got.unreliable
+    assert cache.lambdas(0.348)[0] == reps[0].spectral_radius
+    assert len(runs) == 3
 
 
 def test_rounding_negative_covariance_eigenvalues_are_clipped(ctx, qkl348, state, monkeypatch):
