@@ -244,10 +244,18 @@ def estimate_qef_mc_many(cache: SpectralCache, reps: list[QefReport],
                 f"{find_critical_theta(cache):.6g}; the estimator mean diverges")
     geom = _Geometry(cache, cfg)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
+    groups = _groups(sizes)
+    # a group draws dW and z as (rows, columns) doubles, and numpy refuses
+    # more bytes than its index type holds with a bare ValueError
+    rows = max(int(sizes[group].sum()) for group in groups)
+    if rows * max(geom.dH.shape[0], cache.P.shape[0]) * 8 > np.iinfo(np.intp).max:
+        raise InvalidParameter(
+            f"mc.samples = {cfg.samples} over mc.batch = {cfg.batch} batches puts {rows} "
+            "draws in one group, beyond numpy's array size limit")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
     means = np.empty((len(reps), 2, cfg.batch))
     clipped = np.empty((len(reps), 2, cfg.batch), dtype=int)
-    for group in _groups(sizes):
+    for group in groups:
         means[..., group], clipped[..., group] = geom.run_group(sizes[group], seeds[group], reps)
 
     results = []

@@ -24,6 +24,11 @@ numbers and no factorization of size N n:
   reorthogonalization, O(N n (r + k)) for step k; the runs take 8 to 24
   steps on the README and squeezed oscillators and on random n = 4
   systems.
+
+The log-determinant's Cholesky verdict is the one supercriticality test:
+it makes a report's xi None, and find_critical_theta bisects on it.  The
+Lanczos radius serves only the reported spectral_radius and the
+Monte-Carlo variance flag.
 """
 
 from __future__ import annotations
@@ -221,28 +226,28 @@ def compute_C(basis, theta: float) -> tuple[float, float]:
 
 
 def find_critical_theta(cache: SpectralCache) -> float:
-    """Crossing of g(theta) = theta * r(P K(theta)) = 1 by bisection.
+    """Crossing of g(theta) = theta * r(P K(theta)) = 1, bisected on log_det's verdict.
 
     g is nondecreasing (theta K(theta) grows in operator order, and
-    conjugation by P^{1/2} preserves that), so the crossing is the
-    supremum of risk parameters with a convergent determinant: evaluating
-    just below it stays finite, just above it diverges.  The bisection
-    stops at CRITICAL_RTOL relative width.  Some systems never cross (g
-    saturates below 1); past CRITICAL_THETA_MAX these return infinity.
+    conjugation by P^{1/2} preserves that), so log_det is finite exactly
+    below the crossing: it is the boundary between compute_qef's finite
+    and diverged reports, found with no Lanczos run.  Doubling starts at
+    1 / mu[0], the crossing for K = I; the bisection stops at
+    CRITICAL_RTOL relative width.  Some systems never cross (g saturates
+    below 1); past CRITICAL_THETA_MAX these return infinity.
     """
-    sr0 = float(cache.lambdas(0.0)[0])
-    if sr0 <= 0.0:
+    if cache.mu[0] <= 0.0:
         return np.inf
     lo = 0.0
-    hi = 1.0 / sr0
-    while hi * float(cache.lambdas(hi)[0]) < 1.0:
+    hi = 1.0 / float(cache.mu[0])
+    while cache.log_det(hi) is not None:
         lo = hi
         hi *= 2.0
         if hi > CRITICAL_THETA_MAX:
             return np.inf
     while hi - lo > CRITICAL_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if mid * float(cache.lambdas(mid)[0]) < 1.0:
+        if cache.log_det(mid) is not None:
             lo = mid
         else:
             hi = mid

@@ -26,6 +26,8 @@ theory, so that agreement checks the package's own evaluation:
   retained modes;
 - the dense spectrum of sqrt(K) P sqrt(K), against the low-rank
   log-determinant and Lanczos radius of the spectral cache;
+- the critical theta by bisection on the Lanczos radius, against the
+  bisection on the log-determinant's Cholesky verdict;
 - a coordinate change of the oscillator, against the realizability
   identity;
 - the kernel grid assembled by gathering e^{|tau| A} to every node pair
@@ -59,7 +61,7 @@ from qeflab.errors import GridMismatch, InvalidParameter
 from qeflab.fock import SIGMA_SUP, TruncatedPair, corner_error, lhs_exponential
 from qeflab.kernels import KernelContext, expm
 from qeflab.model import SINGULAR_RCOND, OscillatorSpec, clip_psd, reciprocal_cond
-from qeflab.qef import tanhc
+from qeflab.qef import CRITICAL_RTOL, CRITICAL_THETA_MAX, tanhc
 from qeflab.quadrature import Grid
 
 
@@ -646,3 +648,28 @@ def dense_lambdas(cache, theta: float) -> np.ndarray:
     X = X + (UP.T * scale[None, :]) @ U.T \
         + U @ ((scale[:, None] * (UP @ U)) * scale[None, :]) @ U.T
     return clip_psd(np.linalg.eigvalsh(0.5 * (X + X.T))[::-1], "sqrt(K) P sqrt(K)")
+
+
+def critical_theta_by_radius(cache) -> float:
+    """Crossing of theta * r(P K(theta)) = 1 by bisection on the Lanczos radius.
+
+    Each step runs cache.lambdas for a fresh radius; the doubling starts at
+    the reciprocal radius at theta = 0, and the package's CRITICAL_RTOL and
+    CRITICAL_THETA_MAX stop it.  find_critical_theta reaches the same
+    crossing from log_det's Cholesky verdict alone.
+    """
+    def g(theta):
+        return theta * float(cache.lambdas(theta)[0])
+
+    r0 = float(cache.lambdas(0.0)[0])
+    if r0 <= 0.0:
+        return np.inf
+    lo, hi = 0.0, 1.0 / r0
+    while g(hi) < 1.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > CRITICAL_THETA_MAX:
+            return np.inf
+    while hi - lo > CRITICAL_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)

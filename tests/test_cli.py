@@ -729,6 +729,23 @@ def test_size_beyond_exact_doubles_is_one_json_error(tmp_path, capsys, command, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_group_beyond_numpy_size_limit_is_one_json_error(tmp_path, capsys):
+    # each size passes the 2**53 - 1 cap, but one group's draws are 2**52
+    # rows of 8 * 63 * 2 normals, more bytes than numpy's index type holds:
+    # run_group's np.empty raised a bare ValueError, exit 1
+    cfg = copy.deepcopy(README_CONFIG)
+    cfg["mc"].update(samples=2 ** 53 - 1, batch=2, increments_per_panel=63)
+    cfg["output_dir"] = str(tmp_path)
+    assert cli.main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InvalidParameter"
+    assert "mc.samples" in payload["message"] and "mc.batch" in payload["message"]
+    assert not (tmp_path / "mc.csv").exists()
+
+
 def test_validate_rejects_single_batch(tmp_path, capsys):
     # the batch-means standard error divides by batch - 1
     cfg = copy.deepcopy(README_CONFIG)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import J2, random_hurwitz_spec, squeezed_spec
-from oracles import dense_lambdas, transform_system
+from oracles import critical_theta_by_radius, dense_lambdas, transform_system
 from scipy.linalg import block_diag
 
 from qeflab import eigensolver as es
@@ -214,6 +214,37 @@ def test_find_critical_theta_fixture(cache):
     # the crossing separates finite from divergent determinants
     assert 0.999 * thc * cache.lambdas(0.999 * thc)[0] < 1.0
     assert 1.001 * thc * cache.lambdas(1.001 * thc)[0] > 1.0
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+@pytest.mark.parametrize("which", ["readme", "squeezed", "random0", "random1", "random2",
+                                   "random7", "random12"])
+def test_critical_theta_is_the_divergence_boundary(osc_spec, which, T, monkeypatch):
+    # the bisection reads log_det's Cholesky verdict, the test that makes
+    # xi None, and lands on the Lanczos-radius crossing without a Lanczos run
+    if which == "readme":
+        spec = replace(osc_spec, T=T)
+    elif which == "squeezed":
+        spec = replace(squeezed_spec(), T=T)
+    else:
+        spec = random_hurwitz_spec(np.random.default_rng(int(which[6:])), 4, T=T)
+    cache = _cache_for(spec)
+    reference = critical_theta_by_radius(cache)
+    runs = []
+    lanczos = qef._lanczos
+
+    def counting(*args):
+        runs.append(args)
+        return lanczos(*args)
+
+    monkeypatch.setattr(qef, "_lanczos", counting)
+    thc = qef.find_critical_theta(cache)
+    assert runs == []
+    assert thc == pytest.approx(reference, rel=1e-12)
+    below, above = (qef.compute_qef(cache.ctx, build_qkl(cache.basis, thc * (1.0 + d)), cache.P0,
+                                    cache=cache) for d in (-1e-9, 1e-9))
+    assert below.xi is not None and np.isfinite(below.xi)
+    assert above.xi is None
 
 
 def test_state_unavailable(ctx, osc_spec, qkl348):
