@@ -8,7 +8,6 @@ number-basis cross-checks.
 """
 
 from .eigensolver import (
-    EigenPair,
     SpectralBasis,
     build_basis,
     nystrom_oracle,
@@ -26,7 +25,6 @@ from .quadrature import Grid, make_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenPair",
     "Grid",
     "KernelContext",
     "McConfig",

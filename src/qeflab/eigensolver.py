@@ -15,10 +15,10 @@ The dense Nystrom discretization of L lists every eigenfrequency in the
 right count, to the grid's accuracy; a batched secant on det N(omega)
 refines each one it seeds, and a refined omega is a root when N(omega)
 has a kernel; a seed without a root of its own is an error.  One QR per root
-orthonormalizes its eigenfunctions, and each eigenpair holds them in one
-form, its weighted node-major mode columns sqrt(2w) phi and sqrt(2w) psi.
-The retained pairs' columns are the spectral basis's mode matrix, checked
-by its Gram matrix and its Mercer residual.
+orthonormalizes its eigenfunctions into weighted node-major mode columns
+sqrt(2w) phi and sqrt(2w) psi.  The spectral basis holds the retained pairs'
+omegas, multiplicities and residuals as arrays, one entry per pair, beside
+the one mode matrix of all their columns, checked by its Gram matrix.
 """
 
 from __future__ import annotations
@@ -64,41 +64,24 @@ class Root:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenPair:
-    """One eigenfrequency with its normalized eigenfunction f = phi + i psi.
+class SpectralBasis:
+    """Retained eigenpairs ordered by descending omega, one array entry each, plus diagnostics.
 
-    modes holds the columns sqrt(2w) phi and sqrt(2w) psi, node-major,
-    shape (N n, 2): the layout of SpectralBasis.modes.  y0 is the unit
-    vector y(0) that starts f, in ker Y(T).  bvp_residual is the Nystrom
-    residual ||K y - i omega y||_2 of y = sqrt(w) f, K =
-    ctx.nystrom_matrix (independent of the shooting propagation);
-    boundary_residual is ||N(omega) v|| for the unit kernel vector v =
-    [a; y(0)] of N that starts f, bounded at any horizon as N is.
+    Pair k's f = phi + i psi is the columns 2k and 2k + 1 of modes; its
+    bvp_residual is ||K y - i omega y||_2 of y = sqrt(w) f, K =
+    ctx.nystrom_matrix (not the shooting propagation), and its bounded
+    boundary_residual ||N(omega) v|| for the unit [a; y(0)] that starts f.
     """
 
-    omega: float
-    y0: np.ndarray
-    modes: np.ndarray
-    multiplicity: int
-    bvp_residual: float
-    boundary_residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralBasis:
-    """Retained eigenpairs ordered by descending omega, plus diagnostics."""
-
-    pairs: tuple[EigenPair, ...]
+    omegas: np.ndarray
+    multiplicity: np.ndarray
+    bvp_residual: np.ndarray
+    boundary_residual: np.ndarray
     modes: np.ndarray         # sqrt(2w) phi_k, sqrt(2w) psi_k node-major, (N n, 2r), orthonormal
     grid: Grid
     hs_total: float
     hs_captured: float
-    mercer_residual: float
     gram_max_dev: float
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([p.omega for p in self.pairs])
 
 
 def _det_root(N: np.ndarray, k: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -126,13 +109,14 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     call also evaluates N at omega_inf = TAIL_SCALE sqrt(hs_exact / 2),
     far above every omega_k, and raises DeterminantIdentityViolated
     unless ln Delta(omega_inf) = ln |det N| + T Re tr S+ + T tr A matches
-    -hs_exact / (2 omega_inf^2) to TAIL_IDENTITY_RTOL relative: a broken
-    assembly of D(omega), never a coarse grid or a long horizon.  A
-    secant stops when its step falls below REFINE_XTOL relative, after
-    REFINE_STEPS steps at most.  One more call evaluates every refined
-    omega, which is a root when N(omega) has singular values below
-    KERNEL_SV_RTOL sigma_max; their right singular vectors [a; y(0)] are
-    its kernel rows.  Returns roots in descending omega order, one per
+    -hs_exact / (2 omega_inf^2) to TAIL_IDENTITY_RTOL relative, or to the
+    rounding of ln |det N| where that is coarser: a broken assembly of
+    D(omega), never a coarse grid or a long horizon.  A secant stops when
+    its step falls below REFINE_XTOL relative, after REFINE_STEPS steps
+    at most.  One more call evaluates every refined omega, which is a
+    root when N(omega) has singular values below KERNEL_SV_RTOL
+    sigma_max; their right singular vectors [a; y(0)] are its kernel
+    rows.  Returns roots in descending omega order, one per
     seed: a seed whose refined omega has no kernel, or lands within
     ROOT_MERGE_RTOL max(1, omega) of another seed's, raises
     RefinementStalled naming both, and a band without a seed raises
@@ -156,11 +140,16 @@ def scan_eigenfrequencies(ctx: KernelContext, omega_min: float,
     bvp = bvp_matrices(ctx, np.concatenate([x0, x1, [omega_inf]]))
     # Delta = prod_k (1 - omega_k^2 / omega^2), and sum_k omega_k^2 = ||L||^2_HS / 2;
     # ln |det Y(T)| = ln |det N| + T Re tr S+
-    got = (np.linalg.slogdet(bvp.N[-1])[1]
+    N = bvp.N[-1]
+    got = (np.linalg.slogdet(N)[1]
            + ctx.grid.T * (np.trace(bvp.S[-1, 0]).real + np.trace(ctx.sys.A)))
     want = -ctx.hs_exact / (2.0 * omega_inf ** 2)
     rel = abs(got / want - 1.0)
-    if not rel <= TAIL_IDENTITY_RTOL:
+    # N's entries are good to eps max(1, ||N||), which moves ln |det N| by up to
+    # ||N^-1|| times that: past the target where N has lost its O(1) scale
+    with np.errstate(divide='ignore'):
+        noise = np.finfo(float).eps * max(1.0, np.linalg.norm(N, 2)) / np.linalg.norm(N, -2)
+    if not (rel <= TAIL_IDENTITY_RTOL or abs(got - want) <= noise):
         raise DeterminantIdentityViolated(
             f"ln Delta({omega_inf:.4g}) deviates from -||L||^2_HS / (2 omega^2) by {rel:.3e} "
             "relative")
@@ -218,20 +207,20 @@ def _propagator(ctx: KernelContext, bvp: BvpMatrices) -> np.ndarray:
     return np.concatenate([plus, minus], axis=-1)
 
 
-def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
-    """Propagate the root's kernel vectors to orthonormal eigenpairs.
+def eigenfunction_from_root(ctx: KernelContext, root: Root) -> tuple[np.ndarray, ...]:
+    """Root's k eigenfunctions: mode columns (N n, 2k), bvp_residual, boundary_residual.
 
     The split's propagation from a kernel vector [a; y(0)] of N meets the
     terminal condition y(T) = 0 exactly and the initial one x(0) = 0 up
-    to N's residual on it, recorded as boundary_residual.  The k =
-    multiplicity propagated functions f are orthonormalized together by
-    one QR factorization sqrt(w) f S^{-1} = Q R, S their L2 norms: Q's
-    columns are the weighted eigenfunctions, and their kernel vectors
-    follow from a solve with R.  RankCollapse is raised when k > 1 and a
-    pivot of R (the residual norm Gram-Schmidt would test) is below
-    RANK_ATOL times the gain of the map from a unit kernel vector to
-    sqrt(w) f S^{-1}: the k functions are then within a RANK_ATOL change
-    of the kernel rows from dependence.
+    to N's residual on it, the boundary_residual.  The k propagated
+    functions f are orthonormalized together by one QR factorization
+    sqrt(w) f S^{-1} = Q R, S their L2 norms: Q's columns are the
+    weighted eigenfunctions, turned so that y(0)'s largest entry is real,
+    and their kernel vectors follow from a solve with R.  RankCollapse is
+    raised when k > 1 and a pivot of R (the residual norm Gram-Schmidt
+    would test) is below RANK_ATOL times the gain of the map from a unit
+    kernel vector to sqrt(w) f S^{-1}: the k functions are then within a
+    RANK_ATOL change of the kernel rows from dependence.
     """
     omega, n, sw = root.omega, ctx.n, np.sqrt(ctx.grid.weights)[:, None, None]
     wprop = (sw * _propagator(ctx, root.bvp)).reshape(-1, 2 * n)         # (N n, 2n)
@@ -249,19 +238,17 @@ def eigenfunction_from_root(ctx: KernelContext, root: Root) -> list[EigenPair]:
             "dependent")
     starts = np.linalg.solve(R.T, root.kernel / scale[:, None])  # row j starts Q's column j
     K = ctx.nystrom_matrix
-    pairs = []
+    modes, lres, bres = [], [], []
     for j in range(root.multiplicity):
         z = starts[j, n + np.argmax(np.abs(starts[j, n:]))]   # y(0)'s largest entry, made real
         phase = np.conj(z) / abs(z)
         y = Q[:, j] * phase
-        start = starts[j] * (phase / np.linalg.norm(starts[j]))
+        modes += [y.real, y.imag]
         # the real K acts on the real and imaginary parts apart, with no complex copy
-        lres = float(np.linalg.norm(K @ y.real + 1j * (K @ y.imag) - 1j * omega * y))
-        pairs.append(EigenPair(omega=omega, y0=start[n:] / np.linalg.norm(start[n:]),
-                               modes=np.sqrt(2.0) * np.stack([y.real, y.imag], -1),
-                               multiplicity=root.multiplicity, bvp_residual=lres,
-                               boundary_residual=float(np.linalg.norm(root.bvp.N @ start))))
-    return pairs
+        lres.append(np.linalg.norm(K @ y.real + 1j * (K @ y.imag) - 1j * omega * y))
+        start = starts[j] * (phase / np.linalg.norm(starts[j]))
+        bres.append(np.linalg.norm(root.bvp.N @ start))
+    return np.sqrt(2.0) * np.stack(modes, -1), np.array(lres), np.array(bres)
 
 
 def nystrom_oracle(ctx: KernelContext) -> np.ndarray:
@@ -275,30 +262,19 @@ def nystrom_oracle(ctx: KernelContext) -> np.ndarray:
 
 def basis_gram(basis: SpectralBasis) -> np.ndarray:
     """All pairwise Gram blocks int h_j^T h_k dt, shape (r, r, 2, 2)."""
-    r = len(basis.pairs)
+    r = basis.omegas.size
     return (0.5 * basis.modes.T @ basis.modes).reshape(r, 2, r, 2).transpose(0, 2, 1, 3)
-
-
-def _mercer_residual(ctx: KernelContext, modes: np.ndarray, omegas: np.ndarray) -> float:
-    """Mean-square misfit of the truncated kernel expansion over the grid.
-
-    ||K - (H - H^T)||_F^2 with H = sum_k omega_k a_k b_k^T, a_k and b_k the
-    mode columns of phi_k and psi_k: H - H^T is the Nystrom matrix of
-    sum_k 2 omega_k (phi_k(s) psi_k(t)^T - psi_k(s) phi_k(t)^T).
-    """
-    H = (modes[:, 0::2] * omegas) @ modes[:, 1::2].T
-    diff = ctx.nystrom_matrix - (H - H.T)
-    return float(np.vdot(diff, diff))
 
 
 def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralBasis:
     """Refine the dominant Nystrom modes, retain them until the HS capture is met.
 
-    Each retained eigenpair contributes 2 omega_k^2 toward hs_captured.
+    The basis keeps the shortest prefix of the eigenpairs whose 2 sum
+    omega_k^2, hs_captured, reaches the target capture_fraction hs_total.
     The scan seeds the shortest prefix of ctx.nystrom_omegas whose
-    2 sum omega^2 reaches the target capture_fraction hs_total plus
-    hs_total - hs_exact, by which that list (summing to hs_total) can
-    overstate the roots, but not past hs_exact, the sum of all roots.
+    2 sum omega^2 reaches that target plus hs_total - hs_exact, by which
+    that list (summing to hs_total) can overstate the roots, but not past
+    hs_exact, the sum of all roots.
     Raises CaptureUnreachable when the roots capture less than the
     target, RefinementStalled when a seed refines to no root of its own
     or the retained eigenfunctions' Gram matrix is not I/2 to GRAM_ATOL,
@@ -319,29 +295,26 @@ def build_basis(ctx: KernelContext, capture_fraction: float = 0.99) -> SpectralB
     last = min(int(np.searchsorted(np.cumsum(2.0 * seeds ** 2), reach)), seeds.size - 1)
     roots = scan_eigenfrequencies(ctx, seeds[last], seeds[0])
 
-    pairs = [p for root in roots for p in eigenfunction_from_root(ctx, root)]
-    captured = 0.0
-    retained: list[EigenPair] = []
-    for p in pairs:
-        retained.append(p)
-        captured += 2.0 * p.omega ** 2
-        if captured >= target:
-            break
-    if captured < target:
+    modes, lres, bres = zip(*(eigenfunction_from_root(ctx, root) for root in roots))
+    k = [root.multiplicity for root in roots]
+    omegas, multiplicity = np.repeat([root.omega for root in roots], k), np.repeat(k, k)
+    captured = np.cumsum(2.0 * omegas ** 2)
+    r = int(np.searchsorted(captured, target)) + 1
+    if r > omegas.size:
         raise CaptureUnreachable(
             f"the {len(roots)} roots refined from the leading {last + 1} Nystrom omegas "
-            f"capture only {captured / hs_total:.4f} of the HS norm (target "
+            f"capture only {captured[-1] / hs_total:.4f} of the HS norm (target "
             f"{capture_fraction}); refine the grid or lower eigen.capture_fraction")
 
-    modes = np.concatenate([p.modes for p in retained], axis=1)
+    modes = np.concatenate(modes, axis=1)[:, :2 * r]
     # basis_gram is half of modes^T modes: this is its largest deviation from I/2
     gram_max_dev = 0.5 * float(np.max(np.abs(modes.T @ modes - np.eye(modes.shape[1]))))
     if not gram_max_dev <= GRAM_ATOL:
         raise RefinementStalled(
             f"basis Gram deviates from I/2 by {gram_max_dev:.3e} (limit {GRAM_ATOL}); "
             "the shooting eigenfunctions are not orthonormal on this grid")
-    omegas = np.array([p.omega for p in retained])
     return SpectralBasis(
-        pairs=tuple(retained), modes=modes, grid=ctx.grid, hs_total=hs_total, hs_captured=captured,
-        mercer_residual=_mercer_residual(ctx, modes, omegas), gram_max_dev=gram_max_dev,
+        omegas=omegas[:r], multiplicity=multiplicity[:r], bvp_residual=np.concatenate(lres)[:r],
+        boundary_residual=np.concatenate(bres)[:r], modes=modes, grid=ctx.grid,
+        hs_total=hs_total, hs_captured=float(captured[r - 1]), gram_max_dev=gram_max_dev,
     )

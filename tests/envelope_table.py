@@ -7,7 +7,8 @@ i < count, runs model-check, eigen, qef and validate on each config in
 process, and prints how often each command ended in each exit code and
 error name ("-" for an empty stderr).  A run that raises a numpy
 RuntimeWarning, or whose stderr is neither empty nor one JSON line, is
-counted under "breach" as well.  pytest does not collect this file.
+counted under "breach" as well, and any breach makes the script exit 1.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -46,7 +48,7 @@ def outcome(command: str, path: str) -> tuple[int, str, bool]:
     return code, name, breach
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=22)
     parser.add_argument("--count", type=int, default=120)
@@ -70,7 +72,8 @@ def main() -> None:
         for (code, name), runs in sorted(tables[command].items()):
             print(f"| {command} | {code} | {name} | {runs} |")
         print(f"| {command} | | breach | {breaches[command]} |")
+    return 1 if any(breaches.values()) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

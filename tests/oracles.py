@@ -533,33 +533,33 @@ def nystrom_hermitian(ctx: KernelContext) -> tuple[np.ndarray, np.ndarray]:
     return evals, evals[evals > 0.0][::-1]
 
 
-def pair_function(grid: Grid, pair) -> np.ndarray:
-    """f = phi + i psi of one eigenpair on the grid, shape (N, n), from its mode columns."""
-    f = pair.modes[:, 0] + 1j * pair.modes[:, 1]
+def pair_function(grid: Grid, modes: np.ndarray, k: int = 0) -> np.ndarray:
+    """f = phi + i psi of pair k on the grid, shape (N, n), from its mode columns 2k and 2k + 1."""
+    f = modes[:, 2 * k] + 1j * modes[:, 2 * k + 1]
     return f.reshape(grid.size, -1) / np.sqrt(2.0 * grid.weights)[:, None]
 
 
-def ode_residual(ctx: KernelContext, pair) -> float:
+def ode_residual(ctx: KernelContext, basis, k: int) -> float:
     """Sup-norm residual of the companion form's second-order eigen-ODE on the grid.
 
-    Differentiates the sampled eigenfunction with the panel Legendre
-    machinery (independent of the shooting propagator) and substitutes
-    into f'' = mho A^T mho^-1 A f + (A - mho A^T mho^-1) f' + (i/omega) mho f,
-    the lower block row of [f; f']' = D_c(omega) [f; f'].
+    Differentiates the sampled eigenfunction of the basis's pair k with the
+    panel Legendre machinery (independent of the shooting propagator) and
+    substitutes into f'' = mho A^T mho^-1 A f + (A - mho A^T mho^-1) f' +
+    (i/omega) mho f, the lower block row of [f; f']' = D_c(omega) [f; f'].
     """
     grid, n = ctx.grid, ctx.n
     F, _, _ = _companion_of(ctx)
-    f = pair_function(grid, pair)
+    f = pair_function(grid, basis.modes, k)
     fp = differentiate(grid, f)
     fpp = differentiate(grid, fp)
     resid = (fpp - f @ F[n:, :n].T - fp @ F[n:, n:].T
-             - (1j / pair.omega) * f @ ctx.sys.mho.T)
+             - (1j / basis.omegas[k]) * f @ ctx.sys.mho.T)
     return float(np.max(np.abs(resid)))
 
 
 def hk_of(basis) -> np.ndarray:
     """h_k = [phi_k psi_k] per retained pair on the grid, shape (r, N, n, 2)."""
-    grid, r = basis.grid, len(basis.pairs)
+    grid, r = basis.grid, basis.omegas.size
     h = basis.modes.reshape(grid.size, -1, r, 2)
     return np.moveaxis(h / np.sqrt(2.0 * grid.weights)[:, None, None, None], 2, 0)
 

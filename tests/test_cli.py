@@ -1012,6 +1012,48 @@ def test_envelope_slice_fails_only_by_contract(tmp_path, capsys, index):
             assert len(err) == 1 and "error" in json.loads(err[0])
 
 
+@pytest.mark.parametrize("command", ["qef", "validate"])
+def test_drift_not_hurwitz_is_refused_before_the_eigen_scan(tmp_path, capsys, command):
+    # envelope seed 22, config 58 has no stationary state; its eigen scan
+    # stalls, but the closed form needs P0 first and refuses the drift
+    path = write_config(tmp_path, envelope_config(np.random.default_rng([22, 58]), tmp_path))
+    assert cli.main([command, "--config", path]) == 3
+    assert stderr_code(capsys) == "NotHurwitz"
+    assert cli.main(["eigen", "--config", path]) == 3
+    assert stderr_code(capsys) == "RefinementStalled"
+
+
+@pytest.mark.parametrize("index", [23, 37])
+def test_validate_fail_names_each_missing_route(tmp_path, capsys, index):
+    # envelope seed 22, configs 23 and 37 exit 4: one stdout line per
+    # (theta, route) outside 3 standard errors of xi gives its z-score and
+    # 2 theta r, here past 1, where the estimator's variance is infinite
+    path = write_config(tmp_path, envelope_config(np.random.default_rng([22, index]), tmp_path))
+    assert cli.main(["qef", "--config", path]) == 0
+    _, qef_rows = read_rows(tmp_path / "qef.csv")
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", path]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "validate: FAIL"
+    closed = {float(row[0]): (float(row[3]), float(row[5]))
+              for row in qef_rows if row[5] != "diverged"}
+    _, mc_rows = read_rows(tmp_path / "mc.csv")
+    want = []
+    for row in mc_rows:
+        theta, mean, stderr = float(row[0]), float(row[2]), float(row[3])
+        radius, xi = closed[theta]
+        if abs(mean - xi) > 3.0 * stderr:
+            assert row[7] == "true"
+            want.append((theta, row[1], (mean - xi) / stderr, 2.0 * theta * radius))
+    assert want
+    got = [line for line in out if line.startswith("validate: theta")]
+    assert len(got) == len(want)
+    for line, (theta, route, z, x) in zip(got, want):
+        assert line.startswith(f"validate: theta {theta:.6g} route {route} misses xi by ")
+        assert f"z = {z:+.3g} standard errors; 2 theta r = {x:.3g}" in line
+        assert x >= 1.0 and line.endswith(">= 1, where the estimator's variance is infinite")
+
+
 def test_out_override(tmp_path):
     cfg = base_config(tmp_path / "configured")
     path = write_config(tmp_path, cfg)

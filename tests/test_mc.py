@@ -103,7 +103,7 @@ def test_run_batch_matches_einsum_forms(ctx, basis, state, theta):
     # forms, on the same draws: each batch draws dW, then z, from its stream
     qkl = build_qkl(basis, theta)
     est, rep = _geometry(ctx, qkl, state)
-    n, r, N = ctx.n, len(basis.pairs), ctx.grid.size
+    n, r, N = ctx.n, basis.omegas.size, ctx.grid.size
     m = est.dH.shape[0] // n
     dH = est.dH.reshape(m, n, r, 2).transpose(2, 0, 1, 3)             # (r, m, n, 2)
     Pm = est.Pm.reshape(m, n, m, n).transpose(0, 2, 1, 3)             # (m, m, n, n)

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import apply_K, inner, norm, pair_function, surrogate_covariance
+from oracles import apply_K, inner, norm, nystrom_apply, pair_function, surrogate_covariance
 
 from qeflab import qkl
 from qeflab.errors import GridMismatch, InvalidParameter
@@ -24,7 +24,7 @@ def test_tanhc_values():
 
 def test_build_qkl_shapes_and_weights(basis):
     q = qkl.build_qkl(basis, 0.348)
-    r, N = len(basis.pairs), basis.grid.size
+    r, N = basis.omegas.size, basis.grid.size
     assert q.basis is basis and q.theta == 0.348
     assert [f.name for f in fields(q)] == ["basis", "theta"]
     assert basis.modes.shape == (N * 2, 2 * r)
@@ -39,22 +39,25 @@ def test_build_qkl_rejects_negative_theta(basis):
         qkl.build_qkl(basis, -0.1)
 
 
-def test_mode_columns_are_weighted_pairs(basis):
+def test_mode_columns_are_weighted_pairs(ctx, basis):
     # columns 2k and 2k + 1 of the node-major mode matrix are pair k's
-    # sqrt(2 w) phi_k and sqrt(2 w) psi_k, and the columns are orthonormal
-    for k, pair in enumerate(basis.pairs):
-        assert pair.modes.shape == (basis.grid.size * 2, 2)
-        assert np.array_equal(basis.modes[:, 2 * k:2 * k + 2], pair.modes)
+    # sqrt(2 w) phi_k and sqrt(2 w) psi_k: f_k = phi_k + i psi_k has pair
+    # k's omega and bvp_residual, and the columns are orthonormal
+    assert basis.bvp_residual.shape == basis.boundary_residual.shape == basis.omegas.shape
+    for k, omega in enumerate(basis.omegas):
+        f = pair_function(basis.grid, basis.modes, k)
+        resid = nystrom_apply(ctx, f) - 1j * omega * f
+        assert norm(basis.grid, resid) == pytest.approx(basis.bvp_residual[k], rel=1e-12)
     gram = basis.modes.T @ basis.modes
-    assert np.max(np.abs(gram - np.eye(2 * len(basis.pairs)))) <= 1e-12
+    assert np.max(np.abs(gram - np.eye(2 * basis.omegas.size))) <= 1e-12
 
 
 def test_apply_K_eigen_action(basis):
     theta = 0.87
     q = qkl.build_qkl(basis, theta)
-    for k, pair in enumerate(basis.pairs):
-        lam = tanhc(theta * pair.omega)
-        f = pair_function(basis.grid, pair)
+    for k, omega in enumerate(basis.omegas):
+        lam = tanhc(theta * omega)
+        f = pair_function(basis.grid, basis.modes, k)
         for part in (f.real, f.imag):
             out = apply_K(q, part)
             assert np.max(np.abs(out - lam * part)) <= 1e-12
@@ -79,8 +82,8 @@ def test_apply_K_annihilates_orthogonal_complement(basis):
     rng = np.random.default_rng(11)
     grid = basis.grid
     f = rng.standard_normal((grid.size, 2))
-    for pair in basis.pairs:
-        g = pair_function(grid, pair)
+    for k in range(basis.omegas.size):
+        g = pair_function(grid, basis.modes, k)
         for part in (g.real, g.imag):
             f = f - 2.0 * inner(grid, part, f) * part
     out = apply_K(q, f)
