@@ -6,17 +6,26 @@ of the pipeline and writes CSV files into the output directory.  Exit
 codes: 0 success (and ``-h``/``--help``), 2 configuration problems and
 malformed command lines (``UsageError``), 3 numeric pipeline failures,
 4 statistical validation mismatch.  Errors are reported as a single
-JSON object on stderr.  Output is deterministic for a fixed config and
-seed.
+JSON object on stderr.  Output is deterministic for a fixed config, seed
+and BLAS thread count.  The CLI runs OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set: the
+matrices are desk-size, a cold thread pool stalls on them for up to a
+second, and the CSV bytes change with the thread count.  The CLI sets
+it, not the package, as a library import must leave a host program's
+BLAS alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"          # before numpy loads OpenBLAS
 
 import numpy as np
 
@@ -167,11 +176,31 @@ def _spec_from(cfg: dict) -> model.OscillatorSpec:
     )
 
 
+def _refuse_beyond_memory(fields: str, rows: int) -> None:
+    """Refuse a dense rows x rows matrix of doubles larger than physical memory.
+
+    A run holds several matrices that size, so one that alone exceeds the
+    machine's memory can never fit; refusing it up front spares the
+    allocations made before the first one fails.  Skipped where os.sysconf
+    does not report the memory.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 8 * rows * rows
+    if need > memory:
+        raise InvalidParameter(
+            f"{fields} give a dense {rows} x {rows} matrix of {need} bytes, more than this "
+            f"machine's {memory} bytes of physical memory")
+
+
 def _context_from(cfg: dict) -> KernelContext:
     spec = _spec_from(cfg)
-    grid = make_grid(spec.T, panels=int(cfg["grid"]["panels"]),
-                     order=int(cfg["grid"]["nodes_per_panel"]))
-    return make_context(spec, grid)
+    panels, order = int(cfg["grid"]["panels"]), int(cfg["grid"]["nodes_per_panel"])
+    _refuse_beyond_memory(f"grid.panels = {panels} and grid.nodes_per_panel = {order} "
+                          f"with oscillator.n = {spec.n}", panels * order * spec.n)
+    return make_context(spec, make_grid(spec.T, panels=panels, order=order))
 
 
 def _require(cfg: dict, section: str) -> dict:
@@ -285,6 +314,10 @@ def cmd_validate(cfg: dict, out: Path, seed: int | None) -> int:
         seed = int(mc_cfg["seed"])
     sizes = {key: int(mc_cfg[key]) for key in ("batch", "increments_per_panel") if key in mc_cfg}
     config = McConfig(samples=int(mc_cfg["samples"]), seed=seed, **sizes)
+    panels, n = int(cfg["grid"]["panels"]), int(cfg["oscillator"]["n"])
+    _refuse_beyond_memory(f"grid.panels = {panels} and mc.increments_per_panel = "
+                          f"{config.increments_per_panel} with oscillator.n = {n}",
+                          panels * config.increments_per_panel * n)
     cache, reps = _closed_form(cfg, eig, qcfg["theta_list"])
     # only subcritical thetas are testable; one Monte-Carlo pass serves them all
     tested = [rep for rep in reps if rep.xi is not None]

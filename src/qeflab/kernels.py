@@ -90,8 +90,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 class KernelContext:
     """Immutable bundle of system matrices and quadrature grid.
 
-    Grid evaluations of the commutator kernel, its Nystrom matrix and
-    spectrum are cached lazily; everything else is cheap to recompute.
+    The lag exponentials, the Nystrom matrix of the commutator kernel and
+    its spectrum are cached lazily; everything else is cheap to recompute.
     """
 
     def __init__(self, sysm: SystemMatrices, Theta: np.ndarray, grid: Grid):
@@ -106,23 +106,18 @@ class KernelContext:
         return lag_exponentials(self.sys.A, self.grid)
 
     @cached_property
-    def lambda_matrix(self) -> np.ndarray:
-        """Commutator kernel at all node pairs, node-major, shape (N n, N n)."""
-        return kernel_matrix(self.grid, self.lag_exponentials, self.Theta)
-
-    @cached_property
     def lambda_grid(self) -> np.ndarray:
-        """Commutator kernel at all node pairs, shape (N, N, n, n): a view of lambda_matrix."""
-        return _block_view(self.lambda_matrix, self.n)
+        """Commutator kernel at all node pairs, shape (N, N, n, n); the pipeline never reads it."""
+        return _block_view(kernel_matrix(self.grid, self.lag_exponentials, self.Theta), self.n)
 
     @cached_property
     def nystrom_matrix(self) -> np.ndarray:
         """K = [sqrt(w_a) Lambda(s_a - s_b) sqrt(w_b)], node-major, shape (N n, N n).
 
         The matrix of L acting on sqrt(w) f, antisymmetrized against
-        rounding: the only form of L that the pipeline reads.
+        rounding: the only form of L that the pipeline reads or the context keeps.
         """
-        K = weighted_matrix(self.grid, self.lambda_matrix)
+        K = weighted_matrix(self.grid, kernel_matrix(self.grid, self.lag_exponentials, self.Theta))
         return 0.5 * (K - K.T)
 
     @cached_property

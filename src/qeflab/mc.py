@@ -23,14 +23,15 @@ small even when the Hilbert-Schmidt capture is.
 
 Estimation is batched; each batch owns a spawned RNG substream and
 batches are drawn in index order, so estimates are seed-determined.
-Consecutive batches are stacked into groups of at most GROUP_ROWS rows
-(a larger batch is a group of its own), and only one group's draws are
-held in memory at a time.  Theta enters only through K's eigenvalues
-from the SpectralCache and through C and r(PK) from compute_qef's
-report, so the increment geometry and each group's draws and products
-are theta-independent: estimate_qef_mc_many builds the geometry once
-per run from the cache, draws each group once and weights it for every
-theta.  In the Z-route form, with u = zeta * corr and Pm symmetric,
+The batch sizes differ by at most one, largest first, so every group
+stacks the same number of consecutive batches, max(1, GROUP_ROWS //
+largest size): at most GROUP_ROWS rows, or one larger batch.  Only one
+group's draws are held in memory at a time.  Theta enters only through
+K's eigenvalues from the SpectralCache and through C and r(PK) from
+compute_qef's report, so the increment geometry and each group's draws
+and products are theta-independent: estimate_qef_mc_many builds the
+geometry once per run from the cache, draws each group once and weights
+it for every theta.  In the Z-route form, with u = zeta * corr and Pm symmetric,
 dZ Pm dZ = dW Pm dW - 2 u.(dW Pm dH) + u (dH^T Pm dH) u^T,
 so a theta costs O(rows r^2) rank-2r terms, not a product with Pm.
 Every theta of one run is thus estimated from the same draws (common
@@ -190,18 +191,6 @@ class _Geometry:
         return means, clipped
 
 
-def _groups(sizes: np.ndarray) -> list[slice]:
-    """Runs of consecutive batches of at most GROUP_ROWS rows; a larger batch is its own run."""
-    groups, first, rows = [], 0, 0
-    for i, size in enumerate(sizes):
-        if i > first and rows + size > GROUP_ROWS:
-            groups.append(slice(first, i))
-            first, rows = i, 0
-        rows += size
-    groups.append(slice(first, len(sizes)))
-    return groups
-
-
 def _aggregate(batch_means: np.ndarray, sizes: np.ndarray, clipped: int,
                variance_finite: bool) -> McEstimate:
     total = int(sizes.sum())
@@ -244,10 +233,11 @@ def estimate_qef_mc_many(cache: SpectralCache, reps: list[QefReport],
                 f"{find_critical_theta(cache):.6g}; the estimator mean diverges")
     geom = _Geometry(cache, cfg)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
-    groups = _groups(sizes)
+    # the sizes differ by at most one, largest first (see the module docstring)
+    per_group = max(1, GROUP_ROWS // int(sizes[0]))
     # a group draws dW and z as (rows, columns) doubles, and numpy refuses
     # more bytes than its index type holds with a bare ValueError
-    rows = max(int(sizes[group].sum()) for group in groups)
+    rows = int(sizes[:per_group].sum())
     if rows * max(geom.dH.shape[0], cache.P.shape[0]) * 8 > np.iinfo(np.intp).max:
         raise InvalidParameter(
             f"mc.samples = {cfg.samples} over mc.batch = {cfg.batch} batches puts {rows} "
@@ -255,7 +245,8 @@ def estimate_qef_mc_many(cache: SpectralCache, reps: list[QefReport],
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batch)
     means = np.empty((len(reps), 2, cfg.batch))
     clipped = np.empty((len(reps), 2, cfg.batch), dtype=int)
-    for group in groups:
+    for first in range(0, cfg.batch, per_group):
+        group = slice(first, first + per_group)
         means[..., group], clipped[..., group] = geom.run_group(sizes[group], seeds[group], reps)
 
     results = []

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -430,6 +431,15 @@ def test_validate_pass_and_seed_override(tmp_path):
     assert all(r[6] == "42" for r in rows)
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cli_env(**blas):
+    """os.environ with the BLAS thread variables replaced by blas, and src importable."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return dict(env, PYTHONPATH=os.pathsep.join(sys.path), **blas)
+
+
 def test_validate_deterministic_across_threads(tmp_path):
     cfg = base_config(tmp_path)
     cfg["qef"]["theta_list"] = [0.348]
@@ -438,6 +448,30 @@ def test_validate_deterministic_across_threads(tmp_path):
     first = (tmp_path / "mc.csv").read_bytes()
     cli.main(["validate", "--config", path])
     assert (tmp_path / "mc.csv").read_bytes() == first
+    # the CLI runs one BLAS thread unless the user sets a count, so a run
+    # with no thread variable writes the one-thread bytes on any core
+    # count; two threads changed all six CSVs these three write on the
+    # README config
+    cfg = copy.deepcopy(README_CONFIG)
+    cfg["mc"]["samples"] = 20000
+    path = write_config(tmp_path, cfg, "readme.json")
+    runs = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"run{len(runs)}"
+        results = [subprocess.run([sys.executable, "-m", "qeflab.cli", command, "--config", path,
+                                   "--out", str(out)], capture_output=True, text=True,
+                                  env=_cli_env(**blas)).returncode
+                   for command in ("eigen", "qef", "validate")]
+        runs.append((results, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 6
+    # and a user's own count stays as set
+    code = "import os, qeflab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    for blas, want in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+                       ({"OMP_NUM_THREADS": "2"}, "None")):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=_cli_env(**blas))
+        assert out.stdout.strip() == want
 
 
 def test_validate_readme_config(tmp_path, capsys):
@@ -744,6 +778,35 @@ def test_group_beyond_numpy_size_limit_is_one_json_error(tmp_path, capsys):
     assert payload["error"] == "InvalidParameter"
     assert "mc.samples" in payload["message"] and "mc.batch" in payload["message"]
     assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value, fields", [
+    ("eigen", "grid", "panels", 200000, "grid.panels = 200000 and grid.nodes_per_panel = 16"),
+    ("validate", "mc", "increments_per_panel", 10 ** 8,
+     "grid.panels = 8 and mc.increments_per_panel = 100000000"),
+])
+def test_grid_beyond_physical_memory_is_refused_before_allocating(tmp_path, command, section,
+                                                                   key, value, fields):
+    # a dense (N n)^2 Nystrom matrix, or the (m n)^2 midpoint kernel of the
+    # Z-route, beyond the machine's memory can never fit; the run allocated
+    # 3.05 GiB of lag exponentials, or 5.96 GiB of increment bounds, before
+    # numpy failed, and under a 2 GiB address space it ended in the generic
+    # "cannot make" message instead of naming the fields
+    cfg = copy.deepcopy(README_CONFIG)
+    cfg[section][key] = value
+    cfg["output_dir"] = str(tmp_path)
+    limit = 2 * 2 ** 30
+    out = subprocess.run(
+        [sys.executable, "-m", "qeflab.cli", command, "--config", write_config(tmp_path, cfg)],
+        capture_output=True, text=True, env=_cli_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 2 and out.stdout == ""
+    [line] = out.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InvalidParameter"
+    assert payload["message"].startswith(fields + " with oscillator.n = 2 give a dense")
+    assert "bytes of physical memory" in payload["message"]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validate_rejects_single_batch(tmp_path, capsys):

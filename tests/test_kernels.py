@@ -121,11 +121,17 @@ def test_grids_share_one_set_of_lag_exponentials(osc_spec, grid, monkeypatch):
     expm = kernels.expm
     monkeypatch.setattr(kernels, "expm", counting)
     c = kernels.make_context(osc_spec, grid)
-    c.lambda_grid
+    c.nystrom_matrix
     kernels.covariance_on_grid(c, np.eye(2))
+    c.lambda_grid
     assert len(calls) == 3
-    # lambda_grid is a view of the node-major matrix the Nystrom matrix weights
-    assert np.shares_memory(c.lambda_grid, c.lambda_matrix)
+    # the Nystrom matrix is the one dense matrix of L the context keeps
+    # until a reader asks for the unweighted blocks
+    fresh = kernels.make_context(osc_spec, grid)
+    fresh.hs_total
+    dense = [name for name, value in vars(fresh).items()
+             if isinstance(value, np.ndarray) and value.size >= fresh.nystrom_matrix.size]
+    assert dense == ["nystrom_matrix"]
 
 
 def _max_rel(got, ref):
@@ -262,7 +268,8 @@ def test_apply_L_discrete_skew_adjointness(ctx, grid):
     # the weighted kernel is antisymmetric before K's antisymmetrization, so
     # that only removes rounding
     K = ctx.nystrom_matrix
-    K0 = kernels.weighted_matrix(grid, ctx.lambda_matrix)
+    K0 = kernels.weighted_matrix(grid, kernels.kernel_matrix(grid, ctx.lag_exponentials,
+                                                             ctx.Theta))
     assert np.max(np.abs(K0 + K0.T)) <= 1e-15 * np.max(np.abs(K))
     rng = np.random.default_rng(11)
     f = rng.standard_normal((grid.size, 2))

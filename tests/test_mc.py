@@ -148,14 +148,38 @@ def test_group_clips_like_per_batch_reference(ctx, qkl348, state, monkeypatch):
             assert clipped[0, route, j] == count
 
 
-def test_groups_cover_batches_in_order():
-    bound = mc.GROUP_ROWS
-    for sizes in (mc._batch_sizes(3000, 100), mc._batch_sizes(1000, 7),
-                  np.array([bound + 1, 3, bound - 3, 4, 2 * bound])):
-        groups = mc._groups(sizes)
-        assert [i for g in groups for i in range(len(sizes))[g]] == list(range(len(sizes)))
-        for g in groups:
-            assert sizes[g].sum() <= bound or len(sizes[g]) == 1
+def test_groups_cover_batches_in_order(monkeypatch):
+    # estimate_qef_mc_many hands run_group runs of per_group consecutive
+    # batches with their own seeds, each at most GROUP_ROWS rows or one batch
+    seen = []
+
+    class Recorder:
+        dH = np.empty((1, 1))
+
+        def __init__(self, cache, cfg):
+            pass
+
+        def run_group(self, sizes, seeds, reps):
+            seen.append((sizes, seeds))
+            shape = (len(reps), 2, len(sizes))
+            return np.ones(shape), np.zeros(shape, dtype=int)
+
+    monkeypatch.setattr(mc, "_Geometry", Recorder)
+    cache = type("Cache", (), {"P": np.empty((1, 1))})()
+    rep = type("Report", (), {"theta": 0.0, "xi": 1.0, "spectral_radius": 0.0})()
+    for samples, batch, per_group in ((3000, 100, 17), (400, 20, 25), (100000, 100, 1),
+                                      (1000, 7, 3), (1400, 2, 1)):
+        seen.clear()
+        cfg = mc.McConfig(samples=samples, seed=3, batch=batch)
+        [res] = mc.estimate_qef_mc_many(cache, [rep], cfg)
+        assert res.z.mean == res.n.mean == 1.0
+        assert np.array_equal(np.concatenate([s for s, _ in seen]),
+                              mc._batch_sizes(samples, batch))
+        seeds = np.random.SeedSequence(cfg.seed).spawn(batch)
+        assert [s.spawn_key for _, group in seen for s in group] == [s.spawn_key for s in seeds]
+        assert [len(s) for s, _ in seen[:-1]] == [per_group] * (len(seen) - 1)
+        assert 1 <= len(seen[-1][0]) <= per_group
+        assert all(s.sum() <= mc.GROUP_ROWS or len(s) == 1 for s, _ in seen)
 
 
 @pytest.fixture(scope="module")
